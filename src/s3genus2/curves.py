@@ -248,7 +248,9 @@ def count_points_weil(c: LegendreCurve) -> int:
 # supersingularity via the Deuring polynomial
 
 
-@lru_cache(maxsize=512)
+# each scanned prime reads its coefficients once; only per-lambda loops
+# within one prime (is_supersingular) come back for them
+@lru_cache(maxsize=8)
 def deuring_coefficients(p: int) -> tuple[int, ...]:
     """Coefficients of H_p(t) = sum_k C((p-1)/2, k)^2 t^k, reduced mod p."""
     check_modulus(p)

@@ -5,14 +5,19 @@ roots of lambda^2 - lambda + 1 (those parameters are singular).  The member
 is superspecial exactly when the associated Legendre curve with parameter
 Lambda^-(lambda) = (1-lambda)(lambda - sqrt(delta))^2 is supersingular; the
 partner Lambda^+ then is too.  The scan classifies one representative per
-S3-orbit and stamps the rest, with the Deuring-polynomial evaluation
-vectorized across representatives.
+S3-orbit and stamps the rest.  It evaluates the Deuring polynomial H_p at
+every representative's Lambda^- at once, by an exact baby-step/giant-step
+(Paterson-Stockmeyer) split: about sqrt(p) vector operations and two int64
+matrix products per prime, where plain Horner takes p/2 vector passes.  The
+numpy Horner evaluation stays in the tests as the oracle for this kernel,
+beside the pure-python per-lambda scan `psi_p_bruteforce`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -20,7 +25,13 @@ from .classno import class_number
 from .curves import LegendreCurve, deuring_coefficients, is_supersingular
 from .fields import FieldElement, QuadExtElement, check_modulus, sqrt_in_fp2
 
-VECTOR_MODULUS_BOUND = 1 << 30  # keeps the int64 Horner kernel overflow-free
+# The int64 scan kernel needs k * (p-1)^2 < 2^63, k = isqrt((p+1)/2): a block
+# value sums k products of two residues.  Below 2^25 that is at most
+# 2^12 * 2^50 = 2^62.
+VECTOR_MODULUS_BOUND = 1 << 25
+# entries per baby-step or block-value matrix in one chunk of the scan
+# (4 MB of int64); every p below 2.5*10^4 fits in one chunk
+BSGS_CHUNK_ELEMENTS = 1 << 19
 
 PSI_CSV_HEADER = "p,class,psi,h_p,h_3p,ok"
 
@@ -74,10 +85,10 @@ class LambdaRecord:
     superspecial: bool
 
 
-def lambda_record(lam: int | FieldElement, p: int | None = None) -> LambdaRecord:
-    """Build the record; the supersingularity test runs on E_{Lambda^-} only."""
-    if isinstance(lam, FieldElement):
-        lam, p = lam.value, lam.p
+def lambda_pair(
+    lam: int, p: int
+) -> tuple[int, QuadExtElement, QuadExtElement, QuadExtElement]:
+    """(delta, sqrt(delta), Lambda^-, Lambda^+) of an admissible lambda."""
     check_modulus(p)
     lam %= p
     if lam in (0, 1):
@@ -89,8 +100,16 @@ def lambda_record(lam: int | FieldElement, p: int | None = None) -> LambdaRecord
     lam_e = QuadExtElement(lam, 0, p)
     minus = (1 - lam_e) * (lam_e - s) ** 2
     plus = (1 - lam_e) * (lam_e + s) ** 2
+    return delta, s, minus, plus
+
+
+def lambda_record(lam: int | FieldElement, p: int | None = None) -> LambdaRecord:
+    """Build the record; the supersingularity test runs on E_{Lambda^-} only."""
+    if isinstance(lam, FieldElement):
+        lam, p = lam.value, lam.p
+    delta, s, minus, plus = lambda_pair(lam, p)
     ss = is_supersingular(LegendreCurve(minus, p))
-    return LambdaRecord(lam, p, delta, s, minus, plus, ss)
+    return LambdaRecord(lam % p, p, delta, s, minus, plus, ss)
 
 
 @dataclass(frozen=True)
@@ -169,6 +188,9 @@ def _orbit_scan(p: int, eps: int) -> tuple[int, ...]:
 
     The two branches must agree member-by-member (a supersingular partner
     forces the other); the +1 branch exists so tests can compare them.
+    H_p is evaluated at every representative's Lambda^eps by the
+    baby-step/giant-step `_deuring_eval`, with no filter: the result is
+    exact.  The tests hold the numpy Horner evaluation as its oracle.
     """
     check_modulus(p)
     if p >= VECTOR_MODULUS_BOUND:
@@ -206,19 +228,68 @@ def _orbit_scan(p: int, eps: int) -> tuple[int, ...]:
     la = np.where(residue, one_m * ((base + cross) % p) % p, one_m * base % p)
     lb = np.where(residue, 0, (one_m * cross) % p)
 
-    coeffs = np.array(deuring_coefficients(p), dtype=np.int64)
-    acc_a = np.zeros_like(la)
-    acc_b = np.zeros_like(lb)
-    for k in range(len(coeffs) - 1, -1, -1):
-        acc_a, acc_b = (
-            (acc_a * la % p + acc_b * lb % p * n + coeffs[k]) % p,
-            (acc_a * lb + acc_b * la) % p,
-        )
+    acc_a, acc_b = _deuring_eval(la, lb, n, p)
     ss = (acc_a == 0) & (acc_b == 0)
     out: set[int] = set()
     for rep_value in reps[ss]:
         out.update(orbit(int(rep_value), p))
     return tuple(sorted(out))
+
+
+def _deuring_eval(
+    la: np.ndarray, lb: np.ndarray, n: int, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """H_p(L) for each L = la + lb*w in F_{p^2} = F_p[w]/(w^2 - n), exactly.
+
+    Paterson-Stockmeyer: with the m+1 coefficients split into g blocks of
+    k = isqrt(m+1), H_p(L) = sum_j P_j(L) G^j, where P_j carries
+    c_{jk} .. c_{jk+k-1} and G = L^k.  The block values P_j(L) for all L
+    are one int64 matrix product per F_{p^2} component (the coefficients
+    lie in F_p); the giant steps are g - 1 Horner passes in G.  Entries of
+    the products stay below k (p-1)^2, which VECTOR_MODULUS_BOUND keeps
+    under 2^63.  The points go through in row chunks, so the (rows, k) and
+    (rows, g) matrices hold at most BSGS_CHUNK_ELEMENTS entries each.
+    """
+    coeffs = deuring_coefficients(p)
+    k = isqrt(len(coeffs))
+    g = -(-len(coeffs) // k)
+    # C[i, j] = c_{jk+i}, zero past the top coefficient
+    c = np.zeros(g * k, dtype=np.int64)
+    c[: len(coeffs)] = coeffs
+    c = c.reshape(g, k).T
+    acc_a = np.empty_like(la)
+    acc_b = np.empty_like(lb)
+    step = max(1, BSGS_CHUNK_ELEMENTS // g)
+    for lo in range(0, la.size, step):
+        rows = slice(lo, lo + step)
+        acc_a[rows], acc_b[rows] = _bsgs_rows(la[rows], lb[rows], n, p, c)
+    return acc_a, acc_b
+
+
+def _bsgs_rows(
+    la: np.ndarray, lb: np.ndarray, n: int, p: int, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    k, g = c.shape
+
+    def times_l(a, b):
+        return (a * la % p + b * lb % p * n) % p, (a * lb + b * la) % p
+
+    # baby steps: column i holds L^i
+    pow_a = np.empty((la.size, k), dtype=np.int64)
+    pow_b = np.empty_like(pow_a)
+    pow_a[:, 0], pow_b[:, 0] = 1, 0
+    for i in range(1, k):
+        pow_a[:, i], pow_b[:, i] = times_l(pow_a[:, i - 1], pow_b[:, i - 1])
+    ga, gb = times_l(pow_a[:, k - 1], pow_b[:, k - 1])
+    block_a = pow_a @ c % p
+    block_b = pow_b @ c % p
+    acc_a, acc_b = block_a[:, g - 1], block_b[:, g - 1]
+    for j in range(g - 2, -1, -1):
+        acc_a, acc_b = (
+            (acc_a * ga % p + acc_b * gb % p * n + block_a[:, j]) % p,
+            (acc_a * gb + acc_b * ga + block_b[:, j]) % p,
+        )
+    return acc_a, acc_b
 
 
 def smallest_nonresidue_int(p: int) -> int:

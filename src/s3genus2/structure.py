@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .classno import class_number, hilbert_poly
 from .family import (
-    lambda_record,
+    lambda_pair,
     orbit,
     psi_p,
     superspecial_lambdas,
@@ -43,8 +43,8 @@ def root_profile(p: int) -> RootProfile:
     """Collect j(E_{Lambda^+-}) over all superspecial lambda and split them."""
     seen: dict[tuple[int, int], QuadExtElement] = {}
     for lam in superspecial_lambdas(p):
-        rec = lambda_record(lam, p)
-        for t in (rec.lambda_minus, rec.lambda_plus):
+        _, _, minus, plus = lambda_pair(lam, p)
+        for t in (minus, plus):
             j = j_invariant(LegendreCurve(t, p))
             seen[(j.a, j.b)] = j
     distinct = tuple(seen[k] for k in sorted(seen))
@@ -167,9 +167,9 @@ def build_graph(p: int) -> GraphGp:
         rep = min(lambdas)
         members = orbit(rep, p)
         lambdas -= members
-        rec = lambda_record(rep, p)
-        j1 = j_invariant(LegendreCurve(rec.lambda_minus, p))
-        j2 = j_invariant(LegendreCurve(rec.lambda_plus, p))
+        _, _, minus, plus = lambda_pair(rep, p)
+        j1 = j_invariant(LegendreCurve(minus, p))
+        j2 = j_invariant(LegendreCurve(plus, p))
         if not (j1.in_base_field() and j2.in_base_field()):
             raise ArithmeticError(f"irrational j at p={p}, lambda={rep}")
         u, v = sorted((j1.a, j2.a))

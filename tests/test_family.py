@@ -1,9 +1,17 @@
 """Tests for the family scan: Lambda pairs, orbits, psi_p, and f/g/h."""
 
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from s3genus2.curves import LegendreCurve, is_supersingular
+from s3genus2 import family
+from s3genus2.curves import LegendreCurve, deuring_coefficients, is_supersingular
 from s3genus2.family import (
+    VECTOR_MODULUS_BOUND,
+    _deuring_eval,
     fgh_eval,
     is_admissible,
     lambda_from_torsion,
@@ -15,7 +23,7 @@ from s3genus2.family import (
     psi_closed_form,
     torsion_from_lambda,
 )
-from s3genus2.fields import FieldElement, is_prime, sqrt_in_fp2
+from s3genus2.fields import FieldElement, is_prime, smallest_nonresidue, sqrt_in_fp2
 
 PRIMES_1MOD4 = [5, 13, 17, 29, 37, 41, 53, 61]
 PRIMES_11MOD12 = [11, 23, 47, 59, 71, 83, 107]
@@ -151,6 +159,75 @@ def test_both_branches_classify_identically_to_500():
 
     for p in primes_in(5, 500):
         assert _orbit_scan(p, -1) == _orbit_scan(p, +1), p
+
+
+def horner_eval(la, lb, n, p):
+    """Oracle for `_deuring_eval`: numpy Horner, one pass per coefficient."""
+    coeffs = np.array(deuring_coefficients(p), dtype=np.int64)
+    acc_a = np.zeros_like(la)
+    acc_b = np.zeros_like(lb)
+    for k in range(len(coeffs) - 1, -1, -1):
+        acc_a, acc_b = (
+            (acc_a * la % p + acc_b * lb % p * n + coeffs[k]) % p,
+            (acc_a * lb + acc_b * la) % p,
+        )
+    return acc_a, acc_b
+
+
+def test_orbit_scan_matches_horner_oracle_below_1000(monkeypatch):
+    for p in primes_in(5, 1000):
+        fast = family._orbit_scan(p, -1)
+        with monkeypatch.context() as m:
+            m.setattr(family, "_deuring_eval", horner_eval)
+            assert fast == family._orbit_scan(p, -1), p
+
+
+SQUARE_BLOCKS = (7, 17, 31, 71, 97, 199)  # m+1 = (p+1)/2 = k^2
+PADDED_BLOCKS = (13, 41, 101, 1009)  # k does not divide m+1
+
+
+@pytest.mark.parametrize("p", (5,) + SQUARE_BLOCKS + PADDED_BLOCKS)
+def test_deuring_eval_matches_horner_on_random_points(p, monkeypatch):
+    m1 = (p + 1) // 2
+    k = math.isqrt(m1)
+    if p in SQUARE_BLOCKS:
+        assert k * k == m1
+    if p in PADDED_BLOCKS:
+        assert m1 % k
+    rng = np.random.default_rng(p)
+    la = rng.integers(0, p, 400, dtype=np.int64)
+    lb = rng.integers(0, p, 400, dtype=np.int64)
+    lb[:50] = 0  # points of F_p
+    la[50:60] = 0
+    n = smallest_nonresidue(p)
+    want_a, want_b = horner_eval(la, lb, n, p)
+    got_a, got_b = _deuring_eval(la, lb, n, p)
+    assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+    # many row chunks, the last one partial
+    monkeypatch.setattr(family, "BSGS_CHUNK_ELEMENTS", 150)
+    got_a, got_b = _deuring_eval(la, lb, n, p)
+    assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+
+
+def test_vector_bound_keeps_block_sums_in_int64():
+    # a block value sums k products of two residues; the largest p allowed
+    # has the largest k and the largest products
+    p = VECTOR_MODULUS_BOUND - 1
+    k = math.isqrt((p - 1) // 2 + 1)
+    assert k * (p - 1) ** 2 <= 2**62 < 2**63
+
+
+def test_orbit_scan_rejects_prime_above_bound_before_allocating():
+    q = next(v for v in itertools.count(VECTOR_MODULUS_BOUND) if is_prime(v))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bound"):
+            family._orbit_scan(q, -1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one p-sized int64 table would take 8q bytes (about 268 MB)
+    assert peak < 1 << 20
 
 
 def test_sqrt_delta_rationality_by_congruence():

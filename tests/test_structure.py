@@ -49,6 +49,19 @@ def test_profile_frobenius_stable_and_supersingular():
             assert is_supersingular(LegendreCurve(rec.lambda_minus, p))
 
 
+def test_structure_trusts_the_scan_classification(monkeypatch):
+    # the scan already decided which lambda are superspecial; the profile
+    # and the graph must not run the per-lambda Deuring test again
+    from s3genus2 import family
+
+    def refuse(curve):
+        raise AssertionError("is_supersingular called")
+
+    monkeypatch.setattr(family, "is_supersingular", refuse)
+    assert root_profile(53).distinct_js
+    assert build_graph(59).edges
+
+
 def test_rational_root_count_relation_11mod12():
     # rational root set of size n has h(-p) = 2n - 1
     for p in primes_in(13, 500, lambda q: q % 12 == 11):
