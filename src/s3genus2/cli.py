@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .average import (
@@ -28,6 +27,7 @@ from .average import (
 )
 from .family import (
     PSI_CSV_HEADER,
+    VECTOR_MODULUS_BOUND,
     PsiReport,
     psi_p,
     seed_scan_cache,
@@ -56,6 +56,12 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     primes = [p for p in range(lo, hi + 1) if is_prime(p)]
     if not primes:
         raise UsageError(f"no primes in [{lo}, {hi}]")
+    if primes[-1] >= VECTOR_MODULUS_BOUND:
+        raise UsageError(
+            f"p={primes[-1]} is at or above the scan's int64 bound "
+            f"VECTOR_MODULUS_BOUND = 2^{VECTOR_MODULUS_BOUND.bit_length() - 1} "
+            f"= {VECTOR_MODULUS_BOUND}"
+        )
     return primes
 
 
@@ -67,6 +73,8 @@ def _prefill_scans(primes, threads: int) -> None:
     """Run the per-prime lambda scans on a worker pool, largest first."""
     if threads <= 1:
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     todo = sorted(primes, reverse=True)
     with ProcessPoolExecutor(max_workers=threads) as pool:
         seed_scan_cache(pool.map(_scan_worker, todo, chunksize=4))

@@ -1,17 +1,24 @@
-"""Tests for the window averages: exactness against the double loop, the
-closed-form constants, and the counting helpers."""
+"""Tests for the window averages: exactness against the double loop and
+the scalar floor-sum path, the closed-form constants, and the counting
+helpers."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
+from s3genus2 import average
 from s3genus2.average import (
+    FLOOR_SUM_CHUNK,
     INTEGER_WINDOW_CONSTANT,
+    MAX_N_BUDGET,
+    MAX_X_BUDGET,
     RATIONAL_HEIGHT_CONSTANT,
     AverageRun,
     BudgetError,
-    _floor_sum,
+    _floor_sum_vec,
+    _mertens_table,
     convergence_table,
     default_window,
     phi_lambda,
@@ -20,6 +27,76 @@ from s3genus2.average import (
     window_sum,
     window_sum_bruteforce,
 )
+from s3genus2.family import superspecial_lambdas
+
+
+# The scalar rational-window path: one python floor sum at a time, per
+# Moebius block and residue.  It is the oracle of the vectorised count.
+
+
+def _floor_sum(n: int, a: int, b: int, m: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b) / m), exactly (handles negative b)."""
+    total = 0
+    if b < 0:
+        shift = (-b + m - 1) // m
+        total -= n * shift
+        b += shift * m
+    while True:
+        if a >= m:
+            total += (n - 1) * n // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b, m, a = y_max // m, y_max % m, a, m
+
+
+def _count_residue_band(R: int, s: int, p: int, lo_shift: int) -> int:
+    """#{r in [1, R] : (s*r mod p) + lo_shift >= p}  (a cyclic band count)."""
+    return _floor_sum(R, s, s + lo_shift, p) - _floor_sum(R, s, s, p)
+
+
+def _mertens_coprime(x: int, p: int, table) -> int:
+    """sum of mu(d) over d <= x with p not dividing d."""
+    total = 0
+    while x >= 1:
+        total += table[x]
+        x //= p
+    return total
+
+
+def _rational_line_count(M: int, p: int, residues) -> int:
+    """#{(a, b) : 1 <= a <= M, |b| <= M, p !| a, b = s*a (mod p), s in residues}."""
+    q, m = divmod(M, p)
+    n_a = M - q  # a-values coprime-to-p in [1, M]
+    total = len(residues) * n_a * 2 * q
+    multiples = M // p  # r in [1, M] with p | r, always landing in the low band
+    for s in residues:
+        low = _floor_sum(M, s, s, p) - _floor_sum(M, s, s - (m + 1), p)
+        high = _count_residue_band(M, s, p, m)
+        total += (low - multiples) + high
+    return total
+
+
+def rational_window_scalar(X: int, N: int) -> int:
+    table = _mertens_table(N).tolist()
+    total = 0
+    for p in primes_below(X):
+        residues = superspecial_lambdas(p)
+        if not residues:
+            continue
+        d = 1
+        while d <= N:
+            v = N // d
+            d_hi = N // v
+            weight = _mertens_coprime(d_hi, p, table) - _mertens_coprime(d - 1, p, table)
+            if weight:
+                total += weight * _rational_line_count(v, p, residues)
+            d = d_hi + 1
+    return total
 
 
 def test_phi_lambda_examples():
@@ -43,13 +120,61 @@ def test_phi_lambda_skips_bad_reduction():
 
 def test_floor_sum_against_naive():
     rng = random.Random(0)
-    for _ in range(300):
-        n = rng.randrange(0, 40)
-        m = rng.randrange(1, 30)
-        a = rng.randrange(0, 60)
-        b = rng.randrange(-60, 60)
+    lanes = [(rng.randrange(0, 40), rng.randrange(0, 60), rng.randrange(-60, 60),
+              rng.randrange(1, 30)) for _ in range(300)]
+    got = _floor_sum_vec(*(np.array(col) for col in zip(*lanes)))
+    for (n, a, b, m), value in zip(lanes, got.tolist()):
         want = sum((a * i + b) // m for i in range(n))
-        assert _floor_sum(n, a, b, m) == want, (n, a, b, m)
+        assert value == want, (n, a, b, m)
+
+
+def test_scalar_floor_sum_against_naive():
+    rng = random.Random(1)
+    for _ in range(300):
+        n, a, b, m = (rng.randrange(0, 40), rng.randrange(0, 60),
+                      rng.randrange(-60, 60), rng.randrange(1, 30))
+        assert _floor_sum(n, a, b, m) == sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_vec_matches_scalar_oracle():
+    rng = random.Random(2)
+    lanes = []
+    for _ in range(2000):
+        m = rng.randrange(1, 5000)
+        lanes.append((rng.randrange(0, 10**6), rng.randrange(0, 3 * m),
+                      rng.randrange(-3 * m, 3 * m), m))
+    # n = 0, a >= m, b < -m
+    lanes += [(0, 7, -20, 3), (0, 0, 0, 1), (5, 9, -40, 4), (1, 0, -1, 1)]
+    # the edges of the window count's domain: n <= MAX_N_BUDGET,
+    # m < MAX_X_BUDGET, 0 <= a < m, |b| < 2m
+    lanes += [(n, a, b, m)
+              for n in (1, MAX_N_BUDGET)
+              for m in (2, 3, MAX_X_BUDGET - 1)
+              for a in (0, 1, m - 1)
+              for b in (-2 * m + 1, -1, 0, m, 2 * m - 1)]
+    got = _floor_sum_vec(*(np.array(col) for col in zip(*lanes)))
+    assert got.tolist() == [_floor_sum(*lane) for lane in lanes]
+
+
+def test_floor_sum_vec_leaves_its_inputs_alone():
+    cols = [np.array([5, 0, 9]), np.array([7, 3, 2]), np.array([-8, 4, 1]), np.array([3, 5, 4])]
+    before = [c.copy() for c in cols]
+    _floor_sum_vec(*cols)
+    assert all((c == b).all() for c, b in zip(cols, before))
+
+
+def test_floor_sum_bound_keeps_the_count_in_int64():
+    # the window count's lanes: n = M <= MAX_N_BUDGET, m = p < MAX_X_BUDGET,
+    # 0 <= a < m, |b| < 2m
+    n, m = MAX_N_BUDGET, MAX_X_BUDGET
+    assert m * (n + 2) < 2**39  # y = a*n + b
+    assert n * (n + 1) // 2 < 2**46  # one lane's floor sum
+    # a chunk's weighted sum: a pair's count is at most M (2M + 1) and its
+    # weight at most the block length N/(M(M+1)) + 1
+    per_pair = max((n // (M * (M + 1)) + 1) * M * (2 * M + 1)
+                   for M in (1, 2, 10, math.isqrt(n), n // 2, n))
+    assert per_pair <= 2 * n + n * (2 * n + 1)
+    assert FLOOR_SUM_CHUNK // 2 * (2 * n + n * (2 * n + 1)) < 2**63
 
 
 def test_primes_below():
@@ -96,6 +221,20 @@ def test_rational_window_exactness(X, N):
     assert run.total == window_sum_bruteforce(X, N, "rational")
 
 
+def test_rational_window_matches_scalar_oracle_6_to_150():
+    for X in range(6, 151):
+        N = default_window(X)
+        assert window_sum(X, N, "rational").total == rational_window_scalar(X, N), X
+
+
+@pytest.mark.parametrize("chunk", [2, 6, 64])
+def test_rational_window_is_independent_of_the_chunk(monkeypatch, chunk):
+    # pairs of one prime split across chunks, and chunks that mix primes
+    want = rational_window_scalar(60, 150)
+    monkeypatch.setattr(average, "FLOOR_SUM_CHUNK", chunk)
+    assert window_sum(60, 150, "rational").total == want
+
+
 def test_window_monotone_in_X_and_N():
     t1 = window_sum(30, 100, "integer").total
     t2 = window_sum(50, 100, "integer").total
@@ -108,10 +247,12 @@ def test_window_monotone_in_X_and_N():
 
 
 def test_budget_errors():
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="baby-step/giant-step scans"):
         window_sum(10**6, 100, "integer")
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="residue counts"):
         window_sum(100, 10**8, "integer")
+    with pytest.raises(BudgetError, match="floor-sum lanes"):
+        window_sum(10**6, 100, "rational")
     with pytest.raises(ValueError):
         window_sum(10, 10, "diagonal")
 

@@ -1,8 +1,15 @@
 """CLI behaviour: exit codes, determinism, formats, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from s3genus2.cli import main
+from s3genus2.family import VECTOR_MODULUS_BOUND
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +48,26 @@ def test_psi_usage_error_on_non_prime_range(capsys):
     code, _, err = run_cli(capsys, "psi", "--from", "24", "--to", "28")
     assert code == 2
     assert "no primes" in err
+
+
+@pytest.mark.parametrize("command", ["psi", "structure"])
+def test_prime_at_the_scan_bound_is_a_usage_error(capsys, monkeypatch, command):
+    # 33554467 is the first prime above 2^25; the scan must not start
+    monkeypatch.setattr("s3genus2.family._orbit_scan", None)
+    code, out, err = run_cli(capsys, command, "--from", "33554467", "--to", "33554467")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and str(VECTOR_MODULUS_BOUND) in err and "Traceback" not in err
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, s3genus2.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_psi_csv_format(capsys):
