@@ -315,6 +315,16 @@ def _cost_estimate(X: int, N: int, mode: str) -> str:
     return cost + f", then ~{residues:.1e} residue counts (0.8 X^1.5/ln X)"
 
 
+def check_budget(X: int, N: int, mode: str) -> None:
+    """Raise BudgetError, with a cost estimate, if (X, N) is over budget."""
+    if X > MAX_X_BUDGET or N > MAX_N_BUDGET:
+        raise BudgetError(
+            f"X={X}, N={N} exceeds the desk budget "
+            f"(X <= {MAX_X_BUDGET}, N <= {MAX_N_BUDGET}); "
+            f"estimated cost {_cost_estimate(X, N, mode)}"
+        )
+
+
 def window_sum(X: int, N: int, mode: str = "integer") -> AverageRun:
     """Exact swapped-order window total with the predicted comparison.
 
@@ -322,12 +332,7 @@ def window_sum(X: int, N: int, mode: str = "integer") -> AverageRun:
     rational of height at most N once (reduced b/a, a >= 1).
     """
     constant = _mode_constant(mode)
-    if X > MAX_X_BUDGET or N > MAX_N_BUDGET:
-        raise BudgetError(
-            f"X={X}, N={N} exceeds the desk budget "
-            f"(X <= {MAX_X_BUDGET}, N <= {MAX_N_BUDGET}); "
-            f"estimated cost {_cost_estimate(X, N, mode)}"
-        )
+    check_budget(X, N, mode)
     total = 0
     if mode == "integer":
         for p in primes_below(X):

@@ -21,7 +21,9 @@ from .average import (
     SKIP_CONVENTIONS,
     AverageRun,
     BudgetError,
+    check_budget,
     default_window,
+    primes_below,
     window_sum,
     window_sum_bruteforce,
 )
@@ -33,7 +35,7 @@ from .family import (
     seed_scan_cache,
     superspecial_lambdas,
 )
-from .fields import is_prime
+from .fields import MAX_MODULUS, is_prime
 from .isogenies import compose_is_minus3, verify_transcription
 from .structure import StructureVerdict, structure_verdict
 
@@ -154,6 +156,10 @@ def cmd_isogeny(args) -> int:
     p, lam = args.p, args.lam
     if not is_prime(p) or p < 5:
         raise UsageError(f"p={p} is not a prime >= 5")
+    if p >= MAX_MODULUS:
+        raise UsageError(f"p={p} is at or above MAX_MODULUS = 2^31 = {MAX_MODULUS}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     if lam % p in (0, 1) or (lam * lam - lam + 1) % p == 0:
         raise UsageError(f"lambda={lam} is inadmissible mod {p}")
     verify_transcription(lam, p)
@@ -165,8 +171,19 @@ def cmd_isogeny(args) -> int:
 
 
 def cmd_average(args) -> int:
-    xs = sorted(set(args.X))
     mode = args.mode
+    xs = sorted(set(args.X))
+    # refuse a malformed or oversized row before any row is computed
+    if xs[0] < 2 or (args.N is not None and args.N < 1):
+        raise UsageError(f"need X >= 2 and N >= 1, got X={xs[0]}, N={args.N}")
+    windows = [(X, args.N if args.N is not None else default_window(X)) for X in xs]
+    for X, N in windows:
+        check_budget(X, N, mode)
+        if args.check_bruteforce and (X > BRUTEFORCE_X_CAP or N > BRUTEFORCE_N_CAP):
+            raise UsageError(
+                f"--check-bruteforce capped at X <= {BRUTEFORCE_X_CAP}, "
+                f"N <= {BRUTEFORCE_N_CAP}"
+            )
     out = _open_output(args)
     try:
         rows: list[AverageRun] = []
@@ -175,20 +192,13 @@ def cmd_average(args) -> int:
         if args.format == "csv":
             _emit(out, AverageRun.CSV_HEADER)
         status = 0
-        for X in xs:
-            N = args.N if args.N is not None else default_window(X)
+        for X, N in windows:
             if N < X:
                 print(f"# warning: N={N} < X={X}, outside the N > X regime; "
                       "computed anyway", file=sys.stderr)
-            primes = [p for p in range(5, X) if is_prime(p)]
-            _prefill_scans(primes, args.threads)
+            _prefill_scans(primes_below(X), args.threads)
             run = window_sum(X, N, mode)
             if args.check_bruteforce:
-                if X > BRUTEFORCE_X_CAP or N > BRUTEFORCE_N_CAP:
-                    raise UsageError(
-                        f"--check-bruteforce capped at X <= {BRUTEFORCE_X_CAP}, "
-                        f"N <= {BRUTEFORCE_N_CAP}"
-                    )
                 brute = window_sum_bruteforce(X, N, mode)
                 match = "match" if brute == run.total else "MISMATCH"
                 print(f"# bruteforce {mode} X={X} N={N}: {brute} ({match})",

@@ -318,24 +318,6 @@ class QuadExtElement:
         return legendre_int(self.norm(), self.p) != -1
 
 
-def fp2_arithmetic(x: QuadExtElement, y: QuadExtElement | None, op: str) -> QuadExtElement:
-    """Dispatcher over the basic F_{p^2} operations.
-
-    op is one of add/sub/mul/inv/frobenius; inv and frobenius ignore y.
-    """
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inverse()
-    if op == "frobenius":
-        return x.frobenius()
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _canonical_pair(a: int, b: int, p: int) -> tuple[int, int]:
     # pick the representative of {+r, -r} with smaller (a, b) encoding
     return min((a, b), ((-a) % p, (-b) % p))
@@ -348,60 +330,38 @@ def sqrt_in_fp2(x: FieldElement) -> QuadExtElement:
     c*w.  Of the two roots +-s we return the one with the smaller
     (a-part, b-part) integer encoding, so the branch is reproducible.
     """
-    p = x.p
-    n = smallest_nonresidue(p)
-    if x.value == 0:
-        return QuadExtElement(0, 0, p, n)
-    if legendre_int(x.value, p) == 1:
-        r = tonelli_shanks(x.value, p)
-        a, b = _canonical_pair(r, 0, p)
-    else:
-        # x = (c*w)^2 with c^2 = x / n
-        c = tonelli_shanks(x.value * pow(n, -1, p) % p, p)
-        a, b = _canonical_pair(0, c, p)
-    return QuadExtElement(a, b, p, n)
+    return sqrt_fp2(QuadExtElement(x.value, 0, x.p))
 
 
 def sqrt_fp2(u: QuadExtElement) -> QuadExtElement | None:
     """Canonical square root of an arbitrary F_{p^2} element, or None.
 
-    Tonelli-Shanks run in the multiplicative group of order p^2 - 1; the
-    non-square needed to seed it is found by a deterministic scan.
+    The root is taken through the norm, with square roots in F_p only.  For
+    u = a + b*w with b != 0, u is a square iff N = a^2 - n b^2 is a residue
+    mod p.  A root x + y*w satisfies x^2 + n y^2 = a and 2xy = b, so x^2 is a
+    root of 4X^2 - 4aX + n b^2, that is (a +- sqrt(N))/2.  The product of
+    the two is n b^2/4, a non-residue, so exactly one of them is a residue;
+    x is its root and y = b/(2x).  For b = 0 the root is sqrt(a), or
+    sqrt(a/n)*w when a is a non-residue.  Of the two roots the one with the
+    smaller (a-part, b-part) encoding is returned.
     """
     p, n = u.p, u.nonresidue
-    if u.is_zero():
-        return QuadExtElement(0, 0, p, n)
-    if not u.is_square():
-        return None
-    one = QuadExtElement(1, 0, p, n)
-    q, s = p * p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = _fp2_nonsquare(p, n)
-    c = z**q
-    x = u ** ((q + 1) // 2)
-    t = u**q
-    m = s
-    while t != one:
-        t2 = t
-        i = 0
-        while t2 != one:
-            t2 = t2 * t2
-            i += 1
-        b = c ** (1 << (m - i - 1))
-        x = x * b
-        c = b * b
-        t = t * c
-        m = i
-    a, b_ = _canonical_pair(x.a, x.b, p)
-    return QuadExtElement(a, b_, p, n)
-
-
-@lru_cache(maxsize=None)
-def _fp2_nonsquare(p: int, n: int) -> QuadExtElement:
-    # k + w is a non-square iff Norm(k + w) = k^2 - n is a non-residue
-    for k in range(p):
-        if legendre_int(k * k - n, p) == -1:
-            return QuadExtElement(k, 1, p, n)
-    raise ArithmeticError(f"no non-square found in F_{p}^2")  # unreachable
+    a, b = u.a, u.b
+    if b == 0:
+        if legendre_int(a, p) != -1:
+            x, y = tonelli_shanks(a, p), 0
+        else:
+            x, y = 0, tonelli_shanks(a * pow(n, -1, p) % p, p)
+    else:
+        norm = u.norm()
+        if legendre_int(norm, p) != 1:
+            return None
+        r = tonelli_shanks(norm, p)
+        half = (p + 1) // 2
+        x2 = (a + r) * half % p
+        if legendre_int(x2, p) != 1:
+            x2 = (a - r) * half % p
+        x = tonelli_shanks(x2, p)
+        y = b * pow(2 * x, -1, p) % p
+    x, y = _canonical_pair(x, y, p)
+    return QuadExtElement(x, y, p, n)

@@ -3,11 +3,14 @@
 The map psi^eps sends E_{L^eps} to E_{L^-eps}.  It is evaluated through the
 closed-form rational functions s(x, y), t(x, y) (coefficient
 tables below, transcribed for eps = -1 and flipped to eps = +1 by negating
-the square root), with the equivalent four-map composition
-(shift, degree-3 quotient, rescale, shift back) kept alongside as an
-independent evaluation route.  The level-2 and level-3 modular polynomials
-ship as an integer coefficient table and are re-validated by exact
-identities in the test suite.
+the square root).  Their coefficients depend only on (lam, eps), so each
+map reduces them once to dense lists of (a, b) int pairs over F_{p^2};
+a point then costs a few Horner passes on the int pair of its abscissa and
+two divisions.  The equivalent four-map composition (shift, degree-3
+quotient, rescale, shift back) is kept alongside as an independent
+evaluation route.  The level-2 and level-3 modular polynomials ship as an
+integer coefficient table and are re-validated by exact identities in the
+test suite.
 """
 
 from __future__ import annotations
@@ -70,10 +73,26 @@ def _eval_lambda_poly(coeffs, lam: int, p: int) -> int:
     return acc
 
 
-def _table_coeff(pair, lam: int, sqrt_delta: QuadExtElement) -> QuadExtElement:
-    sq, rat = pair
-    p = sqrt_delta.p
-    return _eval_lambda_poly(rat, lam, p) + _eval_lambda_poly(sq, lam, p) * sqrt_delta
+def _dense(terms: dict, lam: int, d: QuadExtElement) -> list[tuple[int, int]]:
+    """{x-power: (sq, rat)} as ascending (a, b) pairs of rat(lam) + sq(lam) * d."""
+    p = d.p
+    out = [(0, 0)] * (max(terms) + 1)
+    for k, (sq, rat) in terms.items():
+        s = _eval_lambda_poly(sq, lam, p)
+        out[k] = (_eval_lambda_poly(rat, lam, p) + s * d.a) % p, s * d.b % p
+    return out
+
+
+def _horner(coeffs, xa: int, xb: int, p: int, n: int) -> tuple[int, int]:
+    """sum c_k x^k at x = xa + xb*w (w^2 = n) for ascending (a, b) pairs c_k."""
+    ra, rb = coeffs[-1]
+    for ca, cb in reversed(coeffs[:-1]):
+        ra, rb = (ra * xa + rb * xb % p * n + ca) % p, (ra * xb + rb * xa + cb) % p
+    return ra, rb
+
+
+def _mul(u: tuple[int, int], v: tuple[int, int], p: int, n: int) -> tuple[int, int]:
+    return (u[0] * v[0] + u[1] * v[1] % p * n) % p, (u[0] * v[1] + u[1] * v[0]) % p
 
 
 def lambda_params(lam: int, eps: int, sqrt_delta: QuadExtElement):
@@ -122,15 +141,13 @@ class NormalFormParams:
         return (QuadExtElement(2, 0, p) - self.eps * num / (delta * delta)) / 27
 
 
-def normal_form(lam: int | FieldElement, eps: int, sqrt_delta: QuadExtElement) -> NormalFormParams:
+def normal_form(lam: int, eps: int, sqrt_delta: QuadExtElement) -> NormalFormParams:
     """A and B of the normal form:
 
     A = (lam^2-lam+1)(2 lam - 1 + 2 eps sqrt(delta)),
     B = -(2 (lam^2-lam+1)(2 lam-1) + eps (5 lam^2-5 lam+2) sqrt(delta))
         / (9 (lam^2-lam+1)).
     """
-    if isinstance(lam, FieldElement):
-        lam = lam.value
     p = sqrt_delta.p
     lam %= p
     _check_admissible(lam, p, sqrt_delta)
@@ -185,14 +202,16 @@ class IsogenyMap:
 
     Evaluation uses the closed-form s(x, y), t(x, y); the tables are written
     for eps = -1 and the sign of sqrt(delta) is flipped for eps = +1.  The
+    constructor reduces them at (lam, d = -eps sqrt(delta)) to ascending
+    lists of (a, b) int pairs: the denominators of s and t, the y^0 and y^2
+    parts of the numerator of s, and the numerator of t over y.  A point is
+    then a few Horner passes on the int pair of its abscissa.  The
     tabulated denominators also vanish at the 3-torsion abscissa of the
     *other* sign, where the singularity is removable; those points fall
     back to the composition route.
     """
 
-    def __init__(self, lam: int | FieldElement, eps: int, sqrt_delta: QuadExtElement):
-        if isinstance(lam, FieldElement):
-            lam = lam.value
+    def __init__(self, lam: int, eps: int, sqrt_delta: QuadExtElement):
         p = sqrt_delta.p
         lam %= p
         _check_admissible(lam, p, sqrt_delta)
@@ -203,7 +222,12 @@ class IsogenyMap:
         self.p = p
         self.sqrt_delta = sqrt_delta
         # the tables encode psi^-; write d for the sign actually substituted
-        self._d = sqrt_delta if eps == -1 else -sqrt_delta
+        d = sqrt_delta if eps == -1 else -sqrt_delta
+        self._s_den = [(_eval_lambda_poly(c, lam, p), 0) for c in S_DEN]
+        self._t_den = [(_eval_lambda_poly(c, lam, p), 0) for c in T_DEN]
+        self._s_num0 = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 0}, lam, d)
+        self._s_num2 = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 2}, lam, d)
+        self._t_num = _dense(T_NUM, lam, d)
         self.source_lambda, self.target_lambda = lambda_params(lam, eps, sqrt_delta)
         self.kernel_x = (QuadExtElement(lam + 1, 0, p) + 2 * eps * sqrt_delta) / 3
         self._source = LegendreCurve(self.source_lambda, p)
@@ -216,32 +240,21 @@ class IsogenyMap:
         return self._target
 
     def _closed_form(self, P: CurvePoint) -> CurvePoint | None:
-        lam, d = self.lam, self._d
-        x, y = P.x, P.y
-        y2 = y * y
-        xpows = [QuadExtElement(1, 0, self.p)]
-        for _ in range(6):
-            xpows.append(xpows[-1] * x)
-        sden = QuadExtElement(0, 0, self.p)
-        for k, coeffs in enumerate(S_DEN):
-            sden = sden + _eval_lambda_poly(coeffs, lam, self.p) * xpows[k]
-        if sden.is_zero():
+        p, n = self.p, self.sqrt_delta.nonresidue
+        xa, xb = P.x.a, P.x.b
+        sden = _horner(self._s_den, xa, xb, p, n)
+        if sden == (0, 0):
             return None
-        snum = QuadExtElement(0, 0, self.p)
-        for (xp, yp), pair in S_NUM.items():
-            term = _table_coeff(pair, lam, d) * xpows[xp]
-            if yp:
-                term = term * y2
-            snum = snum + term
-        tden = QuadExtElement(0, 0, self.p)
-        for k, coeffs in enumerate(T_DEN):
-            tden = tden + _eval_lambda_poly(coeffs, lam, self.p) * xpows[k]
-        if tden.is_zero():
+        tden = _horner(self._t_den, xa, xb, p, n)
+        if tden == (0, 0):
             return None
-        tnum = QuadExtElement(0, 0, self.p)
-        for xp, pair in T_NUM.items():
-            tnum = tnum + _table_coeff(pair, lam, d) * xpows[xp]
-        return CurvePoint(snum / sden, tnum * y / tden)
+        y = (P.y.a, P.y.b)
+        s2 = _mul(_horner(self._s_num2, xa, xb, p, n), _mul(y, y, p, n), p, n)
+        s0 = _horner(self._s_num0, xa, xb, p, n)
+        ty = _mul(_horner(self._t_num, xa, xb, p, n), y, p, n)
+        s = QuadExtElement(s0[0] + s2[0], s0[1] + s2[1], p, n) / QuadExtElement(*sden, p, n)
+        t = QuadExtElement(*ty, p, n) / QuadExtElement(*tden, p, n)
+        return CurvePoint(s, t)
 
     def eval_composed(self, P: CurvePoint) -> CurvePoint:
         """Shift to the normal form, descend by 3, rescale, shift back."""
@@ -268,10 +281,6 @@ class IsogenyMap:
         if not self._target.contains(img):
             raise ArithmeticError("isogeny image left the target curve")
         return img
-
-
-def psi_eval(m: IsogenyMap, P: CurvePoint) -> CurvePoint:
-    return m(P)
 
 
 def compose_is_minus3(lam: int, p: int, trials: int = 50, seed: int = 0) -> bool:

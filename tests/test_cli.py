@@ -10,6 +10,7 @@ import pytest
 
 from s3genus2.cli import main
 from s3genus2.family import VECTOR_MODULUS_BOUND
+from s3genus2.fields import MAX_MODULUS
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +150,23 @@ def test_isogeny_rejects_singular_lambda(capsys):
     assert "inadmissible" in err
 
 
+def test_isogeny_prime_at_the_modulus_cap_is_a_usage_error(capsys):
+    # 2147483659 is the first prime above 2^31
+    code, out, err = run_cli(capsys, "isogeny", "--p", "2147483659", "--lambda", "2")
+    assert code == 2
+    assert out == ""
+    assert "MAX_MODULUS" in err and str(MAX_MODULUS) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_isogeny_needs_a_positive_trial_count(capsys, trials):
+    code, out, err = run_cli(capsys, "isogeny", "--p", "13", "--lambda", "3",
+                             "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err
+
+
 def test_average_single_row_with_check(capsys):
     code, out, err = run_cli(
         capsys, "average", "--X", "20", "--N", "50", "--mode", "rational",
@@ -172,6 +190,41 @@ def test_average_budget_exceeded(capsys):
     code, _, err = run_cli(capsys, "average", "--X", "1000000")
     assert code == 2
     assert "estimated cost" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_average_budget_is_checked_before_any_scan(capsys, monkeypatch, threads):
+    def no_scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr("s3genus2.cli._prefill_scans", no_scan)
+    monkeypatch.setattr("s3genus2.family._orbit_scan", no_scan)
+    code, out, err = run_cli(capsys, "average", "--X", "1000000", "--mode", "rational",
+                             "--threads", threads)
+    assert code == 2
+    assert "estimated cost" in err and "Traceback" not in err
+    # a later row over budget stops the command before the first row
+    code, out, err = run_cli(capsys, "average", "--X", "20", "--X", "1000000",
+                             "--threads", threads)
+    assert code == 2
+    assert out == "" and "estimated cost" in err
+
+
+@pytest.mark.parametrize("argv", [["--X", "1"], ["--X", "0"], ["--X", "-5"],
+                                  ["--X", "30", "--N", "0"],
+                                  ["--X", "30", "--N", "-4", "--mode", "rational"]])
+def test_average_rejects_a_malformed_window(capsys, argv):
+    code, out, err = run_cli(capsys, "average", *argv)
+    assert code == 2
+    assert out == "" and "need X >= 2 and N >= 1" in err
+
+
+def test_average_bruteforce_cap_is_checked_before_any_scan(capsys, monkeypatch):
+    monkeypatch.setattr("s3genus2.cli.window_sum", None)
+    code, out, err = run_cli(capsys, "average", "--X", "20", "--X", "300",
+                             "--check-bruteforce")
+    assert code == 2
+    assert out == "" and "--check-bruteforce capped" in err
 
 
 def test_average_json_rows(capsys):

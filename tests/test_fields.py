@@ -1,6 +1,7 @@
 """Tests for exact F_p / F_{p^2} arithmetic."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from s3genus2.fields import (
     FieldElement,
     QuadExtElement,
-    fp2_arithmetic,
     is_prime,
     legendre_int,
     legendre_symbol,
@@ -20,6 +20,48 @@ from s3genus2.fields import (
 )
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 97, 101, 103, 1009, 65537]
+# near the 2^31 cap: 2^31 - 1 is 3 mod 4, 15 * 2^27 + 1 has 2-adic order 27
+LARGE_PRIMES = [2013265921, 2147483629, 2147483647]
+
+
+@lru_cache(maxsize=None)
+def _fp2_nonsquare(p: int, n: int) -> QuadExtElement:
+    # k + w is a non-square iff Norm(k + w) = k^2 - n is a non-residue
+    for k in range(p):
+        if legendre_int(k * k - n, p) == -1:
+            return QuadExtElement(k, 1, p, n)
+    raise ArithmeticError(f"no non-square found in F_{p}^2")  # unreachable
+
+
+def sqrt_fp2_tonelli(u: QuadExtElement) -> QuadExtElement | None:
+    """Oracle: Tonelli-Shanks in the multiplicative group of order p^2 - 1."""
+    p, n = u.p, u.nonresidue
+    if u.is_zero():
+        return QuadExtElement(0, 0, p, n)
+    if not u.is_square():
+        return None
+    one = QuadExtElement(1, 0, p, n)
+    q, s = p * p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = _fp2_nonsquare(p, n)
+    c = z**q
+    x = u ** ((q + 1) // 2)
+    t = u**q
+    m = s
+    while t != one:
+        t2 = t
+        i = 0
+        while t2 != one:
+            t2 = t2 * t2
+            i += 1
+        b = c ** (1 << (m - i - 1))
+        x = x * b
+        c = b * b
+        t = t * c
+        m = i
+    return min(x, -x, key=lambda r: (r.a, r.b))
 
 
 def exhaustive_squares(p):
@@ -150,16 +192,16 @@ def test_fp2_frobenius_is_conjugation_and_pth_power():
             assert fx.a == x.a and fx.b == (-x.b) % p
 
 
-def test_fp2_dispatcher():
+def test_fp2_operators_on_known_values():
+    # w^2 = 2 over F_11
+    assert smallest_nonresidue(11) == 2
     x = QuadExtElement(2, 3, 11)
     y = QuadExtElement(5, 7, 11)
-    assert fp2_arithmetic(x, y, "add") == x + y
-    assert fp2_arithmetic(x, y, "sub") == x - y
-    assert fp2_arithmetic(x, y, "mul") == x * y
-    assert fp2_arithmetic(x, None, "inv") == x.inverse()
-    assert fp2_arithmetic(x, None, "frobenius") == x.frobenius()
-    with pytest.raises(ValueError):
-        fp2_arithmetic(x, y, "div")
+    assert (x + y).a == 7 and (x + y).b == 10
+    assert (x - y).a == 8 and (x - y).b == 7
+    assert (x * y).a == (2 * 5 + 3 * 7 * 2) % 11 and (x * y).b == (2 * 7 + 3 * 5) % 11
+    assert x.inverse() == QuadExtElement(3, 1, 11)
+    assert x.frobenius() == QuadExtElement(2, 8, 11)
 
 
 def test_frobenius_order_divides_two_random_sample():
@@ -217,3 +259,38 @@ def test_mixed_moduli_rejected():
         FieldElement(1, 5) + FieldElement(1, 7)
     with pytest.raises(ValueError):
         QuadExtElement(1, 0, 5) * QuadExtElement(1, 0, 7)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 51) if is_prime(p)])
+def test_sqrt_fp2_matches_tonelli_oracle_on_every_element(p):
+    n = smallest_nonresidue(p)
+    squares = set()
+    for a in range(p):
+        for b in range(p):
+            x = QuadExtElement(a, b, p, n)
+            squares.add(((x * x).a, (x * x).b))
+    for a in range(p):
+        for b in range(p):
+            u = QuadExtElement(a, b, p, n)
+            s = sqrt_fp2(u)
+            want = sqrt_fp2_tonelli(u)
+            if (a, b) not in squares:
+                assert s is None and want is None, (a, b)
+                continue
+            assert s is not None and s * s == u
+            assert (s.a, s.b) == (want.a, want.b), (a, b)
+            assert (s.a, s.b) <= ((-s).a, (-s).b)
+
+
+def test_sqrt_fp2_matches_tonelli_oracle_near_the_modulus_cap():
+    rng = random.Random(2**31)
+    for i in range(1000):
+        p = LARGE_PRIMES[i % len(LARGE_PRIMES)]
+        u = QuadExtElement(rng.randrange(p), rng.randrange(p) if i % 10 else 0, p)
+        if i % 2:
+            u = u * u
+        s = sqrt_fp2(u)
+        want = sqrt_fp2_tonelli(u)
+        assert (s is None) == (want is None) == (not u.is_square())
+        if s is not None:
+            assert (s.a, s.b) == (want.a, want.b) and s * s == u

@@ -15,9 +15,14 @@ from s3genus2.curves import (
     LegendreCurve,
     j_invariant,
 )
-from s3genus2.fields import FieldElement, QuadExtElement, sqrt_fp2, sqrt_in_fp2
+from s3genus2.fields import FieldElement, QuadExtElement, is_prime, sqrt_fp2, sqrt_in_fp2
 from s3genus2.isogenies import (
+    S_DEN,
+    S_NUM,
+    T_DEN,
+    T_NUM,
     IsogenyMap,
+    _eval_lambda_poly,
     compose_is_minus3,
     descend_by_3,
     descend_by_3_pure_cube,
@@ -36,6 +41,47 @@ SAMPLE = [(13, 3), (13, 7), (17, 5), (29, 11), (101, 23), (103, 40), (499, 77)]
 
 def sqrt_delta_of(lam, p):
     return sqrt_in_fp2(FieldElement(lam * lam - lam + 1, p))
+
+
+def _table_coeff(pair, lam: int, sqrt_delta: QuadExtElement) -> QuadExtElement:
+    sq, rat = pair
+    p = sqrt_delta.p
+    return _eval_lambda_poly(rat, lam, p) + _eval_lambda_poly(sq, lam, p) * sqrt_delta
+
+
+def closed_form_oracle(m: IsogenyMap, P: CurvePoint) -> CurvePoint | None:
+    """Oracle: every coefficient table evaluated at (lam, d) for this point."""
+    lam, p = m.lam, m.p
+    d = m.sqrt_delta if m.eps == -1 else -m.sqrt_delta
+    x, y = P.x, P.y
+    y2 = y * y
+    xpows = [QuadExtElement(1, 0, p)]
+    for _ in range(6):
+        xpows.append(xpows[-1] * x)
+    sden = QuadExtElement(0, 0, p)
+    for k, coeffs in enumerate(S_DEN):
+        sden = sden + _eval_lambda_poly(coeffs, lam, p) * xpows[k]
+    if sden.is_zero():
+        return None
+    snum = QuadExtElement(0, 0, p)
+    for (xp, yp), pair in S_NUM.items():
+        term = _table_coeff(pair, lam, d) * xpows[xp]
+        if yp:
+            term = term * y2
+        snum = snum + term
+    tden = QuadExtElement(0, 0, p)
+    for k, coeffs in enumerate(T_DEN):
+        tden = tden + _eval_lambda_poly(coeffs, lam, p) * xpows[k]
+    if tden.is_zero():
+        return None
+    tnum = QuadExtElement(0, 0, p)
+    for xp, pair in T_NUM.items():
+        tnum = tnum + _table_coeff(pair, lam, d) * xpows[xp]
+    return CurvePoint(snum / sden, tnum * y / tden)
+
+
+def _admissible(p):
+    return [lam for lam in range(2, p) if (lam * lam - lam + 1) % p]
 
 
 def test_000_transcription_anchors_run_first():
@@ -223,6 +269,62 @@ def test_closed_form_equals_composition():
             for _ in range(15):
                 P = src.random_point(rng)
                 assert m(P) == m.eval_composed(P)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 24) if is_prime(p)])
+def test_closed_form_matches_oracle_on_every_point(p):
+    # every affine F_{p^2}-point of every admissible lambda, both signs
+    nones = 0
+    for lam in _admissible(p):
+        s = sqrt_delta_of(lam, p)
+        for eps in (-1, 1):
+            m = IsogenyMap(lam, eps, s)
+            src = m.source_curve()
+            for a in range(p):
+                for b in range(p):
+                    x = QuadExtElement(a, b, p)
+                    y = sqrt_fp2(src.rhs(x))
+                    if y is None:
+                        continue
+                    for P in {CurvePoint(x, y), CurvePoint(x, -y)}:
+                        got = m._closed_form(P)
+                        assert got == closed_form_oracle(m, P), (lam, eps, P)
+                        nones += got is None
+    assert nones > 0  # the removable singularities were among the points
+
+
+@pytest.mark.parametrize("p", [1009, 9973, 19997])
+def test_closed_form_matches_oracle_on_random_points(p):
+    rng = random.Random(p)
+    for _ in range(4):
+        lam = rng.choice(_admissible(p)[:50])
+        s = sqrt_delta_of(lam, p)
+        for eps in (-1, 1):
+            m = IsogenyMap(lam, eps, s)
+            src = m.source_curve()
+            for _ in range(50):
+                P = src.random_point(rng)
+                assert m._closed_form(P) == closed_form_oracle(m, P)
+
+
+def test_vanishing_denominator_falls_back_to_composition():
+    # the tabulated denominators vanish at the kernel abscissa of psi^-eps
+    checked = 0
+    for p, lam in SAMPLE:
+        s = sqrt_delta_of(lam, p)
+        for eps in (-1, 1):
+            m = IsogenyMap(lam, eps, s)
+            src = m.source_curve()
+            x = (QuadExtElement(lam + 1, 0, p) - 2 * eps * s) / 3
+            y = sqrt_fp2(src.rhs(x))
+            if y is None:
+                continue
+            P = src.point(x, y)
+            assert m._closed_form(P) is None and closed_form_oracle(m, P) is None
+            img = m(P)
+            assert img == m.eval_composed(P) and m.target_curve().contains(img)
+            checked += 1
+    assert checked > 0
 
 
 def test_psi_is_homomorphism_on_samples():
