@@ -156,24 +156,28 @@ def _count_integers_in_window(N: int, residue: int, p: int) -> int:
 
 @lru_cache(maxsize=4)
 def _mertens_table(N: int) -> np.ndarray:
-    """Mertens sums M(0), ..., M(N) as int64 (M(0) = 0)."""
-    mu = [0] * (N + 1)
-    mu[1] = 1
-    primes = []
-    is_comp = [False] * (N + 1)
-    smallest = [0] * (N + 1)
-    for n in range(2, N + 1):
-        if not is_comp[n]:
-            primes.append(n)
-            mu[n] = -1
-            smallest[n] = n
-        for q in primes:
-            if q * n > N or q > smallest[n]:
-                break
-            is_comp[q * n] = True
-            smallest[q * n] = q
-            mu[q * n] = 0 if n % q == 0 else -mu[n]
-    return np.cumsum(mu, dtype=np.int64)
+    """Mertens sums M(0), ..., M(N) as int64 (M(0) = 0), by a Moebius sieve.
+
+    For each prime q <= sqrt(N) every multiple of q is multiplied by -q and
+    every multiple of q^2 is zeroed.  Then mu[n] is 0 when n is not
+    squarefree, and otherwise the signed product of n's primes up to
+    sqrt(N).  Its absolute value falls short of n exactly when n has one
+    prime factor above sqrt(N) (two would exceed N), and that factor flips
+    the sign.  A q in the loop is prime iff mu[q] is still 1: a composite q
+    has a smaller prime factor, which already changed it.  No entry
+    exceeds N in absolute value.
+    """
+    mu = np.ones(N + 1, dtype=np.int64)
+    mu[0] = 0
+    for q in range(2, math.isqrt(N) + 1):
+        if mu[q] != 1:
+            continue
+        mu[q::q] *= -q
+        mu[q * q :: q * q] = 0
+    large = np.abs(mu) < np.arange(N + 1)
+    np.sign(mu, out=mu)
+    mu[large] *= -1
+    return np.cumsum(mu, out=mu)
 
 
 def _floor_sum_vec(n, a, b, m) -> np.ndarray:

@@ -23,7 +23,13 @@ import numpy as np
 
 from .classno import class_number
 from .curves import LegendreCurve, deuring_coefficients, is_supersingular
-from .fields import FieldElement, QuadExtElement, check_modulus, sqrt_in_fp2
+from .fields import (
+    FieldElement,
+    QuadExtElement,
+    check_modulus,
+    smallest_nonresidue,
+    sqrt_in_fp2,
+)
 
 # The int64 scan kernel needs k * (p-1)^2 < 2^63, k = isqrt((p+1)/2): a block
 # value sums k products of two residues.  Below 2^25 that is at most
@@ -156,12 +162,42 @@ def _pow_mod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
+def _fp2_mul(x, y, p: int, n: int):
+    """(a, b) pairs of int64 arrays multiplied in F_p[w]/(w^2 - n)."""
+    (xa, xb), (ya, yb) = x, y
+    return (xa * ya % p + xb * yb % p * n) % p, (xa * yb + xb * ya) % p
+
+
 def _sqrt_table(p: int) -> np.ndarray:
     """table[v] = the smaller square root of v, or -1 for non-residues."""
     table = np.full(p, -1, dtype=np.int64)
     x = np.arange((p + 1) // 2, dtype=np.int64)
     table[(x * x) % p] = x
     return table
+
+
+def lambda_eps_pairs(
+    lam: np.ndarray, eps, p: int, n: int, table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda^eps(lam) for each admissible lam, as int64 (a, b) over F_p[w]/(w^2 - n).
+
+    Lambda^eps = (1-lam)((lam^2 + delta) + 2*eps*lam*sqrt(delta)), with
+    sqrt(delta) the canonical root of `lambda_pair`: the smaller root
+    table[delta] for residues, and c*w with c the smaller root of delta/n
+    otherwise.  So the sqrt part stays rational for residues and carries
+    the w-component for non-residues.  `table` is `_sqrt_table(p)`, whose
+    -1 entries mark the non-residues; eps is -1, +1 or an array of them.
+    """
+    delta = (lam * lam - lam + 1) % p
+    root = table[delta]
+    residue = root >= 0
+    root = np.where(residue, root, table[delta * pow(n, -1, p) % p])
+    one_m = (1 - lam) % p
+    base = (lam * lam + delta) % p
+    cross = eps * 2 * lam % p * root % p
+    la = np.where(residue, one_m * ((base + cross) % p) % p, one_m * base % p)
+    lb = np.where(residue, 0, one_m * cross % p)
+    return la, lb
 
 
 _SCAN_CACHE: dict[int, tuple[int, ...]] = {}
@@ -214,20 +250,8 @@ def _orbit_scan(p: int, eps: int) -> tuple[int, ...]:
     )
     rep = members.min(axis=0)
     reps = np.unique(rep)
-    delta_r = (reps * reps - reps + 1) % p
-    n = int(smallest_nonresidue_int(p))
-    chi = _pow_mod_vec(delta_r, (p - 1) // 2, p)
-    residue = chi == 1
-    table = _sqrt_table(p)
-    root = np.where(residue, table[delta_r], table[delta_r * inv_all[n] % p])
-    # Lambda^eps = (1-lam)((lam^2+delta) + 2*eps*lam*sqrt(delta)); the sqrt
-    # part stays rational for residues and carries the w-component otherwise
-    one_m = (1 - reps) % p
-    base = (reps * reps + delta_r) % p
-    cross = eps * 2 * reps % p * root % p
-    la = np.where(residue, one_m * ((base + cross) % p) % p, one_m * base % p)
-    lb = np.where(residue, 0, (one_m * cross) % p)
-
+    n = smallest_nonresidue(p)
+    la, lb = lambda_eps_pairs(reps, eps, p, n, _sqrt_table(p))
     acc_a, acc_b = _deuring_eval(la, lb, n, p)
     ss = (acc_a == 0) & (acc_b == 0)
     out: set[int] = set()
@@ -270,17 +294,13 @@ def _bsgs_rows(
     la: np.ndarray, lb: np.ndarray, n: int, p: int, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     k, g = c.shape
-
-    def times_l(a, b):
-        return (a * la % p + b * lb % p * n) % p, (a * lb + b * la) % p
-
     # baby steps: column i holds L^i
     pow_a = np.empty((la.size, k), dtype=np.int64)
     pow_b = np.empty_like(pow_a)
     pow_a[:, 0], pow_b[:, 0] = 1, 0
     for i in range(1, k):
-        pow_a[:, i], pow_b[:, i] = times_l(pow_a[:, i - 1], pow_b[:, i - 1])
-    ga, gb = times_l(pow_a[:, k - 1], pow_b[:, k - 1])
+        pow_a[:, i], pow_b[:, i] = _fp2_mul((pow_a[:, i - 1], pow_b[:, i - 1]), (la, lb), p, n)
+    ga, gb = _fp2_mul((pow_a[:, k - 1], pow_b[:, k - 1]), (la, lb), p, n)
     block_a = pow_a @ c % p
     block_b = pow_b @ c % p
     acc_a, acc_b = block_a[:, g - 1], block_b[:, g - 1]
@@ -290,12 +310,6 @@ def _bsgs_rows(
             (acc_a * gb + acc_b * ga + block_b[:, j]) % p,
         )
     return acc_a, acc_b
-
-
-def smallest_nonresidue_int(p: int) -> int:
-    from .fields import smallest_nonresidue
-
-    return smallest_nonresidue(p)
 
 
 def psi_p_bruteforce(p: int) -> tuple[int, ...]:

@@ -7,6 +7,13 @@ p = 11 mod 12 the rational roots carry a weighted multigraph with one edge
 per superspecial orbit.  Everything here consumes PsiReports and the exact
 class-number and class-polynomial routines; at tiny primes the class
 polynomial itself is computed over the integers and factored directly.
+
+The j-invariants come from the scan's lambda set in one numpy pass per
+prime: Lambda^-, Lambda^+ and j(E_Lambda) of every lambda are int64 (a, b)
+arrays over F_p[w]/(w^2 - n), n the smallest non-residue, and a j is
+handled by its code a*p + b, so sorting, deduplication and the Frobenius
+lookup (a, -b) are array operations.  The tests keep the per-lambda
+QuadExtElement computation as the exact oracle.
 """
 
 from __future__ import annotations
@@ -14,15 +21,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .classno import class_number, hilbert_poly
 from .family import (
-    lambda_pair,
+    VECTOR_MODULUS_BOUND,
+    _fp2_mul,
+    _pow_mod_vec,
+    _sqrt_table,
+    lambda_eps_pairs,
     orbit,
     psi_p,
     superspecial_lambdas,
 )
-from .curves import LegendreCurve, j_invariant
-from .fields import QuadExtElement
+from .fields import QuadExtElement, smallest_nonresidue
 
 GRAPH_MIN_PRIME = 11  # the degree/weight pattern needs p > 11
 
@@ -39,39 +51,64 @@ class RootProfile:
     has54000: bool
 
 
+def legendre_j(
+    ta: np.ndarray, tb: np.ndarray, p: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """j(E_t) = 256 (t^2 - t + 1)^3 / (t(t - 1))^2 for each t = ta + tb*w.
+
+    With D = t^2 - t this is 256 D (1 + 1/D)^3.  1/D goes through the norm
+    D_a^2 - n D_b^2, inverted by exponentiation; n is a non-residue, so the
+    norm vanishes only at D = 0, that is t in {0, 1}, which raises.  Below
+    VECTOR_MODULUS_BOUND = 2^25 every intermediate is at most two products
+    of residues (or a residue times n < p), below 2^51, so int64 holds it.
+    """
+    if p >= VECTOR_MODULUS_BOUND:
+        raise ValueError(f"p={p} above the vector kernel bound")
+    sa, sb = _fp2_mul((ta, tb), (ta, tb), p, n)
+    da, db = (sa - ta) % p, (sb - tb) % p
+    norm = (da * da % p - db * db % p * n) % p
+    if not norm.all():
+        raise ValueError(f"singular Legendre parameter t in {{0, 1}} mod {p}")
+    ninv = _pow_mod_vec(norm, p - 2, p)
+    u = ((da * ninv + 1) % p, -db * ninv % p)
+    ja, jb = _fp2_mul(_fp2_mul(_fp2_mul(u, u, p, n), u, p, n), (da, db), p, n)
+    return 256 * ja % p, 256 * jb % p
+
+
+def _paired_js(lam: np.ndarray, p: int) -> np.ndarray:
+    """Rows j(E_{Lambda^-}) and j(E_{Lambda^+}) of each lambda, as codes a*p + b."""
+    n = smallest_nonresidue(p)
+    eps = np.repeat([-1, 1], lam.size)
+    t = lambda_eps_pairs(np.tile(lam, 2), eps, p, n, _sqrt_table(p))
+    ja, jb = legendre_j(*t, p, n)
+    return (ja * p + jb).reshape(2, lam.size)
+
+
 def root_profile(p: int) -> RootProfile:
     """Collect j(E_{Lambda^+-}) over all superspecial lambda and split them."""
-    seen: dict[tuple[int, int], QuadExtElement] = {}
-    for lam in superspecial_lambdas(p):
-        _, _, minus, plus = lambda_pair(lam, p)
-        for t in (minus, plus):
-            j = j_invariant(LegendreCurve(t, p))
-            seen[(j.a, j.b)] = j
-    distinct = tuple(seen[k] for k in sorted(seen))
-    rational = tuple(j.a for j in distinct if j.in_base_field())
-    pairs = []
-    for key in sorted(seen):
-        j = seen[key]
-        if j.in_base_field():
-            continue
-        conj = j.frobenius()
-        if (conj.a, conj.b) not in seen:
-            raise ArithmeticError(f"profile not Frobenius-stable at p={p}")
-        if (j.a, j.b) <= (conj.a, conj.b):
-            pairs.append((j, conj))
+    lam = np.array(superspecial_lambdas(p), dtype=np.int64)
+    # codes a*p + b sort in (a, b) order
+    distinct = np.unique(_paired_js(lam, p))
+    a, b = np.divmod(distinct, p)
+    # (a, b) -> (a, -b) is injective, so the set is Frobenius-stable iff the
+    # conjugate codes, sorted, are the codes themselves
+    if not np.array_equal(np.sort(a * p + (-b) % p), distinct):
+        raise ArithmeticError(f"profile not Frobenius-stable at p={p}")
+    rational = tuple(a[b == 0].tolist())
+    # (a, b) <= (a, p - b) picks the member of each pair with b < p/2
+    first = (b != 0) & (2 * b < p)
+    pairs = tuple(
+        (QuadExtElement(x, y, p), QuadExtElement(x, p - y, p))
+        for x, y in zip(a[first].tolist(), b[first].tolist())
+    )
     return RootProfile(
         p,
-        distinct,
+        tuple(QuadExtElement(x, y, p) for x, y in zip(a.tolist(), b.tolist())),
         rational,
-        tuple(pairs),
+        pairs,
         8000 % p in rational,
         54000 % p in rational,
     )
-
-
-def closed_form_verdict(p: int) -> bool:
-    """psi_p (enumerated) against the closed form for p's congruence class."""
-    return psi_p(p).closed_form_ok
 
 
 @dataclass(frozen=True)
@@ -161,21 +198,23 @@ def build_graph(p: int) -> GraphGp:
     if p % 12 != 11:
         raise ValueError("the graph is defined for p = 11 mod 12")
     lambdas = set(superspecial_lambdas(p))
-    vertices: set[int] = set()
-    edges = []
+    reps, weights = [], []
     while lambdas:
         rep = min(lambdas)
         members = orbit(rep, p)
         lambdas -= members
-        _, _, minus, plus = lambda_pair(rep, p)
-        j1 = j_invariant(LegendreCurve(minus, p))
-        j2 = j_invariant(LegendreCurve(plus, p))
-        if not (j1.in_base_field() and j2.in_base_field()):
-            raise ArithmeticError(f"irrational j at p={p}, lambda={rep}")
-        u, v = sorted((j1.a, j2.a))
-        vertices.update((u, v))
-        edges.append((u, v, len(members)))
-    return GraphGp(p, tuple(sorted(vertices)), tuple(sorted(edges)))
+        reps.append(rep)
+        weights.append(len(members))
+    j1, j2 = _paired_js(np.array(reps, dtype=np.int64), p)
+    u, b1 = np.divmod(np.minimum(j1, j2), p)
+    v, b2 = np.divmod(np.maximum(j1, j2), p)
+    irrational = (b1 != 0) | (b2 != 0)
+    if irrational.any():
+        rep = reps[int(np.argmax(irrational))]
+        raise ArithmeticError(f"irrational j at p={p}, lambda={rep}")
+    edges = sorted(zip(u.tolist(), v.tolist(), weights))
+    vertices = np.unique(np.concatenate((u, v))).tolist()
+    return GraphGp(p, tuple(vertices), tuple(edges))
 
 
 @dataclass(frozen=True)

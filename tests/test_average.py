@@ -59,6 +59,28 @@ def _count_residue_band(R: int, s: int, p: int, lo_shift: int) -> int:
     return _floor_sum(R, s, s + lo_shift, p) - _floor_sum(R, s, s, p)
 
 
+def mertens_table_oracle(N: int) -> np.ndarray:
+    """M(0), ..., M(N) from a pure-python linear sieve of mu; the oracle of
+    the numpy Moebius sieve `average._mertens_table`."""
+    mu = [0] * (N + 1)
+    mu[1] = 1
+    primes = []
+    is_comp = [False] * (N + 1)
+    smallest = [0] * (N + 1)
+    for n in range(2, N + 1):
+        if not is_comp[n]:
+            primes.append(n)
+            mu[n] = -1
+            smallest[n] = n
+        for q in primes:
+            if q * n > N or q > smallest[n]:
+                break
+            is_comp[q * n] = True
+            smallest[q * n] = q
+            mu[q * n] = 0 if n % q == 0 else -mu[n]
+    return np.cumsum(mu, dtype=np.int64)
+
+
 def _mertens_coprime(x: int, p: int, table) -> int:
     """sum of mu(d) over d <= x with p not dividing d."""
     total = 0
@@ -82,7 +104,7 @@ def _rational_line_count(M: int, p: int, residues) -> int:
 
 
 def rational_window_scalar(X: int, N: int) -> int:
-    table = _mertens_table(N).tolist()
+    table = mertens_table_oracle(N).tolist()
     total = 0
     for p in primes_below(X):
         residues = superspecial_lambdas(p)
@@ -175,6 +197,19 @@ def test_floor_sum_bound_keeps_the_count_in_int64():
                    for M in (1, 2, 10, math.isqrt(n), n // 2, n))
     assert per_pair <= 2 * n + n * (2 * n + 1)
     assert FLOOR_SUM_CHUNK // 2 * (2 * n + n * (2 * n + 1)) < 2**63
+
+
+def test_mertens_table_matches_oracle_every_N_to_3000():
+    want = mertens_table_oracle(3000)
+    for N in range(1, 3001):
+        got = _mertens_table(N)
+        assert got.dtype == np.int64, N
+        assert np.array_equal(got, want[: N + 1]), N
+
+
+@pytest.mark.parametrize("N", [10**5, 10**6])
+def test_mertens_table_matches_oracle_large(N):
+    assert np.array_equal(_mertens_table(N), mertens_table_oracle(N))
 
 
 def test_primes_below():

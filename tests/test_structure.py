@@ -1,25 +1,139 @@
 """Tests for root profiles, the shape ledger, the graph, and tiny-scale
 direct verification of the class-polynomial correspondence."""
 
+import random
+
+import numpy as np
 import pytest
 
 from s3genus2.classno import class_number
-from s3genus2.curves import LegendreCurve, is_supersingular
-from s3genus2.family import lambda_record, superspecial_lambdas
-from s3genus2.fields import is_prime
+from s3genus2.curves import LegendreCurve, is_supersingular, j_invariant
+from s3genus2.family import (
+    VECTOR_MODULUS_BOUND,
+    lambda_pair,
+    lambda_record,
+    orbit,
+    psi_p,
+    superspecial_lambdas,
+)
+from s3genus2.fields import QuadExtElement, is_prime, smallest_nonresidue
 from s3genus2.structure import (
+    GraphGp,
+    RootProfile,
     build_graph,
     check_graph_structure,
+    legendre_j,
     root_profile,
     shape_check_3p,
     structure_verdict,
     direct_root_check,
-    closed_form_verdict,
 )
 
 
 def primes_in(lo, hi, cond=lambda p: True):
     return [p for p in range(lo, hi + 1) if is_prime(p) and cond(p)]
+
+
+# The per-lambda QuadExtElement computations of the profile and the graph:
+# two Legendre curves and two j_invariant calls per lambda.  They are the
+# exact oracles of the int64 array path in structure.py.
+
+
+def root_profile_oracle(p: int) -> RootProfile:
+    seen = {}
+    for lam in superspecial_lambdas(p):
+        _, _, minus, plus = lambda_pair(lam, p)
+        for t in (minus, plus):
+            j = j_invariant(LegendreCurve(t, p))
+            seen[(j.a, j.b)] = j
+    distinct = tuple(seen[k] for k in sorted(seen))
+    rational = tuple(j.a for j in distinct if j.in_base_field())
+    pairs = []
+    for key in sorted(seen):
+        j = seen[key]
+        if j.in_base_field():
+            continue
+        conj = j.frobenius()
+        if (conj.a, conj.b) not in seen:
+            raise ArithmeticError(f"profile not Frobenius-stable at p={p}")
+        if (j.a, j.b) <= (conj.a, conj.b):
+            pairs.append((j, conj))
+    return RootProfile(
+        p, distinct, rational, tuple(pairs), 8000 % p in rational, 54000 % p in rational
+    )
+
+
+def build_graph_oracle(p: int) -> GraphGp:
+    lambdas = set(superspecial_lambdas(p))
+    vertices = set()
+    edges = []
+    while lambdas:
+        rep = min(lambdas)
+        members = orbit(rep, p)
+        lambdas -= members
+        _, _, minus, plus = lambda_pair(rep, p)
+        j1 = j_invariant(LegendreCurve(minus, p))
+        j2 = j_invariant(LegendreCurve(plus, p))
+        if not (j1.in_base_field() and j2.in_base_field()):
+            raise ArithmeticError(f"irrational j at p={p}, lambda={rep}")
+        u, v = sorted((j1.a, j2.a))
+        vertices.update((u, v))
+        edges.append((u, v, len(members)))
+    return GraphGp(p, tuple(sorted(vertices)), tuple(sorted(edges)))
+
+
+def test_root_profile_matches_oracle_every_prime_below_3000():
+    for p in primes_in(5, 2999):
+        got = root_profile(p)
+        assert got == root_profile_oracle(p), p
+        assert all(type(a) is int for a in got.rational_js), p
+
+
+def test_build_graph_matches_oracle_every_prime_below_3000():
+    for p in primes_in(5, 2999, lambda q: q % 12 == 11):
+        got = build_graph(p)
+        assert got == build_graph_oracle(p), p
+        assert all(type(x) is int for e in got.edges for x in e), p
+
+
+def test_build_graph_rejects_an_irrational_j(monkeypatch):
+    # lambda = 3 at p = 23 has a non-residue delta = 7 and is not
+    # superspecial: its paired j-invariants are conjugate, not rational
+    from s3genus2 import structure
+
+    assert 3 not in superspecial_lambdas(23)
+    monkeypatch.setattr(structure, "superspecial_lambdas", lambda p: tuple(orbit(3, p)))
+    with pytest.raises(ArithmeticError, match="irrational j at p=23, lambda=3"):
+        build_graph(23)
+
+
+def test_legendre_j_matches_j_invariant_on_random_parameters():
+    rng = random.Random(20261018)
+    top = max(q for q in range(VECTOR_MODULUS_BOUND - 200, VECTOR_MODULUS_BOUND) if is_prime(q))
+    for p in (5, 13, 1009, 65537, top):
+        n = smallest_nonresidue(p)
+        ts = []
+        while len(ts) < 200:
+            a, b = rng.randrange(p), rng.randrange(p)
+            if b == 0 and a in (0, 1):
+                continue
+            ts.append((a, b))
+        ta = np.array([a for a, _ in ts], dtype=np.int64)
+        tb = np.array([b for _, b in ts], dtype=np.int64)
+        ja, jb = legendre_j(ta, tb, p, n)
+        for (a, b), x, y in zip(ts, ja.tolist(), jb.tolist()):
+            want = j_invariant(LegendreCurve(QuadExtElement(a, b, p), p))
+            assert (x, y) == (want.a, want.b), (p, a, b)
+
+
+def test_legendre_j_rejects_singular_parameters():
+    p = 1009
+    n = smallest_nonresidue(p)
+    for t in (0, 1):
+        with pytest.raises(ValueError):
+            legendre_j(np.array([5, t, 7]), np.array([3, 0, 0]), p, n)
+    with pytest.raises(ValueError):
+        legendre_j(np.array([2]), np.array([0]), VECTOR_MODULUS_BOUND + 15, 3)
 
 
 def test_profile_empty_at_7mod12():
@@ -72,9 +186,9 @@ def test_rational_root_count_relation_11mod12():
 
 
 def test_closed_form_verdict_examples():
-    assert closed_form_verdict(5)
-    assert closed_form_verdict(7)
-    assert closed_form_verdict(13)
+    assert psi_p(5).closed_form_ok
+    assert psi_p(7).closed_form_ok
+    assert psi_p(13).closed_form_ok
 
 
 def test_shape_check_range():
