@@ -42,6 +42,8 @@ RATIONAL_HEIGHT_CONSTANT = 4 * (3 + 2 * math.sqrt(3)) / (3 * math.pi)
 
 MAX_X_BUDGET = 50_000
 MAX_N_BUDGET = 10_000_000
+# isogeny --trials: 0.16-0.57 ms a trial from p = 10^3 to 2^31 (2-vCPU host)
+MAX_TRIALS_BUDGET = 100_000
 # floor-sum lanes per pass of the rational window count (two per pair); it
 # bounds the kernel's working set to a few 16 KB int64 buffers at any N
 FLOOR_SUM_CHUNK = 1 << 11
@@ -326,6 +328,20 @@ def check_budget(X: int, N: int, mode: str) -> None:
             f"X={X}, N={N} exceeds the desk budget "
             f"(X <= {MAX_X_BUDGET}, N <= {MAX_N_BUDGET}); "
             f"estimated cost {_cost_estimate(X, N, mode)}"
+        )
+
+
+def check_trials_budget(trials: int) -> None:
+    """Raise BudgetError, with a cost estimate, if isogeny asks for too many trials.
+
+    A compose_is_minus3 trial costs about 170 F_{p^2} multiplications, 12
+    inversions and 4 square roots (counted at p = 1009 to 2^31).
+    """
+    if trials > MAX_TRIALS_BUDGET:
+        raise BudgetError(
+            f"trials={trials} exceeds the desk budget (trials <= {MAX_TRIALS_BUDGET}); "
+            f"estimated cost ~{170 * trials:.1e} F_{{p^2}} multiplications, "
+            f"~{12 * trials:.1e} inversions and ~{4 * trials:.1e} square roots"
         )
 
 

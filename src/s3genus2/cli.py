@@ -22,6 +22,7 @@ from .average import (
     AverageRun,
     BudgetError,
     check_budget,
+    check_trials_budget,
     default_window,
     primes_below,
     window_sum,
@@ -160,6 +161,7 @@ def cmd_isogeny(args) -> int:
         raise UsageError(f"p={p} is at or above MAX_MODULUS = 2^31 = {MAX_MODULUS}")
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    check_trials_budget(args.trials)
     if lam % p in (0, 1) or (lam * lam - lam + 1) % p == 0:
         raise UsageError(f"lambda={lam} is inadmissible mod {p}")
     verify_transcription(lam, p)

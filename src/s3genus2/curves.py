@@ -1,9 +1,9 @@
 """Legendre-form elliptic curves over F_p and F_{p^2}.
 
 E_t : y^2 = x(x-1)(x-t) with t in the quadratic extension.  Provides the
-j-invariant, chord-tangent group law, naive point counts (these double as
-an independent oracle), the Deuring-polynomial supersingularity test and
-the roots of the level-3 division polynomial.
+j-invariant, the chord-tangent group law on plain int pairs, naive point
+counts (these double as an independent oracle), the Deuring-polynomial
+supersingularity test and the roots of the level-3 division polynomial.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ import numpy as np
 from .fields import (
     QuadExtElement,
     check_modulus,
+    fp2_horner,
+    fp2_inv,
+    fp2_mul,
+    fp2_sqrt,
     smallest_nonresidue,
-    sqrt_fp2,
 )
 
 POINT_COUNT_BOUND_DEG1 = 2_000_000
@@ -69,23 +72,94 @@ class CurvePoint:
 INFINITY = CurvePoint(None, None)
 
 
+def as_pairs(pt: CurvePoint):
+    """The int-pair form ((xa, xb), (ya, yb)) of a point; None for infinity."""
+    if pt.is_infinity:
+        return None
+    return (pt.x.a, pt.x.b), (pt.y.a, pt.y.b)
+
+
+def as_point(P, p: int) -> CurvePoint:
+    """The CurvePoint of an int-pair point over F_{p^2}."""
+    if P is None:
+        return INFINITY
+    n = smallest_nonresidue(p)
+    (xa, xb), (ya, yb) = P
+    return CurvePoint(QuadExtElement(xa, xb, p, n), QuadExtElement(ya, yb, p, n))
+
+
 class CubicCurve:
-    """y^2 = x^3 + a2 x^2 + a4 x + a6 with coefficients in F_{p^2}."""
+    """y^2 = x^3 + a2 x^2 + a4 x + a6 with coefficients in F_{p^2}.
+
+    The `pair_*` methods work on int-pair points ((xa, xb), (ya, yb)), None
+    for infinity; the other methods convert CurvePoints at their boundary.
+    """
 
     def __init__(self, a2, a4, a6, p: int):
         check_modulus(p)
         self.p = p
+        self.n = smallest_nonresidue(p)
         self.a2 = _as_fp2(a2, p)
         self.a4 = _as_fp2(a4, p)
         self.a6 = _as_fp2(a6, p)
+        self._f = tuple((c.a, c.b) for c in (self.a6, self.a4, self.a2)) + ((1, 0),)
 
-    def rhs(self, x: QuadExtElement) -> QuadExtElement:
-        return ((x + self.a2) * x + self.a4) * x + self.a6
+    def pair_rhs(self, x: tuple[int, int]) -> tuple[int, int]:
+        return fp2_horner(self._f, x, self.p, self.n)
+
+    def pair_contains(self, P) -> bool:
+        return P is None or fp2_mul(P[1], P[1], self.p, self.n) == self.pair_rhs(P[0])
+
+    def pair_add(self, P, Q):
+        """P + Q by the chord-tangent law (P == Q doubles)."""
+        if P is None:
+            return Q
+        if Q is None:
+            return P
+        p, n = self.p, self.n
+        (x1, y1), (x2, y2) = P, Q
+        a2a, a2b = self._f[2]
+        if x1 == x2:
+            if (y1[0] + y2[0]) % p == 0 and (y1[1] + y2[1]) % p == 0:
+                return None
+            # tangent slope (3x^2 + 2 a2 x + a4) / 2y
+            ua, ub = fp2_mul((3 * x1[0] + 2 * a2a, 3 * x1[1] + 2 * a2b), x1, p, n)
+            a4a, a4b = self._f[1]
+            num, den = (ua + a4a, ub + a4b), (2 * y1[0], 2 * y1[1])
+        else:
+            num = (y2[0] - y1[0], y2[1] - y1[1])
+            den = (x2[0] - x1[0], x2[1] - x1[1])
+        slope = fp2_mul(num, fp2_inv(den, p, n), p, n)
+        sa, sb = fp2_mul(slope, slope, p, n)
+        x3 = (sa - a2a - x1[0] - x2[0]) % p, (sb - a2b - x1[1] - x2[1]) % p
+        ta, tb = fp2_mul(slope, (x1[0] - x3[0], x1[1] - x3[1]), p, n)
+        return x3, ((ta - y1[0]) % p, (tb - y1[1]) % p)
+
+    def pair_minus3(self, P):
+        """[-3]P, as -(P + 2P)."""
+        R = self.pair_add(P, self.pair_add(P, P))
+        if R is None:
+            return None
+        x, (ya, yb) = R
+        return x, (-ya % self.p, -yb % self.p)
+
+    def pair_random(self, rng: random.Random):
+        """Random x (a-part, then b-part) until f(x) is a square; then a random sign."""
+        p, n = self.p, self.n
+        while True:
+            x = (rng.randrange(p), rng.randrange(p))
+            y = fp2_sqrt(self.pair_rhs(x), p, n)
+            if y is not None:
+                if not rng.randrange(2):
+                    y = (-y[0] % p, -y[1] % p)
+                return x, y
+
+    def rhs(self, x) -> QuadExtElement:
+        x = _as_fp2(x, self.p)
+        return QuadExtElement(*self.pair_rhs((x.a, x.b)), self.p, self.n)
 
     def contains(self, pt: CurvePoint) -> bool:
-        if pt.is_infinity:
-            return True
-        return pt.y * pt.y == self.rhs(pt.x)
+        return self.pair_contains(as_pairs(pt))
 
     def point(self, x, y) -> CurvePoint:
         pt = CurvePoint(_as_fp2(x, self.p), _as_fp2(y, self.p))
@@ -93,51 +167,8 @@ class CubicCurve:
             raise ValueError(f"({x}, {y}) is not on the curve")
         return pt
 
-    def neg(self, pt: CurvePoint) -> CurvePoint:
-        if pt.is_infinity:
-            return pt
-        return CurvePoint(pt.x, -pt.y)
-
-    def add(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        if P.is_infinity:
-            return Q
-        if Q.is_infinity:
-            return P
-        if P.x == Q.x:
-            if P.y == -Q.y:
-                return INFINITY
-            # tangent
-            num = (3 * P.x + 2 * self.a2) * P.x + self.a4
-            slope = num / (2 * P.y)
-        else:
-            slope = (Q.y - P.y) / (Q.x - P.x)
-        x3 = slope * slope - self.a2 - P.x - Q.x
-        y3 = slope * (P.x - x3) - P.y
-        return CurvePoint(x3, y3)
-
-    def scalar_mul(self, n: int, P: CurvePoint) -> CurvePoint:
-        if n < 0:
-            return self.scalar_mul(-n, self.neg(P))
-        acc = INFINITY
-        add = P
-        while n:
-            if n & 1:
-                acc = self.add(acc, add)
-            add = self.add(add, add)
-            n >>= 1
-        return acc
-
     def random_point(self, rng: random.Random) -> CurvePoint:
-        """Uniform-enough sampling: random x until the cubic value is a square."""
-        p = self.p
-        while True:
-            x = QuadExtElement(rng.randrange(p), rng.randrange(p), p)
-            v = self.rhs(x)
-            y = sqrt_fp2(v)
-            if y is not None:
-                if not rng.randrange(2):
-                    y = -y
-                return CurvePoint(x, y)
+        return as_point(self.pair_random(rng), self.p)
 
 
 class LegendreCurve(CubicCurve):
@@ -160,19 +191,6 @@ def j_invariant(c: LegendreCurve) -> QuadExtElement:
     num = 256 * (t * t - t + 1) ** 3
     den = (t * (t - 1)) ** 2
     return num / den
-
-
-def group_law(P: CurvePoint, Q: CurvePoint, c: CubicCurve) -> CurvePoint:
-    """Chord-tangent addition; off-curve inputs are rejected."""
-    if not (c.contains(P) and c.contains(Q)):
-        raise ValueError("point not on curve")
-    return c.add(P, Q)
-
-
-def scalar_mul(n: int, P: CurvePoint, c: CubicCurve) -> CurvePoint:
-    if not c.contains(P):
-        raise ValueError("point not on curve")
-    return c.scalar_mul(n, P)
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +221,18 @@ def count_points(c: LegendreCurve, extension_degree: int = 1, bound: int | None 
     raise ValueError("extension_degree must be 1 or 2")
 
 
-def _square_table(p: int) -> np.ndarray:
-    tab = np.zeros(p, dtype=bool)
-    x = np.arange(p, dtype=np.int64)
-    tab[(x * x) % p] = True
-    return tab
+def _sqrt_table(p: int) -> np.ndarray:
+    """table[v] = the smaller square root of v, or -1 for non-residues."""
+    table = np.full(p, -1, dtype=np.int64)
+    x = np.arange((p + 1) // 2, dtype=np.int64)
+    table[(x * x) % p] = x
+    return table
 
 
 def _count_fp(t: int, p: int) -> int:
     x = np.arange(p, dtype=np.int64)
     f = (x * ((x * (x - (1 + t))) % p + t)) % p
-    is_sq = _square_table(p)
+    is_sq = _sqrt_table(p) >= 0
     zero = int(np.count_nonzero(f == 0))
     on = int(np.count_nonzero(is_sq[f] & (f != 0)))
     return 1 + zero + 2 * on
@@ -223,15 +242,11 @@ def _count_fp2(ta: int, tb: int, p: int) -> int:
     n = smallest_nonresidue(p)
     a = np.repeat(np.arange(p, dtype=np.int64), p)
     b = np.tile(np.arange(p, dtype=np.int64), p)
-
-    def mul(ua, ub, va, vb):
-        return (ua * va + ub * vb % p * n) % p, (ua * vb + ub * va) % p
-
     # f = x * (x - 1) * (x - t)
-    fa, fb = mul(a, b, (a - 1) % p, b)
-    fa, fb = mul(fa, fb, (a - ta) % p, (b - tb) % p)
+    f = fp2_mul((a, b), ((a - 1) % p, b), p, n)
+    fa, fb = fp2_mul(f, ((a - ta) % p, (b - tb) % p), p, n)
     norm = (fa * fa - n * ((fb * fb) % p)) % p
-    is_sq = _square_table(p)
+    is_sq = _sqrt_table(p) >= 0
     zero = int(np.count_nonzero((fa == 0) & (fb == 0)))
     on = int(np.count_nonzero(is_sq[norm])) - zero
     return 1 + zero + 2 * on
@@ -312,14 +327,10 @@ def psi3_roots(lam: QuadExtElement, seed: int = 1) -> list[QuadExtElement]:
         raise ValueError("singular Legendre parameter")
     p = lam.p
     if p <= PSI3_SCAN_BOUND:
-        roots = []
         n = lam.nonresidue
-        for a in range(p):
-            for b in range(p):
-                x = QuadExtElement(a, b, p, n)
-                if psi3_eval(lam, x).is_zero():
-                    roots.append(x)
-        return sorted(roots, key=lambda r: (r.a, r.b))
+        f = [(c.a, c.b) for c in psi3_coefficients(lam)]
+        return [QuadExtElement(a, b, p, n) for a in range(p) for b in range(p)
+                if fp2_horner(f, (a, b), p, n) == (0, 0)]
     roots = _poly_fp2_roots(psi3_coefficients(lam), p, seed)
     return sorted(roots, key=lambda r: (r.a, r.b))
 

@@ -22,11 +22,12 @@ from math import isqrt
 import numpy as np
 
 from .classno import class_number
-from .curves import LegendreCurve, deuring_coefficients, is_supersingular
+from .curves import LegendreCurve, _sqrt_table, deuring_coefficients, is_supersingular
 from .fields import (
     FieldElement,
     QuadExtElement,
     check_modulus,
+    fp2_mul,
     smallest_nonresidue,
     sqrt_in_fp2,
 )
@@ -162,20 +163,6 @@ def _pow_mod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def _fp2_mul(x, y, p: int, n: int):
-    """(a, b) pairs of int64 arrays multiplied in F_p[w]/(w^2 - n)."""
-    (xa, xb), (ya, yb) = x, y
-    return (xa * ya % p + xb * yb % p * n) % p, (xa * yb + xb * ya) % p
-
-
-def _sqrt_table(p: int) -> np.ndarray:
-    """table[v] = the smaller square root of v, or -1 for non-residues."""
-    table = np.full(p, -1, dtype=np.int64)
-    x = np.arange((p + 1) // 2, dtype=np.int64)
-    table[(x * x) % p] = x
-    return table
-
-
 def lambda_eps_pairs(
     lam: np.ndarray, eps, p: int, n: int, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -299,8 +286,8 @@ def _bsgs_rows(
     pow_b = np.empty_like(pow_a)
     pow_a[:, 0], pow_b[:, 0] = 1, 0
     for i in range(1, k):
-        pow_a[:, i], pow_b[:, i] = _fp2_mul((pow_a[:, i - 1], pow_b[:, i - 1]), (la, lb), p, n)
-    ga, gb = _fp2_mul((pow_a[:, k - 1], pow_b[:, k - 1]), (la, lb), p, n)
+        pow_a[:, i], pow_b[:, i] = fp2_mul((pow_a[:, i - 1], pow_b[:, i - 1]), (la, lb), p, n)
+    ga, gb = fp2_mul((pow_a[:, k - 1], pow_b[:, k - 1]), (la, lb), p, n)
     block_a = pow_a @ c % p
     block_b = pow_b @ c % p
     acc_a, acc_b = block_a[:, g - 1], block_b[:, g - 1]

@@ -234,10 +234,8 @@ class QuadExtElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        p, n = self.p, self.nonresidue
-        a = (self.a * o.a + self.b * o.b % p * n) % p
-        b = (self.a * o.b + self.b * o.a) % p
-        return QuadExtElement(a, b, p, n)
+        a, b = fp2_mul((self.a, self.b), (o.a, o.b), self.p, self.nonresidue)
+        return QuadExtElement(a, b, self.p, self.nonresidue)
 
     __rmul__ = __mul__
 
@@ -249,11 +247,8 @@ class QuadExtElement:
         return (self.a * self.a - self.nonresidue * self.b * self.b) % self.p
 
     def inverse(self) -> "QuadExtElement":
-        d = self.norm()
-        if d == 0:
-            raise ZeroDivisionError(f"inverse of 0 in F_{self.p}^2")
-        dinv = pow(d, -1, self.p)
-        return QuadExtElement(self.a * dinv, -self.b * dinv, self.p, self.nonresidue)
+        a, b = fp2_inv((self.a, self.b), self.p, self.nonresidue)
+        return QuadExtElement(a, b, self.p, self.nonresidue)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -318,9 +313,64 @@ class QuadExtElement:
         return legendre_int(self.norm(), self.p) != -1
 
 
-def _canonical_pair(a: int, b: int, p: int) -> tuple[int, int]:
-    # pick the representative of {+r, -r} with smaller (a, b) encoding
-    return min((a, b), ((-a) % p, (-b) % p))
+# ---------------------------------------------------------------------------
+# F_{p^2} on (a, b) int pairs, a + b*w with w^2 = n; results are reduced mod p.
+# fp2_mul also takes int64 arrays: below p = 2^25 no intermediate reaches 2^51.
+
+
+def fp2_mul(u: tuple[int, int], v: tuple[int, int], p: int, n: int) -> tuple[int, int]:
+    return (u[0] * v[0] + u[1] * v[1] % p * n) % p, (u[0] * v[1] + u[1] * v[0]) % p
+
+
+def fp2_inv(u: tuple[int, int], p: int, n: int) -> tuple[int, int]:
+    """1/(a + b*w) = (a - b*w)/(a^2 - n b^2), one inversion in F_p."""
+    a, b = u
+    d = (a * a - b * b % p * n) % p
+    if d == 0:
+        raise ZeroDivisionError(f"inverse of 0 in F_{p}^2")
+    d = pow(d, -1, p)
+    return a * d % p, -b * d % p
+
+
+def fp2_horner(coeffs, x: tuple[int, int], p: int, n: int) -> tuple[int, int]:
+    """sum c_k x^k for ascending (a, b) pairs c_k."""
+    xa, xb = x
+    ra, rb = coeffs[-1]
+    for ca, cb in reversed(coeffs[:-1]):
+        ra, rb = (ra * xa + rb * xb % p * n + ca) % p, (ra * xb + rb * xa + cb) % p
+    return ra, rb
+
+
+def fp2_sqrt(u: tuple[int, int], p: int, n: int) -> tuple[int, int] | None:
+    """Canonical square root of a reduced pair u = a + b*w, or None.
+
+    The root is taken through the norm, with square roots in F_p only.  For
+    b != 0, u is a square iff N = a^2 - n b^2 is a residue mod p.  A root
+    x + y*w satisfies x^2 + n y^2 = a and 2xy = b, so x^2 is a root of
+    4X^2 - 4aX + n b^2, that is (a +- sqrt(N))/2.  The product of the two is
+    n b^2/4, a non-residue, so exactly one of them is a residue; x is its
+    root and y = b/(2x).  For b = 0 the root is sqrt(a), or sqrt(a/n)*w
+    when a is a non-residue.  Of the two roots the one with the smaller
+    (a-part, b-part) encoding is returned.
+    """
+    a, b = u
+    if b == 0:
+        if legendre_int(a, p) != -1:
+            x, y = tonelli_shanks(a, p), 0
+        else:
+            x, y = 0, tonelli_shanks(a * pow(n, -1, p) % p, p)
+    else:
+        norm = (a * a - b * b % p * n) % p
+        if legendre_int(norm, p) != 1:
+            return None
+        r = tonelli_shanks(norm, p)
+        half = (p + 1) // 2
+        x2 = (a + r) * half % p
+        if legendre_int(x2, p) != 1:
+            x2 = (a - r) * half % p
+        x = tonelli_shanks(x2, p)
+        y = b * pow(2 * x, -1, p) % p
+    return min((x, y), (-x % p, -y % p))
 
 
 def sqrt_in_fp2(x: FieldElement) -> QuadExtElement:
@@ -334,34 +384,6 @@ def sqrt_in_fp2(x: FieldElement) -> QuadExtElement:
 
 
 def sqrt_fp2(u: QuadExtElement) -> QuadExtElement | None:
-    """Canonical square root of an arbitrary F_{p^2} element, or None.
-
-    The root is taken through the norm, with square roots in F_p only.  For
-    u = a + b*w with b != 0, u is a square iff N = a^2 - n b^2 is a residue
-    mod p.  A root x + y*w satisfies x^2 + n y^2 = a and 2xy = b, so x^2 is a
-    root of 4X^2 - 4aX + n b^2, that is (a +- sqrt(N))/2.  The product of
-    the two is n b^2/4, a non-residue, so exactly one of them is a residue;
-    x is its root and y = b/(2x).  For b = 0 the root is sqrt(a), or
-    sqrt(a/n)*w when a is a non-residue.  Of the two roots the one with the
-    smaller (a-part, b-part) encoding is returned.
-    """
-    p, n = u.p, u.nonresidue
-    a, b = u.a, u.b
-    if b == 0:
-        if legendre_int(a, p) != -1:
-            x, y = tonelli_shanks(a, p), 0
-        else:
-            x, y = 0, tonelli_shanks(a * pow(n, -1, p) % p, p)
-    else:
-        norm = u.norm()
-        if legendre_int(norm, p) != 1:
-            return None
-        r = tonelli_shanks(norm, p)
-        half = (p + 1) // 2
-        x2 = (a + r) * half % p
-        if legendre_int(x2, p) != 1:
-            x2 = (a - r) * half % p
-        x = tonelli_shanks(x2, p)
-        y = b * pow(2 * x, -1, p) % p
-    x, y = _canonical_pair(x, y, p)
-    return QuadExtElement(x, y, p, n)
+    """Canonical square root of an arbitrary F_{p^2} element, or None (see fp2_sqrt)."""
+    root = fp2_sqrt((u.a, u.b), u.p, u.nonresidue)
+    return None if root is None else QuadExtElement(*root, u.p, u.nonresidue)

@@ -32,10 +32,6 @@ def neg(f: list[int]) -> list[int]:
     return [-c for c in f]
 
 
-def sub(f: list[int], g: list[int]) -> list[int]:
-    return add(f, neg(g))
-
-
 def mul(f: list[int], g: list[int]) -> list[int]:
     if not f or not g:
         return []
@@ -59,21 +55,8 @@ def eval_at(f: list[int], x: int) -> int:
     return acc
 
 
-def derivative(f: list[int]) -> list[int]:
-    return trim([i * c for i, c in enumerate(f)][1:])
-
-
 def reduce_mod(f: list[int], p: int) -> list[int]:
     return trim([c % p for c in f])
-
-
-def monic_equal_up_to_sign(f: list[int], g: list[int]) -> int:
-    """0 if unrelated, +1 if f == g, -1 if f == -g."""
-    if f == g:
-        return 1
-    if f == neg(g):
-        return -1
-    return 0
 
 
 def resultant_bivariate(F: list[list[int]], G: list[list[int]]) -> list[int]:

@@ -22,8 +22,8 @@ from importlib import resources
 
 from . import intpoly
 from .classno import hilbert_poly
-from .curves import INFINITY, CubicCurve, CurvePoint, LegendreCurve
-from .fields import FieldElement, QuadExtElement, sqrt_in_fp2
+from .curves import INFINITY, CubicCurve, CurvePoint, LegendreCurve, as_pairs, as_point
+from .fields import FieldElement, QuadExtElement, fp2_horner, fp2_inv, fp2_mul, sqrt_in_fp2
 
 # Closed-form coefficient tables for psi^- (source curve E_{L^-}).
 # Keys are (x-power, y-power); values are coefficient polynomials in lambda,
@@ -81,18 +81,6 @@ def _dense(terms: dict, lam: int, d: QuadExtElement) -> list[tuple[int, int]]:
         s = _eval_lambda_poly(sq, lam, p)
         out[k] = (_eval_lambda_poly(rat, lam, p) + s * d.a) % p, s * d.b % p
     return out
-
-
-def _horner(coeffs, xa: int, xb: int, p: int, n: int) -> tuple[int, int]:
-    """sum c_k x^k at x = xa + xb*w (w^2 = n) for ascending (a, b) pairs c_k."""
-    ra, rb = coeffs[-1]
-    for ca, cb in reversed(coeffs[:-1]):
-        ra, rb = (ra * xa + rb * xb % p * n + ca) % p, (ra * xb + rb * xa + cb) % p
-    return ra, rb
-
-
-def _mul(u: tuple[int, int], v: tuple[int, int], p: int, n: int) -> tuple[int, int]:
-    return (u[0] * v[0] + u[1] * v[1] % p * n) % p, (u[0] * v[1] + u[1] * v[0]) % p
 
 
 def lambda_params(lam: int, eps: int, sqrt_delta: QuadExtElement):
@@ -208,7 +196,8 @@ class IsogenyMap:
     then a few Horner passes on the int pair of its abscissa.  The
     tabulated denominators also vanish at the 3-torsion abscissa of the
     *other* sign, where the singularity is removable; those points fall
-    back to the composition route.
+    back to the composition route.  `image` maps int-pair points (see
+    CubicCurve); calling the map converts a CurvePoint at the boundary.
     """
 
     def __init__(self, lam: int, eps: int, sqrt_delta: QuadExtElement):
@@ -230,6 +219,7 @@ class IsogenyMap:
         self._t_num = _dense(T_NUM, lam, d)
         self.source_lambda, self.target_lambda = lambda_params(lam, eps, sqrt_delta)
         self.kernel_x = (QuadExtElement(lam + 1, 0, p) + 2 * eps * sqrt_delta) / 3
+        self._kernel = (self.kernel_x.a, self.kernel_x.b)
         self._source = LegendreCurve(self.source_lambda, p)
         self._target = LegendreCurve(self.target_lambda, p)
 
@@ -239,22 +229,21 @@ class IsogenyMap:
     def target_curve(self) -> LegendreCurve:
         return self._target
 
-    def _closed_form(self, P: CurvePoint) -> CurvePoint | None:
+    def _closed_form(self, P):
+        """(s, t) at the affine int-pair point P, or None where a denominator vanishes."""
         p, n = self.p, self.sqrt_delta.nonresidue
-        xa, xb = P.x.a, P.x.b
-        sden = _horner(self._s_den, xa, xb, p, n)
+        x, y = P
+        sden = fp2_horner(self._s_den, x, p, n)
         if sden == (0, 0):
             return None
-        tden = _horner(self._t_den, xa, xb, p, n)
+        tden = fp2_horner(self._t_den, x, p, n)
         if tden == (0, 0):
             return None
-        y = (P.y.a, P.y.b)
-        s2 = _mul(_horner(self._s_num2, xa, xb, p, n), _mul(y, y, p, n), p, n)
-        s0 = _horner(self._s_num0, xa, xb, p, n)
-        ty = _mul(_horner(self._t_num, xa, xb, p, n), y, p, n)
-        s = QuadExtElement(s0[0] + s2[0], s0[1] + s2[1], p, n) / QuadExtElement(*sden, p, n)
-        t = QuadExtElement(*ty, p, n) / QuadExtElement(*tden, p, n)
-        return CurvePoint(s, t)
+        s2 = fp2_mul(fp2_horner(self._s_num2, x, p, n), fp2_mul(y, y, p, n), p, n)
+        s0 = fp2_horner(self._s_num0, x, p, n)
+        ty = fp2_mul(fp2_horner(self._t_num, x, p, n), y, p, n)
+        s = fp2_mul((s0[0] + s2[0], s0[1] + s2[1]), fp2_inv(sden, p, n), p, n)
+        return s, fp2_mul(ty, fp2_inv(tden, p, n), p, n)
 
     def eval_composed(self, P: CurvePoint) -> CurvePoint:
         """Shift to the normal form, descend by 3, rescale, shift back."""
@@ -270,21 +259,28 @@ class IsogenyMap:
         shift_back = (QuadExtElement(lam + 1, 0, p) - 2 * eps * self.sqrt_delta) / 3
         return CurvePoint(v + shift_back, w)
 
-    def __call__(self, P: CurvePoint) -> CurvePoint:
-        if not self._source.contains(P):
+    def image(self, P):
+        """psi(P) for an int-pair point, checked on the source and the target."""
+        if not self._source.pair_contains(P):
             raise ValueError("point not on the source curve")
-        if P.is_infinity or P.x == self.kernel_x:
-            return INFINITY
+        if P is None or P[0] == self._kernel:
+            return None
         img = self._closed_form(P)
         if img is None:  # removable singularity of the tabulated form
-            img = self.eval_composed(P)
-        if not self._target.contains(img):
+            img = as_pairs(self.eval_composed(as_point(P, self.p)))
+        if not self._target.pair_contains(img):
             raise ArithmeticError("isogeny image left the target curve")
         return img
 
+    def __call__(self, P: CurvePoint) -> CurvePoint:
+        return as_point(self.image(as_pairs(P)), self.p)
+
 
 def compose_is_minus3(lam: int, p: int, trials: int = 50, seed: int = 0) -> bool:
-    """Check psi^+ o psi^- = [-3] = psi^- o psi^+ on random rational points."""
+    """Check psi^+ o psi^- = [-3] = psi^- o psi^+ on random rational points.
+
+    The trial loop runs on int-pair points (see CubicCurve).
+    """
     delta = FieldElement(lam * lam - lam + 1, p)
     sqrt_delta = sqrt_in_fp2(delta)
     psi_minus = IsogenyMap(lam, -1, sqrt_delta)
@@ -293,11 +289,11 @@ def compose_is_minus3(lam: int, p: int, trials: int = 50, seed: int = 0) -> bool
     e_plus = psi_plus.source_curve()
     rng = random.Random(seed)
     for _ in range(trials):
-        P = e_minus.random_point(rng)
-        if psi_plus(psi_minus(P)) != e_minus.scalar_mul(-3, P):
+        P = e_minus.pair_random(rng)
+        if psi_plus.image(psi_minus.image(P)) != e_minus.pair_minus3(P):
             return False
-        Q = e_plus.random_point(rng)
-        if psi_minus(psi_plus(Q)) != e_plus.scalar_mul(-3, Q):
+        Q = e_plus.pair_random(rng)
+        if psi_minus.image(psi_plus.image(Q)) != e_plus.pair_minus3(Q):
             return False
     return True
 

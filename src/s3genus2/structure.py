@@ -24,17 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classno import class_number, hilbert_poly
+from .curves import _poly_div_exact, _poly_fp2_roots, _poly_mod, _sqrt_table
 from .family import (
     VECTOR_MODULUS_BOUND,
-    _fp2_mul,
     _pow_mod_vec,
-    _sqrt_table,
     lambda_eps_pairs,
     orbit,
     psi_p,
     superspecial_lambdas,
 )
-from .fields import QuadExtElement, smallest_nonresidue
+from .fields import QuadExtElement, fp2_mul, smallest_nonresidue
 
 GRAPH_MIN_PRIME = 11  # the degree/weight pattern needs p > 11
 
@@ -64,14 +63,14 @@ def legendre_j(
     """
     if p >= VECTOR_MODULUS_BOUND:
         raise ValueError(f"p={p} above the vector kernel bound")
-    sa, sb = _fp2_mul((ta, tb), (ta, tb), p, n)
+    sa, sb = fp2_mul((ta, tb), (ta, tb), p, n)
     da, db = (sa - ta) % p, (sb - tb) % p
     norm = (da * da % p - db * db % p * n) % p
     if not norm.all():
         raise ValueError(f"singular Legendre parameter t in {{0, 1}} mod {p}")
     ninv = _pow_mod_vec(norm, p - 2, p)
     u = ((da * ninv + 1) % p, -db * ninv % p)
-    ja, jb = _fp2_mul(_fp2_mul(_fp2_mul(u, u, p, n), u, p, n), (da, db), p, n)
+    ja, jb = fp2_mul(fp2_mul(fp2_mul(u, u, p, n), u, p, n), (da, db), p, n)
     return 256 * ja % p, 256 * jb % p
 
 
@@ -272,34 +271,14 @@ def check_graph_structure(g: GraphGp) -> GraphVerdict:
 
 
 def _poly_root_multiset(coeffs: list[int], p: int) -> dict[tuple[int, int], int]:
-    """Roots in F_{p^2} of an F_p polynomial, with multiplicities, by scan."""
-    work = [QuadExtElement(c, 0, p) for c in coeffs]
+    """Roots in F_{p^2} of an F_p polynomial, with multiplicities."""
+    f = [QuadExtElement(c, 0, p) for c in coeffs]
     roots: dict[tuple[int, int], int] = {}
-    for a in range(p):
-        for b in range(p):
-            x = QuadExtElement(a, b, p)
-            acc = QuadExtElement(0, 0, p)
-            for c in reversed(work):
-                acc = acc * x + c
-            if not acc.is_zero():
-                continue
-            mult = 0
-            cur = work
-            while True:
-                # synthetic division by (X - x)
-                out = []
-                carry = QuadExtElement(0, 0, p)
-                for c in reversed(cur):
-                    carry = carry * x + c
-                    out.append(carry)
-                remainder = out.pop()
-                if not remainder.is_zero():
-                    break
-                mult += 1
-                cur = out[::-1]
-                if len(cur) <= 1 and (not cur or cur[0].is_zero()):
-                    break
-            roots[(a, b)] = mult
+    for r in _poly_fp2_roots(f, p, seed=1):
+        linear, mult = [-r, QuadExtElement(1, 0, p)], 0
+        while not _poly_mod(f, linear, p):
+            f, mult = _poly_div_exact(f, linear, p), mult + 1
+        roots[(r.a, r.b)] = mult
     return roots
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from s3genus2.average import MAX_TRIALS_BUDGET
 from s3genus2.cli import main
 from s3genus2.family import VECTOR_MODULUS_BOUND
 from s3genus2.fields import MAX_MODULUS
@@ -165,6 +166,23 @@ def test_isogeny_needs_a_positive_trial_count(capsys, trials):
     assert code == 2
     assert out == ""
     assert "--trials" in err
+
+
+def test_isogeny_trials_budget_is_checked_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("isogeny work started")
+
+    monkeypatch.setattr("s3genus2.cli.verify_transcription", no_work)
+    monkeypatch.setattr("s3genus2.cli.compose_is_minus3", no_work)
+    code, out, err = run_cli(capsys, "isogeny", "--p", "1009", "--lambda", "5",
+                             "--trials", "100000000")
+    assert code == 2
+    assert out == ""
+    assert "estimated cost" in err and str(MAX_TRIALS_BUDGET) in err
+    assert "Traceback" not in err
+    # the budget itself is accepted: the (stubbed) work starts
+    with pytest.raises(AssertionError, match="isogeny work started"):
+        main(["isogeny", "--p", "1009", "--lambda", "5", "--trials", str(MAX_TRIALS_BUDGET)])
 
 
 def test_average_single_row_with_check(capsys):

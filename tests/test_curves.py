@@ -2,20 +2,22 @@
 
 import random
 
+import group_oracle as oracle
 import pytest
 
 from s3genus2.curves import (
     INFINITY,
+    CurvePoint,
     LegendreCurve,
+    as_pairs,
+    as_point,
     count_points,
     count_points_weil,
     deuring_coefficients,
-    group_law,
     is_supersingular,
     j_invariant,
     psi3_eval,
     psi3_roots,
-    scalar_mul,
 )
 from s3genus2.fields import FieldElement, QuadExtElement, sqrt_fp2, sqrt_in_fp2
 
@@ -79,29 +81,83 @@ def test_j_invariant_constant_on_orbit():
 
 def test_group_identity_and_two_torsion():
     c = LegendreCurve(3, 11)
-    P = c.point(0, 0)
-    assert group_law(P, INFINITY, c) == P
-    assert group_law(P, P, c) == INFINITY
+    P = as_pairs(c.point(0, 0))
+    assert c.pair_add(P, None) == P
+    assert c.pair_add(None, P) == P
+    assert c.pair_add(P, P) is None
+    assert c.pair_minus3(P) == P
 
 
 def test_group_law_rejects_off_curve():
+    # points reach the int-pair law only through a membership check
     c = LegendreCurve(3, 11)
-    bad = type(INFINITY)(QuadExtElement(5, 0, 11), QuadExtElement(1, 0, 11))
-    if c.contains(bad):  # pick another x if (5, 1) happened to be on the curve
-        bad = type(INFINITY)(QuadExtElement(5, 0, 11), QuadExtElement(2, 0, 11))
+    bad = ((5, 0), (1, 0))
+    if c.pair_contains(bad):  # pick another y if (5, 1) happened to be on the curve
+        bad = ((5, 0), (2, 0))
+    assert not c.pair_contains(bad)
     with pytest.raises(ValueError):
-        group_law(bad, INFINITY, c)
+        c.point(5, bad[1][0])
 
 
 def test_scalar_mul_matches_repeated_addition():
     c = LegendreCurve(5, 13)
     rng = random.Random(0)
-    P = c.random_point(rng)
-    acc = INFINITY
+    P = c.pair_random(rng)
+    acc = None
+    multiples = []
     for n in range(8):
-        assert scalar_mul(n, P, c) == acc
-        acc = c.add(acc, P)
-    assert scalar_mul(-3, P, c) == c.neg(scalar_mul(3, P, c))
+        assert as_point(acc, 13) == oracle.scalar_mul(c, n, as_point(P, 13))
+        multiples.append(acc)
+        acc = c.pair_add(acc, P)
+    assert c.pair_minus3(P) == as_pairs(oracle.neg(as_point(multiples[3], 13)))
+
+
+def _all_points(c):
+    """Every F_{p^2}-point of c as a CurvePoint, infinity first."""
+    p = c.p
+    points = [INFINITY]
+    for a in range(p):
+        for b in range(p):
+            x = QuadExtElement(a, b, p)
+            v = oracle.rhs(c, x)
+            assert c.pair_rhs((a, b)) == (v.a, v.b)
+            y = sqrt_fp2(v)
+            if y is not None:
+                points += [CurvePoint(x, y)] if y.is_zero() else [CurvePoint(x, y), CurvePoint(x, -y)]
+    return points
+
+
+@pytest.mark.parametrize("p,t", [(5, (2, 0)), (7, (3, 2)), (11, (4, 0)), (13, (2, 9))])
+def test_pair_law_matches_object_oracle_on_every_pair_of_points(p, t):
+    c = LegendreCurve(QuadExtElement(*t, p), p)
+    points = _all_points(c)
+    assert len(points) == count_points(c, 2)
+    pairs = [as_pairs(P) for P in points]
+    for P, Pp in zip(points, pairs):
+        assert c.pair_contains(Pp)
+        assert c.pair_minus3(Pp) == as_pairs(oracle.scalar_mul(c, -3, P)), P
+        for Q, Qp in zip(points, pairs):
+            assert c.pair_add(Pp, Qp) == as_pairs(oracle.add(c, P, Q)), (P, Q)
+
+
+@pytest.mark.parametrize("p", [2147483629, 2**31 - 1])
+def test_pair_law_matches_object_oracle_near_the_modulus_cap(p):
+    # 2147483629 = 1 mod 4 takes the Tonelli-Shanks loop, 2^31 - 1 = 3 mod 4 not
+    setup = random.Random(p)
+    c = LegendreCurve(QuadExtElement(setup.randrange(2, p), setup.randrange(p), p), p)
+    rng, rng_oracle = random.Random(1), random.Random(1)
+    prev, prev_obj = None, INFINITY
+    for _ in range(1000):
+        P = c.pair_random(rng)
+        obj = oracle.random_point(c, rng_oracle)
+        assert as_point(P, p) == obj
+        assert c.pair_contains(P)
+        assert c.pair_add(P, prev) == as_pairs(oracle.add(c, obj, prev_obj))
+        assert c.pair_add(P, P) == as_pairs(oracle.add(c, obj, obj))
+        assert c.pair_add(P, as_pairs(oracle.neg(obj))) is None
+        assert c.pair_minus3(P) == as_pairs(oracle.scalar_mul(c, -3, obj))
+        prev, prev_obj = P, obj
+    assert rng.getstate() == rng_oracle.getstate()
 
 
 def test_count_points_t_minus1_p5_is_8():
@@ -208,8 +264,8 @@ def test_psi3_roots_contain_constructed_root_and_have_order_3(p, lam):
             y = sqrt_fp2(c.rhs(x))
             if y is not None:
                 P = c.point(x, y)
-                assert scalar_mul(3, P, c) == INFINITY
-                assert scalar_mul(1, P, c) != INFINITY
+                assert oracle.scalar_mul(c, 3, P) == INFINITY
+                assert oracle.scalar_mul(c, 1, P) != INFINITY
 
 
 def test_psi3_requires_nonsingular():

@@ -1,9 +1,12 @@
 """Tests for the explicit 3-isogeny machinery and the modular polynomials."""
 
 import hashlib
+import importlib.util
 import random
 from importlib import resources
+from pathlib import Path
 
+import group_oracle as oracle
 import pytest
 
 from s3genus2 import intpoly
@@ -13,6 +16,8 @@ from s3genus2.curves import (
     CubicCurve,
     CurvePoint,
     LegendreCurve,
+    as_pairs,
+    as_point,
     j_invariant,
 )
 from s3genus2.fields import FieldElement, QuadExtElement, is_prime, sqrt_fp2, sqrt_in_fp2
@@ -49,8 +54,11 @@ def _table_coeff(pair, lam: int, sqrt_delta: QuadExtElement) -> QuadExtElement:
     return _eval_lambda_poly(rat, lam, p) + _eval_lambda_poly(sq, lam, p) * sqrt_delta
 
 
-def closed_form_oracle(m: IsogenyMap, P: CurvePoint) -> CurvePoint | None:
-    """Oracle: every coefficient table evaluated at (lam, d) for this point."""
+def closed_form_oracle(m: IsogenyMap, P: CurvePoint):
+    """Oracle: every coefficient table evaluated at (lam, d) for this point.
+
+    The image is returned in the int-pair form of `IsogenyMap._closed_form`.
+    """
     lam, p = m.lam, m.p
     d = m.sqrt_delta if m.eps == -1 else -m.sqrt_delta
     x, y = P.x, P.y
@@ -77,7 +85,7 @@ def closed_form_oracle(m: IsogenyMap, P: CurvePoint) -> CurvePoint | None:
     tnum = QuadExtElement(0, 0, p)
     for xp, pair in T_NUM.items():
         tnum = tnum + _table_coeff(pair, lam, d) * xpows[xp]
-    return CurvePoint(snum / sden, tnum * y / tden)
+    return as_pairs(CurvePoint(snum / sden, tnum * y / tden))
 
 
 def _admissible(p):
@@ -194,7 +202,7 @@ def test_descend_twice_rescaled_is_multiplication_by_3():
         if Q2.is_infinity:
             continue
         scaled = CurvePoint(Q2.x / (27 * 27), Q2.y / (27 * 27 * 27))
-        assert scaled == E.scalar_mul(3, P)
+        assert scaled == oracle.scalar_mul(E, 3, P)
         checked += 1
     assert checked >= 10
 
@@ -244,7 +252,7 @@ def test_psi_kernel_maps_to_infinity():
     if y is not None:
         P = src.point(m.kernel_x, y)
         assert m(P) == INFINITY
-        assert src.scalar_mul(3, P) == INFINITY
+        assert oracle.scalar_mul(src, 3, P) == INFINITY
 
 
 def test_psi_image_is_on_target_curve():
@@ -287,7 +295,7 @@ def test_closed_form_matches_oracle_on_every_point(p):
                     if y is None:
                         continue
                     for P in {CurvePoint(x, y), CurvePoint(x, -y)}:
-                        got = m._closed_form(P)
+                        got = m._closed_form(as_pairs(P))
                         assert got == closed_form_oracle(m, P), (lam, eps, P)
                         nones += got is None
     assert nones > 0  # the removable singularities were among the points
@@ -304,7 +312,7 @@ def test_closed_form_matches_oracle_on_random_points(p):
             src = m.source_curve()
             for _ in range(50):
                 P = src.random_point(rng)
-                assert m._closed_form(P) == closed_form_oracle(m, P)
+                assert m._closed_form(as_pairs(P)) == closed_form_oracle(m, P)
 
 
 def test_vanishing_denominator_falls_back_to_composition():
@@ -320,7 +328,7 @@ def test_vanishing_denominator_falls_back_to_composition():
             if y is None:
                 continue
             P = src.point(x, y)
-            assert m._closed_form(P) is None and closed_form_oracle(m, P) is None
+            assert m._closed_form(as_pairs(P)) is None and closed_form_oracle(m, P) is None
             img = m(P)
             assert img == m.eval_composed(P) and m.target_curve().contains(img)
             checked += 1
@@ -335,7 +343,7 @@ def test_psi_is_homomorphism_on_samples():
     src, dst = m.source_curve(), m.target_curve()
     for _ in range(10):
         P, Q = src.random_point(rng), src.random_point(rng)
-        assert m(src.add(P, Q)) == dst.add(m(P), m(Q))
+        assert m(oracle.add(src, P, Q)) == oracle.add(dst, m(P), m(Q))
 
 
 def test_flipping_sqrt_sign_swaps_the_maps():
@@ -391,7 +399,76 @@ def test_compose_on_3_torsion_gives_infinity():
             continue
         P = src.point(m_minus.kernel_x, y)
         assert m_plus(m_minus(P)) == INFINITY
-        assert src.scalar_mul(-3, P) == INFINITY
+        assert oracle.scalar_mul(src, -3, P) == INFINITY
+
+
+def test_image_checks_source_and_target(monkeypatch):
+    p, lam = 101, 23
+    m = IsogenyMap(lam, -1, sqrt_delta_of(lam, p))
+    src, dst = m.source_curve(), m.target_curve()
+    off = ((5, 0), (1, 0))
+    if src.pair_contains(off):
+        off = ((5, 0), (2, 0))
+    with pytest.raises(ValueError):
+        m.image(off)
+    P = src.pair_random(random.Random(1))
+    bad = ((1, 1), (1, 1))
+    assert not dst.pair_contains(bad)
+    monkeypatch.setattr(m, "_closed_form", lambda P: bad)
+    with pytest.raises(ArithmeticError):
+        m.image(P)
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pair_random_draws_the_oracle_points_on_the_isogeny_pool():
+    # compose_is_minus3 draws from E_{L^-} and E_{L^+} in turn; the int-pair
+    # sampler must draw the object sampler's points and leave the same state
+    wl = _load_workloads()
+    pool = wl.isogeny_pool()
+    assert len(pool) == 120
+    for p, lam, seed in pool:
+        minus, plus = lambda_params(lam, -1, sqrt_delta_of(lam, p))
+        curves = (LegendreCurve(minus, p), LegendreCurve(plus, p))
+        rng, rng_oracle = random.Random(seed), random.Random(seed)
+        for _ in range(wl.ISOGENY_TRIALS):
+            for c in curves:
+                assert as_point(c.pair_random(rng), p) == oracle.random_point(c, rng_oracle)
+        assert rng.getstate() == rng_oracle.getstate(), (p, lam, seed)
+
+
+def test_compose_trial_loop_builds_no_field_objects(monkeypatch):
+    built = 0
+    init = QuadExtElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    fallbacks = 0
+    composed = IsogenyMap.eval_composed
+
+    def counting_fallback(self, P):
+        nonlocal fallbacks
+        fallbacks += 1
+        return composed(self, P)
+
+    monkeypatch.setattr(QuadExtElement, "__init__", counting_init)
+    monkeypatch.setattr(IsogenyMap, "eval_composed", counting_fallback)
+    built_by_trials = {}
+    for trials in (1, 40):
+        built = 0
+        assert compose_is_minus3(40, 1009, trials=trials, seed=5)
+        built_by_trials[trials] = built
+    assert fallbacks == 0
+    assert built_by_trials[1] > 0 and built_by_trials[40] == built_by_trials[1]
 
 
 def test_degenerate_lambda_rejected():
