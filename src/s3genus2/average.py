@@ -84,11 +84,6 @@ def prime_sum_prediction(X: int, mode: str = "integer") -> float:
     return _mode_constant(mode) * math.fsum(1 / (2 * math.sqrt(p)) for p in primes_below(X))
 
 
-@lru_cache(maxsize=None)
-def _superspecial_set(p: int) -> frozenset[int]:
-    return frozenset(superspecial_lambdas(p))
-
-
 def is_degenerate_rational(numerator: int, denominator: int) -> bool:
     """lambda = 0 and lambda = 1 index singular members at every prime."""
     return numerator == 0 or numerator == denominator
@@ -116,7 +111,7 @@ def phi_lambda(numerator: int, denominator: int, X: int) -> int:
         lam = numerator * pow(denominator, -1, p) % p
         if lam in (0, 1) or delta_of(lam, p) == 0:
             continue
-        if lam in _superspecial_set(p):
+        if lam in superspecial_lambdas(p):
             count += 1
     return count
 
@@ -278,7 +273,7 @@ def _rational_window_total(X: int, N: int) -> int:
     held = 0
     total = 0
     for p in primes_below(X):
-        residues = np.fromiter(_superspecial_set(p), dtype=np.int64)
+        residues = np.fromiter(superspecial_lambdas(p), dtype=np.int64)
         if not residues.size:
             continue
         weight = np.diff(_mertens_coprime(ends, p, table))
@@ -356,7 +351,7 @@ def window_sum(X: int, N: int, mode: str = "integer") -> AverageRun:
     total = 0
     if mode == "integer":
         for p in primes_below(X):
-            for s in _superspecial_set(p):
+            for s in superspecial_lambdas(p):
                 total += _count_integers_in_window(N, s, p)
         normalized = total / N
     else:

@@ -3,7 +3,8 @@
 E_t : y^2 = x(x-1)(x-t) with t in the quadratic extension.  Provides the
 j-invariant, the chord-tangent group law on plain int pairs, naive point
 counts (these double as an independent oracle), the Deuring-polynomial
-supersingularity test and the roots of the level-3 division polynomial.
+supersingularity test and the roots of the level-3 division polynomial,
+found by gcd and random splitting on int-pair polynomials over F_{p^2}.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .fields import (
 
 POINT_COUNT_BOUND_DEG1 = 2_000_000
 POINT_COUNT_BOUND_DEG2 = 2_000
-PSI3_SCAN_BOUND = 500
 
 
 def _as_fp2(v, p: int) -> QuadExtElement:
@@ -300,147 +300,123 @@ def is_supersingular(c: LegendreCurve) -> bool:
 # level-3 division polynomial
 
 
-def psi3_coefficients(lam: QuadExtElement) -> list[QuadExtElement]:
-    """Coefficients (ascending) of 3x^4 - 4(1+L)x^3 + 6Lx^2 - L^2 for L = lam."""
-    p = lam.p
-    c0 = -(lam * lam)
-    c2 = 6 * lam
-    c3 = -4 * (1 + lam)
-    zero = QuadExtElement(0, 0, p)
-    return [c0, zero, c2, c3, QuadExtElement(3, 0, p)]
+def psi3_coefficients(lam: QuadExtElement) -> list[tuple[int, int]]:
+    """Ascending (a, b) coefficients of 3x^4 - 4(1+L)x^3 + 6Lx^2 - L^2, L = lam."""
+    p, la, lb = lam.p, lam.a, lam.b
+    sa, sb = fp2_mul((la, lb), (la, lb), p, lam.nonresidue)
+    return [(-sa % p, -sb % p), (0, 0), (6 * la % p, 6 * lb % p),
+            (-4 * (1 + la) % p, -4 * lb % p), (3, 0)]
 
 
 def psi3_eval(lam: QuadExtElement, x: QuadExtElement) -> QuadExtElement:
-    acc = QuadExtElement(0, 0, lam.p)
-    for c in reversed(psi3_coefficients(lam)):
-        acc = acc * x + c
-    return acc
+    p, n = lam.p, lam.nonresidue
+    return QuadExtElement(*fp2_horner(psi3_coefficients(lam), (x.a, x.b), p, n), p, n)
 
 
 def psi3_roots(lam: QuadExtElement, seed: int = 1) -> list[QuadExtElement]:
     """All roots in F_{p^2} of the level-3 division polynomial of E_lam.
 
-    Exhaustive scan for p <= 500; above that the F_{p^2}-rational part is
-    split off with gcd(psi3, x^(p^2) - x) and factored by random splitting.
+    The F_{p^2}-rational part is split off with gcd(psi3, x^(p^2) - x) and
+    factored by random splitting; the roots come sorted by (a-part, b-part).
     """
     if lam == 0 or lam == 1:
         raise ValueError("singular Legendre parameter")
-    p = lam.p
-    if p <= PSI3_SCAN_BOUND:
-        n = lam.nonresidue
-        f = [(c.a, c.b) for c in psi3_coefficients(lam)]
-        return [QuadExtElement(a, b, p, n) for a in range(p) for b in range(p)
-                if fp2_horner(f, (a, b), p, n) == (0, 0)]
-    roots = _poly_fp2_roots(psi3_coefficients(lam), p, seed)
-    return sorted(roots, key=lambda r: (r.a, r.b))
+    p, n = lam.p, lam.nonresidue
+    roots = _poly_fp2_roots(psi3_coefficients(lam), p, n, seed)
+    return [QuadExtElement(a, b, p, n) for a, b in sorted(roots)]
 
 
-# dense polynomials over F_{p^2}: lists of QuadExtElement, ascending degree
+# dense polynomials over F_{p^2} = F_p[w]/(w^2 - n): ascending lists of
+# (a, b) int pairs, every coefficient reduced mod p
+SPLIT_PROBES = 64  # splitting probes per factor before giving up
 
 
 def _poly_trim(f):
-    while f and f[-1].is_zero():
+    while f and f[-1] == (0, 0):
         f.pop()
     return f
 
 
-def _poly_mul(f, g, p):
-    n = smallest_nonresidue(p)
-    out = [QuadExtElement(0, 0, p, n) for _ in range(len(f) + len(g) - 1)]
+def _poly_mul(f, g, p, n):
+    out = [(0, 0)] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
-        if fi.is_zero():
+        if fi == (0, 0):
             continue
         for j, gj in enumerate(g):
-            out[i + j] = out[i + j] + fi * gj
+            ua, ub = fp2_mul(fi, gj, p, n)
+            oa, ob = out[i + j]
+            out[i + j] = (oa + ua) % p, (ob + ub) % p
     return _poly_trim(out)
 
 
-def _poly_mod(f, g, p):
+def _poly_divmod(f, g, p, n):
+    """(quotient, remainder) of f by g, by long division."""
     f = list(f)
-    dg = len(g) - 1
-    inv_lead = g[-1].inverse()
-    while len(f) - 1 >= dg and f:
-        if f[-1].is_zero():
-            f.pop()
-            continue
-        q = f[-1] * inv_lead
-        shift = len(f) - 1 - dg
+    quot = [(0, 0)] * max(0, len(f) - len(g) + 1)
+    inv_lead = fp2_inv(g[-1], p, n)
+    while len(f) >= len(g):
+        q = fp2_mul(f[-1], inv_lead, p, n)
+        shift = len(f) - len(g)
+        quot[shift] = q
         for i, gi in enumerate(g):
-            f[shift + i] = f[shift + i] - q * gi
+            ua, ub = fp2_mul(q, gi, p, n)
+            fa, fb = f[shift + i]
+            f[shift + i] = (fa - ua) % p, (fb - ub) % p
         f.pop()
-    return _poly_trim(f)
+    return _poly_trim(quot), _poly_trim(f)
 
 
-def _poly_powmod(base, e: int, mod, p):
-    n = smallest_nonresidue(p)
-    result = [QuadExtElement(1, 0, p, n)]
-    base = _poly_mod(base, mod, p)
+def _poly_powmod(base, e: int, mod, p, n):
+    result = [(1, 0)]
+    base = _poly_divmod(base, mod, p, n)[1]
     while e:
         if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), mod, p)
-        base = _poly_mod(_poly_mul(base, base, p), mod, p)
+            result = _poly_divmod(_poly_mul(result, base, p, n), mod, p, n)[1]
+        base = _poly_divmod(_poly_mul(base, base, p, n), mod, p, n)[1]
         e >>= 1
     return result
 
 
-def _poly_gcd(f, g, p):
+def _poly_gcd(f, g, p, n):
+    """Monic gcd of f and g."""
     f, g = list(f), list(g)
     while g:
-        f, g = g, _poly_mod(f, g, p)
+        f, g = g, _poly_divmod(f, g, p, n)[1]
     if f:
-        inv = f[-1].inverse()
-        f = [c * inv for c in f]
+        inv = fp2_inv(f[-1], p, n)
+        f = [fp2_mul(c, inv, p, n) for c in f]
     return f
 
 
-def _poly_fp2_roots(f, p: int, seed: int) -> list[QuadExtElement]:
-    """Roots in F_{p^2} of f, by gcd with x^(p^2) - x and random splitting."""
-    n = smallest_nonresidue(p)
-    one = QuadExtElement(1, 0, p, n)
-    zero = QuadExtElement(0, 0, p, n)
-    xpoly = [zero, one]
-    xq = _poly_powmod(xpoly, p * p, f, p)
+def _poly_fp2_roots(f, p: int, n: int, seed: int) -> list[tuple[int, int]]:
+    """Distinct roots in F_{p^2} of f, by gcd with x^(p^2) - x and random splitting."""
+    xq = _poly_powmod([(0, 0), (1, 0)], p * p, f, p, n)
     # gcd(f, x^(p^2) - x): product of the distinct linear factors of f
-    diff = list(xq) + [zero] * max(0, 2 - len(xq))
-    diff[1] = diff[1] - one
-    g = _poly_gcd(f, _poly_trim(diff), p)
+    diff = xq + [(0, 0)] * max(0, 2 - len(xq))
+    diff[1] = (diff[1][0] - 1) % p, diff[1][1]
+    stack = [_poly_gcd(f, _poly_trim(diff), p, n)]
     rng = random.Random(seed)
-    roots: list[QuadExtElement] = []
-    stack = [g]
+    roots = []
     while stack:
         h = stack.pop()
         if len(h) <= 1:
             continue
         if len(h) == 2:
-            roots.append(-h[0] / h[1])
+            ra, rb = fp2_mul(h[0], fp2_inv(h[1], p, n), p, n)
+            roots.append((-ra % p, -rb % p))
             continue
-        # Cantor-Zassenhaus split on a product of distinct linear factors
-        r = QuadExtElement(rng.randrange(p), rng.randrange(p), p, n)
-        probe = _poly_powmod([r, one], (p * p - 1) // 2, h, p)
-        probe = list(probe) + [zero] * max(0, 1 - len(probe))
-        probe[0] = probe[0] - one
-        d = _poly_gcd(_poly_trim(probe), h, p)
-        if 0 < len(d) - 1 < len(h) - 1:
-            stack.append(d)
-            stack.append(_poly_div_exact(h, d, p))
+        # Cantor-Zassenhaus: gcd(h, (x + r)^((p^2 - 1)/2) - 1) keeps the
+        # roots x with x + r a nonzero square, a proper factor about half
+        # the time; a factor that never splits means h was not squarefree
+        for _ in range(SPLIT_PROBES):
+            r = rng.randrange(p), rng.randrange(p)
+            probe = _poly_powmod([r, (1, 0)], (p * p - 1) // 2, h, p, n)
+            probe = probe + [(0, 0)] * max(0, 1 - len(probe))
+            probe[0] = (probe[0][0] - 1) % p, probe[0][1]
+            d = _poly_gcd(_poly_trim(probe), h, p, n)
+            if 0 < len(d) - 1 < len(h) - 1:
+                stack += [d, _poly_divmod(h, d, p, n)[0]]
+                break
         else:
-            stack.append(h)
+            raise ArithmeticError(f"no split of a degree-{len(h) - 1} factor in {SPLIT_PROBES} probes")
     return roots
-
-
-def _poly_div_exact(f, g, p):
-    n = smallest_nonresidue(p)
-    f = list(f)
-    out = [QuadExtElement(0, 0, p, n) for _ in range(len(f) - len(g) + 1)]
-    inv_lead = g[-1].inverse()
-    while len(f) >= len(g) and f:
-        if f[-1].is_zero():
-            f.pop()
-            continue
-        q = f[-1] * inv_lead
-        shift = len(f) - len(g)
-        out[shift] = q
-        for i, gi in enumerate(g):
-            f[shift + i] = f[shift + i] - q * gi
-        f.pop()
-    return _poly_trim(out)

@@ -23,14 +23,7 @@ import numpy as np
 
 from .classno import class_number
 from .curves import LegendreCurve, _sqrt_table, deuring_coefficients, is_supersingular
-from .fields import (
-    FieldElement,
-    QuadExtElement,
-    check_modulus,
-    fp2_mul,
-    smallest_nonresidue,
-    sqrt_in_fp2,
-)
+from .fields import QuadExtElement, check_modulus, fp2_mul, fp2_sqrt, smallest_nonresidue
 
 # The int64 scan kernel needs k * (p-1)^2 < 2^63, k = isqrt((p+1)/2): a block
 # value sums k products of two residues.  Below 2^25 that is at most
@@ -58,10 +51,8 @@ def is_admissible(lam: int, p: int) -> bool:
     return lam not in (0, 1) and delta_of(lam, p) != 0
 
 
-def orbit(lam: int | FieldElement, p: int | None = None) -> frozenset[int]:
+def orbit(lam: int, p: int) -> frozenset[int]:
     """The S3-orbit {lam, 1/lam, 1-lam, 1/(1-lam), lam/(lam-1), (lam-1)/lam}."""
-    if isinstance(lam, FieldElement):
-        lam, p = lam.value, lam.p
     lam %= p
     if lam in (0, 1):
         raise ValueError(f"lambda={lam} is singular")
@@ -95,7 +86,11 @@ class LambdaRecord:
 def lambda_pair(
     lam: int, p: int
 ) -> tuple[int, QuadExtElement, QuadExtElement, QuadExtElement]:
-    """(delta, sqrt(delta), Lambda^-, Lambda^+) of an admissible lambda."""
+    """(delta, sqrt(delta), Lambda^-, Lambda^+) of an admissible lambda.
+
+    sqrt(delta) is fields.fp2_sqrt's canonical root, and Lambda^-+ =
+    (1-lam)(lam -+ sqrt(delta))^2 = (1-lam)((lam^2 + delta) -+ 2 lam sqrt(delta)).
+    """
     check_modulus(p)
     lam %= p
     if lam in (0, 1):
@@ -103,17 +98,17 @@ def lambda_pair(
     delta = delta_of(lam, p)
     if delta == 0:
         raise ValueError(f"lambda={lam} has delta = 0 (singular member)")
-    s = sqrt_in_fp2(FieldElement(delta, p))
-    lam_e = QuadExtElement(lam, 0, p)
-    minus = (1 - lam_e) * (lam_e - s) ** 2
-    plus = (1 - lam_e) * (lam_e + s) ** 2
-    return delta, s, minus, plus
+    n = smallest_nonresidue(p)
+    sa, sb = fp2_sqrt((delta, 0), p, n)
+    one_m, base = 1 - lam, lam * lam + delta
+    ca, cb = 2 * lam * sa, 2 * lam * sb
+    minus = QuadExtElement(one_m * (base - ca), -one_m * cb, p, n)
+    plus = QuadExtElement(one_m * (base + ca), one_m * cb, p, n)
+    return delta, QuadExtElement(sa, sb, p, n), minus, plus
 
 
-def lambda_record(lam: int | FieldElement, p: int | None = None) -> LambdaRecord:
+def lambda_record(lam: int, p: int) -> LambdaRecord:
     """Build the record; the supersingularity test runs on E_{Lambda^-} only."""
-    if isinstance(lam, FieldElement):
-        lam, p = lam.value, lam.p
     delta, s, minus, plus = lambda_pair(lam, p)
     ss = is_supersingular(LegendreCurve(minus, p))
     return LambdaRecord(lam % p, p, delta, s, minus, plus, ss)
@@ -359,12 +354,8 @@ _HALVES = {
 }
 
 
-def fgh_eval(a: int | FieldElement, b2: int | FieldElement, p: int | None = None):
+def fgh_eval(a: int, b2: int, p: int) -> tuple[int, int, int]:
     """The three correspondence polynomials evaluated at (a, b^2) in F_p."""
-    if isinstance(a, FieldElement):
-        a, p = a.value, a.p
-    if isinstance(b2, FieldElement):
-        b2 = b2.value
     a %= p
     b2 %= p
     out = []
@@ -375,16 +366,12 @@ def fgh_eval(a: int | FieldElement, b2: int | FieldElement, p: int | None = None
             if den != 1:
                 term = term * pow(den, -1, p) % p
             acc = (acc + term) % p
-        out.append(FieldElement(acc, p))
+        out.append(acc)
     return tuple(out)
 
 
-def lambda_from_torsion(t: int | FieldElement, a: int | FieldElement, p: int | None = None) -> FieldElement:
+def lambda_from_torsion(t: int, a: int, p: int) -> int:
     """lambda = f/g for a 3-torsion abscissa a of E_t; g = 0 cannot happen."""
-    if isinstance(t, FieldElement):
-        t, p = t.value, t.p
-    if isinstance(a, FieldElement):
-        a = a.value
     a %= p
     t %= p
     quartic = (3 * pow(a, 4, p) - 4 * (1 + t) * pow(a, 3, p) + 6 * t * a * a - t * t) % p
@@ -392,14 +379,13 @@ def lambda_from_torsion(t: int | FieldElement, a: int | FieldElement, p: int | N
         raise ValueError("a is not a 3-torsion abscissa of E_t")
     b2 = a * (a - 1) % p * (a - t) % p
     f, g, _ = fgh_eval(a, b2, p)
-    if g.is_zero():
+    if g == 0:
         raise ArithmeticError(
             "g(a, b^2) = 0: would force a^2 - a + 1/3 = 0, impossible for a in F_p"
         )
-    return f / g
+    return f * pow(g, -1, p) % p
 
 
-def torsion_from_lambda(lam: int, eps: int, sqrt_delta: FieldElement) -> FieldElement:
+def torsion_from_lambda(lam: int, eps: int, sqrt_delta: int, p: int) -> int:
     """The inverse map: a = (1 + lam + 2 eps sqrt(delta)) / 3, in F_p."""
-    p = sqrt_delta.p
-    return (FieldElement(1 + lam, p) + 2 * eps * sqrt_delta) / 3
+    return (1 + lam + 2 * eps * sqrt_delta) * pow(3, -1, p) % p

@@ -1,8 +1,10 @@
 """Exact arithmetic in F_p and in the quadratic extension F_{p^2}.
 
-Elements of F_{p^2} are represented as a + b*w where w^2 equals a fixed
-quadratic non-residue mod p (the smallest positive one, so encodings are
-reproducible).  Everything here is integer arithmetic; no floats anywhere.
+Elements of F_p are plain ints mod p.  Elements of F_{p^2} are a + b*w
+where w^2 equals a fixed quadratic non-residue mod p (the smallest positive
+one, so encodings are reproducible): internally (a, b) int pairs, and at
+the public boundary QuadExtElement objects.  Everything here is integer
+arithmetic; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -67,14 +69,20 @@ def smallest_nonresidue(p: int) -> int:
 
 
 def tonelli_shanks(a: int, p: int) -> int:
-    """A square root of the residue a mod p.  Raises if a is a non-residue."""
+    """A square root of the residue a mod p.  Raises if a is a non-residue.
+
+    Residuosity costs no separate Euler criterion: for p = 3 mod 4 the
+    candidate root is squared and compared, and otherwise a non-residue
+    shows up in the loop as an element t = a^q of the full order 2^s.
+    """
     a %= p
     if a == 0:
         return 0
-    if legendre_int(a, p) != 1:
-        raise ValueError(f"{a} is not a square mod {p}")
     if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
+        x = pow(a, (p + 1) // 4, p)
+        if x * x % p != a:
+            raise ValueError(f"{a} is not a square mod {p}")
+        return x
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -90,102 +98,14 @@ def tonelli_shanks(a: int, p: int) -> int:
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
+        if i == m:
+            raise ValueError(f"{a} is not a square mod {p}")
         b = pow(c, 1 << (m - i - 1), p)
         x = x * b % p
         c = b * b % p
         t = t * c % p
         m = i
     return x
-
-
-class FieldElement:
-    """A residue mod an odd prime p >= 5."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        check_modulus(p)
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.p)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"inverse of 0 mod {self.p}")
-        return FieldElement(pow(self.value, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return FieldElement(pow(self.value, n, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return (
-            isinstance(other, FieldElement)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"FieldElement({self.value}, p={self.p})"
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-
-def legendre_symbol(a: FieldElement) -> int:
-    """Legendre symbol of a field element: 0 for zero, +-1 otherwise."""
-    return legendre_int(a.value, a.p)
 
 
 class QuadExtElement:
@@ -205,10 +125,6 @@ class QuadExtElement:
             if other.p != self.p or other.nonresidue != self.nonresidue:
                 raise ValueError("mixed fields")
             return other
-        if isinstance(other, FieldElement):
-            if other.p != self.p:
-                raise ValueError("mixed moduli")
-            return QuadExtElement(other.value, 0, self.p, self.nonresidue)
         if isinstance(other, int):
             return QuadExtElement(other, 0, self.p, self.nonresidue)
         return NotImplemented
@@ -278,8 +194,6 @@ class QuadExtElement:
     def __eq__(self, other):
         if isinstance(other, int):
             return self.b == 0 and self.a == other % self.p
-        if isinstance(other, FieldElement):
-            return self.p == other.p and self.b == 0 and self.a == other.value
         return (
             isinstance(other, QuadExtElement)
             and self.p == other.p
@@ -300,11 +214,6 @@ class QuadExtElement:
 
     def in_base_field(self) -> bool:
         return self.b == 0
-
-    def to_base_field(self) -> FieldElement:
-        if self.b != 0:
-            raise ValueError(f"{self!r} is not in F_{self.p}")
-        return FieldElement(self.a, self.p)
 
     def is_square(self) -> bool:
         """True iff the element is a square in F_{p^2} (zero counts)."""
@@ -371,16 +280,6 @@ def fp2_sqrt(u: tuple[int, int], p: int, n: int) -> tuple[int, int] | None:
         x = tonelli_shanks(x2, p)
         y = b * pow(2 * x, -1, p) % p
     return min((x, y), (-x % p, -y % p))
-
-
-def sqrt_in_fp2(x: FieldElement) -> QuadExtElement:
-    """The canonical square root in F_{p^2} of a base-field element.
-
-    Residues get a root with zero w-part, non-residues a root of the form
-    c*w.  Of the two roots +-s we return the one with the smaller
-    (a-part, b-part) integer encoding, so the branch is reproducible.
-    """
-    return sqrt_fp2(QuadExtElement(x.value, 0, x.p))
 
 
 def sqrt_fp2(u: QuadExtElement) -> QuadExtElement | None:

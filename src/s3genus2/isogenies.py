@@ -23,7 +23,7 @@ from importlib import resources
 from . import intpoly
 from .classno import hilbert_poly
 from .curves import INFINITY, CubicCurve, CurvePoint, LegendreCurve, as_pairs, as_point
-from .fields import FieldElement, QuadExtElement, fp2_horner, fp2_inv, fp2_mul, sqrt_in_fp2
+from .fields import QuadExtElement, fp2_horner, fp2_inv, fp2_mul, sqrt_fp2
 
 # Closed-form coefficient tables for psi^- (source curve E_{L^-}).
 # Keys are (x-power, y-power); values are coefficient polynomials in lambda,
@@ -281,8 +281,7 @@ def compose_is_minus3(lam: int, p: int, trials: int = 50, seed: int = 0) -> bool
 
     The trial loop runs on int-pair points (see CubicCurve).
     """
-    delta = FieldElement(lam * lam - lam + 1, p)
-    sqrt_delta = sqrt_in_fp2(delta)
+    sqrt_delta = sqrt_fp2(QuadExtElement(lam * lam - lam + 1, 0, p))
     psi_minus = IsogenyMap(lam, -1, sqrt_delta)
     psi_plus = IsogenyMap(lam, +1, sqrt_delta)
     e_minus = psi_minus.source_curve()
@@ -304,8 +303,7 @@ def verify_transcription(lam: int, p: int) -> None:
     s(0,0) = 0 and s(1,0) = 1 (the 2-torsion points (0,0) and (1,0) are
     fixed), and the 2-torsion point (L^eps, 0) maps to (L^-eps, 0).
     """
-    delta = FieldElement(lam * lam - lam + 1, p)
-    s = sqrt_in_fp2(delta)
+    s = sqrt_fp2(QuadExtElement(lam * lam - lam + 1, 0, p))
     for eps in (-1, 1):
         m = IsogenyMap(lam, eps, s)
         src = m.source_curve()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classno import class_number, hilbert_poly
-from .curves import _poly_div_exact, _poly_fp2_roots, _poly_mod, _sqrt_table
+from .curves import _poly_divmod, _poly_fp2_roots, _sqrt_table
 from .family import (
     VECTOR_MODULUS_BOUND,
     _pow_mod_vec,
@@ -272,13 +272,16 @@ def check_graph_structure(g: GraphGp) -> GraphVerdict:
 
 def _poly_root_multiset(coeffs: list[int], p: int) -> dict[tuple[int, int], int]:
     """Roots in F_{p^2} of an F_p polynomial, with multiplicities."""
-    f = [QuadExtElement(c, 0, p) for c in coeffs]
+    n = smallest_nonresidue(p)
+    f = [(c % p, 0) for c in coeffs]
     roots: dict[tuple[int, int], int] = {}
-    for r in _poly_fp2_roots(f, p, seed=1):
-        linear, mult = [-r, QuadExtElement(1, 0, p)], 0
-        while not _poly_mod(f, linear, p):
-            f, mult = _poly_div_exact(f, linear, p), mult + 1
-        roots[(r.a, r.b)] = mult
+    for ra, rb in _poly_fp2_roots(f, p, n, seed=1):
+        linear, mult = [(-ra % p, -rb % p), (1, 0)], 0
+        quot, rem = _poly_divmod(f, linear, p, n)
+        while not rem:
+            f, mult = quot, mult + 1
+            quot, rem = _poly_divmod(f, linear, p, n)
+        roots[(ra, rb)] = mult
     return roots
 
 

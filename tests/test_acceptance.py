@@ -34,19 +34,14 @@ from s3genus2.family import (
     fgh_eval,
     is_admissible,
     lambda_from_torsion,
+    lambda_pair,
     lambda_record,
     psi_p,
     superspecial_lambdas,
     psi_closed_form,
     torsion_from_lambda,
 )
-from s3genus2.fields import (
-    FieldElement,
-    QuadExtElement,
-    is_prime,
-    sqrt_fp2,
-    sqrt_in_fp2,
-)
+from s3genus2.fields import QuadExtElement, is_prime, sqrt_fp2
 from s3genus2.isogenies import (
     IsogenyMap,
     compose_is_minus3,
@@ -107,7 +102,7 @@ def test_criterion_03_isogeny_identity_200_pairs():
     bad = []
     for p, lam in pairs:
         verify_transcription(lam, p)  # the four anchors, exact
-        s = sqrt_in_fp2(FieldElement((lam * lam - lam + 1) % p, p))
+        _, s, _, _ = lambda_pair(lam, p)
         m = IsogenyMap(lam, -1, s)
         y = sqrt_fp2(m.source_curve().rhs(m.kernel_x))
         if y is not None and not m(m.source_curve().point(m.kernel_x, y)).is_infinity:
@@ -131,7 +126,7 @@ def test_criterion_04_division_poly_roots_to_200():
         for lam in range(2, p):
             if not is_admissible(lam, p):
                 continue
-            s = sqrt_in_fp2(FieldElement((lam * lam - lam + 1) % p, p))
+            _, s, _, _ = lambda_pair(lam, p)
             for eps in (-1, 1):
                 big, _ = lambda_params(lam, eps, s)
                 a = (QuadExtElement(lam + 1, 0, p) + 2 * eps * s) / 3
@@ -276,22 +271,24 @@ def test_criterion_13_fgh_identities_and_round_trips_to_500():
             for a in abscissas:
                 b2 = a * (a - 1) % p * (a - t) % p
                 f, g, h = fgh_eval(a, b2, p)
-                assert f * f - f * g + g * g == h * h, (p, t, a)
-                assert f + g - 2 * h == 3 * FieldElement(a, p) * g, (p, t, a)
-                assert (g - f) * (f - h) ** 2 == t * g**3, (p, t, a)
+                assert (f * f - f * g + g * g - h * h) % p == 0, (p, t, a)
+                assert (f + g - 2 * h - 3 * a * g) % p == 0, (p, t, a)
+                assert ((g - f) * (f - h) ** 2 - t * g**3) % p == 0, (p, t, a)
                 lam = lambda_from_torsion(t, a, p)
-                assert (lam + 1 - 2 * (h / g)) / 3 == a, (p, t, a)
+                sqrt_delta = h * pow(g, -1, p)
+                assert (lam + 1 - 2 * sqrt_delta) * pow(3, -1, p) % p == a, (p, t, a)
                 checked_abscissas += 1
         for lam in superspecial_lambdas(p):
             rec = lambda_record(lam, p)
-            s = rec.sqrt_delta.to_base_field()
+            assert rec.sqrt_delta.in_base_field(), (p, lam)
             for eps in (-1, 1):
-                a = torsion_from_lambda(lam, eps, s)
+                a = torsion_from_lambda(lam, eps, rec.sqrt_delta.a, p)
                 t_par, _ = lambda_params(lam, eps, rec.sqrt_delta)
-                assert lambda_from_torsion(t_par.to_base_field(), a, p) == lam
+                assert t_par.in_base_field(), (p, lam, eps)
+                assert lambda_from_torsion(t_par.a, a, p) == lam
                 nf = normal_form(lam, eps, rec.sqrt_delta)
-                b_lam2 = a * (a - 1) * (a - t_par.to_base_field())
-                assert nf.A * nf.B * nf.B == b_lam2.value, (p, lam, eps)
+                b_lam2 = a * (a - 1) * (a - t_par.a)
+                assert nf.A * nf.B * nf.B == b_lam2, (p, lam, eps)
                 checked_round += 1
     report(13, True, f"correspondence identities at {checked_abscissas} abscissas "
            f"and both round trips at {checked_round} (lambda, eps) pairs, "

@@ -9,6 +9,9 @@ from s3genus2.curves import (
     INFINITY,
     CurvePoint,
     LegendreCurve,
+    _poly_divmod,
+    _poly_fp2_roots,
+    _poly_mul,
     as_pairs,
     as_point,
     count_points,
@@ -16,10 +19,12 @@ from s3genus2.curves import (
     deuring_coefficients,
     is_supersingular,
     j_invariant,
+    psi3_coefficients,
     psi3_eval,
     psi3_roots,
 )
-from s3genus2.fields import FieldElement, QuadExtElement, sqrt_fp2, sqrt_in_fp2
+from s3genus2.family import lambda_pair
+from s3genus2.fields import QuadExtElement, fp2_horner, is_prime, smallest_nonresidue, sqrt_fp2
 
 
 def count_points_naive_python(t: int, p: int) -> int:
@@ -35,14 +40,12 @@ def count_points_naive_python(t: int, p: int) -> int:
     return total
 
 
-def lambda_pair(lam: int, p: int):
-    """(Lambda^-, Lambda^+) for a given lambda, using the canonical sqrt."""
-    delta = FieldElement(lam * lam - lam + 1, p)
-    s = sqrt_in_fp2(delta)
-    lam_e = QuadExtElement(lam, 0, p)
-    minus = (1 - lam_e) * (lam_e - s) ** 2
-    plus = (1 - lam_e) * (lam_e + s) ** 2
-    return minus, plus, s
+def psi3_roots_scan(lam: QuadExtElement) -> list[QuadExtElement]:
+    """Oracle for psi3_roots: evaluate psi3 at all p^2 elements of F_{p^2}."""
+    p, n = lam.p, lam.nonresidue
+    f = psi3_coefficients(lam)
+    return [QuadExtElement(a, b, p, n) for a in range(p) for b in range(p)
+            if fp2_horner(f, (a, b), p, n) == (0, 0)]
 
 
 def test_j_invariant_t_minus_one_is_1728():
@@ -248,7 +251,7 @@ def x_double(c, x):
 
 @pytest.mark.parametrize("p,lam", [(13, 3), (17, 5), (29, 7), (101, 23)])
 def test_psi3_roots_contain_constructed_root_and_have_order_3(p, lam):
-    minus, plus, s = lambda_pair(lam, p)
+    _, s, minus, plus = lambda_pair(lam, p)
     for lam_big, eps in ((minus, -1), (plus, 1)):
         if lam_big == 0 or lam_big == 1:
             continue
@@ -274,22 +277,68 @@ def test_psi3_requires_nonsingular():
 
 
 def test_psi3_roots_large_prime_gcd_path():
-    # p > 500 exercises the gcd/splitting branch; compare against direct checks
     p = 503
     lam = 5
-    minus, plus, s = lambda_pair(lam, p)
+    _, s, minus, plus = lambda_pair(lam, p)
     roots = psi3_roots(plus, seed=7)
     assert 0 < len(roots) <= 4
     for x in roots:
         assert psi3_eval(plus, x).is_zero()
-    # scan path and gcd path agree on a prime just below the threshold
-    lam2 = QuadExtElement(7, 3, 499)
-    scan = psi3_roots(lam2)
-    from s3genus2.curves import _poly_fp2_roots, psi3_coefficients
+    lam2 = QuadExtElement(9, 3, 499)
+    roots2 = psi3_roots(lam2)
+    assert len(roots2) == 4
+    assert roots2 == psi3_roots(lam2, seed=3) == psi3_roots_scan(lam2)
 
-    alg = sorted(_poly_fp2_roots(psi3_coefficients(lam2), 499, 3),
-                 key=lambda r: (r.a, r.b))
-    assert scan == alg
+
+def test_psi3_roots_match_scan_oracle_on_every_prime_below_200():
+    counts = set()
+    for p in range(5, 200):
+        if not is_prime(p):
+            continue
+        rng = random.Random(p)
+        rational = QuadExtElement(rng.randrange(2, p), 0, p)
+        with_w = QuadExtElement(rng.randrange(p), rng.randrange(1, p), p)
+        for lam in (rational, with_w):
+            roots = psi3_roots(lam, seed=p)
+            assert roots == psi3_roots_scan(lam), (p, lam)
+            counts.add(len(roots))
+    # 0, 1 or all 4 abscissae are rational (two would force the other two)
+    assert counts == {0, 1, 4}
+
+
+def test_poly_fp2_roots_builds_no_field_objects(monkeypatch):
+    built = 0
+    init = QuadExtElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    lam = QuadExtElement(9, 3, 499)
+    f = psi3_coefficients(lam)
+    monkeypatch.setattr(QuadExtElement, "__init__", counting_init)
+    roots = _poly_fp2_roots(f, 499, lam.nonresidue, 1)
+    assert len(roots) == 4 and built == 0
+    assert len(psi3_roots(lam)) == built == 4
+
+
+def test_poly_divmod_by_linear_factor():
+    # f = (x - r) q + c over F_{p^2}, with c = f(r); every pair comes reduced
+    p = 101
+    n = smallest_nonresidue(p)
+    rng = random.Random(7)
+    for _ in range(50):
+        f = [(rng.randrange(p), rng.randrange(p)) for _ in range(rng.randrange(2, 9))]
+        f[-1] = (rng.randrange(1, p), rng.randrange(p))
+        r = rng.randrange(p), rng.randrange(p)
+        linear = [(-r[0] % p, -r[1] % p), (1, 0)]
+        c = fp2_horner(f, r, p, n)
+        quot, rem = _poly_divmod(f, linear, p, n)
+        assert rem == ([c] if c != (0, 0) else [])
+        back = _poly_mul(quot, linear, p, n)
+        back[0] = (back[0][0] + c[0]) % p, (back[0][1] + c[1]) % p
+        assert back == f
 
 
 def test_weil_relation_all_primes_to_200():

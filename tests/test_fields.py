@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from s3genus2 import fields
 from s3genus2.fields import (
-    FieldElement,
     QuadExtElement,
+    check_modulus,
+    fp2_sqrt,
     is_prime,
     legendre_int,
-    legendre_symbol,
     smallest_nonresidue,
     sqrt_fp2,
-    sqrt_in_fp2,
     tonelli_shanks,
 )
 
@@ -77,25 +77,26 @@ def test_is_prime_small():
 
 
 def test_modulus_validation():
-    with pytest.raises(ValueError):
-        FieldElement(1, 4)
-    with pytest.raises(ValueError):
-        FieldElement(1, 3)
-    with pytest.raises(ValueError):
-        FieldElement(1, 2**31 + 11)
+    for bad in (4, 3, 2**31 + 11):
+        with pytest.raises(ValueError):
+            check_modulus(bad)
+        with pytest.raises(ValueError):
+            QuadExtElement(1, 0, bad)
+    assert check_modulus(2**31 - 1) == 2**31 - 1
 
 
 def test_legendre_zero_mod_7():
-    assert legendre_symbol(FieldElement(0, 7)) == 0
+    assert legendre_int(0, 7) == 0
+    assert legendre_int(14, 7) == 0
 
 
 def test_legendre_against_exhaustive_squares_mod_7():
     squares = exhaustive_squares(7)
     assert squares == {1, 2, 4}
-    assert legendre_symbol(FieldElement(2, 7)) == 1
-    assert legendre_symbol(FieldElement(3, 7)) == -1
+    assert legendre_int(2, 7) == 1
+    assert legendre_int(3, 7) == -1
     for a in range(1, 7):
-        assert legendre_symbol(FieldElement(a, 7)) == (1 if a in squares else -1)
+        assert legendre_int(a, 7) == (1 if a in squares else -1)
 
 
 @pytest.mark.parametrize("p", PRIMES[:8])
@@ -126,18 +127,18 @@ def test_smallest_nonresidue():
 
 
 def test_sqrt_identity():
-    s = sqrt_in_fp2(FieldElement(1, 7))
+    s = sqrt_fp2(QuadExtElement(1, 0, 7))
     assert s == 1
 
 
 def test_sqrt_2_mod_7_is_3():
-    s = sqrt_in_fp2(FieldElement(2, 7))
+    s = sqrt_fp2(QuadExtElement(2, 0, 7))
     assert s.in_base_field()
     assert s.a == 3  # 3^2 = 2 mod 7, and 3 < 4 wins the tie-break
 
 
 def test_sqrt_nonresidue_mod_7():
-    s = sqrt_in_fp2(FieldElement(3, 7))
+    s = sqrt_fp2(QuadExtElement(3, 0, 7))
     assert s.a == 0 and s.b != 0
     assert s * s == 3
 
@@ -145,7 +146,7 @@ def test_sqrt_nonresidue_mod_7():
 @pytest.mark.parametrize("p", PRIMES)
 def test_sqrt_squares_to_input_everywhere(p):
     for a in range(min(p, 200)):
-        s = sqrt_in_fp2(FieldElement(a, p))
+        s = sqrt_fp2(QuadExtElement(a, 0, p))
         assert s * s == a
         if legendre_int(a, p) == 1:
             assert s.in_base_field()
@@ -156,7 +157,7 @@ def test_sqrt_squares_to_input_everywhere(p):
 def test_sqrt_canonical_branch_is_smaller_encoding():
     for p in PRIMES:
         for a in (2, 3, p - 1, 5 % p):
-            s = sqrt_in_fp2(FieldElement(a, p))
+            s = sqrt_fp2(QuadExtElement(a, 0, p))
             other = -s
             assert (s.a, s.b) <= (other.a, other.b)
 
@@ -164,6 +165,41 @@ def test_sqrt_canonical_branch_is_smaller_encoding():
 def test_tonelli_rejects_nonresidue():
     with pytest.raises(ValueError):
         tonelli_shanks(3, 7)
+    # p = 3 mod 4 checks the squared root; p = 1 mod 4 (2013265921 has
+    # 2-adic order 27) finds the non-residue in the loop
+    rng = random.Random(4)
+    for p in (7, 13, 17, 97, 101, 65537, *LARGE_PRIMES):
+        found = 0
+        while found < 20:
+            a = rng.randrange(1, p)
+            if legendre_int(a, p) == -1:
+                found += 1
+                with pytest.raises(ValueError):
+                    tonelli_shanks(a, p)
+            else:
+                assert tonelli_shanks(a, p) ** 2 % p == a
+
+
+def test_fp2_sqrt_pays_one_euler_criterion_per_radicand(monkeypatch):
+    calls = 0
+
+    def counting_legendre(a, p):
+        nonlocal calls
+        calls += 1
+        return legendre_int(a, p)
+
+    monkeypatch.setattr(fields, "legendre_int", counting_legendre)
+    for p in (13, 103, *LARGE_PRIMES):
+        n = smallest_nonresidue(p)
+        for u, want in (((4, 0), 1), ((n, 0), 1), (fields.fp2_mul((2, 3), (2, 3), p, n), 2)):
+            calls = 0
+            root = fp2_sqrt(u, p, n)
+            assert fields.fp2_mul(root, root, p, n) == u
+            # the norm, then one of the two candidates for x^2
+            assert calls == want, (p, u)
+        calls = 0
+        tonelli_shanks(9, p)
+        assert calls == 0
 
 
 def test_fp2_paper_style_product():
@@ -256,7 +292,7 @@ def test_general_fp2_sqrt_none_for_nonsquare():
 
 def test_mixed_moduli_rejected():
     with pytest.raises(ValueError):
-        FieldElement(1, 5) + FieldElement(1, 7)
+        QuadExtElement(1, 0, 5) + QuadExtElement(1, 0, 7)
     with pytest.raises(ValueError):
         QuadExtElement(1, 0, 5) * QuadExtElement(1, 0, 7)
 

@@ -20,7 +20,8 @@ from s3genus2.curves import (
     as_point,
     j_invariant,
 )
-from s3genus2.fields import FieldElement, QuadExtElement, is_prime, sqrt_fp2, sqrt_in_fp2
+from s3genus2.family import lambda_pair
+from s3genus2.fields import QuadExtElement, is_prime, sqrt_fp2
 from s3genus2.isogenies import (
     S_DEN,
     S_NUM,
@@ -42,10 +43,6 @@ from s3genus2.isogenies import (
 )
 
 SAMPLE = [(13, 3), (13, 7), (17, 5), (29, 11), (101, 23), (103, 40), (499, 77)]
-
-
-def sqrt_delta_of(lam, p):
-    return sqrt_in_fp2(FieldElement(lam * lam - lam + 1, p))
 
 
 def _table_coeff(pair, lam: int, sqrt_delta: QuadExtElement) -> QuadExtElement:
@@ -101,7 +98,7 @@ def test_000_transcription_anchors_run_first():
 
 def test_normal_form_lambda2_example():
     p = 101
-    s3 = sqrt_in_fp2(FieldElement(3, p))
+    s3 = sqrt_fp2(QuadExtElement(3, 0, p))
     nf = normal_form(2, +1, s3)
     assert nf.A == 3 * (3 + 2 * s3)
 
@@ -113,7 +110,7 @@ def test_normal_form_A_nonzero_and_curve_identities():
             lam = rng.randrange(2, p - 1)
             if (lam * lam - lam + 1) % p == 0:
                 continue
-            s = sqrt_delta_of(lam, p)
+            s = lambda_pair(lam, p)[1]
             for eps in (-1, 1):
                 nf = normal_form(lam, eps, s)
                 assert not nf.A.is_zero()
@@ -129,16 +126,16 @@ def test_normal_form_A_nonzero_and_curve_identities():
 def test_normal_form_degenerate_rejected():
     p = 13
     with pytest.raises(ValueError):
-        normal_form(0, 1, sqrt_in_fp2(FieldElement(1, p)))
+        normal_form(0, 1, sqrt_fp2(QuadExtElement(1, 0, p)))
     # p = 13 has roots of delta: lambda^2 - lambda + 1 = 0 at lambda = 4, 10
     assert (4 * 4 - 4 + 1) % 13 == 0
     with pytest.raises(ValueError):
-        normal_form(4, 1, sqrt_in_fp2(FieldElement(0, 13)))
+        normal_form(4, 1, sqrt_fp2(QuadExtElement(0, 0, 13)))
 
 
 def test_second_form_preserves_j_and_conjugate_sum():
     for p, lam in SAMPLE[:5]:
-        s = sqrt_delta_of(lam, p)
+        s = lambda_pair(lam, p)[1]
         for eps in (-1, 1):
             nf = normal_form(lam, eps, s)
             c = nf.second_form_shift()
@@ -225,7 +222,7 @@ def test_descend_pure_cube_family():
 
 def test_psi_fixes_2_torsion_anchors():
     for p, lam in SAMPLE:
-        s = sqrt_delta_of(lam, p)
+        s = lambda_pair(lam, p)[1]
         m = IsogenyMap(lam, -1, s)
         src = m.source_curve()
         assert m(src.point(0, 0)) == src.point(0, 0)
@@ -234,7 +231,7 @@ def test_psi_fixes_2_torsion_anchors():
 
 def test_psi_maps_lambda_2_torsion_across():
     for p, lam in SAMPLE:
-        s = sqrt_delta_of(lam, p)
+        s = lambda_pair(lam, p)[1]
         for eps in (-1, 1):
             m = IsogenyMap(lam, eps, s)
             src = m.source_curve()
@@ -244,7 +241,7 @@ def test_psi_maps_lambda_2_torsion_across():
 
 def test_psi_kernel_maps_to_infinity():
     p, lam = 101, 23
-    s = sqrt_delta_of(lam, p)
+    s = lambda_pair(lam, p)[1]
     m = IsogenyMap(lam, -1, s)
     src = m.source_curve()
     y = sqrt_fp2(src.rhs(m.kernel_x))
@@ -258,7 +255,7 @@ def test_psi_kernel_maps_to_infinity():
 def test_psi_image_is_on_target_curve():
     rng = random.Random(3)
     for p, lam in SAMPLE:
-        s = sqrt_delta_of(lam, p)
+        s = lambda_pair(lam, p)[1]
         for eps in (-1, 1):
             m = IsogenyMap(lam, eps, s)
             src, dst = m.source_curve(), m.target_curve()
@@ -270,7 +267,7 @@ def test_psi_image_is_on_target_curve():
 def test_closed_form_equals_composition():
     rng = random.Random(7)
     for p, lam in SAMPLE:
-        s = sqrt_delta_of(lam, p)
+        s = lambda_pair(lam, p)[1]
         for eps in (-1, 1):
             m = IsogenyMap(lam, eps, s)
             src = m.source_curve()
@@ -284,7 +281,7 @@ def test_closed_form_matches_oracle_on_every_point(p):
     # every affine F_{p^2}-point of every admissible lambda, both signs
     nones = 0
     for lam in _admissible(p):
-        s = sqrt_delta_of(lam, p)
+        s = lambda_pair(lam, p)[1]
         for eps in (-1, 1):
             m = IsogenyMap(lam, eps, s)
             src = m.source_curve()
@@ -306,7 +303,7 @@ def test_closed_form_matches_oracle_on_random_points(p):
     rng = random.Random(p)
     for _ in range(4):
         lam = rng.choice(_admissible(p)[:50])
-        s = sqrt_delta_of(lam, p)
+        s = lambda_pair(lam, p)[1]
         for eps in (-1, 1):
             m = IsogenyMap(lam, eps, s)
             src = m.source_curve()
@@ -319,7 +316,7 @@ def test_vanishing_denominator_falls_back_to_composition():
     # the tabulated denominators vanish at the kernel abscissa of psi^-eps
     checked = 0
     for p, lam in SAMPLE:
-        s = sqrt_delta_of(lam, p)
+        s = lambda_pair(lam, p)[1]
         for eps in (-1, 1):
             m = IsogenyMap(lam, eps, s)
             src = m.source_curve()
@@ -338,7 +335,7 @@ def test_vanishing_denominator_falls_back_to_composition():
 def test_psi_is_homomorphism_on_samples():
     rng = random.Random(17)
     p, lam = 103, 40
-    s = sqrt_delta_of(lam, p)
+    s = lambda_pair(lam, p)[1]
     m = IsogenyMap(lam, -1, s)
     src, dst = m.source_curve(), m.target_curve()
     for _ in range(10):
@@ -348,7 +345,7 @@ def test_psi_is_homomorphism_on_samples():
 
 def test_flipping_sqrt_sign_swaps_the_maps():
     p, lam = 101, 23
-    s = sqrt_delta_of(lam, p)
+    s = lambda_pair(lam, p)[1]
     m_plus = IsogenyMap(lam, +1, s)
     m_flip = IsogenyMap(lam, -1, -s)
     assert m_plus.source_lambda == m_flip.source_lambda
@@ -364,7 +361,7 @@ def test_frobenius_equivariance_when_sqrt_irrational():
     rng = random.Random(29)
     done = 0
     for p, lam in SAMPLE:
-        s = sqrt_delta_of(lam, p)
+        s = lambda_pair(lam, p)[1]
         if s.in_base_field():
             continue
         m_minus = IsogenyMap(lam, -1, s)
@@ -390,7 +387,7 @@ def test_compose_is_minus3_samples():
 def test_compose_on_3_torsion_gives_infinity():
     # a kernel point of psi^- is 3-torsion, so the composite kills it
     for p, lam in SAMPLE:
-        s = sqrt_delta_of(lam, p)
+        s = lambda_pair(lam, p)[1]
         m_minus = IsogenyMap(lam, -1, s)
         m_plus = IsogenyMap(lam, +1, s)
         src = m_minus.source_curve()
@@ -404,7 +401,7 @@ def test_compose_on_3_torsion_gives_infinity():
 
 def test_image_checks_source_and_target(monkeypatch):
     p, lam = 101, 23
-    m = IsogenyMap(lam, -1, sqrt_delta_of(lam, p))
+    m = IsogenyMap(lam, -1, lambda_pair(lam, p)[1])
     src, dst = m.source_curve(), m.target_curve()
     off = ((5, 0), (1, 0))
     if src.pair_contains(off):
@@ -434,7 +431,7 @@ def test_pair_random_draws_the_oracle_points_on_the_isogeny_pool():
     pool = wl.isogeny_pool()
     assert len(pool) == 120
     for p, lam, seed in pool:
-        minus, plus = lambda_params(lam, -1, sqrt_delta_of(lam, p))
+        minus, plus = lambda_params(lam, -1, lambda_pair(lam, p)[1])
         curves = (LegendreCurve(minus, p), LegendreCurve(plus, p))
         rng, rng_oracle = random.Random(seed), random.Random(seed)
         for _ in range(wl.ISOGENY_TRIALS):
@@ -473,7 +470,7 @@ def test_compose_trial_loop_builds_no_field_objects(monkeypatch):
 
 def test_degenerate_lambda_rejected():
     with pytest.raises(ValueError):
-        IsogenyMap(1, -1, sqrt_in_fp2(FieldElement(1, 13)))
+        IsogenyMap(1, -1, sqrt_fp2(QuadExtElement(1, 0, 13)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +479,7 @@ def test_degenerate_lambda_rejected():
 
 def test_phi3_vanishes_on_isogenous_pair():
     for p, lam in SAMPLE:
-        s = sqrt_delta_of(lam, p)
+        s = lambda_pair(lam, p)[1]
         minus, plus = lambda_params(lam, -1, s)
         j1 = j_invariant(LegendreCurve(minus, p))
         j2 = j_invariant(LegendreCurve(plus, p))
