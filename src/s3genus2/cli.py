@@ -56,16 +56,20 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         raise UsageError(f"--from must be at least 5, got {lo}")
     if hi < lo:
         raise UsageError(f"empty prime range [{lo}, {hi}]")
-    primes = [p for p in range(lo, hi + 1) if is_prime(p)]
-    if not primes:
+    # the largest prime is found by stepping down from hi, so an oversized
+    # range is refused before any other integer is tested
+    top = hi
+    while top >= lo and not is_prime(top):
+        top -= 1
+    if top < lo:
         raise UsageError(f"no primes in [{lo}, {hi}]")
-    if primes[-1] >= VECTOR_MODULUS_BOUND:
+    if top >= VECTOR_MODULUS_BOUND:
         raise UsageError(
-            f"p={primes[-1]} is at or above the scan's int64 bound "
+            f"p={top} is at or above the scan's int64 bound "
             f"VECTOR_MODULUS_BOUND = 2^{VECTOR_MODULUS_BOUND.bit_length() - 1} "
             f"= {VECTOR_MODULUS_BOUND}"
         )
-    return primes
+    return [p for p in range(lo, top) if is_prime(p)] + [top]
 
 
 def _scan_worker(p: int) -> tuple[int, tuple[int, ...]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .fields import (
     fp2_inv,
     fp2_mul,
     fp2_sqrt,
+    primitive_root,
     smallest_nonresidue,
 )
 
@@ -263,22 +265,52 @@ def count_points_weil(c: LegendreCurve) -> int:
 # supersingularity via the Deuring polynomial
 
 
-# each scanned prime reads its coefficients once; only per-lambda loops
-# within one prime (is_supersingular) come back for them
+@lru_cache(maxsize=1)
+def _power_table(p: int) -> np.ndarray:
+    """table[i] = g^i mod p for i = 0 .. p-2, g = fields.primitive_root(p).
+
+    The outer product of g^0 .. g^(B-1) and (g^B)^j, B = isqrt(p-1) + 1: two
+    python loops of about sqrt(p) steps and one p-sized reduction.  A
+    scanned prime builds it once, and the Deuring coefficients and the
+    scan's inverse table both read it.
+    """
+    g = primitive_root(p)
+    b = isqrt(p - 1) + 1
+    baby = [1]
+    for _ in range(b - 1):
+        baby.append(baby[-1] * g % p)
+    giant = [1]
+    step = baby[-1] * g % p
+    for _ in range((p - 2) // b):
+        giant.append(giant[-1] * step % p)
+    table = np.multiply.outer(np.array(giant, dtype=np.int64), np.array(baby, dtype=np.int64))
+    return (table % p).ravel()[: p - 1]
+
+
+def _deuring_array(p: int) -> np.ndarray:
+    """Coefficients c_0 .. c_m of H_p, m = (p-1)/2, as an int64 array.
+
+    With l = log_g read off the power table, l(C(m, k)) is the partial sum
+    of l(m - i + 1) - l(i) over i = 1 .. k, one cumsum whose terms lie in
+    (-(p-1), p-1), so its partial sums stay below m (p-1) < 2^49 in
+    absolute value; then c_k = C(m, k)^2 = g^(2 l(C(m, k)) mod (p-1)).
+    """
+    table = _power_table(p)
+    m = (p - 1) // 2
+    log = np.zeros(p, dtype=np.int64)
+    log[table] = np.arange(p - 1)
+    e = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(log[m:0:-1] - log[1 : m + 1], out=e[1:])
+    return table[2 * e % (p - 1)]
+
+
+# the scan reads `_deuring_array` directly; this tuple serves the
+# per-lambda loops within one prime (is_supersingular)
 @lru_cache(maxsize=8)
 def deuring_coefficients(p: int) -> tuple[int, ...]:
     """Coefficients of H_p(t) = sum_k C((p-1)/2, k)^2 t^k, reduced mod p."""
     check_modulus(p)
-    m = (p - 1) // 2
-    inv = [0, 1]
-    for k in range(2, m + 1):
-        inv.append(-(p // k) * inv[p % k] % p)
-    coeffs = [1] * (m + 1)
-    binom = 1
-    for k in range(1, m + 1):
-        binom = binom * ((m - k + 1) % p) % p * inv[k] % p
-        coeffs[k] = binom * binom % p
-    return tuple(coeffs)
+    return tuple(_deuring_array(p).tolist())
 
 
 def is_supersingular(c: LegendreCurve) -> bool:

@@ -10,7 +10,10 @@ every representative's Lambda^- at once, by an exact baby-step/giant-step
 (Paterson-Stockmeyer) split: about sqrt(p) vector operations and two int64
 matrix products per prime, where plain Horner takes p/2 vector passes.  The
 numpy Horner evaluation stays in the tests as the oracle for this kernel,
-beside the pure-python per-lambda scan `psi_p_bruteforce`.
+beside the pure-python per-lambda scan `psi_p_bruteforce`.  The per-prime
+set-up around the kernel reads one table of generator powers g^0 .. g^(p-2)
+(curves._power_table): H_p's coefficients come from its discrete logarithms
+and the inverse table from its reversal, so no p-sized exponentiation runs.
 """
 
 from __future__ import annotations
@@ -22,8 +25,14 @@ from math import isqrt
 import numpy as np
 
 from .classno import class_number
-from .curves import LegendreCurve, _sqrt_table, deuring_coefficients, is_supersingular
-from .fields import QuadExtElement, check_modulus, fp2_mul, fp2_sqrt, smallest_nonresidue
+from .curves import (
+    LegendreCurve,
+    _deuring_array,
+    _power_table,
+    _sqrt_table,
+    is_supersingular,
+)
+from .fields import QuadExtElement, check_modulus, fp2_sqrt, smallest_nonresidue
 
 # The int64 scan kernel needs k * (p-1)^2 < 2^63, k = isqrt((p+1)/2): a block
 # value sums k products of two residues.  Below 2^25 that is at most
@@ -99,12 +108,24 @@ def lambda_pair(
     if delta == 0:
         raise ValueError(f"lambda={lam} has delta = 0 (singular member)")
     n = smallest_nonresidue(p)
-    sa, sb = fp2_sqrt((delta, 0), p, n)
-    one_m, base = 1 - lam, lam * lam + delta
-    ca, cb = 2 * lam * sa, 2 * lam * sb
-    minus = QuadExtElement(one_m * (base - ca), -one_m * cb, p, n)
-    plus = QuadExtElement(one_m * (base + ca), one_m * cb, p, n)
-    return delta, QuadExtElement(sa, sb, p, n), minus, plus
+    root = fp2_sqrt((delta, 0), p, n)
+    minus = QuadExtElement(*lambda_eps(lam, root, -1, p), p, n)
+    plus = QuadExtElement(*lambda_eps(lam, root, 1, p), p, n)
+    return delta, QuadExtElement(*root, p, n), minus, plus
+
+
+def lambda_eps(lam, root, eps, p: int):
+    """Lambda^eps = (1-lam)((lam^2 + delta) + 2*eps*lam*sqrt(delta)), as (a, b).
+
+    root = (a, b) is sqrt(delta) in F_p[w]/(w^2 - n); Lambda^eps is linear
+    in it, so n is not needed.  lam, root and eps may be ints or int64
+    arrays: every intermediate is reduced while it is below 2p^2.
+    """
+    sa, sb = root
+    one_m = (1 - lam) % p
+    base = (2 * lam * lam - lam + 1) % p
+    cross = eps * 2 * lam % p
+    return one_m * ((base + cross * sa) % p) % p, one_m * (cross * sb % p) % p
 
 
 def lambda_record(lam: int, p: int) -> LambdaRecord:
@@ -163,23 +184,18 @@ def lambda_eps_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lambda^eps(lam) for each admissible lam, as int64 (a, b) over F_p[w]/(w^2 - n).
 
-    Lambda^eps = (1-lam)((lam^2 + delta) + 2*eps*lam*sqrt(delta)), with
-    sqrt(delta) the canonical root of `lambda_pair`: the smaller root
-    table[delta] for residues, and c*w with c the smaller root of delta/n
-    otherwise.  So the sqrt part stays rational for residues and carries
-    the w-component for non-residues.  `table` is `_sqrt_table(p)`, whose
-    -1 entries mark the non-residues; eps is -1, +1 or an array of them.
+    `lambda_eps` on the arrays, with sqrt(delta) the canonical root of
+    `lambda_pair`: the smaller root table[delta] for residues, and c*w with
+    c the smaller root of delta/n otherwise.  So the sqrt part stays
+    rational for residues and carries the w-component for non-residues.
+    `table` is `_sqrt_table(p)`, whose -1 entries mark the non-residues;
+    eps is -1, +1 or an array of them.
     """
     delta = (lam * lam - lam + 1) % p
     root = table[delta]
     residue = root >= 0
     root = np.where(residue, root, table[delta * pow(n, -1, p) % p])
-    one_m = (1 - lam) % p
-    base = (lam * lam + delta) % p
-    cross = eps * 2 * lam % p * root % p
-    la = np.where(residue, one_m * ((base + cross) % p) % p, one_m * base % p)
-    lb = np.where(residue, 0, one_m * cross % p)
-    return la, lb
+    return lambda_eps(lam, (np.where(residue, root, 0), np.where(residue, 0, root)), eps, p)
 
 
 _SCAN_CACHE: dict[int, tuple[int, ...]] = {}
@@ -206,9 +222,15 @@ def _orbit_scan(p: int, eps: int) -> tuple[int, ...]:
 
     The two branches must agree member-by-member (a supersingular partner
     forces the other); the +1 branch exists so tests can compare them.
+    The set-up reads one table of generator powers g^i (curves._power_table):
+    the inverse table is its scatter 1/g^i = g^(p-1-i), and each lambda's
+    representative is the running minimum of its six S3 images, so the
+    representatives are the lambda equal to their own and come out sorted.
     H_p is evaluated at every representative's Lambda^eps by the
     baby-step/giant-step `_deuring_eval`, with no filter: the result is
-    exact.  The tests hold the numpy Horner evaluation as its oracle.
+    exact.  The tests hold the numpy Horner evaluation as its oracle.  The
+    supersingular representatives are marked, and every lambda whose
+    representative is marked is stamped.
     """
     check_modulus(p)
     if p >= VECTOR_MODULUS_BOUND:
@@ -218,28 +240,23 @@ def _orbit_scan(p: int, eps: int) -> tuple[int, ...]:
     lam = lam[delta != 0]
     if lam.size == 0:
         return ()
-    # orbit representative = minimum of the six members
-    inv_all = _pow_mod_vec(np.arange(p, dtype=np.int64), p - 2, p)
-    members = np.stack(
-        [
-            lam,
-            inv_all[lam],
-            (1 - lam) % p,
-            inv_all[(1 - lam) % p],
-            lam * inv_all[(lam - 1) % p] % p,
-            (lam - 1) % p * inv_all[lam] % p,
-        ]
-    )
-    rep = members.min(axis=0)
-    reps = np.unique(rep)
+    table = _power_table(p)
+    inv = np.zeros(p, dtype=np.int64)
+    inv[table] = np.roll(table[::-1], 1)
+    inv_lam = inv[lam]
+    one_m = p + 1 - lam
+    rep = np.minimum(lam, inv_lam)
+    np.minimum(rep, one_m, out=rep)
+    np.minimum(rep, inv[one_m], out=rep)
+    np.minimum(rep, lam * inv[lam - 1] % p, out=rep)
+    np.minimum(rep, (lam - 1) * inv_lam % p, out=rep)
+    reps = lam[rep == lam]
     n = smallest_nonresidue(p)
     la, lb = lambda_eps_pairs(reps, eps, p, n, _sqrt_table(p))
     acc_a, acc_b = _deuring_eval(la, lb, n, p)
-    ss = (acc_a == 0) & (acc_b == 0)
-    out: set[int] = set()
-    for rep_value in reps[ss]:
-        out.update(orbit(int(rep_value), p))
-    return tuple(sorted(out))
+    mark = np.zeros(p, dtype=bool)
+    mark[reps[(acc_a == 0) & (acc_b == 0)]] = True
+    return tuple(lam[mark[rep]].tolist())
 
 
 def _deuring_eval(
@@ -256,12 +273,12 @@ def _deuring_eval(
     under 2^63.  The points go through in row chunks, so the (rows, k) and
     (rows, g) matrices hold at most BSGS_CHUNK_ELEMENTS entries each.
     """
-    coeffs = deuring_coefficients(p)
-    k = isqrt(len(coeffs))
-    g = -(-len(coeffs) // k)
+    coeffs = _deuring_array(p)
+    k = isqrt(coeffs.size)
+    g = -(-coeffs.size // k)
     # C[i, j] = c_{jk+i}, zero past the top coefficient
     c = np.zeros(g * k, dtype=np.int64)
-    c[: len(coeffs)] = coeffs
+    c[: coeffs.size] = coeffs
     c = c.reshape(g, k).T
     acc_a = np.empty_like(la)
     acc_b = np.empty_like(lb)
@@ -275,20 +292,32 @@ def _deuring_eval(
 def _bsgs_rows(
     la: np.ndarray, lb: np.ndarray, n: int, p: int, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j P_j(L) G^j for the rows' points L, with P_j(L) = sum_i c[i, j] L^i.
+
+    lb*n and G_b*n are reduced once per chunk, so every F_{p^2} product
+    below takes two reductions, one per component.  Each reduced
+    expression sums two products of residues and at most one residue,
+    below 2(p-1)^2 + p < 2^51 for p < VECTOR_MODULUS_BOUND.
+    """
     k, g = c.shape
+    lbn = lb * n % p
     # baby steps: column i holds L^i
     pow_a = np.empty((la.size, k), dtype=np.int64)
     pow_b = np.empty_like(pow_a)
     pow_a[:, 0], pow_b[:, 0] = 1, 0
     for i in range(1, k):
-        pow_a[:, i], pow_b[:, i] = fp2_mul((pow_a[:, i - 1], pow_b[:, i - 1]), (la, lb), p, n)
-    ga, gb = fp2_mul((pow_a[:, k - 1], pow_b[:, k - 1]), (la, lb), p, n)
+        ua, ub = pow_a[:, i - 1], pow_b[:, i - 1]
+        pow_a[:, i] = (ua * la + ub * lbn) % p
+        pow_b[:, i] = (ua * lb + ub * la) % p
+    ua, ub = pow_a[:, k - 1], pow_b[:, k - 1]
+    ga, gb = (ua * la + ub * lbn) % p, (ua * lb + ub * la) % p
+    gbn = gb * n % p
     block_a = pow_a @ c % p
     block_b = pow_b @ c % p
     acc_a, acc_b = block_a[:, g - 1], block_b[:, g - 1]
     for j in range(g - 2, -1, -1):
         acc_a, acc_b = (
-            (acc_a * ga % p + acc_b * gb % p * n + block_a[:, j]) % p,
+            (acc_a * ga + acc_b * gbn + block_a[:, j]) % p,
             (acc_a * gb + acc_b * ga + block_b[:, j]) % p,
         )
     return acc_a, acc_b

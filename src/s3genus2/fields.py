@@ -68,6 +68,27 @@ def smallest_nonresidue(p: int) -> int:
     raise ArithmeticError(f"no non-residue found mod {p}")  # unreachable for p >= 3
 
 
+def primitive_root(p: int) -> int:
+    """Smallest generator g of F_p^*: g^((p-1)/q) != 1 for each prime q | p - 1.
+
+    p - 1 is factored by trial division, at most sqrt(p) steps.
+    """
+    check_modulus(p)
+    rest, q, primes = p - 1, 2, []
+    while q * q <= rest:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        primes.append(rest)
+    for g in range(2, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in primes):
+            return g
+    raise ArithmeticError(f"no primitive root mod {p}")  # unreachable for prime p
+
+
 def tonelli_shanks(a: int, p: int) -> int:
     """A square root of the residue a mod p.  Raises if a is a non-residue.
 

@@ -23,6 +23,7 @@ from importlib import resources
 from . import intpoly
 from .classno import hilbert_poly
 from .curves import INFINITY, CubicCurve, CurvePoint, LegendreCurve, as_pairs, as_point
+from .family import lambda_eps
 from .fields import QuadExtElement, fp2_horner, fp2_inv, fp2_mul, sqrt_fp2
 
 # Closed-form coefficient tables for psi^- (source curve E_{L^-}).
@@ -84,11 +85,11 @@ def _dense(terms: dict, lam: int, d: QuadExtElement) -> list[tuple[int, int]]:
 
 
 def lambda_params(lam: int, eps: int, sqrt_delta: QuadExtElement):
-    """(Lambda^eps, Lambda^-eps) = (1-lam)(lam +- eps*sqrt(delta))^2."""
-    p = sqrt_delta.p
-    lam_e = QuadExtElement(lam, 0, p, sqrt_delta.nonresidue)
-    src = (1 - lam_e) * (lam_e + eps * sqrt_delta) ** 2
-    dst = (1 - lam_e) * (lam_e - eps * sqrt_delta) ** 2
+    """(Lambda^eps, Lambda^-eps) = (1-lam)(lam +- eps*sqrt(delta))^2, by family.lambda_eps."""
+    p, n = sqrt_delta.p, sqrt_delta.nonresidue
+    root = (sqrt_delta.a, sqrt_delta.b)
+    src = QuadExtElement(*lambda_eps(lam, root, eps, p), p, n)
+    dst = QuadExtElement(*lambda_eps(lam, root, -eps, p), p, n)
     return src, dst
 
 

@@ -62,6 +62,30 @@ def test_prime_at_the_scan_bound_is_a_usage_error(capsys, monkeypatch, command):
     assert "error:" in err and str(VECTOR_MODULUS_BOUND) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["psi", "structure"])
+def test_oversized_range_is_refused_before_listing_primes(capsys, monkeypatch, command):
+    # listing the primes of [5, 4*10^7] would take 4*10^7 primality tests;
+    # the bound is checked on the largest prime, found by stepping down
+    from s3genus2 import cli
+
+    real_is_prime, calls = cli.is_prime, []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return real_is_prime(n)
+
+    monkeypatch.setattr(cli, "is_prime", counting_is_prime)
+    monkeypatch.setattr("s3genus2.family._orbit_scan", None)
+    code, out, err = run_cli(capsys, command, "--from", "5", "--to", "40000000")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: p=39999983 is at or above the scan's int64 bound "
+        f"VECTOR_MODULUS_BOUND = 2^25 = {VECTOR_MODULUS_BOUND}\n"
+    )
+    assert len(calls) == 40000000 - 39999983 + 1
+
+
 def test_cli_import_leaves_the_process_pool_out():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,

@@ -3,12 +3,14 @@
 import random
 
 import group_oracle as oracle
+import numpy as np
 import pytest
 
 from s3genus2.curves import (
     INFINITY,
     CurvePoint,
     LegendreCurve,
+    _power_table,
     _poly_divmod,
     _poly_fp2_roots,
     _poly_mul,
@@ -24,7 +26,14 @@ from s3genus2.curves import (
     psi3_roots,
 )
 from s3genus2.family import lambda_pair
-from s3genus2.fields import QuadExtElement, fp2_horner, is_prime, smallest_nonresidue, sqrt_fp2
+from s3genus2.fields import (
+    QuadExtElement,
+    fp2_horner,
+    is_prime,
+    primitive_root,
+    smallest_nonresidue,
+    sqrt_fp2,
+)
 
 
 def count_points_naive_python(t: int, p: int) -> int:
@@ -207,6 +216,37 @@ def test_hasse_bound_all_primes_to_200():
 def test_deuring_coefficients_small():
     assert deuring_coefficients(7) == (1, 9 % 7, 9 % 7, 1)
     assert deuring_coefficients(5) == (1, 4, 1)
+
+
+def deuring_coefficients_loop(p: int) -> tuple[int, ...]:
+    """Oracle for `deuring_coefficients`: C(m, k)^2 mod p by the running product."""
+    m = (p - 1) // 2
+    inv = [0, 1]
+    for k in range(2, m + 1):
+        inv.append(-(p // k) * inv[p % k] % p)
+    coeffs = [1] * (m + 1)
+    binom = 1
+    for k in range(1, m + 1):
+        binom = binom * ((m - k + 1) % p) % p * inv[k] % p
+        coeffs[k] = binom * binom % p
+    return tuple(coeffs)
+
+
+def test_deuring_coefficients_match_loop_oracle():
+    for p in [q for q in range(5, 10_000) if is_prime(q)] + [999_983]:
+        assert deuring_coefficients(p) == deuring_coefficients_loop(p), p
+
+
+def test_power_table_is_a_permutation_of_the_units_below_10000():
+    for p in range(5, 10_000):
+        if not is_prime(p):
+            continue
+        table = _power_table(p)
+        g = primitive_root(p)
+        assert table[0] == 1 and table[1] == g, p
+        assert np.array_equal(table[1:], table[:-1] * g % p), p
+        # g^0 .. g^(p-2) are distinct only for a generator
+        assert np.array_equal(np.sort(table), np.arange(1, p)), p
 
 
 def test_supersingular_examples():

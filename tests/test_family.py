@@ -209,6 +209,39 @@ def test_deuring_eval_matches_horner_on_random_points(p, monkeypatch):
     assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
 
 
+def test_orbit_scan_evaluates_each_orbit_once(monkeypatch):
+    for p in primes_in(5, 200):
+        sizes = []
+
+        def counting_eval(la, lb, n, q):
+            sizes.append(la.size)
+            return horner_eval(la, lb, n, q)
+
+        reps = {min(orbit(lam, p)) for lam in range(2, p) if is_admissible(lam, p)}
+        with monkeypatch.context() as m:
+            m.setattr(family, "_deuring_eval", counting_eval)
+            family._orbit_scan(p, -1)
+        assert sizes == ([len(reps)] if reps else []), p
+
+
+def test_bsgs_rows_at_the_largest_prime_below_the_bound():
+    # all coefficients p-1, so every block value sums k products of two
+    # residues, k = isqrt((p+1)/2) as in the scan at this p
+    p = next(q for q in range(VECTOR_MODULUS_BOUND - 1, 0, -1) if is_prime(q))
+    n = smallest_nonresidue(p)
+    k = math.isqrt((p + 1) // 2)
+    c = np.full((k, 3), p - 1, dtype=np.int64)
+    points = [(p - 1, p - 1), (p - 1, 0), (0, p - 1)]
+    la = np.array([a for a, _ in points], dtype=np.int64)
+    lb = np.array([b for _, b in points], dtype=np.int64)
+    got_a, got_b = family._bsgs_rows(la, lb, n, p, c)
+    for (xa, xb), ga, gb in zip(points, got_a.tolist(), got_b.tolist()):
+        acc_a, acc_b = 0, 0
+        for _ in range(c.size):
+            acc_a, acc_b = (acc_a * xa + acc_b * xb * n + p - 1) % p, (acc_a * xb + acc_b * xa) % p
+        assert (ga, gb) == (acc_a, acc_b), (xa, xb)
+
+
 def test_vector_bound_keeps_block_sums_in_int64():
     # a block value sums k products of two residues; the largest p allowed
     # has the largest k and the largest products

@@ -14,6 +14,7 @@ from s3genus2.fields import (
     fp2_sqrt,
     is_prime,
     legendre_int,
+    primitive_root,
     smallest_nonresidue,
     sqrt_fp2,
     tonelli_shanks,
@@ -330,3 +331,11 @@ def test_sqrt_fp2_matches_tonelli_oracle_near_the_modulus_cap():
         assert (s is None) == (want is None) == (not u.is_square())
         if s is not None:
             assert (s.a, s.b) == (want.a, want.b) and s * s == u
+
+
+def test_primitive_root_is_the_smallest_generator():
+    for p in [q for q in range(5, 600) if is_prime(q)] + [65537]:
+        smallest = next(g for g in range(2, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+        assert primitive_root(p) == smallest, p
+    # p - 1 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331
+    assert primitive_root(2147483647) == 7

@@ -89,6 +89,19 @@ def _admissible(p):
     return [lam for lam in range(2, p) if (lam * lam - lam + 1) % p]
 
 
+@pytest.mark.parametrize("p", [13, 1009, 65537])
+def test_lambda_params_agree_with_lambda_pair(p):
+    # one Lambda^+- formula: lambda_params and lambda_pair both read family.lambda_eps;
+    # below 10^4 the object-power form (1-lam)(lam + eps*sqrt(delta))^2 checks the sign
+    for lam in _admissible(p):
+        _, s, minus, plus = lambda_pair(lam, p)
+        assert lambda_params(lam, -1, s) == (minus, plus), (p, lam)
+        assert lambda_params(lam, 1, s) == (plus, minus), (p, lam)
+        if p < 10_000:
+            one_m, lam_e = QuadExtElement(1 - lam, 0, p), QuadExtElement(lam, 0, p)
+            assert plus == one_m * (lam_e + s) ** 2 and minus == one_m * (lam_e - s) ** 2
+
+
 def test_000_transcription_anchors_run_first():
     # the tabulated closed form must hit the anchor values before anything
     # else in this module is trusted
