@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .family import delta_of, superspecial_lambdas
+from .family import superspecial_lambdas
 
 INTEGER_WINDOW_CONSTANT = (6 + 4 * math.sqrt(3)) * math.pi / 9
 RATIONAL_HEIGHT_CONSTANT = 4 * (3 + 2 * math.sqrt(3)) / (3 * math.pi)
@@ -108,10 +108,8 @@ def phi_lambda(numerator: int, denominator: int, X: int) -> int:
     for p in primes_below(X):
         if denominator % p == 0:
             continue
-        lam = numerator * pow(denominator, -1, p) % p
-        if lam in (0, 1) or delta_of(lam, p) == 0:
-            continue
-        if lam in superspecial_lambdas(p):
+        # an inadmissible lambda is never in the superspecial set
+        if numerator * pow(denominator, -1, p) % p in superspecial_lambdas(p):
             count += 1
     return count
 

@@ -32,6 +32,7 @@ from .family import (
     PSI_CSV_HEADER,
     VECTOR_MODULUS_BOUND,
     PsiReport,
+    is_admissible,
     psi_p,
     seed_scan_cache,
     superspecial_lambdas,
@@ -166,7 +167,7 @@ def cmd_isogeny(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     check_trials_budget(args.trials)
-    if lam % p in (0, 1) or (lam * lam - lam + 1) % p == 0:
+    if not is_admissible(lam, p):
         raise UsageError(f"lambda={lam} is inadmissible mod {p}")
     verify_transcription(lam, p)
     print(f"anchors p={p} lambda={lam}: pass")

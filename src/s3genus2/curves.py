@@ -1,10 +1,11 @@
 """Legendre-form elliptic curves over F_p and F_{p^2}.
 
-E_t : y^2 = x(x-1)(x-t) with t in the quadratic extension.  Provides the
-j-invariant, the chord-tangent group law on plain int pairs, naive point
-counts (these double as an independent oracle), the Deuring-polynomial
-supersingularity test and the roots of the level-3 division polynomial,
-found by gcd and random splitting on int-pair polynomials over F_{p^2}.
+E_t : y^2 = x(x-1)(x-t) with t in the quadratic extension.  Coefficients,
+parameters and points are the (a, b) int pairs of `fields`.  Provides the
+j-invariant, the chord-tangent group law, naive point counts (these double
+as an independent oracle), the Deuring-polynomial supersingularity test
+and the roots of the level-3 division polynomial, found by gcd and random
+splitting on int-pair polynomials over F_{p^2}.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from math import isqrt
 import numpy as np
 
 from .fields import (
-    QuadExtElement,
     check_modulus,
     fp2_horner,
     fp2_inv,
@@ -30,89 +30,30 @@ POINT_COUNT_BOUND_DEG1 = 2_000_000
 POINT_COUNT_BOUND_DEG2 = 2_000
 
 
-def _as_fp2(v, p: int) -> QuadExtElement:
-    if isinstance(v, QuadExtElement):
-        if v.p != p:
-            raise ValueError("mixed moduli")
-        return v
-    return QuadExtElement(int(v), 0, p)
-
-
-class CurvePoint:
-    """A point on a cubic y^2 = f(x): either infinity or affine (x, y)."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: QuadExtElement | None, y: QuadExtElement | None):
-        if (x is None) != (y is None):
-            raise ValueError("affine points need both coordinates")
-        self.x = x
-        self.y = y
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-    def __eq__(self, other):
-        if not isinstance(other, CurvePoint):
-            return NotImplemented
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        if self.is_infinity:
-            return hash(None)
-        return hash((self.x, self.y))
-
-    def __repr__(self):
-        if self.is_infinity:
-            return "CurvePoint(infinity)"
-        return f"CurvePoint({self.x!r}, {self.y!r})"
-
-
-INFINITY = CurvePoint(None, None)
-
-
-def as_pairs(pt: CurvePoint):
-    """The int-pair form ((xa, xb), (ya, yb)) of a point; None for infinity."""
-    if pt.is_infinity:
-        return None
-    return (pt.x.a, pt.x.b), (pt.y.a, pt.y.b)
-
-
-def as_point(P, p: int) -> CurvePoint:
-    """The CurvePoint of an int-pair point over F_{p^2}."""
-    if P is None:
-        return INFINITY
-    n = smallest_nonresidue(p)
-    (xa, xb), (ya, yb) = P
-    return CurvePoint(QuadExtElement(xa, xb, p, n), QuadExtElement(ya, yb, p, n))
+def _reduce(u, p: int) -> tuple[int, int]:
+    return u[0] % p, u[1] % p
 
 
 class CubicCurve:
-    """y^2 = x^3 + a2 x^2 + a4 x + a6 with coefficients in F_{p^2}.
+    """y^2 = x^3 + a2 x^2 + a4 x + a6 with (a, b) pair coefficients in F_{p^2}.
 
-    The `pair_*` methods work on int-pair points ((xa, xb), (ya, yb)), None
-    for infinity; the other methods convert CurvePoints at their boundary.
+    Points are ((xa, xb), (ya, yb)) int pairs, None for infinity.
     """
 
     def __init__(self, a2, a4, a6, p: int):
         check_modulus(p)
         self.p = p
         self.n = smallest_nonresidue(p)
-        self.a2 = _as_fp2(a2, p)
-        self.a4 = _as_fp2(a4, p)
-        self.a6 = _as_fp2(a6, p)
-        self._f = tuple((c.a, c.b) for c in (self.a6, self.a4, self.a2)) + ((1, 0),)
+        self.a2, self.a4, self.a6 = (_reduce(c, p) for c in (a2, a4, a6))
+        self._f = (self.a6, self.a4, self.a2, (1, 0))
 
-    def pair_rhs(self, x: tuple[int, int]) -> tuple[int, int]:
+    def rhs(self, x: tuple[int, int]) -> tuple[int, int]:
         return fp2_horner(self._f, x, self.p, self.n)
 
-    def pair_contains(self, P) -> bool:
-        return P is None or fp2_mul(P[1], P[1], self.p, self.n) == self.pair_rhs(P[0])
+    def contains(self, P) -> bool:
+        return P is None or fp2_mul(P[1], P[1], self.p, self.n) == self.rhs(P[0])
 
-    def pair_add(self, P, Q):
+    def add(self, P, Q):
         """P + Q by the chord-tangent law (P == Q doubles)."""
         if P is None:
             return Q
@@ -120,13 +61,13 @@ class CubicCurve:
             return P
         p, n = self.p, self.n
         (x1, y1), (x2, y2) = P, Q
-        a2a, a2b = self._f[2]
+        a2a, a2b = self.a2
         if x1 == x2:
             if (y1[0] + y2[0]) % p == 0 and (y1[1] + y2[1]) % p == 0:
                 return None
             # tangent slope (3x^2 + 2 a2 x + a4) / 2y
             ua, ub = fp2_mul((3 * x1[0] + 2 * a2a, 3 * x1[1] + 2 * a2b), x1, p, n)
-            a4a, a4b = self._f[1]
+            a4a, a4b = self.a4
             num, den = (ua + a4a, ub + a4b), (2 * y1[0], 2 * y1[1])
         else:
             num = (y2[0] - y1[0], y2[1] - y1[1])
@@ -137,62 +78,49 @@ class CubicCurve:
         ta, tb = fp2_mul(slope, (x1[0] - x3[0], x1[1] - x3[1]), p, n)
         return x3, ((ta - y1[0]) % p, (tb - y1[1]) % p)
 
-    def pair_minus3(self, P):
+    def minus3(self, P):
         """[-3]P, as -(P + 2P)."""
-        R = self.pair_add(P, self.pair_add(P, P))
+        R = self.add(P, self.add(P, P))
         if R is None:
             return None
         x, (ya, yb) = R
         return x, (-ya % self.p, -yb % self.p)
 
-    def pair_random(self, rng: random.Random):
+    def random_point(self, rng: random.Random):
         """Random x (a-part, then b-part) until f(x) is a square; then a random sign."""
         p, n = self.p, self.n
         while True:
             x = (rng.randrange(p), rng.randrange(p))
-            y = fp2_sqrt(self.pair_rhs(x), p, n)
+            y = fp2_sqrt(self.rhs(x), p, n)
             if y is not None:
                 if not rng.randrange(2):
                     y = (-y[0] % p, -y[1] % p)
                 return x, y
 
-    def rhs(self, x) -> QuadExtElement:
-        x = _as_fp2(x, self.p)
-        return QuadExtElement(*self.pair_rhs((x.a, x.b)), self.p, self.n)
-
-    def contains(self, pt: CurvePoint) -> bool:
-        return self.pair_contains(as_pairs(pt))
-
-    def point(self, x, y) -> CurvePoint:
-        pt = CurvePoint(_as_fp2(x, self.p), _as_fp2(y, self.p))
-        if not self.contains(pt):
-            raise ValueError(f"({x}, {y}) is not on the curve")
-        return pt
-
-    def random_point(self, rng: random.Random) -> CurvePoint:
-        return as_point(self.pair_random(rng), self.p)
-
 
 class LegendreCurve(CubicCurve):
-    """y^2 = x(x-1)(x-t), nonsingular iff t is not 0 or 1."""
+    """y^2 = x(x-1)(x-t) for a pair t, nonsingular iff t is not 0 or 1."""
 
     def __init__(self, t, p: int):
-        t = _as_fp2(t, p)
-        if t == 0 or t == 1:
-            raise ValueError(f"singular Legendre parameter t={t!r}")
-        super().__init__(-(t + 1), t, 0, p)
+        t = _reduce(t, p)
+        if t in ((0, 0), (1, 0)):
+            raise ValueError(f"singular Legendre parameter t={t}")
+        super().__init__((-(t[0] + 1), -t[1]), t, (0, 0), p)
         self.t = t
 
     def __repr__(self):
-        return f"LegendreCurve(t={self.t!r}, p={self.p})"
+        return f"LegendreCurve(t={self.t}, p={self.p})"
 
 
-def j_invariant(c: LegendreCurve) -> QuadExtElement:
+def j_invariant(c: LegendreCurve) -> tuple[int, int]:
     """j(E_t) = 2^8 (t^2 - t + 1)^3 / (t^2 (t - 1)^2)."""
-    t = c.t
-    num = 256 * (t * t - t + 1) ** 3
-    den = (t * (t - 1)) ** 2
-    return num / den
+    p, n, (ta, tb) = c.p, c.n, c.t
+    sa, sb = fp2_mul(c.t, c.t, p, n)
+    d = (sa - ta, sb - tb)
+    u = (d[0] + 1, d[1])
+    num = fp2_mul(fp2_mul(u, u, p, n), u, p, n)
+    ja, jb = fp2_mul(num, fp2_inv(fp2_mul(d, d, p, n), p, n), p, n)
+    return 256 * ja % p, 256 * jb % p
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +139,15 @@ def count_points(c: LegendreCurve, extension_degree: int = 1, bound: int | None 
             bound = POINT_COUNT_BOUND_DEG1
         if p > bound:
             raise ValueError(f"p={p} above enumeration bound {bound}")
-        if not c.t.in_base_field():
+        if c.t[1]:
             raise ValueError("degree-1 count needs t in F_p")
-        return _count_fp(c.t.a, p)
+        return _count_fp(c.t[0], p)
     if extension_degree == 2:
         if bound is None:
             bound = POINT_COUNT_BOUND_DEG2
         if p > bound:
             raise ValueError(f"p={p} above enumeration bound {bound}")
-        return _count_fp2(c.t.a, c.t.b, p)
+        return _count_fp2(*c.t, p)
     raise ValueError("extension_degree must be 1 or 2")
 
 
@@ -315,10 +243,9 @@ def deuring_coefficients(p: int) -> tuple[int, ...]:
 
 def is_supersingular(c: LegendreCurve) -> bool:
     """True iff H_p(t) = 0 in F_{p^2}."""
-    p = c.p
-    n = c.t.nonresidue
+    p, n = c.p, c.n
     coeffs = deuring_coefficients(p)
-    ta, tb = c.t.a, c.t.b
+    ta, tb = c.t
     acc_a, acc_b = 0, 0
     for k in range(len(coeffs) - 1, -1, -1):
         acc_a, acc_b = (
@@ -332,30 +259,24 @@ def is_supersingular(c: LegendreCurve) -> bool:
 # level-3 division polynomial
 
 
-def psi3_coefficients(lam: QuadExtElement) -> list[tuple[int, int]]:
+def psi3_coefficients(lam: tuple[int, int], p: int) -> list[tuple[int, int]]:
     """Ascending (a, b) coefficients of 3x^4 - 4(1+L)x^3 + 6Lx^2 - L^2, L = lam."""
-    p, la, lb = lam.p, lam.a, lam.b
-    sa, sb = fp2_mul((la, lb), (la, lb), p, lam.nonresidue)
+    la, lb = lam
+    sa, sb = fp2_mul(lam, lam, p, smallest_nonresidue(p))
     return [(-sa % p, -sb % p), (0, 0), (6 * la % p, 6 * lb % p),
             (-4 * (1 + la) % p, -4 * lb % p), (3, 0)]
 
 
-def psi3_eval(lam: QuadExtElement, x: QuadExtElement) -> QuadExtElement:
-    p, n = lam.p, lam.nonresidue
-    return QuadExtElement(*fp2_horner(psi3_coefficients(lam), (x.a, x.b), p, n), p, n)
-
-
-def psi3_roots(lam: QuadExtElement, seed: int = 1) -> list[QuadExtElement]:
+def psi3_roots(lam: tuple[int, int], p: int, seed: int = 1) -> list[tuple[int, int]]:
     """All roots in F_{p^2} of the level-3 division polynomial of E_lam.
 
     The F_{p^2}-rational part is split off with gcd(psi3, x^(p^2) - x) and
     factored by random splitting; the roots come sorted by (a-part, b-part).
     """
-    if lam == 0 or lam == 1:
+    lam = _reduce(lam, p)
+    if lam in ((0, 0), (1, 0)):
         raise ValueError("singular Legendre parameter")
-    p, n = lam.p, lam.nonresidue
-    roots = _poly_fp2_roots(psi3_coefficients(lam), p, n, seed)
-    return [QuadExtElement(a, b, p, n) for a, b in sorted(roots)]
+    return sorted(_poly_fp2_roots(psi3_coefficients(lam, p), p, smallest_nonresidue(p), seed))
 
 
 # dense polynomials over F_{p^2} = F_p[w]/(w^2 - n): ascending lists of

@@ -32,7 +32,7 @@ from .curves import (
     _sqrt_table,
     is_supersingular,
 )
-from .fields import QuadExtElement, check_modulus, fp2_sqrt, smallest_nonresidue
+from .fields import check_modulus, fp2_sqrt, smallest_nonresidue
 
 # The int64 scan kernel needs k * (p-1)^2 < 2^63, k = isqrt((p+1)/2): a block
 # value sums k products of two residues.  Below 2^25 that is at most
@@ -81,37 +81,33 @@ def orbit(lam: int, p: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class LambdaRecord:
-    """One family member: lambda, its discriminant data and the Lambda pair."""
+    """One family member: lambda, its discriminant data and the Lambda pair.
+
+    sqrt_delta, lambda_minus and lambda_plus are (a, b) pairs over F_{p^2}.
+    """
 
     lam: int
     p: int
     delta: int
-    sqrt_delta: QuadExtElement
-    lambda_minus: QuadExtElement
-    lambda_plus: QuadExtElement
+    sqrt_delta: tuple[int, int]
+    lambda_minus: tuple[int, int]
+    lambda_plus: tuple[int, int]
     superspecial: bool
 
 
-def lambda_pair(
-    lam: int, p: int
-) -> tuple[int, QuadExtElement, QuadExtElement, QuadExtElement]:
-    """(delta, sqrt(delta), Lambda^-, Lambda^+) of an admissible lambda.
+def lambda_pair(lam: int, p: int) -> tuple[int, tuple, tuple, tuple]:
+    """(delta, sqrt(delta), Lambda^-, Lambda^+) of an admissible lambda, as pairs.
 
     sqrt(delta) is fields.fp2_sqrt's canonical root, and Lambda^-+ =
     (1-lam)(lam -+ sqrt(delta))^2 = (1-lam)((lam^2 + delta) -+ 2 lam sqrt(delta)).
     """
     check_modulus(p)
     lam %= p
-    if lam in (0, 1):
-        raise ValueError(f"lambda={lam} gives a singular member")
+    if not is_admissible(lam, p):
+        raise ValueError(f"lambda={lam} is inadmissible mod {p}")
     delta = delta_of(lam, p)
-    if delta == 0:
-        raise ValueError(f"lambda={lam} has delta = 0 (singular member)")
-    n = smallest_nonresidue(p)
-    root = fp2_sqrt((delta, 0), p, n)
-    minus = QuadExtElement(*lambda_eps(lam, root, -1, p), p, n)
-    plus = QuadExtElement(*lambda_eps(lam, root, 1, p), p, n)
-    return delta, QuadExtElement(*root, p, n), minus, plus
+    root = fp2_sqrt((delta, 0), p, smallest_nonresidue(p))
+    return delta, root, lambda_eps(lam, root, -1, p), lambda_eps(lam, root, 1, p)
 
 
 def lambda_eps(lam, root, eps, p: int):
@@ -212,21 +208,21 @@ def superspecial_lambdas(p: int) -> tuple[int, ...]:
     cached = _SCAN_CACHE.get(p)
     if cached is not None:
         return cached
-    result = _orbit_scan(p, -1)
+    result = _orbit_scan(p)
     _SCAN_CACHE[p] = result
     return result
 
 
-def _orbit_scan(p: int, eps: int) -> tuple[int, ...]:
-    """Classify every orbit through the Lambda^eps branch (eps = -1 or +1).
+def _orbit_scan(p: int) -> tuple[int, ...]:
+    """Classify every orbit through the Lambda^- branch.
 
-    The two branches must agree member-by-member (a supersingular partner
-    forces the other); the +1 branch exists so tests can compare them.
-    The set-up reads one table of generator powers g^i (curves._power_table):
+    A supersingular partner forces the other, so Lambda^- alone decides;
+    the tests check the Lambda^+ branch against this on every lambda.  The
+    set-up reads one table of generator powers g^i (curves._power_table):
     the inverse table is its scatter 1/g^i = g^(p-1-i), and each lambda's
     representative is the running minimum of its six S3 images, so the
     representatives are the lambda equal to their own and come out sorted.
-    H_p is evaluated at every representative's Lambda^eps by the
+    H_p is evaluated at every representative's Lambda^- by the
     baby-step/giant-step `_deuring_eval`, with no filter: the result is
     exact.  The tests hold the numpy Horner evaluation as its oracle.  The
     supersingular representatives are marked, and every lambda whose
@@ -252,7 +248,7 @@ def _orbit_scan(p: int, eps: int) -> tuple[int, ...]:
     np.minimum(rep, (lam - 1) * inv_lam % p, out=rep)
     reps = lam[rep == lam]
     n = smallest_nonresidue(p)
-    la, lb = lambda_eps_pairs(reps, eps, p, n, _sqrt_table(p))
+    la, lb = lambda_eps_pairs(reps, -1, p, n, _sqrt_table(p))
     acc_a, acc_b = _deuring_eval(la, lb, n, p)
     mark = np.zeros(p, dtype=bool)
     mark[reps[(acc_a == 0) & (acc_b == 0)]] = True

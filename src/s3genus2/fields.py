@@ -2,9 +2,9 @@
 
 Elements of F_p are plain ints mod p.  Elements of F_{p^2} are a + b*w
 where w^2 equals a fixed quadratic non-residue mod p (the smallest positive
-one, so encodings are reproducible): internally (a, b) int pairs, and at
-the public boundary QuadExtElement objects.  Everything here is integer
-arithmetic; no floats anywhere.
+one, so encodings are reproducible), held as reduced (a, b) int pairs;
+fp2_mul, fp2_inv, fp2_horner and fp2_sqrt are their whole API.  Everything
+here is integer arithmetic; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -129,120 +129,6 @@ def tonelli_shanks(a: int, p: int) -> int:
     return x
 
 
-class QuadExtElement:
-    """a + b*w in F_{p^2}, with w^2 the fixed smallest non-residue mod p."""
-
-    __slots__ = ("a", "b", "p", "nonresidue")
-
-    def __init__(self, a: int, b: int, p: int, nonresidue: int | None = None):
-        check_modulus(p)
-        self.a = a % p
-        self.b = b % p
-        self.p = p
-        self.nonresidue = smallest_nonresidue(p) if nonresidue is None else nonresidue
-
-    def _coerce(self, other) -> "QuadExtElement":
-        if isinstance(other, QuadExtElement):
-            if other.p != self.p or other.nonresidue != self.nonresidue:
-                raise ValueError("mixed fields")
-            return other
-        if isinstance(other, int):
-            return QuadExtElement(other, 0, self.p, self.nonresidue)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadExtElement(self.a + o.a, self.b + o.b, self.p, self.nonresidue)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadExtElement(self.a - o.a, self.b - o.b, self.p, self.nonresidue)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        a, b = fp2_mul((self.a, self.b), (o.a, o.b), self.p, self.nonresidue)
-        return QuadExtElement(a, b, self.p, self.nonresidue)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return QuadExtElement(-self.a, -self.b, self.p, self.nonresidue)
-
-    def norm(self) -> int:
-        """Norm to F_p: (a + b*w)(a - b*w) = a^2 - n*b^2."""
-        return (self.a * self.a - self.nonresidue * self.b * self.b) % self.p
-
-    def inverse(self) -> "QuadExtElement":
-        a, b = fp2_inv((self.a, self.b), self.p, self.nonresidue)
-        return QuadExtElement(a, b, self.p, self.nonresidue)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = QuadExtElement(1, 0, self.p, self.nonresidue)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def frobenius(self) -> "QuadExtElement":
-        """The p-th power map; in the standard basis it is conjugation."""
-        return QuadExtElement(self.a, -self.b, self.p, self.nonresidue)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.b == 0 and self.a == other % self.p
-        return (
-            isinstance(other, QuadExtElement)
-            and self.p == other.p
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.p))
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"QuadExt({self.a}, p={self.p})"
-        return f"QuadExt({self.a} + {self.b}w, p={self.p})"
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def in_base_field(self) -> bool:
-        return self.b == 0
-
-    def is_square(self) -> bool:
-        """True iff the element is a square in F_{p^2} (zero counts)."""
-        if self.is_zero():
-            return True
-        return legendre_int(self.norm(), self.p) != -1
-
-
 # ---------------------------------------------------------------------------
 # F_{p^2} on (a, b) int pairs, a + b*w with w^2 = n; results are reduced mod p.
 # fp2_mul also takes int64 arrays: below p = 2^25 no intermediate reaches 2^51.
@@ -302,8 +188,3 @@ def fp2_sqrt(u: tuple[int, int], p: int, n: int) -> tuple[int, int] | None:
         y = b * pow(2 * x, -1, p) % p
     return min((x, y), (-x % p, -y % p))
 
-
-def sqrt_fp2(u: QuadExtElement) -> QuadExtElement | None:
-    """Canonical square root of an arbitrary F_{p^2} element, or None (see fp2_sqrt)."""
-    root = fp2_sqrt((u.a, u.b), u.p, u.nonresidue)
-    return None if root is None else QuadExtElement(*root, u.p, u.nonresidue)

@@ -6,25 +6,25 @@ tables below, transcribed for eps = -1 and flipped to eps = +1 by negating
 the square root).  Their coefficients depend only on (lam, eps), so each
 map reduces them once to dense lists of (a, b) int pairs over F_{p^2};
 a point then costs a few Horner passes on the int pair of its abscissa and
-two divisions.  The equivalent four-map composition (shift, degree-3
-quotient, rescale, shift back) is kept alongside as an independent
-evaluation route.  The level-2 and level-3 modular polynomials ship as an
-integer coefficient table and are re-validated by exact identities in the
-test suite.
+two divisions.  The one abscissa where the tables vanish outside the kernel
+is a removable singularity, mapped through a 2-torsion translate.  The
+equivalent four-map composition (shift, degree-3 quotient, rescale, shift
+back) is the independent oracle of the test suite.  The level-2 and
+level-3 modular polynomials ship as an integer coefficient table and are
+re-validated by exact identities in the test suite.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 from . import intpoly
 from .classno import hilbert_poly
-from .curves import INFINITY, CubicCurve, CurvePoint, LegendreCurve, as_pairs, as_point
-from .family import lambda_eps
-from .fields import QuadExtElement, fp2_horner, fp2_inv, fp2_mul, sqrt_fp2
+from .curves import LegendreCurve
+from .family import is_admissible, lambda_eps, lambda_pair
+from .fields import fp2_horner, fp2_inv, fp2_mul, smallest_nonresidue
 
 # Closed-form coefficient tables for psi^- (source curve E_{L^-}).
 # Keys are (x-power, y-power); values are coefficient polynomials in lambda,
@@ -74,135 +74,47 @@ def _eval_lambda_poly(coeffs, lam: int, p: int) -> int:
     return acc
 
 
-def _dense(terms: dict, lam: int, d: QuadExtElement) -> list[tuple[int, int]]:
+def _dense(terms: dict, lam: int, d: tuple[int, int], p: int) -> list[tuple[int, int]]:
     """{x-power: (sq, rat)} as ascending (a, b) pairs of rat(lam) + sq(lam) * d."""
-    p = d.p
     out = [(0, 0)] * (max(terms) + 1)
     for k, (sq, rat) in terms.items():
         s = _eval_lambda_poly(sq, lam, p)
-        out[k] = (_eval_lambda_poly(rat, lam, p) + s * d.a) % p, s * d.b % p
+        out[k] = (_eval_lambda_poly(rat, lam, p) + s * d[0]) % p, s * d[1] % p
     return out
 
 
-def lambda_params(lam: int, eps: int, sqrt_delta: QuadExtElement):
-    """(Lambda^eps, Lambda^-eps) = (1-lam)(lam +- eps*sqrt(delta))^2, by family.lambda_eps."""
-    p, n = sqrt_delta.p, sqrt_delta.nonresidue
-    root = (sqrt_delta.a, sqrt_delta.b)
-    src = QuadExtElement(*lambda_eps(lam, root, eps, p), p, n)
-    dst = QuadExtElement(*lambda_eps(lam, root, -eps, p), p, n)
-    return src, dst
-
-
-def _check_admissible(lam: int, p: int, sqrt_delta: QuadExtElement) -> None:
-    lam %= p
-    if lam in (0, 1):
-        raise ValueError(f"degenerate lambda={lam}")
-    delta = (lam * lam - lam + 1) % p
-    if delta == 0:
-        raise ValueError(f"lambda={lam} has delta = 0 (singular member)")
-    if sqrt_delta * sqrt_delta != delta:
+def _check_admissible(lam: int, p: int, sqrt_delta: tuple[int, int]) -> None:
+    if not is_admissible(lam, p):
+        raise ValueError(f"lambda={lam} is inadmissible mod {p}")
+    square = fp2_mul(sqrt_delta, sqrt_delta, p, smallest_nonresidue(p))
+    if square != ((lam * lam - lam + 1) % p, 0):
         raise ValueError("sqrt_delta does not square to lambda^2 - lambda + 1")
 
 
-@dataclass(frozen=True)
-class NormalFormParams:
-    """The translated model Y^2 = X^3 + A (X - B)^2 of E_{L^eps}."""
-
-    lam: int
-    eps: int
-    sqrt_delta: QuadExtElement
-    A: QuadExtElement
-    B: QuadExtElement
-
-    def curve(self) -> CubicCurve:
-        A, B = self.A, self.B
-        return CubicCurve(A, -2 * A * B, A * B * B, self.sqrt_delta.p)
-
-    def second_form_shift(self) -> QuadExtElement:
-        """c with the rescaled model Y^2 = X^3 + (X + c)^2.
-
-        c = 2/27 - eps (lam+1)(lam-2)(2 lam-1) sqrt(delta) / (27 delta^2).
-        """
-        p = self.sqrt_delta.p
-        lam = QuadExtElement(self.lam, 0, p, self.sqrt_delta.nonresidue)
-        delta = lam * lam - lam + 1
-        num = (lam + 1) * (lam - 2) * (2 * lam - 1) * self.sqrt_delta
-        return (QuadExtElement(2, 0, p) - self.eps * num / (delta * delta)) / 27
-
-
-def normal_form(lam: int, eps: int, sqrt_delta: QuadExtElement) -> NormalFormParams:
-    """A and B of the normal form:
-
-    A = (lam^2-lam+1)(2 lam - 1 + 2 eps sqrt(delta)),
-    B = -(2 (lam^2-lam+1)(2 lam-1) + eps (5 lam^2-5 lam+2) sqrt(delta))
-        / (9 (lam^2-lam+1)).
-    """
-    p = sqrt_delta.p
-    lam %= p
-    _check_admissible(lam, p, sqrt_delta)
-    if eps not in (-1, 1):
-        raise ValueError("eps must be -1 or +1")
-    lam_e = QuadExtElement(lam, 0, p, sqrt_delta.nonresidue)
-    delta = lam_e * lam_e - lam_e + 1
-    A = delta * (2 * lam_e - 1 + 2 * eps * sqrt_delta)
-    B = -(2 * delta * (2 * lam_e - 1) + eps * (5 * lam_e * lam_e - 5 * lam_e + 2) * sqrt_delta) / (9 * delta)
-    if A.is_zero():
-        raise ArithmeticError("A vanished; impossible for admissible lambda")
-    return NormalFormParams(lam, eps, sqrt_delta, A, B)
-
-
-def descend_by_3(a: QuadExtElement, b: QuadExtElement, P: CurvePoint) -> CurvePoint:
-    """Quotient of E: y^2 = x^3 + a(x-b)^2 by the order-3 subgroup at x = 0.
-
-    Image lies on nu^2 = xi^3 - 27a(xi - 4a - 27b)^2; the kernel
-    {O, (0, +-b sqrt(a))} goes to infinity.
-    """
-    p = a.p
-    E = CubicCurve(a, -2 * a * b, a * b * b, p)
-    if not E.contains(P):
-        raise ValueError("point not on y^2 = x^3 + a(x-b)^2")
-    if P.is_infinity or P.x.is_zero():
-        return INFINITY
-    x, y = P.x, P.y
-    xi = 3 * (6 * y * y + 6 * a * b * b - 3 * x**3 - 2 * a * x * x) / (x * x)
-    nu = 27 * y * (-4 * a * b * x + 8 * a * b * b - x**3) / (x**3)
-    return CurvePoint(xi, nu)
-
-
-def descend_by_3_pure_cube(d: QuadExtElement, P: CurvePoint) -> CurvePoint:
-    """Same for E: y^2 = x^3 + d with kernel {O, (0, +-sqrt(d))}.
-
-    Image lies on nu^2 = xi^3 - 27 d.
-    """
-    p = d.p
-    E = CubicCurve(0, 0, d, p)
-    if not E.contains(P):
-        raise ValueError("point not on y^2 = x^3 + d")
-    if P.is_infinity or P.x.is_zero():
-        return INFINITY
-    x, y = P.x, P.y
-    xi = (y * y + 3 * d) / (x * x)
-    nu = y * (x**3 - 8 * d) / (x**3)
-    return CurvePoint(xi, nu)
-
-
 class IsogenyMap:
-    """psi^eps : E_{L^eps(lam)} -> E_{L^-eps(lam)}, degree 3.
+    """psi^eps : E_{L^eps(lam)} -> E_{L^-eps(lam)}, degree 3, on int-pair points.
 
     Evaluation uses the closed-form s(x, y), t(x, y); the tables are written
     for eps = -1 and the sign of sqrt(delta) is flipped for eps = +1.  The
     constructor reduces them at (lam, d = -eps sqrt(delta)) to ascending
     lists of (a, b) int pairs: the denominators of s and t, the y^0 and y^2
     parts of the numerator of s, and the numerator of t over y.  A point is
-    then a few Horner passes on the int pair of its abscissa.  The
-    tabulated denominators also vanish at the 3-torsion abscissa of the
-    *other* sign, where the singularity is removable; those points fall
-    back to the composition route.  `image` maps int-pair points (see
-    CubicCurve); calling the map converts a CurvePoint at the boundary.
+    then a few Horner passes on the int pair of its abscissa.
+
+    The denominators are q(x)^2 and q(x)^3, q(x) = 3x^2 - 2(lam+1)x - (lam-1)^2,
+    whose roots are the kernel abscissa x0 = (lam+1+2 eps sqrt(delta))/3
+    (mapped to O before the closed form runs) and x0' = (lam+1-2 eps
+    sqrt(delta))/3, the kernel abscissa of the other sign.  At x0' the
+    singularity is removable: psi(P) = psi(P + T) + T for T = (0, 0) or
+    (1, 0), since psi fixes both and each is its own negative; if P + T
+    lies in the kernel, the image is T.  Two anchors suffice: translation
+    by (0, 0) sends x to L/x and translation by (1, 0) sends x to
+    (x - L)/(x - 1), L = Lambda^eps.  If both fixed x0', then x0'^2 = L and
+    x0'^2 - 2x0' + L = 0, so x0' is 0 or 1; that needs q(0) = 0 or
+    q(1) = 0, that is lam in {0, 1}, which is inadmissible.
     """
 
-    def __init__(self, lam: int, eps: int, sqrt_delta: QuadExtElement):
-        p = sqrt_delta.p
+    def __init__(self, lam: int, eps: int, sqrt_delta: tuple[int, int], p: int):
         lam %= p
         _check_admissible(lam, p, sqrt_delta)
         if eps not in (-1, 1):
@@ -210,17 +122,20 @@ class IsogenyMap:
         self.lam = lam
         self.eps = eps
         self.p = p
+        self.n = smallest_nonresidue(p)
         self.sqrt_delta = sqrt_delta
         # the tables encode psi^-; write d for the sign actually substituted
-        d = sqrt_delta if eps == -1 else -sqrt_delta
+        d = sqrt_delta if eps == -1 else (-sqrt_delta[0] % p, -sqrt_delta[1] % p)
         self._s_den = [(_eval_lambda_poly(c, lam, p), 0) for c in S_DEN]
         self._t_den = [(_eval_lambda_poly(c, lam, p), 0) for c in T_DEN]
-        self._s_num0 = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 0}, lam, d)
-        self._s_num2 = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 2}, lam, d)
-        self._t_num = _dense(T_NUM, lam, d)
-        self.source_lambda, self.target_lambda = lambda_params(lam, eps, sqrt_delta)
-        self.kernel_x = (QuadExtElement(lam + 1, 0, p) + 2 * eps * sqrt_delta) / 3
-        self._kernel = (self.kernel_x.a, self.kernel_x.b)
+        self._s_num0 = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 0}, lam, d, p)
+        self._s_num2 = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 2}, lam, d, p)
+        self._t_num = _dense(T_NUM, lam, d, p)
+        self.source_lambda = lambda_eps(lam, sqrt_delta, eps, p)
+        self.target_lambda = lambda_eps(lam, sqrt_delta, -eps, p)
+        third = pow(3, -1, p)
+        self.kernel_x = ((lam + 1 + 2 * eps * sqrt_delta[0]) * third % p,
+                         2 * eps * sqrt_delta[1] * third % p)
         self._source = LegendreCurve(self.source_lambda, p)
         self._target = LegendreCurve(self.target_lambda, p)
 
@@ -232,7 +147,7 @@ class IsogenyMap:
 
     def _closed_form(self, P):
         """(s, t) at the affine int-pair point P, or None where a denominator vanishes."""
-        p, n = self.p, self.sqrt_delta.nonresidue
+        p, n = self.p, self.n
         x, y = P
         sden = fp2_horner(self._s_den, x, p, n)
         if sden == (0, 0):
@@ -246,54 +161,45 @@ class IsogenyMap:
         s = fp2_mul((s0[0] + s2[0], s0[1] + s2[1]), fp2_inv(sden, p, n), p, n)
         return s, fp2_mul(ty, fp2_inv(tden, p, n), p, n)
 
-    def eval_composed(self, P: CurvePoint) -> CurvePoint:
-        """Shift to the normal form, descend by 3, rescale, shift back."""
-        if P.is_infinity or P.x == self.kernel_x:
-            return INFINITY
-        p, lam, eps = self.p, self.lam, self.eps
-        nf = normal_form(lam, eps, self.sqrt_delta)
-        X = P.x - self.kernel_x
-        Q = descend_by_3(nf.A, nf.B, CurvePoint(X, P.y))
-        r = (2 * QuadExtElement(lam, 0, p) - 2 * eps * self.sqrt_delta - 1) / 9
-        v = r * r * Q.x
-        w = r * r * r * Q.y
-        shift_back = (QuadExtElement(lam + 1, 0, p) - 2 * eps * self.sqrt_delta) / 3
-        return CurvePoint(v + shift_back, w)
+    def _translated(self, P):
+        """psi(P) at x0' through the first anchor T that moves P off x0'."""
+        for T in (((0, 0), (0, 0)), ((1, 0), (0, 0))):
+            Q = self._source.add(P, T)
+            if Q[0] == self.kernel_x:
+                return T
+            img = self._closed_form(Q)
+            if img is not None:
+                return self._target.add(img, T)
+        raise ArithmeticError("both 2-torsion anchors fix x0'; impossible for admissible lambda")
 
     def image(self, P):
         """psi(P) for an int-pair point, checked on the source and the target."""
-        if not self._source.pair_contains(P):
+        if not self._source.contains(P):
             raise ValueError("point not on the source curve")
-        if P is None or P[0] == self._kernel:
+        if P is None or P[0] == self.kernel_x:
             return None
         img = self._closed_form(P)
         if img is None:  # removable singularity of the tabulated form
-            img = as_pairs(self.eval_composed(as_point(P, self.p)))
-        if not self._target.pair_contains(img):
+            img = self._translated(P)
+        if not self._target.contains(img):
             raise ArithmeticError("isogeny image left the target curve")
         return img
 
-    def __call__(self, P: CurvePoint) -> CurvePoint:
-        return as_point(self.image(as_pairs(P)), self.p)
-
 
 def compose_is_minus3(lam: int, p: int, trials: int = 50, seed: int = 0) -> bool:
-    """Check psi^+ o psi^- = [-3] = psi^- o psi^+ on random rational points.
-
-    The trial loop runs on int-pair points (see CubicCurve).
-    """
-    sqrt_delta = sqrt_fp2(QuadExtElement(lam * lam - lam + 1, 0, p))
-    psi_minus = IsogenyMap(lam, -1, sqrt_delta)
-    psi_plus = IsogenyMap(lam, +1, sqrt_delta)
+    """Check psi^+ o psi^- = [-3] = psi^- o psi^+ on random rational points."""
+    sqrt_delta = lambda_pair(lam, p)[1]
+    psi_minus = IsogenyMap(lam, -1, sqrt_delta, p)
+    psi_plus = IsogenyMap(lam, +1, sqrt_delta, p)
     e_minus = psi_minus.source_curve()
     e_plus = psi_plus.source_curve()
     rng = random.Random(seed)
     for _ in range(trials):
-        P = e_minus.pair_random(rng)
-        if psi_plus.image(psi_minus.image(P)) != e_minus.pair_minus3(P):
+        P = e_minus.random_point(rng)
+        if psi_plus.image(psi_minus.image(P)) != e_minus.minus3(P):
             return False
-        Q = e_plus.pair_random(rng)
-        if psi_minus.image(psi_plus.image(Q)) != e_plus.pair_minus3(Q):
+        Q = e_plus.random_point(rng)
+        if psi_minus.image(psi_plus.image(Q)) != e_plus.minus3(Q):
             return False
     return True
 
@@ -304,17 +210,13 @@ def verify_transcription(lam: int, p: int) -> None:
     s(0,0) = 0 and s(1,0) = 1 (the 2-torsion points (0,0) and (1,0) are
     fixed), and the 2-torsion point (L^eps, 0) maps to (L^-eps, 0).
     """
-    s = sqrt_fp2(QuadExtElement(lam * lam - lam + 1, 0, p))
+    s = lambda_pair(lam, p)[1]
     for eps in (-1, 1):
-        m = IsogenyMap(lam, eps, s)
-        src = m.source_curve()
-        zero = src.point(0, 0)
-        one = src.point(1, 0)
-        if m(zero) != zero or m(one) != one:
-            raise AssertionError("2-torsion anchors failed")
-        lam_pt = src.point(m.source_lambda, 0)
-        img = m(lam_pt)
-        if img.x != m.target_lambda or not img.y.is_zero():
+        m = IsogenyMap(lam, eps, s, p)
+        for T in (((0, 0), (0, 0)), ((1, 0), (0, 0))):
+            if m.image(T) != T:
+                raise AssertionError("2-torsion anchors failed")
+        if m.image((m.source_lambda, (0, 0))) != (m.target_lambda, (0, 0)):
             raise AssertionError("(Lambda^eps, 0) -> (Lambda^-eps, 0) failed")
 
 
@@ -339,23 +241,23 @@ def phi_coefficients(level: int) -> dict[tuple[int, int], int]:
     return table
 
 
-def modular_poly_eval(level: int, x: QuadExtElement, y: QuadExtElement) -> QuadExtElement:
-    """Phi_level(x, y) evaluated in F_{p^2}."""
+def modular_poly_eval(level: int, x, y, p: int) -> tuple[int, int]:
+    """Phi_level(x, y) at two (a, b) pairs of F_{p^2}."""
     table = phi_coefficients(level)
-    p = x.p
+    n = smallest_nonresidue(p)
     deg = max(i for i, _ in table)
-    xp = [QuadExtElement(1, 0, p)]
-    yp = [QuadExtElement(1, 0, p)]
+    xp, yp = [(1, 0)], [(1, 0)]
     for _ in range(deg):
-        xp.append(xp[-1] * x)
-        yp.append(yp[-1] * y)
-    acc = QuadExtElement(0, 0, p)
+        xp.append(fp2_mul(xp[-1], x, p, n))
+        yp.append(fp2_mul(yp[-1], y, p, n))
+    acc_a, acc_b = 0, 0
     for (i, j), c in table.items():
-        if i == j:
-            acc = acc + c * xp[i] * yp[i]
-        else:
-            acc = acc + c * (xp[i] * yp[j] + xp[j] * yp[i])
-    return acc
+        ua, ub = fp2_mul(xp[i], yp[j], p, n)
+        if i != j:
+            va, vb = fp2_mul(xp[j], yp[i], p, n)
+            ua, ub = ua + va, ub + vb
+        acc_a, acc_b = (acc_a + c * ua) % p, (acc_b + c * ub) % p
+    return acc_a, acc_b
 
 
 def phi_substitute_int(level: int, y0: int) -> list[int]:

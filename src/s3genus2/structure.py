@@ -13,7 +13,7 @@ prime: Lambda^-, Lambda^+ and j(E_Lambda) of every lambda are int64 (a, b)
 arrays over F_p[w]/(w^2 - n), n the smallest non-residue, and a j is
 handled by its code a*p + b, so sorting, deduplication and the Frobenius
 lookup (a, -b) are array operations.  The tests keep the per-lambda
-QuadExtElement computation as the exact oracle.
+int-pair computation (lambda_pair, curves.j_invariant) as the exact oracle.
 """
 
 from __future__ import annotations
@@ -33,19 +33,19 @@ from .family import (
     psi_p,
     superspecial_lambdas,
 )
-from .fields import QuadExtElement, fp2_mul, smallest_nonresidue
+from .fields import fp2_mul, smallest_nonresidue
 
 GRAPH_MIN_PRIME = 11  # the degree/weight pattern needs p > 11
 
 
 @dataclass(frozen=True)
 class RootProfile:
-    """Distinct j-invariants of the superspecial members at one prime."""
+    """Distinct j-invariants of the superspecial members at one prime, as (a, b) pairs."""
 
     p: int
-    distinct_js: tuple[QuadExtElement, ...]
+    distinct_js: tuple[tuple[int, int], ...]
     rational_js: tuple[int, ...]
-    conjugate_pairs: tuple[tuple[QuadExtElement, QuadExtElement], ...]
+    conjugate_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     has8000: bool
     has54000: bool
 
@@ -96,13 +96,10 @@ def root_profile(p: int) -> RootProfile:
     rational = tuple(a[b == 0].tolist())
     # (a, b) <= (a, p - b) picks the member of each pair with b < p/2
     first = (b != 0) & (2 * b < p)
-    pairs = tuple(
-        (QuadExtElement(x, y, p), QuadExtElement(x, p - y, p))
-        for x, y in zip(a[first].tolist(), b[first].tolist())
-    )
+    pairs = tuple(((x, y), (x, p - y)) for x, y in zip(a[first].tolist(), b[first].tolist()))
     return RootProfile(
         p,
-        tuple(QuadExtElement(x, y, p) for x, y in zip(a.tolist(), b.tolist())),
+        tuple(zip(a.tolist(), b.tolist())),
         rational,
         pairs,
         8000 % p in rational,
@@ -298,9 +295,7 @@ def direct_root_check(p: int) -> bool:
     poly = hilbert_poly(3 * p)
     roots = _poly_root_multiset(poly.mod(p), p)
     prof = root_profile(p)
-    got = set(roots)
-    want = {(j.a, j.b) for j in prof.distinct_js}
-    if got != want:
+    if set(roots) != set(prof.distinct_js):
         return False
     if poly.degree != class_number(3 * p):
         return False

@@ -1,0 +1,248 @@
+"""Test-side oracles: F_{p^2} objects, the object group law, the composed 3-isogeny.
+
+`F` is a minimal F_{p^2} operator class with its own product formula, so
+the int-pair functions of `s3genus2.fields` are checked against code that
+does not call them.  Points are (x, y) tuples of `F`, None for infinity.
+On top of that sit the chord-tangent group law, the oracle of
+`CubicCurve.add`, `minus3` and `random_point`, and the four-map
+composition route of psi^eps (shift to the normal form, descend by 3,
+rescale, shift back), the oracle of `IsogenyMap.image`.
+"""
+
+from dataclasses import dataclass
+
+from s3genus2.family import is_admissible
+from s3genus2.fields import fp2_sqrt, smallest_nonresidue
+
+
+class F:
+    """a + b*w in F_p[w]/(w^2 - n), n the smallest non-residue mod p."""
+
+    __slots__ = ("a", "b", "p", "n")
+
+    def __init__(self, a: int, b: int, p: int):
+        self.a, self.b, self.p = a % p, b % p, p
+        self.n = smallest_nonresidue(p)
+
+    def _lift(self, other) -> "F":
+        return other if isinstance(other, F) else F(other, 0, self.p)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return F(self.a + o.a, self.b + o.b, self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        return F(self.a - o.a, self.b - o.b, self.p)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __neg__(self):
+        return F(-self.a, -self.b, self.p)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return F(self.a * o.a + self.n * self.b * o.b, self.a * o.b + self.b * o.a, self.p)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "F":
+        norm = (self.a * self.a - self.n * self.b * self.b) % self.p
+        if norm == 0:
+            raise ZeroDivisionError(f"inverse of 0 in F_{self.p}^2")
+        k = pow(norm, self.p - 2, self.p)
+        return F(self.a * k, -self.b * k, self.p)
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __pow__(self, k: int):
+        out, base = F(1, 0, self.p), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def is_square(self) -> bool:
+        """Euler's criterion in the multiplicative group of order p^2 - 1."""
+        return self.is_zero() or self ** ((self.p * self.p - 1) // 2) == 1
+
+    @property
+    def pair(self) -> tuple[int, int]:
+        return self.a, self.b
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = self._lift(other)
+        return isinstance(other, F) and (self.a, self.b, self.p) == (other.a, other.b, other.p)
+
+    def __repr__(self):
+        return f"F({self.a}, {self.b}, p={self.p})"
+
+
+def lift(u, p: int) -> F:
+    return F(u[0], u[1], p)
+
+
+def sqrt(u: F) -> F | None:
+    root = fp2_sqrt(u.pair, u.p, u.n)
+    return None if root is None else lift(root, u.p)
+
+
+def to_pairs(P):
+    return None if P is None else (P[0].pair, P[1].pair)
+
+
+def to_obj(P, p: int):
+    return None if P is None else (lift(P[0], p), lift(P[1], p))
+
+
+# ---------------------------------------------------------------------------
+# the chord-tangent group law of a CubicCurve, on F points
+
+
+def rhs(c, x: F) -> F:
+    return ((x + lift(c.a2, c.p)) * x + lift(c.a4, c.p)) * x + lift(c.a6, c.p)
+
+
+def neg(P):
+    return None if P is None else (P[0], -P[1])
+
+
+def add(c, P, Q):
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    a2 = lift(c.a2, c.p)
+    if x1 == x2:
+        if y1 == -y2:
+            return None
+        slope = ((3 * x1 + 2 * a2) * x1 + lift(c.a4, c.p)) / (2 * y1)
+    else:
+        slope = (y2 - y1) / (x2 - x1)
+    x3 = slope * slope - a2 - x1 - x2
+    return x3, slope * (x1 - x3) - y1
+
+
+def scalar_mul(c, k: int, P):
+    if k < 0:
+        return scalar_mul(c, -k, neg(P))
+    acc, addend = None, P
+    while k:
+        if k & 1:
+            acc = add(c, acc, addend)
+        addend = add(c, addend, addend)
+        k >>= 1
+    return acc
+
+
+def random_point(c, rng):
+    """Random x until the cubic value is a square; then a random sign of y."""
+    p = c.p
+    while True:
+        x = F(rng.randrange(p), rng.randrange(p), p)
+        y = sqrt(rhs(c, x))
+        if y is not None:
+            return x, (y if rng.randrange(2) else -y)
+
+
+# ---------------------------------------------------------------------------
+# the composition route of psi^eps
+
+
+@dataclass(frozen=True)
+class NormalFormParams:
+    """The translated model Y^2 = X^3 + A (X - B)^2 of E_{L^eps}."""
+
+    lam: int
+    eps: int
+    sqrt_delta: F
+    A: F
+    B: F
+
+    def second_form_shift(self) -> F:
+        """c with the rescaled model Y^2 = X^3 + (X + c)^2.
+
+        c = 2/27 - eps (lam+1)(lam-2)(2 lam-1) sqrt(delta) / (27 delta^2).
+        """
+        lam = F(self.lam, 0, self.sqrt_delta.p)
+        delta = lam * lam - lam + 1
+        num = (lam + 1) * (lam - 2) * (2 * lam - 1) * self.sqrt_delta
+        return (2 - self.eps * num / (delta * delta)) / 27
+
+
+def normal_form(lam: int, eps: int, sqrt_delta: F) -> NormalFormParams:
+    """A and B of the normal form:
+
+    A = (lam^2-lam+1)(2 lam - 1 + 2 eps sqrt(delta)),
+    B = -(2 (lam^2-lam+1)(2 lam-1) + eps (5 lam^2-5 lam+2) sqrt(delta))
+        / (9 (lam^2-lam+1)).
+    """
+    p = sqrt_delta.p
+    lam_e = F(lam, 0, p)
+    delta = lam_e * lam_e - lam_e + 1
+    if not is_admissible(lam, p) or sqrt_delta * sqrt_delta != delta:
+        raise ValueError(f"lambda={lam} is inadmissible or sqrt_delta is wrong")
+    A = delta * (2 * lam_e - 1 + 2 * eps * sqrt_delta)
+    B = -(2 * delta * (2 * lam_e - 1)
+          + eps * (5 * lam_e * lam_e - 5 * lam_e + 2) * sqrt_delta) / (9 * delta)
+    assert not A.is_zero()
+    return NormalFormParams(lam % p, eps, sqrt_delta, A, B)
+
+
+def descend_by_3(a: F, b: F, P):
+    """Quotient of E: y^2 = x^3 + a(x-b)^2 by the order-3 subgroup at x = 0.
+
+    Image lies on nu^2 = xi^3 - 27a(xi - 4a - 27b)^2; the kernel
+    {O, (0, +-b sqrt(a))} goes to infinity.
+    """
+    if P is None:
+        return None
+    x, y = P
+    if y * y != x**3 + a * (x - b) ** 2:
+        raise ValueError("point not on y^2 = x^3 + a(x-b)^2")
+    if x.is_zero():
+        return None
+    xi = 3 * (6 * y * y + 6 * a * b * b - 3 * x**3 - 2 * a * x * x) / (x * x)
+    nu = 27 * y * (-4 * a * b * x + 8 * a * b * b - x**3) / (x**3)
+    return xi, nu
+
+
+def descend_by_3_pure_cube(d: F, P):
+    """Same for E: y^2 = x^3 + d with kernel {O, (0, +-sqrt(d))}.
+
+    Image lies on nu^2 = xi^3 - 27 d.
+    """
+    if P is None:
+        return None
+    x, y = P
+    if y * y != x**3 + d:
+        raise ValueError("point not on y^2 = x^3 + d")
+    if x.is_zero():
+        return None
+    return (y * y + 3 * d) / (x * x), y * (x**3 - 8 * d) / (x**3)
+
+
+def eval_composed(m, P):
+    """psi(P) for the int-pair point P of an IsogenyMap m, by composition:
+    shift the kernel abscissa to 0, descend by 3, rescale, shift back."""
+    lam, eps, p = m.lam, m.eps, m.p
+    s = lift(m.sqrt_delta, p)
+    kernel_x = (lam + 1 + 2 * eps * s) / 3
+    if P is None or lift(P[0], p) == kernel_x:
+        return None
+    nf = normal_form(lam, eps, s)
+    x, y = to_obj(P, p)
+    xi, nu = descend_by_3(nf.A, nf.B, (x - kernel_x, y))
+    r = (2 * lam - 2 * eps * s - 1) / 9
+    return to_pairs((r * r * xi + (lam + 1 - 2 * eps * s) / 3, r**3 * nu))

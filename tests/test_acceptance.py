@@ -11,7 +11,9 @@ beside the prime-sum ratios.
 
 import random
 
+import fp2_oracle as oracle
 import numpy as np
+from fp2_oracle import F, normal_form
 
 from s3genus2 import intpoly
 from s3genus2.average import (
@@ -23,12 +25,11 @@ from s3genus2.average import (
 from s3genus2.classno import class_number, gross_zagier_ordp, hilbert_poly
 from s3genus2.curves import (
     LegendreCurve,
-    as_pairs,
     count_points,
     count_points_weil,
     deuring_coefficients,
     is_supersingular,
-    psi3_eval,
+    psi3_coefficients,
 )
 from s3genus2.family import (
     fgh_eval,
@@ -41,13 +42,11 @@ from s3genus2.family import (
     psi_closed_form,
     torsion_from_lambda,
 )
-from s3genus2.fields import QuadExtElement, is_prime, sqrt_fp2
+from s3genus2.fields import fp2_horner, fp2_sqrt, is_prime
 from s3genus2.isogenies import (
     IsogenyMap,
     compose_is_minus3,
-    lambda_params,
     resultant_factorization_check,
-    normal_form,
     verify_transcription,
 )
 from s3genus2.structure import (
@@ -103,9 +102,10 @@ def test_criterion_03_isogeny_identity_200_pairs():
     for p, lam in pairs:
         verify_transcription(lam, p)  # the four anchors, exact
         _, s, _, _ = lambda_pair(lam, p)
-        m = IsogenyMap(lam, -1, s)
-        y = sqrt_fp2(m.source_curve().rhs(m.kernel_x))
-        if y is not None and not m(m.source_curve().point(m.kernel_x, y)).is_infinity:
+        m = IsogenyMap(lam, -1, s, p)
+        src = m.source_curve()
+        y = fp2_sqrt(src.rhs(m.kernel_x), p, src.n)
+        if y is not None and m.image((m.kernel_x, y)) is not None:
             bad.append((p, lam, "kernel"))
             continue
         if not compose_is_minus3(lam, p, trials=50, seed=rng.randrange(2**30)):
@@ -114,10 +114,10 @@ def test_criterion_03_isogeny_identity_200_pairs():
            f"{'' if not bad else f'; failures {bad[:3]}'}")
 
 
-def x_double(c, x):
-    num = (3 * x * x + 2 * c.a2 * x + c.a4) ** 2
-    den = 4 * c.rhs(x)
-    return num / den - c.a2 - 2 * x
+def x_double(c, x: F) -> F:
+    a2, a4 = oracle.lift(c.a2, c.p), oracle.lift(c.a4, c.p)
+    num = (3 * x * x + 2 * a2 * x + a4) ** 2
+    return num / (4 * oracle.rhs(c, x)) - a2 - 2 * x
 
 
 def test_criterion_04_division_poly_roots_to_200():
@@ -126,20 +126,18 @@ def test_criterion_04_division_poly_roots_to_200():
         for lam in range(2, p):
             if not is_admissible(lam, p):
                 continue
-            _, s, _, _ = lambda_pair(lam, p)
-            for eps in (-1, 1):
-                big, _ = lambda_params(lam, eps, s)
-                a = (QuadExtElement(lam + 1, 0, p) + 2 * eps * s) / 3
-                assert psi3_eval(big, a).is_zero(), (p, lam, eps)
+            _, s, minus, plus = lambda_pair(lam, p)
+            for eps, big in ((-1, minus), (1, plus)):
+                a = (lam + 1 + 2 * eps * F(*s, p)) / 3
                 c = LegendreCurve(big, p)
-                rhs = c.rhs(a)
-                assert not rhs.is_zero(), (p, lam, eps)
+                psi3 = psi3_coefficients(big, p)
+                assert fp2_horner(psi3, a.pair, p, c.n) == (0, 0), (p, lam, eps)
+                rhs = c.rhs(a.pair)
+                assert rhs != (0, 0), (p, lam, eps)
                 assert x_double(c, a) == a, (p, lam, eps)
-                y = sqrt_fp2(rhs)
+                y = fp2_sqrt(rhs, p, c.n)
                 if y is not None:
-                    P = c.point(a, y)
-                    assert c.pair_minus3(as_pairs(P)) is None, (p, lam, eps)
-                    assert not P.is_infinity
+                    assert c.minus3((a.pair, y)) is None, (p, lam, eps)
                 checked += 1
     report(4, True, f"division-polynomial root and 3-annihilation at "
            f"{checked} (p, lambda, eps) triples, p <= 200")
@@ -149,9 +147,7 @@ def test_criterion_05_supersingularity_oracle_equivalence_to_200():
     mismatches = []
     for p in primes_upto(200):
         for t in range(2, p):
-            if t == 1:
-                continue
-            c = LegendreCurve(t, p)
+            c = LegendreCurve((t, 0), p)
             if is_supersingular(c) != (count_points(c, 1) == p + 1):
                 mismatches.append((p, t))
     report(5, not mismatches,
@@ -164,7 +160,7 @@ def test_criterion_06_point_count_facts_to_500():
     for p in primes_upto(500, lambda q: q % 4 == 1):
         for lam in superspecial_lambdas(p):
             rec = lambda_record(lam, p)
-            if rec.sqrt_delta.in_base_field():
+            if rec.sqrt_delta[1] == 0:
                 bad.append((p, lam, "sqrt rational"))
                 continue
             c = LegendreCurve(rec.lambda_minus, p)
@@ -173,7 +169,7 @@ def test_criterion_06_point_count_facts_to_500():
     for p in primes_upto(500, lambda q: q % 12 == 11):
         for lam in superspecial_lambdas(p):
             rec = lambda_record(lam, p)
-            if not rec.sqrt_delta.in_base_field():
+            if rec.sqrt_delta[1] != 0:
                 bad.append((p, lam, "sqrt irrational"))
                 continue
             c = LegendreCurve(rec.lambda_minus, p)
@@ -280,14 +276,13 @@ def test_criterion_13_fgh_identities_and_round_trips_to_500():
                 checked_abscissas += 1
         for lam in superspecial_lambdas(p):
             rec = lambda_record(lam, p)
-            assert rec.sqrt_delta.in_base_field(), (p, lam)
-            for eps in (-1, 1):
-                a = torsion_from_lambda(lam, eps, rec.sqrt_delta.a, p)
-                t_par, _ = lambda_params(lam, eps, rec.sqrt_delta)
-                assert t_par.in_base_field(), (p, lam, eps)
-                assert lambda_from_torsion(t_par.a, a, p) == lam
-                nf = normal_form(lam, eps, rec.sqrt_delta)
-                b_lam2 = a * (a - 1) * (a - t_par.a)
+            assert rec.sqrt_delta[1] == 0, (p, lam)
+            for eps, (t_par, t_b) in ((-1, rec.lambda_minus), (1, rec.lambda_plus)):
+                a = torsion_from_lambda(lam, eps, rec.sqrt_delta[0], p)
+                assert t_b == 0, (p, lam, eps)
+                assert lambda_from_torsion(t_par, a, p) == lam
+                nf = normal_form(lam, eps, F(*rec.sqrt_delta, p))
+                b_lam2 = a * (a - 1) * (a - t_par)
                 assert nf.A * nf.B * nf.B == b_lam2, (p, lam, eps)
                 checked_round += 1
     report(13, True, f"correspondence identities at {checked_abscissas} abscissas "

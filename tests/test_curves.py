@@ -2,38 +2,26 @@
 
 import random
 
-import group_oracle as oracle
+import fp2_oracle as oracle
 import numpy as np
 import pytest
+from fp2_oracle import F
 
 from s3genus2.curves import (
-    INFINITY,
-    CurvePoint,
     LegendreCurve,
     _power_table,
     _poly_divmod,
-    _poly_fp2_roots,
     _poly_mul,
-    as_pairs,
-    as_point,
     count_points,
     count_points_weil,
     deuring_coefficients,
     is_supersingular,
     j_invariant,
     psi3_coefficients,
-    psi3_eval,
     psi3_roots,
 )
 from s3genus2.family import lambda_pair
-from s3genus2.fields import (
-    QuadExtElement,
-    fp2_horner,
-    is_prime,
-    primitive_root,
-    smallest_nonresidue,
-    sqrt_fp2,
-)
+from s3genus2.fields import fp2_horner, is_prime, primitive_root, smallest_nonresidue
 
 
 def count_points_naive_python(t: int, p: int) -> int:
@@ -49,29 +37,38 @@ def count_points_naive_python(t: int, p: int) -> int:
     return total
 
 
-def psi3_roots_scan(lam: QuadExtElement) -> list[QuadExtElement]:
+def psi3_roots_scan(lam, p: int) -> list[tuple[int, int]]:
     """Oracle for psi3_roots: evaluate psi3 at all p^2 elements of F_{p^2}."""
-    p, n = lam.p, lam.nonresidue
-    f = psi3_coefficients(lam)
-    return [QuadExtElement(a, b, p, n) for a in range(p) for b in range(p)
-            if fp2_horner(f, (a, b), p, n) == (0, 0)]
+    n = smallest_nonresidue(p)
+    f = psi3_coefficients(lam, p)
+    return [(a, b) for a in range(p) for b in range(p) if fp2_horner(f, (a, b), p, n) == (0, 0)]
 
 
 def test_j_invariant_t_minus_one_is_1728():
-    c = LegendreCurve(-1, 101)
-    assert j_invariant(c) == 1728 % 101
+    c = LegendreCurve((-1, 0), 101)
+    assert j_invariant(c) == (1728 % 101, 0)
 
 
 def test_j_invariant_t_two_same_orbit():
-    c = LegendreCurve(2, 101)
-    assert j_invariant(c) == 1728 % 101
+    c = LegendreCurve((2, 0), 101)
+    assert j_invariant(c) == (1728 % 101, 0)
+
+
+def test_j_invariant_matches_object_formula():
+    # legendre_j covers p below the int64 bound; this reaches the modulus cap
+    rng = random.Random(6)
+    for p in (13, 101, 2**31 - 1):
+        for _ in range(50):
+            t = F(rng.randrange(2, p), rng.randrange(p), p)
+            want = 256 * (t * t - t + 1) ** 3 / (t * (t - 1)) ** 2
+            assert j_invariant(LegendreCurve(t.pair, p)) == want.pair
 
 
 def test_singular_parameters_rejected():
     with pytest.raises(ValueError):
-        LegendreCurve(0, 7)
+        LegendreCurve((0, 0), 7)
     with pytest.raises(ValueError):
-        LegendreCurve(1, 7)
+        LegendreCurve((8, 7), 7)
 
 
 def test_j_invariant_constant_on_orbit():
@@ -87,93 +84,91 @@ def test_j_invariant_constant_on_orbit():
             lam * pow(lam - 1, -1, p) % p,
             (lam - 1) * inv % p,
         ]
-        js = {j_invariant(LegendreCurve(t, p)) for t in orbit}
+        js = {j_invariant(LegendreCurve((t, 0), p)) for t in orbit}
         assert len(js) == 1
 
 
 def test_group_identity_and_two_torsion():
-    c = LegendreCurve(3, 11)
-    P = as_pairs(c.point(0, 0))
-    assert c.pair_add(P, None) == P
-    assert c.pair_add(None, P) == P
-    assert c.pair_add(P, P) is None
-    assert c.pair_minus3(P) == P
+    c = LegendreCurve((3, 0), 11)
+    P = (0, 0), (0, 0)
+    assert c.contains(P)
+    assert c.add(P, None) == P
+    assert c.add(None, P) == P
+    assert c.add(P, P) is None
+    assert c.minus3(P) == P
 
 
 def test_group_law_rejects_off_curve():
-    # points reach the int-pair law only through a membership check
-    c = LegendreCurve(3, 11)
+    c = LegendreCurve((3, 0), 11)
     bad = ((5, 0), (1, 0))
-    if c.pair_contains(bad):  # pick another y if (5, 1) happened to be on the curve
+    if c.contains(bad):  # pick another y if (5, 1) happened to be on the curve
         bad = ((5, 0), (2, 0))
-    assert not c.pair_contains(bad)
-    with pytest.raises(ValueError):
-        c.point(5, bad[1][0])
+    assert not c.contains(bad)
 
 
 def test_scalar_mul_matches_repeated_addition():
-    c = LegendreCurve(5, 13)
+    c = LegendreCurve((5, 0), 13)
     rng = random.Random(0)
-    P = c.pair_random(rng)
+    P = c.random_point(rng)
     acc = None
     multiples = []
     for n in range(8):
-        assert as_point(acc, 13) == oracle.scalar_mul(c, n, as_point(P, 13))
+        assert oracle.to_obj(acc, 13) == oracle.scalar_mul(c, n, oracle.to_obj(P, 13))
         multiples.append(acc)
-        acc = c.pair_add(acc, P)
-    assert c.pair_minus3(P) == as_pairs(oracle.neg(as_point(multiples[3], 13)))
+        acc = c.add(acc, P)
+    assert c.minus3(P) == oracle.to_pairs(oracle.neg(oracle.to_obj(multiples[3], 13)))
 
 
 def _all_points(c):
-    """Every F_{p^2}-point of c as a CurvePoint, infinity first."""
+    """Every F_{p^2}-point of c as an F point, infinity (None) first."""
     p = c.p
-    points = [INFINITY]
+    points = [None]
     for a in range(p):
         for b in range(p):
-            x = QuadExtElement(a, b, p)
+            x = F(a, b, p)
             v = oracle.rhs(c, x)
-            assert c.pair_rhs((a, b)) == (v.a, v.b)
-            y = sqrt_fp2(v)
+            assert c.rhs((a, b)) == v.pair
+            y = oracle.sqrt(v)
             if y is not None:
-                points += [CurvePoint(x, y)] if y.is_zero() else [CurvePoint(x, y), CurvePoint(x, -y)]
+                points += [(x, y)] if y.is_zero() else [(x, y), (x, -y)]
     return points
 
 
 @pytest.mark.parametrize("p,t", [(5, (2, 0)), (7, (3, 2)), (11, (4, 0)), (13, (2, 9))])
 def test_pair_law_matches_object_oracle_on_every_pair_of_points(p, t):
-    c = LegendreCurve(QuadExtElement(*t, p), p)
+    c = LegendreCurve(t, p)
     points = _all_points(c)
     assert len(points) == count_points(c, 2)
-    pairs = [as_pairs(P) for P in points]
+    pairs = [oracle.to_pairs(P) for P in points]
     for P, Pp in zip(points, pairs):
-        assert c.pair_contains(Pp)
-        assert c.pair_minus3(Pp) == as_pairs(oracle.scalar_mul(c, -3, P)), P
+        assert c.contains(Pp)
+        assert c.minus3(Pp) == oracle.to_pairs(oracle.scalar_mul(c, -3, P)), P
         for Q, Qp in zip(points, pairs):
-            assert c.pair_add(Pp, Qp) == as_pairs(oracle.add(c, P, Q)), (P, Q)
+            assert c.add(Pp, Qp) == oracle.to_pairs(oracle.add(c, P, Q)), (P, Q)
 
 
 @pytest.mark.parametrize("p", [2147483629, 2**31 - 1])
 def test_pair_law_matches_object_oracle_near_the_modulus_cap(p):
     # 2147483629 = 1 mod 4 takes the Tonelli-Shanks loop, 2^31 - 1 = 3 mod 4 not
     setup = random.Random(p)
-    c = LegendreCurve(QuadExtElement(setup.randrange(2, p), setup.randrange(p), p), p)
+    c = LegendreCurve((setup.randrange(2, p), setup.randrange(p)), p)
     rng, rng_oracle = random.Random(1), random.Random(1)
-    prev, prev_obj = None, INFINITY
+    prev, prev_obj = None, None
     for _ in range(1000):
-        P = c.pair_random(rng)
+        P = c.random_point(rng)
         obj = oracle.random_point(c, rng_oracle)
-        assert as_point(P, p) == obj
-        assert c.pair_contains(P)
-        assert c.pair_add(P, prev) == as_pairs(oracle.add(c, obj, prev_obj))
-        assert c.pair_add(P, P) == as_pairs(oracle.add(c, obj, obj))
-        assert c.pair_add(P, as_pairs(oracle.neg(obj))) is None
-        assert c.pair_minus3(P) == as_pairs(oracle.scalar_mul(c, -3, obj))
+        assert P == oracle.to_pairs(obj)
+        assert c.contains(P)
+        assert c.add(P, prev) == oracle.to_pairs(oracle.add(c, obj, prev_obj))
+        assert c.add(P, P) == oracle.to_pairs(oracle.add(c, obj, obj))
+        assert c.add(P, oracle.to_pairs(oracle.neg(obj))) is None
+        assert c.minus3(P) == oracle.to_pairs(oracle.scalar_mul(c, -3, obj))
         prev, prev_obj = P, obj
     assert rng.getstate() == rng_oracle.getstate()
 
 
 def test_count_points_t_minus1_p5_is_8():
-    c = LegendreCurve(-1, 5)
+    c = LegendreCurve((-1, 0), 5)
     assert count_points(c, 1) == 8
     assert count_points_naive_python(4, 5) == 8
 
@@ -183,7 +178,7 @@ def test_count_matches_python_oracle():
         for t in range(2, p - 1):
             if t in (0, 1):
                 continue
-            got = count_points(LegendreCurve(t, p), 1)
+            got = count_points(LegendreCurve((t, 0), p), 1)
             assert got == count_points_naive_python(t, p)
 
 
@@ -193,12 +188,12 @@ def test_count_degree2_small():
         for t in range(2, p):
             if t == 1:
                 continue
-            c = LegendreCurve(t, p)
+            c = LegendreCurve((t, 0), p)
             assert count_points(c, 2) == count_points_weil(c)
 
 
 def test_count_bound_errors():
-    c = LegendreCurve(2, 65537)
+    c = LegendreCurve((2, 0), 65537)
     with pytest.raises(ValueError):
         count_points(c, 2)
 
@@ -209,7 +204,7 @@ def test_hasse_bound_all_primes_to_200():
               137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
               197, 199):
         for t in range(2, p - 1):
-            n = count_points(LegendreCurve(t, p), 1)
+            n = count_points(LegendreCurve((t, 0), p), 1)
             assert (n - (p + 1)) ** 2 <= 4 * p
 
 
@@ -250,16 +245,16 @@ def test_power_table_is_a_permutation_of_the_units_below_10000():
 
 
 def test_supersingular_examples():
-    assert is_supersingular(LegendreCurve(-1, 7))
-    assert not is_supersingular(LegendreCurve(2, 5))
+    assert is_supersingular(LegendreCurve((-1, 0), 7))
+    assert not is_supersingular(LegendreCurve((2, 0), 5))
     with pytest.raises(ValueError):
-        is_supersingular(LegendreCurve(0, 5))
+        is_supersingular(LegendreCurve((0, 0), 5))
 
 
 def test_supersingular_equals_point_count_oracle_small():
     for p in (5, 7, 11, 13, 17, 19, 23):
         for t in range(2, p - 1):
-            c = LegendreCurve(t, p)
+            c = LegendreCurve((t, 0), p)
             assert is_supersingular(c) == (count_points(c, 1) == p + 1)
 
 
@@ -268,10 +263,7 @@ def test_supersingular_works_for_fp2_parameters():
     c_sup = 0
     for a in range(p):
         for b in range(1, p):
-            t = QuadExtElement(a, b, p)
-            if t == 0 or t == 1:
-                continue
-            c = LegendreCurve(t, p)
+            c = LegendreCurve((a, b), p)
             if is_supersingular(c):
                 c_sup += 1
                 # cross-check via degree-2 count: supersingular over F_{p^2}
@@ -282,52 +274,53 @@ def test_supersingular_works_for_fp2_parameters():
     assert c_sup > 0
 
 
-def x_double(c, x):
+def x_double(c, x: F) -> F:
     """x-coordinate of 2P computed without y (valid when y != 0)."""
-    num = (3 * x * x + 2 * c.a2 * x + c.a4) ** 2
-    den = 4 * c.rhs(x)
-    return num / den - c.a2 - 2 * x
+    a2, a4 = oracle.lift(c.a2, c.p), oracle.lift(c.a4, c.p)
+    num = (3 * x * x + 2 * a2 * x + a4) ** 2
+    return num / (4 * oracle.rhs(c, x)) - a2 - 2 * x
 
 
 @pytest.mark.parametrize("p,lam", [(13, 3), (17, 5), (29, 7), (101, 23)])
 def test_psi3_roots_contain_constructed_root_and_have_order_3(p, lam):
     _, s, minus, plus = lambda_pair(lam, p)
+    n = smallest_nonresidue(p)
     for lam_big, eps in ((minus, -1), (plus, 1)):
-        if lam_big == 0 or lam_big == 1:
+        if lam_big in ((0, 0), (1, 0)):
             continue
-        roots = psi3_roots(lam_big)
+        roots = psi3_roots(lam_big, p)
         assert len(roots) <= 4
-        expected = (QuadExtElement(lam + 1, 0, p) + 2 * eps * s) / 3
-        assert psi3_eval(lam_big, expected).is_zero()
-        assert expected in roots
+        expected = ((lam + 1) + 2 * eps * F(*s, p)) / 3
+        assert fp2_horner(psi3_coefficients(lam_big, p), expected.pair, p, n) == (0, 0)
+        assert expected.pair in roots
         c = LegendreCurve(lam_big, p)
-        for x in roots:
+        for root in roots:
+            x = F(*root, p)
             # order-3 means x(2P) = x(P) whatever field y lives in
             assert x_double(c, x) == x
-            y = sqrt_fp2(c.rhs(x))
+            y = oracle.sqrt(oracle.rhs(c, x))
             if y is not None:
-                P = c.point(x, y)
-                assert oracle.scalar_mul(c, 3, P) == INFINITY
-                assert oracle.scalar_mul(c, 1, P) != INFINITY
+                assert oracle.scalar_mul(c, 3, (x, y)) is None
+                assert oracle.scalar_mul(c, 1, (x, y)) is not None
 
 
 def test_psi3_requires_nonsingular():
     with pytest.raises(ValueError):
-        psi3_roots(QuadExtElement(0, 0, 7))
+        psi3_roots((0, 0), 7)
 
 
 def test_psi3_roots_large_prime_gcd_path():
     p = 503
     lam = 5
     _, s, minus, plus = lambda_pair(lam, p)
-    roots = psi3_roots(plus, seed=7)
+    roots = psi3_roots(plus, p, seed=7)
     assert 0 < len(roots) <= 4
     for x in roots:
-        assert psi3_eval(plus, x).is_zero()
-    lam2 = QuadExtElement(9, 3, 499)
-    roots2 = psi3_roots(lam2)
+        assert fp2_horner(psi3_coefficients(plus, p), x, p, smallest_nonresidue(p)) == (0, 0)
+    lam2 = (9, 3)
+    roots2 = psi3_roots(lam2, 499)
     assert len(roots2) == 4
-    assert roots2 == psi3_roots(lam2, seed=3) == psi3_roots_scan(lam2)
+    assert roots2 == psi3_roots(lam2, 499, seed=3) == psi3_roots_scan(lam2, 499)
 
 
 def test_psi3_roots_match_scan_oracle_on_every_prime_below_200():
@@ -336,31 +329,14 @@ def test_psi3_roots_match_scan_oracle_on_every_prime_below_200():
         if not is_prime(p):
             continue
         rng = random.Random(p)
-        rational = QuadExtElement(rng.randrange(2, p), 0, p)
-        with_w = QuadExtElement(rng.randrange(p), rng.randrange(1, p), p)
+        rational = rng.randrange(2, p), 0
+        with_w = rng.randrange(p), rng.randrange(1, p)
         for lam in (rational, with_w):
-            roots = psi3_roots(lam, seed=p)
-            assert roots == psi3_roots_scan(lam), (p, lam)
+            roots = psi3_roots(lam, p, seed=p)
+            assert roots == psi3_roots_scan(lam, p), (p, lam)
             counts.add(len(roots))
     # 0, 1 or all 4 abscissae are rational (two would force the other two)
     assert counts == {0, 1, 4}
-
-
-def test_poly_fp2_roots_builds_no_field_objects(monkeypatch):
-    built = 0
-    init = QuadExtElement.__init__
-
-    def counting_init(self, *args, **kwargs):
-        nonlocal built
-        built += 1
-        init(self, *args, **kwargs)
-
-    lam = QuadExtElement(9, 3, 499)
-    f = psi3_coefficients(lam)
-    monkeypatch.setattr(QuadExtElement, "__init__", counting_init)
-    roots = _poly_fp2_roots(f, 499, lam.nonresidue, 1)
-    assert len(roots) == 4 and built == 0
-    assert len(psi3_roots(lam)) == built == 4
 
 
 def test_poly_divmod_by_linear_factor():
@@ -388,7 +364,7 @@ def test_weil_relation_all_primes_to_200():
         if not is_prime(p):
             continue
         for t in range(2, p - 1):
-            c = LegendreCurve(t, p)
+            c = LegendreCurve((t, 0), p)
             n1 = count_points(c, 1)
             a = p + 1 - n1
             assert count_points(c, 2) == (p + 1) ** 2 - a * a

@@ -6,14 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from fp2_oracle import F, normal_form
 
 from s3genus2 import family
-from s3genus2.curves import LegendreCurve, deuring_coefficients, is_supersingular
+from s3genus2.curves import LegendreCurve, _sqrt_table, deuring_coefficients, is_supersingular
 from s3genus2.family import (
     VECTOR_MODULUS_BOUND,
     _deuring_eval,
     fgh_eval,
     is_admissible,
+    lambda_eps_pairs,
     lambda_from_torsion,
     lambda_record,
     orbit,
@@ -23,7 +25,7 @@ from s3genus2.family import (
     psi_closed_form,
     torsion_from_lambda,
 )
-from s3genus2.fields import QuadExtElement, is_prime, smallest_nonresidue, sqrt_fp2
+from s3genus2.fields import fp2_mul, fp2_sqrt, is_prime, smallest_nonresidue
 
 PRIMES_1MOD4 = [5, 13, 17, 29, 37, 41, 53, 61]
 PRIMES_11MOD12 = [11, 23, 47, 59, 71, 83, 107]
@@ -37,8 +39,8 @@ def test_lambda_record_pair_identity_lambda_2():
     # {Lambda^-(2), Lambda^+(2)} = {-7 + 4 sqrt(3), -7 - 4 sqrt(3)}
     for p in (13, 29, 101, 103):
         rec = lambda_record(2, p)
-        s3 = sqrt_fp2(QuadExtElement(3, 0, p))
-        assert {rec.lambda_minus, rec.lambda_plus} == {-7 + 4 * s3, -7 - 4 * s3}
+        s3 = F(*fp2_sqrt((3, 0), p, smallest_nonresidue(p)), p)
+        assert {rec.lambda_minus, rec.lambda_plus} == {(-7 + 4 * s3).pair, (-7 - 4 * s3).pair}
 
 
 def test_lambda_record_pair_identity_half():
@@ -46,8 +48,8 @@ def test_lambda_record_pair_identity_half():
     for p in (13, 29, 101):
         half = pow(2, -1, p)
         rec = lambda_record(half, p)
-        s3 = sqrt_fp2(QuadExtElement(3, 0, p))
-        assert {rec.lambda_minus, rec.lambda_plus} == {(2 + s3) / 4, (2 - s3) / 4}
+        s3 = F(*fp2_sqrt((3, 0), p, smallest_nonresidue(p)), p)
+        assert {rec.lambda_minus, rec.lambda_plus} == {((2 + s3) / 4).pair, ((2 - s3) / 4).pair}
 
 
 def test_lambda_record_product_is_fourth_power():
@@ -56,9 +58,10 @@ def test_lambda_record_product_is_fourth_power():
             if not is_admissible(lam, p):
                 continue
             rec = lambda_record(lam, p)
-            assert rec.lambda_minus * rec.lambda_plus == pow((lam - 1) % p, 4, p)
-            assert rec.lambda_minus != 0 and rec.lambda_minus != 1
-            assert rec.lambda_plus != 0 and rec.lambda_plus != 1
+            product = fp2_mul(rec.lambda_minus, rec.lambda_plus, p, smallest_nonresidue(p))
+            assert product == (pow(lam - 1, 4, p), 0)
+            assert rec.lambda_minus not in ((0, 0), (1, 0))
+            assert rec.lambda_plus not in ((0, 0), (1, 0))
 
 
 def test_lambda_record_rejects_singular():
@@ -154,11 +157,15 @@ def test_pair_supersingularity_agreement():
 
 
 def test_both_branches_classify_identically_to_500():
-    # the Lambda^+ branch scan must reproduce the Lambda^- one exactly
-    from s3genus2.family import _orbit_scan
-
+    # H_p at Lambda^+ of every admissible lambda, no orbit shortcut, vanishes
+    # exactly on the set the Lambda^- orbit scan stamps
     for p in primes_in(5, 500):
-        assert _orbit_scan(p, -1) == _orbit_scan(p, +1), p
+        n = smallest_nonresidue(p)
+        lam = np.array([v for v in range(p) if is_admissible(v, p)], dtype=np.int64)
+        la, lb = lambda_eps_pairs(lam, +1, p, n, _sqrt_table(p))
+        acc_a, acc_b = _deuring_eval(la, lb, n, p)
+        zeros = tuple(lam[(acc_a == 0) & (acc_b == 0)].tolist())
+        assert zeros == superspecial_lambdas(p), p
 
 
 def horner_eval(la, lb, n, p):
@@ -176,10 +183,10 @@ def horner_eval(la, lb, n, p):
 
 def test_orbit_scan_matches_horner_oracle_below_1000(monkeypatch):
     for p in primes_in(5, 1000):
-        fast = family._orbit_scan(p, -1)
+        fast = family._orbit_scan(p)
         with monkeypatch.context() as m:
             m.setattr(family, "_deuring_eval", horner_eval)
-            assert fast == family._orbit_scan(p, -1), p
+            assert fast == family._orbit_scan(p), p
 
 
 SQUARE_BLOCKS = (7, 17, 31, 71, 97, 199)  # m+1 = (p+1)/2 = k^2
@@ -220,7 +227,7 @@ def test_orbit_scan_evaluates_each_orbit_once(monkeypatch):
         reps = {min(orbit(lam, p)) for lam in range(2, p) if is_admissible(lam, p)}
         with monkeypatch.context() as m:
             m.setattr(family, "_deuring_eval", counting_eval)
-            family._orbit_scan(p, -1)
+            family._orbit_scan(p)
         assert sizes == ([len(reps)] if reps else []), p
 
 
@@ -255,7 +262,7 @@ def test_orbit_scan_rejects_prime_above_bound_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="bound"):
-            family._orbit_scan(q, -1)
+            family._orbit_scan(q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -268,9 +275,9 @@ def test_sqrt_delta_rationality_by_congruence():
         for lam in superspecial_lambdas(p):
             rec = lambda_record(lam, p)
             if p % 4 == 1:
-                assert not rec.sqrt_delta.in_base_field(), (p, lam)
+                assert rec.sqrt_delta[1] != 0, (p, lam)
             else:
-                assert rec.sqrt_delta.in_base_field(), (p, lam)
+                assert rec.sqrt_delta[1] == 0, (p, lam)
 
 
 def test_closed_form_verdict_small_range():
@@ -296,7 +303,7 @@ def test_psi_report_serialization():
 
 
 def supersingular_legendre_params(p):
-    return [t for t in range(2, p) if t != 1 and is_supersingular(LegendreCurve(t, p))]
+    return [t for t in range(2, p) if is_supersingular(LegendreCurve((t, 0), p))]
 
 
 def torsion_abscissas(t, p):
@@ -341,23 +348,20 @@ def test_round_trip_phi_after_psi():
 
 def test_round_trip_psi_after_phi():
     # Psi(Phi(lambda)) = lambda on the superspecial corpus
-    from s3genus2.isogenies import lambda_params, normal_form
-
     for p in PRIMES_11MOD12:
         if p == 11:
             continue
         for lam in superspecial_lambdas(p):
             rec = lambda_record(lam, p)
-            assert rec.sqrt_delta.in_base_field()
+            assert rec.sqrt_delta[1] == 0
             for eps in (-1, 1):
-                a = torsion_from_lambda(lam, eps, rec.sqrt_delta.a, p)
-                t_val, _ = lambda_params(lam, eps, rec.sqrt_delta)
-                assert t_val.in_base_field()
-                t = t_val.a
+                a = torsion_from_lambda(lam, eps, rec.sqrt_delta[0], p)
+                t, t_b = rec.lambda_minus if eps == -1 else rec.lambda_plus
+                assert t_b == 0
                 got = lambda_from_torsion(t, a, p)
                 assert got == lam, (p, lam, eps)
                 # b_lambda^2 agrees with the normal-form A B^2
-                nf = normal_form(lam, eps, rec.sqrt_delta)
+                nf = normal_form(lam, eps, F(*rec.sqrt_delta, p))
                 b2 = a * (a - 1) * (a - t)
                 assert nf.A * nf.B * nf.B == b2
 

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fp2_oracle import F
 from s3genus2 import fields
 from s3genus2.fields import (
-    QuadExtElement,
     check_modulus,
+    fp2_horner,
+    fp2_inv,
+    fp2_mul,
     fp2_sqrt,
     is_prime,
     legendre_int,
     primitive_root,
     smallest_nonresidue,
-    sqrt_fp2,
     tonelli_shanks,
 )
 
@@ -26,35 +28,35 @@ LARGE_PRIMES = [2013265921, 2147483629, 2147483647]
 
 
 @lru_cache(maxsize=None)
-def _fp2_nonsquare(p: int, n: int) -> QuadExtElement:
+def _fp2_nonsquare(p: int) -> F:
     # k + w is a non-square iff Norm(k + w) = k^2 - n is a non-residue
+    n = smallest_nonresidue(p)
     for k in range(p):
         if legendre_int(k * k - n, p) == -1:
-            return QuadExtElement(k, 1, p, n)
+            return F(k, 1, p)
     raise ArithmeticError(f"no non-square found in F_{p}^2")  # unreachable
 
 
-def sqrt_fp2_tonelli(u: QuadExtElement) -> QuadExtElement | None:
+def sqrt_fp2_tonelli(u: F) -> tuple[int, int] | None:
     """Oracle: Tonelli-Shanks in the multiplicative group of order p^2 - 1."""
-    p, n = u.p, u.nonresidue
+    p = u.p
     if u.is_zero():
-        return QuadExtElement(0, 0, p, n)
+        return 0, 0
     if not u.is_square():
         return None
-    one = QuadExtElement(1, 0, p, n)
     q, s = p * p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = _fp2_nonsquare(p, n)
+    z = _fp2_nonsquare(p)
     c = z**q
     x = u ** ((q + 1) // 2)
     t = u**q
     m = s
-    while t != one:
+    while t != 1:
         t2 = t
         i = 0
-        while t2 != one:
+        while t2 != 1:
             t2 = t2 * t2
             i += 1
         b = c ** (1 << (m - i - 1))
@@ -62,7 +64,21 @@ def sqrt_fp2_tonelli(u: QuadExtElement) -> QuadExtElement | None:
         c = b * b
         t = t * c
         m = i
-    return min(x, -x, key=lambda r: (r.a, r.b))
+    return min(x.pair, (-x).pair)
+
+
+def fp2_pow(u, k: int, p: int, n: int) -> tuple[int, int]:
+    out = (1, 0)
+    while k:
+        if k & 1:
+            out = fp2_mul(out, u, p, n)
+        u = fp2_mul(u, u, p, n)
+        k >>= 1
+    return out
+
+
+def neg(u, p):
+    return -u[0] % p, -u[1] % p
 
 
 def exhaustive_squares(p):
@@ -82,7 +98,7 @@ def test_modulus_validation():
         with pytest.raises(ValueError):
             check_modulus(bad)
         with pytest.raises(ValueError):
-            QuadExtElement(1, 0, bad)
+            smallest_nonresidue(bad)
     assert check_modulus(2**31 - 1) == 2**31 - 1
 
 
@@ -128,39 +144,36 @@ def test_smallest_nonresidue():
 
 
 def test_sqrt_identity():
-    s = sqrt_fp2(QuadExtElement(1, 0, 7))
-    assert s == 1
+    assert fp2_sqrt((1, 0), 7, 3) == (1, 0)
 
 
 def test_sqrt_2_mod_7_is_3():
-    s = sqrt_fp2(QuadExtElement(2, 0, 7))
-    assert s.in_base_field()
-    assert s.a == 3  # 3^2 = 2 mod 7, and 3 < 4 wins the tie-break
+    assert fp2_sqrt((2, 0), 7, 3) == (3, 0)  # 3^2 = 2 mod 7, and 3 < 4 wins the tie-break
 
 
 def test_sqrt_nonresidue_mod_7():
-    s = sqrt_fp2(QuadExtElement(3, 0, 7))
-    assert s.a == 0 and s.b != 0
-    assert s * s == 3
+    s = fp2_sqrt((3, 0), 7, 3)
+    assert s[0] == 0 and s[1] != 0
+    assert fp2_mul(s, s, 7, 3) == (3, 0)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_sqrt_squares_to_input_everywhere(p):
+    n = smallest_nonresidue(p)
     for a in range(min(p, 200)):
-        s = sqrt_fp2(QuadExtElement(a, 0, p))
-        assert s * s == a
+        s = fp2_sqrt((a, 0), p, n)
+        assert fp2_mul(s, s, p, n) == (a, 0)
         if legendre_int(a, p) == 1:
-            assert s.in_base_field()
+            assert s[1] == 0
         elif a != 0:
-            assert s.a == 0 and s.b != 0
+            assert s[0] == 0 and s[1] != 0
 
 
 def test_sqrt_canonical_branch_is_smaller_encoding():
     for p in PRIMES:
         for a in (2, 3, p - 1, 5 % p):
-            s = sqrt_fp2(QuadExtElement(a, 0, p))
-            other = -s
-            assert (s.a, s.b) <= (other.a, other.b)
+            s = fp2_sqrt((a, 0), p, smallest_nonresidue(p))
+            assert s <= neg(s, p)
 
 
 def test_tonelli_rejects_nonresidue():
@@ -206,47 +219,43 @@ def test_fp2_sqrt_pays_one_euler_criterion_per_radicand(monkeypatch):
 def test_fp2_paper_style_product():
     # (1+w)(1-w) with w^2 = 3 over F_7 is 1 - 3 = -2 = 5
     assert smallest_nonresidue(7) == 3
-    x = QuadExtElement(1, 1, 7)
-    y = QuadExtElement(1, -1, 7)
-    assert x * y == 5
+    assert fp2_mul((1, 1), (1, 6), 7, 3) == (5, 0)
 
 
 def test_fp2_inverse_law():
-    w = QuadExtElement(0, 1, 7)
-    assert w.inverse() * w == 1
+    w = (0, 1)
+    assert fp2_mul(fp2_inv(w, 7, 3), w, 7, 3) == (1, 0)
     with pytest.raises(ZeroDivisionError):
-        QuadExtElement(0, 0, 7).inverse()
+        fp2_inv((0, 0), 7, 3)
 
 
 def test_fp2_frobenius_is_conjugation_and_pth_power():
     for p in PRIMES[:6]:
+        n = smallest_nonresidue(p)
         rng = random.Random(p)
         for _ in range(20):
-            x = QuadExtElement(rng.randrange(p), rng.randrange(p), p)
-            fx = x.frobenius()
-            assert fx == x**p
-            assert fx.frobenius() == x
-            assert fx.a == x.a and fx.b == (-x.b) % p
+            x = rng.randrange(p), rng.randrange(p)
+            assert fp2_pow(x, p, p, n) == (x[0], -x[1] % p)
+            assert fp2_pow(fp2_pow(x, p, p, n), p, p, n) == x
 
 
 def test_fp2_operators_on_known_values():
     # w^2 = 2 over F_11
     assert smallest_nonresidue(11) == 2
-    x = QuadExtElement(2, 3, 11)
-    y = QuadExtElement(5, 7, 11)
-    assert (x + y).a == 7 and (x + y).b == 10
-    assert (x - y).a == 8 and (x - y).b == 7
-    assert (x * y).a == (2 * 5 + 3 * 7 * 2) % 11 and (x * y).b == (2 * 7 + 3 * 5) % 11
-    assert x.inverse() == QuadExtElement(3, 1, 11)
-    assert x.frobenius() == QuadExtElement(2, 8, 11)
+    x, y = (2, 3), (5, 7)
+    assert fp2_mul(x, y, 11, 2) == ((2 * 5 + 3 * 7 * 2) % 11, (2 * 7 + 3 * 5) % 11)
+    assert fp2_inv(x, 11, 2) == (3, 1)
+    # 1 + 2x + x^2 = (1 + x)^2 = (3 + 3w)^2 = (9 + 18) + 18w
+    assert fp2_horner([(1, 0), (2, 0), (1, 0)], x, 11, 2) == (27 % 11, 18 % 11)
 
 
 def test_frobenius_order_divides_two_random_sample():
     rng = random.Random(42)
     for p in (13, 101, 1009):
+        n = smallest_nonresidue(p)
         for _ in range(1000 // 3 + 1):
-            x = QuadExtElement(rng.randrange(p), rng.randrange(p), p)
-            assert x ** (p * p) == x
+            x = rng.randrange(p), rng.randrange(p)
+            assert fp2_pow(x, p * p, p, n) == x
 
 
 @given(
@@ -256,26 +265,29 @@ def test_frobenius_order_divides_two_random_sample():
 )
 @settings(max_examples=200, deadline=None)
 def test_field_axioms_sampled(p, a, b):
-    x = QuadExtElement(a, b, p)
-    y = QuadExtElement(b, a + 1, p)
-    z = QuadExtElement(a + b, 2 * a, p)
-    assert (x + y) * z == x * z + y * z
-    assert x * y == y * x
-    assert (x * y) * z == x * (y * z)
-    if not x.is_zero():
-        assert x * x.inverse() == 1
+    n = smallest_nonresidue(p)
+    x, y, z = (a % p, b % p), (b % p, (a + 1) % p), ((a + b) % p, 2 * a % p)
+    xy = ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
+    xz, yz = fp2_mul(x, z, p, n), fp2_mul(y, z, p, n)
+    assert fp2_mul(xy, z, p, n) == ((xz[0] + yz[0]) % p, (xz[1] + yz[1]) % p)
+    assert fp2_mul(x, y, p, n) == fp2_mul(y, x, p, n) == (F(*x, p) * F(*y, p)).pair
+    assert fp2_mul(fp2_mul(x, y, p, n), z, p, n) == fp2_mul(x, fp2_mul(y, z, p, n), p, n)
+    if x != (0, 0):
+        assert fp2_inv(x, p, n) == F(*x, p).inverse().pair
+        assert fp2_mul(x, fp2_inv(x, p, n), p, n) == (1, 0)
 
 
 @given(p=st.sampled_from(PRIMES), a=st.integers(min_value=0, max_value=10**9),
        b=st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=150, deadline=None)
 def test_general_fp2_sqrt(p, a, b):
-    x = QuadExtElement(a, b, p)
-    sq = x * x
-    s = sqrt_fp2(sq)
+    n = smallest_nonresidue(p)
+    x = a % p, b % p
+    sq = fp2_mul(x, x, p, n)
+    s = fp2_sqrt(sq, p, n)
     assert s is not None
-    assert s * s == sq
-    assert (s == x) or (s == -x)
+    assert fp2_mul(s, s, p, n) == sq
+    assert s in (x, neg(x, p))
 
 
 def test_general_fp2_sqrt_none_for_nonsquare():
@@ -284,53 +296,40 @@ def test_general_fp2_sqrt_none_for_nonsquare():
     found_nonsquare = False
     for a in range(p):
         for b in range(p):
-            x = QuadExtElement(a, b, p)
-            if not x.is_square():
+            if not F(a, b, p).is_square():
                 found_nonsquare = True
-                assert sqrt_fp2(x) is None
+                assert fp2_sqrt((a, b), p, n) is None
     assert found_nonsquare
-
-
-def test_mixed_moduli_rejected():
-    with pytest.raises(ValueError):
-        QuadExtElement(1, 0, 5) + QuadExtElement(1, 0, 7)
-    with pytest.raises(ValueError):
-        QuadExtElement(1, 0, 5) * QuadExtElement(1, 0, 7)
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 51) if is_prime(p)])
 def test_sqrt_fp2_matches_tonelli_oracle_on_every_element(p):
     n = smallest_nonresidue(p)
-    squares = set()
+    squares = {(F(a, b, p) * F(a, b, p)).pair for a in range(p) for b in range(p)}
     for a in range(p):
         for b in range(p):
-            x = QuadExtElement(a, b, p, n)
-            squares.add(((x * x).a, (x * x).b))
-    for a in range(p):
-        for b in range(p):
-            u = QuadExtElement(a, b, p, n)
-            s = sqrt_fp2(u)
-            want = sqrt_fp2_tonelli(u)
+            s = fp2_sqrt((a, b), p, n)
+            want = sqrt_fp2_tonelli(F(a, b, p))
             if (a, b) not in squares:
                 assert s is None and want is None, (a, b)
                 continue
-            assert s is not None and s * s == u
-            assert (s.a, s.b) == (want.a, want.b), (a, b)
-            assert (s.a, s.b) <= ((-s).a, (-s).b)
+            assert s == want and fp2_mul(s, s, p, n) == (a, b), (a, b)
+            assert s <= neg(s, p)
 
 
 def test_sqrt_fp2_matches_tonelli_oracle_near_the_modulus_cap():
     rng = random.Random(2**31)
     for i in range(1000):
         p = LARGE_PRIMES[i % len(LARGE_PRIMES)]
-        u = QuadExtElement(rng.randrange(p), rng.randrange(p) if i % 10 else 0, p)
+        n = smallest_nonresidue(p)
+        u = F(rng.randrange(p), rng.randrange(p) if i % 10 else 0, p)
         if i % 2:
             u = u * u
-        s = sqrt_fp2(u)
+        s = fp2_sqrt(u.pair, p, n)
         want = sqrt_fp2_tonelli(u)
         assert (s is None) == (want is None) == (not u.is_square())
         if s is not None:
-            assert (s.a, s.b) == (want.a, want.b) and s * s == u
+            assert s == want and fp2_mul(s, s, p, n) == u.pair
 
 
 def test_primitive_root_is_the_smallest_generator():

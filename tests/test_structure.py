@@ -16,7 +16,7 @@ from s3genus2.family import (
     psi_p,
     superspecial_lambdas,
 )
-from s3genus2.fields import QuadExtElement, is_prime, smallest_nonresidue
+from s3genus2.fields import is_prime, smallest_nonresidue
 from s3genus2.structure import (
     GraphGp,
     RootProfile,
@@ -34,30 +34,27 @@ def primes_in(lo, hi, cond=lambda p: True):
     return [p for p in range(lo, hi + 1) if is_prime(p) and cond(p)]
 
 
-# The per-lambda QuadExtElement computations of the profile and the graph:
-# two Legendre curves and two j_invariant calls per lambda.  They are the
-# exact oracles of the int64 array path in structure.py.
+# The per-lambda int-pair computations of the profile and the graph: two
+# Legendre curves and two j_invariant calls per lambda.  They are the exact
+# oracles of the int64 array path in structure.py.
 
 
 def root_profile_oracle(p: int) -> RootProfile:
-    seen = {}
+    seen = set()
     for lam in superspecial_lambdas(p):
         _, _, minus, plus = lambda_pair(lam, p)
-        for t in (minus, plus):
-            j = j_invariant(LegendreCurve(t, p))
-            seen[(j.a, j.b)] = j
-    distinct = tuple(seen[k] for k in sorted(seen))
-    rational = tuple(j.a for j in distinct if j.in_base_field())
+        seen.update(j_invariant(LegendreCurve(t, p)) for t in (minus, plus))
+    distinct = tuple(sorted(seen))
+    rational = tuple(a for a, b in distinct if b == 0)
     pairs = []
-    for key in sorted(seen):
-        j = seen[key]
-        if j.in_base_field():
+    for a, b in distinct:
+        if b == 0:
             continue
-        conj = j.frobenius()
-        if (conj.a, conj.b) not in seen:
+        conj = a, -b % p
+        if conj not in seen:
             raise ArithmeticError(f"profile not Frobenius-stable at p={p}")
-        if (j.a, j.b) <= (conj.a, conj.b):
-            pairs.append((j, conj))
+        if (a, b) <= conj:
+            pairs.append(((a, b), conj))
     return RootProfile(
         p, distinct, rational, tuple(pairs), 8000 % p in rational, 54000 % p in rational
     )
@@ -74,9 +71,9 @@ def build_graph_oracle(p: int) -> GraphGp:
         _, _, minus, plus = lambda_pair(rep, p)
         j1 = j_invariant(LegendreCurve(minus, p))
         j2 = j_invariant(LegendreCurve(plus, p))
-        if not (j1.in_base_field() and j2.in_base_field()):
+        if j1[1] or j2[1]:
             raise ArithmeticError(f"irrational j at p={p}, lambda={rep}")
-        u, v = sorted((j1.a, j2.a))
+        u, v = sorted((j1[0], j2[0]))
         vertices.update((u, v))
         edges.append((u, v, len(members)))
     return GraphGp(p, tuple(sorted(vertices)), tuple(sorted(edges)))
@@ -122,8 +119,7 @@ def test_legendre_j_matches_j_invariant_on_random_parameters():
         tb = np.array([b for _, b in ts], dtype=np.int64)
         ja, jb = legendre_j(ta, tb, p, n)
         for (a, b), x, y in zip(ts, ja.tolist(), jb.tolist()):
-            want = j_invariant(LegendreCurve(QuadExtElement(a, b, p), p))
-            assert (x, y) == (want.a, want.b), (p, a, b)
+            assert (x, y) == j_invariant(LegendreCurve((a, b), p)), (p, a, b)
 
 
 def test_legendre_j_rejects_singular_parameters():
@@ -152,10 +148,9 @@ def test_profile_rational_js_limited_at_1mod4():
 def test_profile_frobenius_stable_and_supersingular():
     for p in (13, 29, 41, 53):
         prof = root_profile(p)
-        keys = {(j.a, j.b) for j in prof.distinct_js}
-        for j in prof.distinct_js:
-            conj = j.frobenius()
-            assert (conj.a, conj.b) in keys
+        keys = set(prof.distinct_js)
+        for a, b in prof.distinct_js:
+            assert (a, -b % p) in keys
         # every profile j really is a supersingular j-invariant: it came from
         # a Lambda parameter, so re-derive one and check the Legendre model
         for lam in superspecial_lambdas(p):
