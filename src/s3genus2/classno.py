@@ -247,26 +247,6 @@ def hilbert_poly(D: int) -> HilbertPoly:
     return HilbertPoly(D, tuple(coeffs))
 
 
-def write_cache_file(path, polys) -> None:
-    """Advisory plain-text cache, one `D: c0 c1 ... 1` line per polynomial."""
-    with open(path, "w", encoding="ascii") as fh:
-        for hp in sorted(polys, key=lambda q: q.D):
-            fh.write(f"{hp.D}: {' '.join(str(c) for c in hp.coefficients)}\n")
-
-
-def read_cache_file(path) -> list[HilbertPoly]:
-    out = []
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(":")
-            coeffs = tuple(int(tok) for tok in rest.split())
-            out.append(HilbertPoly(int(head), coeffs))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gross-Zagier valuation
 

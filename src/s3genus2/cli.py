@@ -28,6 +28,7 @@ from .average import (
     window_sum,
     window_sum_bruteforce,
 )
+from .classno import CLASS_NUMBER_BOUND
 from .family import (
     PSI_CSV_HEADER,
     VECTOR_MODULUS_BOUND,
@@ -69,6 +70,12 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
             f"p={top} is at or above the scan's int64 bound "
             f"VECTOR_MODULUS_BOUND = 2^{VECTOR_MODULUS_BOUND.bit_length() - 1} "
             f"= {VECTOR_MODULUS_BOUND}"
+        )
+    # a psi row of p needs class numbers up to discriminant -12p
+    if 12 * top > CLASS_NUMBER_BOUND:
+        raise UsageError(
+            f"p={top} needs the class number of discriminant -12p = -{12 * top}, "
+            f"above CLASS_NUMBER_BOUND = {CLASS_NUMBER_BOUND}"
         )
     return [p for p in range(lo, top) if is_prime(p)] + [top]
 

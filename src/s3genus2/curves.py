@@ -199,8 +199,8 @@ def _power_table(p: int) -> np.ndarray:
 
     The outer product of g^0 .. g^(B-1) and (g^B)^j, B = isqrt(p-1) + 1: two
     python loops of about sqrt(p) steps and one p-sized reduction.  A
-    scanned prime builds it once, and the Deuring coefficients and the
-    scan's inverse table both read it.
+    scanned prime builds it once; the log table, the Deuring and the
+    supersingular coefficients and the scan's inverse table all read it.
     """
     g = primitive_root(p)
     b = isqrt(p - 1) + 1
@@ -215,6 +215,19 @@ def _power_table(p: int) -> np.ndarray:
     return (table % p).ravel()[: p - 1]
 
 
+@lru_cache(maxsize=1)
+def _log_table(p: int) -> np.ndarray:
+    """log[v] = the discrete log of v to the base of `_power_table(p)`.
+
+    log[0] reads 0 as well, so a caller must keep 0 out of its arguments.
+    The Deuring coefficients and `family._supersingular_array` read it; a
+    scanned prime builds it once.
+    """
+    log = np.zeros(p, dtype=np.int64)
+    log[_power_table(p)] = np.arange(p - 1)
+    return log
+
+
 def _deuring_array(p: int) -> np.ndarray:
     """Coefficients c_0 .. c_m of H_p, m = (p-1)/2, as an int64 array.
 
@@ -223,17 +236,14 @@ def _deuring_array(p: int) -> np.ndarray:
     (-(p-1), p-1), so its partial sums stay below m (p-1) < 2^49 in
     absolute value; then c_k = C(m, k)^2 = g^(2 l(C(m, k)) mod (p-1)).
     """
-    table = _power_table(p)
     m = (p - 1) // 2
-    log = np.zeros(p, dtype=np.int64)
-    log[table] = np.arange(p - 1)
+    log = _log_table(p)
     e = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(log[m:0:-1] - log[1 : m + 1], out=e[1:])
-    return table[2 * e % (p - 1)]
+    return _power_table(p)[2 * e % (p - 1)]
 
 
-# the scan reads `_deuring_array` directly; this tuple serves the
-# per-lambda loops within one prime (is_supersingular)
+# the per-lambda loops within one prime (is_supersingular) read this tuple
 @lru_cache(maxsize=8)
 def deuring_coefficients(p: int) -> tuple[int, ...]:
     """Coefficients of H_p(t) = sum_k C((p-1)/2, k)^2 t^k, reduced mod p."""

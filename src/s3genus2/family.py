@@ -5,15 +5,22 @@ roots of lambda^2 - lambda + 1 (those parameters are singular).  The member
 is superspecial exactly when the associated Legendre curve with parameter
 Lambda^-(lambda) = (1-lambda)(lambda - sqrt(delta))^2 is supersingular; the
 partner Lambda^+ then is too.  The scan classifies one representative per
-S3-orbit and stamps the rest.  It evaluates the Deuring polynomial H_p at
-every representative's Lambda^- at once, by an exact baby-step/giant-step
-(Paterson-Stockmeyer) split: about sqrt(p) vector operations and two int64
-matrix products per prime, where plain Horner takes p/2 vector passes.  The
-numpy Horner evaluation stays in the tests as the oracle for this kernel,
-beside the pure-python per-lambda scan `psi_p_bruteforce`.  The per-prime
-set-up around the kernel reads one table of generator powers g^0 .. g^(p-2)
-(curves._power_table): H_p's coefficients come from its discrete logarithms
-and the inverse table from its reversal, so no p-sized exponentiation runs.
+S3-orbit and stamps the rest.  Supersingularity depends only on the
+j-invariant, so the scan maps every representative's Lambda^- to
+j(E_{Lambda^-}) and evaluates the supersingular polynomial ss_p(j) there.
+ss_p has degree about p/12, against (p-1)/2 for the Deuring polynomial
+H_p in Lambda; its coefficients come from the truncated hypergeometric
+series of Kaneko-Zagier (1998), with the parameters (1/12, 5/12) for
+p = 1 mod 4 and (7/12, 11/12) for p = 3 mod 4 (`_supersingular_array`).
+The evaluation is an exact baby-step/giant-step (Paterson-Stockmeyer)
+split: about sqrt(p/12) vector operations and two int64 matrix products
+per prime.  The tests hold H_p at every lambda's Lambda^- (the same kernel
+fed the Deuring coefficients), numpy Horner and the pure-python per-lambda
+scan `psi_p_bruteforce` as oracles for it.  The per-prime set-up reads one
+table of generator powers g^0 .. g^(p-2) (curves._power_table): the
+coefficients come from its discrete logarithms and the inverse table, which
+also inverts the norms in the j computation, from its reversal, so no
+p-sized exponentiation runs.
 """
 
 from __future__ import annotations
@@ -27,19 +34,19 @@ import numpy as np
 from .classno import class_number
 from .curves import (
     LegendreCurve,
-    _deuring_array,
+    _log_table,
     _power_table,
     _sqrt_table,
     is_supersingular,
 )
-from .fields import check_modulus, fp2_sqrt, smallest_nonresidue
+from .fields import check_modulus, fp2_mul, fp2_sqrt, smallest_nonresidue
 
-# The int64 scan kernel needs k * (p-1)^2 < 2^63, k = isqrt((p+1)/2): a block
-# value sums k products of two residues.  Below 2^25 that is at most
-# 2^12 * 2^50 = 2^62.
+# The int64 evaluation kernel needs k * (p-1)^2 < 2^63 for up to (p+1)/2
+# coefficients (H_p), k = isqrt((p+1)/2): a block value sums k products of
+# two residues.  Below 2^25 that is at most 2^12 * 2^50 = 2^62.
 VECTOR_MODULUS_BOUND = 1 << 25
 # entries per baby-step or block-value matrix in one chunk of the scan
-# (4 MB of int64); every p below 2.5*10^4 fits in one chunk
+# (4 MB of int64); every p below 4.8*10^4 fits in one chunk
 BSGS_CHUNK_ELEMENTS = 1 << 19
 
 PSI_CSV_HEADER = "p,class,psi,h_p,h_3p,ok"
@@ -194,6 +201,54 @@ def lambda_eps_pairs(
     return lambda_eps(lam, (np.where(residue, root, 0), np.where(residue, 0, root)), eps, p)
 
 
+# numerators over 12 of the hypergeometric parameters (a, b), by p mod 4
+KZ_PARAMETERS = {1: (1, 5), 3: (7, 11)}
+
+
+def _supersingular_array(p: int) -> np.ndarray:
+    """Ascending coefficients of the supersingular polynomial ss_p(j), p >= 5.
+
+    ss_p(j) is the product of j - j(E) over the supersingular j-invariants
+    in characteristic p.  Kaneko-Zagier ("Supersingular j-invariants,
+    hypergeometric series, and Atkin's orthogonal polynomials", 1998) give
+    it as the truncated hypergeometric series
+
+        j^delta (j - 1728)^eps sum_{n <= m} (a)_n (b)_n / n!^2 1728^n j^(m-n)
+
+    mod p, with m = p // 12, delta = [p = 2 mod 3] and eps = [p = 3 mod 4].
+    (a, b) = (1/12, 5/12) for p = 1 mod 4 and the Euler transform
+    (7/12, 11/12) for p = 3 mod 4: in both cases the pair holds -m mod p,
+    so the series ends at n = m by itself.  The coefficients are built as
+    `curves._deuring_array` builds its own: the log of the n-th term is the
+    partial sum of l(a + i - 1) + l(b + i - 1) + l(1728) - 2 l(i) over
+    i = 1 .. n, one cumsum of terms in (-2(p-1), 3(p-1)), below
+    3 m (p-1) < 2^50 in absolute value, and one table read.  Since the log
+    table reads 0 at 0, a vanishing factor raises instead of passing
+    silently, and so does a degree other than the number of supersingular
+    j-invariants, (p - 1 + 6 eps + 8 delta) / 12 by Eichler's mass formula.
+    """
+    m = p // 12
+    delta, eps = int(p % 3 == 2), int(p % 4 == 3)
+    inv12 = pow(12, -1, p)
+    a, b = (num * inv12 % p for num in KZ_PARAMETERS[p % 4])
+    i = np.arange(1, m + 1, dtype=np.int64)
+    fa, fb = (a + i - 1) % p, (b + i - 1) % p
+    if ((fa == 0) | (fb == 0) | (i % p == 0)).any():
+        raise ArithmeticError(f"a vanishing hypergeometric factor mod p={p}")
+    log = _log_table(p)
+    e = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(log[fa] + log[fb] + log[1728 % p] - 2 * log[i], out=e[1:])
+    # the n-th term is the coefficient of j^(m-n); times j^delta (j - 1728)^eps
+    terms = _power_table(p)[e[::-1] % (p - 1)]
+    coeffs = np.zeros(m + 1 + delta + eps, dtype=np.int64)
+    coeffs[delta + eps :] = terms
+    coeffs[delta : delta + m + 1] -= 1728 * eps * terms
+    coeffs %= p
+    if coeffs[-1] == 0 or 12 * (coeffs.size - 1) != p - 1 + 6 * eps + 8 * delta:
+        raise ArithmeticError(f"ss_p of the wrong degree at p={p}")
+    return coeffs
+
+
 _SCAN_CACHE: dict[int, tuple[int, ...]] = {}
 
 
@@ -213,6 +268,32 @@ def superspecial_lambdas(p: int) -> tuple[int, ...]:
     return result
 
 
+def legendre_j(
+    ta: np.ndarray, tb: np.ndarray, p: int, n: int, inv: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """j(E_t) = 256 (t^2 - t + 1)^3 / (t(t - 1))^2 for each t = ta + tb*w.
+
+    With D = t^2 - t this is 256 D (1 + 1/D)^3.  1/D goes through the norm
+    D_a^2 - n D_b^2, inverted by the F_p inverse table `inv` when the
+    caller holds one and by exponentiation otherwise; n is a non-residue,
+    so the norm vanishes only at D = 0, that is t in {0, 1}, which raises.
+    Below VECTOR_MODULUS_BOUND = 2^25 every intermediate is at most two
+    products of residues (or a residue times n < p), below 2^51, so int64
+    holds it.
+    """
+    if p >= VECTOR_MODULUS_BOUND:
+        raise ValueError(f"p={p} above the vector kernel bound")
+    sa, sb = fp2_mul((ta, tb), (ta, tb), p, n)
+    da, db = (sa - ta) % p, (sb - tb) % p
+    norm = (da * da % p - db * db % p * n) % p
+    if not norm.all():
+        raise ValueError(f"singular Legendre parameter t in {{0, 1}} mod {p}")
+    ninv = inv[norm] if inv is not None else _pow_mod_vec(norm, p - 2, p)
+    u = ((da * ninv + 1) % p, (p - db) * ninv % p)
+    ja, jb = fp2_mul(fp2_mul(fp2_mul(u, u, p, n), u, p, n), (da, db), p, n)
+    return 256 * ja % p, 256 * jb % p
+
+
 def _orbit_scan(p: int) -> tuple[int, ...]:
     """Classify every orbit through the Lambda^- branch.
 
@@ -222,11 +303,11 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
     the inverse table is its scatter 1/g^i = g^(p-1-i), and each lambda's
     representative is the running minimum of its six S3 images, so the
     representatives are the lambda equal to their own and come out sorted.
-    H_p is evaluated at every representative's Lambda^- by the
-    baby-step/giant-step `_deuring_eval`, with no filter: the result is
-    exact.  The tests hold the numpy Horner evaluation as its oracle.  The
-    supersingular representatives are marked, and every lambda whose
-    representative is marked is stamped.
+    ss_p is evaluated at j(E_{Lambda^-}) of every representative by the
+    baby-step/giant-step `_bsgs_eval`, with no filter: the result is
+    exact.  A representative whose Lambda^- is 0 or 1 raises (in
+    `legendre_j`).  The supersingular representatives are marked, and
+    every lambda whose representative is marked is stamped.
     """
     check_modulus(p)
     if p >= VECTOR_MODULUS_BOUND:
@@ -249,39 +330,41 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
     reps = lam[rep == lam]
     n = smallest_nonresidue(p)
     la, lb = lambda_eps_pairs(reps, -1, p, n, _sqrt_table(p))
-    acc_a, acc_b = _deuring_eval(la, lb, n, p)
+    ja, jb = legendre_j(la, lb, p, n, inv)
+    acc_a, acc_b = _bsgs_eval(ja, jb, n, p, _supersingular_array(p))
     mark = np.zeros(p, dtype=bool)
     mark[reps[(acc_a == 0) & (acc_b == 0)]] = True
     return tuple(lam[mark[rep]].tolist())
 
 
-def _deuring_eval(
-    la: np.ndarray, lb: np.ndarray, n: int, p: int
+def _bsgs_eval(
+    xa: np.ndarray, xb: np.ndarray, n: int, p: int, coeffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """H_p(L) for each L = la + lb*w in F_{p^2} = F_p[w]/(w^2 - n), exactly.
+    """f(x) for each x = xa + xb*w in F_{p^2} = F_p[w]/(w^2 - n), exactly.
 
-    Paterson-Stockmeyer: with the m+1 coefficients split into g blocks of
-    k = isqrt(m+1), H_p(L) = sum_j P_j(L) G^j, where P_j carries
-    c_{jk} .. c_{jk+k-1} and G = L^k.  The block values P_j(L) for all L
-    are one int64 matrix product per F_{p^2} component (the coefficients
-    lie in F_p); the giant steps are g - 1 Horner passes in G.  Entries of
-    the products stay below k (p-1)^2, which VECTOR_MODULUS_BOUND keeps
-    under 2^63.  The points go through in row chunks, so the (rows, k) and
-    (rows, g) matrices hold at most BSGS_CHUNK_ELEMENTS entries each.
+    f has the ascending F_p coefficients `coeffs`, at most (p+1)/2 of them
+    (ss_p in the scan, H_p in the tests).  Paterson-Stockmeyer: with the
+    coefficients split into g blocks of k = isqrt(coeffs.size),
+    f(x) = sum_j P_j(x) G^j, where P_j carries c_{jk} .. c_{jk+k-1} and
+    G = x^k.  The block values P_j(x) for all x are one int64 matrix
+    product per F_{p^2} component (the coefficients lie in F_p); the giant
+    steps are g - 1 Horner passes in G.  Entries of the products stay below
+    k (p-1)^2, which VECTOR_MODULUS_BOUND keeps under 2^63.  The points go
+    through in row chunks, so the (rows, k) and (rows, g) matrices hold at
+    most BSGS_CHUNK_ELEMENTS entries each.
     """
-    coeffs = _deuring_array(p)
     k = isqrt(coeffs.size)
     g = -(-coeffs.size // k)
     # C[i, j] = c_{jk+i}, zero past the top coefficient
     c = np.zeros(g * k, dtype=np.int64)
     c[: coeffs.size] = coeffs
     c = c.reshape(g, k).T
-    acc_a = np.empty_like(la)
-    acc_b = np.empty_like(lb)
+    acc_a = np.empty_like(xa)
+    acc_b = np.empty_like(xb)
     step = max(1, BSGS_CHUNK_ELEMENTS // g)
-    for lo in range(0, la.size, step):
+    for lo in range(0, xa.size, step):
         rows = slice(lo, lo + step)
-        acc_a[rows], acc_b[rows] = _bsgs_rows(la[rows], lb[rows], n, p, c)
+        acc_a[rows], acc_b[rows] = _bsgs_rows(xa[rows], xb[rows], n, p, c)
     return acc_a, acc_b
 
 

@@ -26,14 +26,13 @@ import numpy as np
 from .classno import class_number, hilbert_poly
 from .curves import _poly_divmod, _poly_fp2_roots, _sqrt_table
 from .family import (
-    VECTOR_MODULUS_BOUND,
-    _pow_mod_vec,
     lambda_eps_pairs,
+    legendre_j,
     orbit,
     psi_p,
     superspecial_lambdas,
 )
-from .fields import fp2_mul, smallest_nonresidue
+from .fields import smallest_nonresidue
 
 GRAPH_MIN_PRIME = 11  # the degree/weight pattern needs p > 11
 
@@ -48,30 +47,6 @@ class RootProfile:
     conjugate_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     has8000: bool
     has54000: bool
-
-
-def legendre_j(
-    ta: np.ndarray, tb: np.ndarray, p: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """j(E_t) = 256 (t^2 - t + 1)^3 / (t(t - 1))^2 for each t = ta + tb*w.
-
-    With D = t^2 - t this is 256 D (1 + 1/D)^3.  1/D goes through the norm
-    D_a^2 - n D_b^2, inverted by exponentiation; n is a non-residue, so the
-    norm vanishes only at D = 0, that is t in {0, 1}, which raises.  Below
-    VECTOR_MODULUS_BOUND = 2^25 every intermediate is at most two products
-    of residues (or a residue times n < p), below 2^51, so int64 holds it.
-    """
-    if p >= VECTOR_MODULUS_BOUND:
-        raise ValueError(f"p={p} above the vector kernel bound")
-    sa, sb = fp2_mul((ta, tb), (ta, tb), p, n)
-    da, db = (sa - ta) % p, (sb - tb) % p
-    norm = (da * da % p - db * db % p * n) % p
-    if not norm.all():
-        raise ValueError(f"singular Legendre parameter t in {{0, 1}} mod {p}")
-    ninv = _pow_mod_vec(norm, p - 2, p)
-    u = ((da * ninv + 1) % p, -db * ninv % p)
-    ja, jb = fp2_mul(fp2_mul(fp2_mul(u, u, p, n), u, p, n), (da, db), p, n)
-    return 256 * ja % p, 256 * jb % p
 
 
 def _paired_js(lam: np.ndarray, p: int) -> np.ndarray:

@@ -13,9 +13,7 @@ from s3genus2.classno import (
     hilbert_poly,
     j_q_coefficients,
     kronecker,
-    read_cache_file,
     reduced_forms,
-    write_cache_file,
 )
 from s3genus2.fields import is_prime
 
@@ -137,16 +135,6 @@ def test_p35_mod_61_factors():
     got = hilbert_poly(35).mod(61)
     want = intpoly.reduce_mod(intpoly.mul([20, 1], [52, 1]), 61)
     assert got == want
-
-
-def test_hilbert_cache_roundtrip(tmp_path):
-    polys = [hilbert_poly(D) for D in (3, 8, 20)]
-    path = tmp_path / "cache.txt"
-    write_cache_file(path, polys)
-    back = read_cache_file(path)
-    assert back == sorted(polys, key=lambda h: h.D)
-    text = path.read_text()
-    assert "20: -681472000 -1264000 1" in text
 
 
 def test_hilbert_poly_rejects_large_inputs():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from s3genus2.average import MAX_TRIALS_BUDGET
+from s3genus2.classno import CLASS_NUMBER_BOUND
 from s3genus2.cli import main
 from s3genus2.family import VECTOR_MODULUS_BOUND
 from s3genus2.fields import MAX_MODULUS
@@ -84,6 +85,27 @@ def test_oversized_range_is_refused_before_listing_primes(capsys, monkeypatch, c
         f"VECTOR_MODULUS_BOUND = 2^25 = {VECTOR_MODULUS_BOUND}\n"
     )
     assert len(calls) == 40000000 - 39999983 + 1
+
+
+@pytest.mark.parametrize("command", ["psi", "structure"])
+def test_prime_above_the_class_number_bound_is_refused_before_any_scan(
+    capsys, monkeypatch, command
+):
+    # 12 * 833347 > CLASS_NUMBER_BOUND = 10^7: the h(-12p) column of the
+    # psi row cannot be computed, so no prime of the range is scanned
+    from s3genus2 import cli
+
+    monkeypatch.setattr("s3genus2.family._orbit_scan", None)
+    code, out, err = run_cli(capsys, command, "--from", "833300", "--to", "833347")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: p=833347 needs the class number of discriminant -12p = -10000164, "
+        f"above CLASS_NUMBER_BOUND = {CLASS_NUMBER_BOUND}\n"
+    )
+    # the largest prime below the bound, 833309, is accepted
+    assert 12 * 833309 <= CLASS_NUMBER_BOUND
+    assert cli.primes_in_range(833300, 833346) == [833309]
 
 
 def test_cli_import_leaves_the_process_pool_out():

@@ -9,14 +9,22 @@ import pytest
 from fp2_oracle import F, normal_form
 
 from s3genus2 import family
-from s3genus2.curves import LegendreCurve, _sqrt_table, deuring_coefficients, is_supersingular
+from s3genus2.curves import (
+    LegendreCurve,
+    _deuring_array,
+    _sqrt_table,
+    is_supersingular,
+    j_invariant,
+)
 from s3genus2.family import (
     VECTOR_MODULUS_BOUND,
-    _deuring_eval,
+    _bsgs_eval,
+    _supersingular_array,
     fgh_eval,
     is_admissible,
     lambda_eps_pairs,
     lambda_from_torsion,
+    legendre_j,
     lambda_record,
     orbit,
     psi_p,
@@ -163,20 +171,83 @@ def test_both_branches_classify_identically_to_500():
         n = smallest_nonresidue(p)
         lam = np.array([v for v in range(p) if is_admissible(v, p)], dtype=np.int64)
         la, lb = lambda_eps_pairs(lam, +1, p, n, _sqrt_table(p))
-        acc_a, acc_b = _deuring_eval(la, lb, n, p)
+        acc_a, acc_b = _bsgs_eval(la, lb, n, p, _deuring_array(p))
         zeros = tuple(lam[(acc_a == 0) & (acc_b == 0)].tolist())
         assert zeros == superspecial_lambdas(p), p
 
 
-def horner_eval(la, lb, n, p):
-    """Oracle for `_deuring_eval`: numpy Horner, one pass per coefficient."""
-    coeffs = np.array(deuring_coefficients(p), dtype=np.int64)
-    acc_a = np.zeros_like(la)
-    acc_b = np.zeros_like(lb)
+def supersingular_loop(p: int) -> list[int]:
+    """Oracle for `_supersingular_array`: the Kaneko-Zagier terms by `pow` inverses."""
+    m = p // 12
+    num_a, num_b = (1, 5) if p % 4 == 1 else (7, 11)
+    a, b = num_a * pow(12, -1, p) % p, num_b * pow(12, -1, p) % p
+    terms = [1]
+    for i in range(1, m + 1):
+        terms.append(terms[-1] * (a + i - 1) * (b + i - 1) * 1728 * pow(i * i, -1, p) % p)
+    poly = terms[::-1]  # the n-th term is the coefficient of j^(m-n)
+    if p % 3 == 2:
+        poly = [0] + poly
+    if p % 4 == 3:
+        poly = [(lo - 1728 * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+    return poly
+
+
+def test_supersingular_array_matches_pow_loop_below_2000():
+    for p in [q for q in range(5, 2000) if is_prime(q)]:
+        assert _supersingular_array(p).tolist() == supersingular_loop(p), p
+
+
+def test_supersingular_array_small_primes():
+    # the products of j - j0 over the known supersingular j0: 0 at p = 5,
+    # 1728 = 6 at 7, 0 and 1728 = 1 at 11, 5 at 13, 0 and 8 at 17, 7 and
+    # 1728 = 18 at 19
+    assert _supersingular_array(5).tolist() == [0, 1]
+    assert _supersingular_array(7).tolist() == [1, 1]
+    assert _supersingular_array(11).tolist() == [0, 10, 1]
+    assert _supersingular_array(13).tolist() == [8, 1]
+    assert _supersingular_array(17).tolist() == [0, 9, 1]
+    assert _supersingular_array(19).tolist() == [7 * 18 % 19, -25 % 19, 1]
+
+
+def test_supersingular_array_raises_on_a_vanishing_factor(monkeypatch):
+    # a = -12/12 = -1 makes the factor a + i - 1 vanish at i = 2
+    monkeypatch.setitem(family.KZ_PARAMETERS, 1, (-12, 5))
+    with pytest.raises(ArithmeticError, match="vanishing"):
+        _supersingular_array(1009)
+
+
+def test_supersingular_array_raises_on_a_wrong_degree(monkeypatch):
+    # a power table whose g^0 reads 0 zeroes the leading coefficient; the
+    # log table is cached from the real one first
+    p = 1013
+    family._log_table(p)
+    table = family._power_table(p).copy()
+    table[0] = 0
+    monkeypatch.setattr(family, "_power_table", lambda q: table)
+    with pytest.raises(ArithmeticError, match="degree"):
+        _supersingular_array(p)
+
+
+def test_orbit_scan_matches_deuring_at_every_lambda_below_5000():
+    # the j-based scan against H_p at Lambda^- of every admissible lambda,
+    # no orbit shortcut, on every prime below 5000
+    for p in primes_in(5, 4999):
+        n = smallest_nonresidue(p)
+        lam = np.arange(2, p, dtype=np.int64)
+        lam = lam[(lam * lam - lam + 1) % p != 0]
+        la, lb = lambda_eps_pairs(lam, -1, p, n, _sqrt_table(p))
+        acc_a, acc_b = _bsgs_eval(la, lb, n, p, _deuring_array(p))
+        assert family._orbit_scan(p) == tuple(lam[(acc_a == 0) & (acc_b == 0)].tolist()), p
+
+
+def horner_eval(xa, xb, n, p, coeffs):
+    """Oracle for `_bsgs_eval`: numpy Horner, one pass per coefficient."""
+    acc_a = np.zeros_like(xa)
+    acc_b = np.zeros_like(xb)
     for k in range(len(coeffs) - 1, -1, -1):
         acc_a, acc_b = (
-            (acc_a * la % p + acc_b * lb % p * n + coeffs[k]) % p,
-            (acc_a * lb + acc_b * la) % p,
+            (acc_a * xa % p + acc_b * xb % p * n + int(coeffs[k])) % p,
+            (acc_a * xb + acc_b * xa) % p,
         )
     return acc_a, acc_b
 
@@ -185,8 +256,56 @@ def test_orbit_scan_matches_horner_oracle_below_1000(monkeypatch):
     for p in primes_in(5, 1000):
         fast = family._orbit_scan(p)
         with monkeypatch.context() as m:
-            m.setattr(family, "_deuring_eval", horner_eval)
+            m.setattr(family, "_bsgs_eval", horner_eval)
             assert fast == family._orbit_scan(p), p
+
+
+def test_supersingular_roots_are_the_legendre_js_below_200():
+    # exhaustive over F_{p^2}: ss_p splits into distinct linear factors, and
+    # its roots are the j-invariants of the Legendre parameters where H_p
+    # vanishes
+    for p in primes_in(5, 199):
+        n = smallest_nonresidue(p)
+        xa = np.repeat(np.arange(p, dtype=np.int64), p)
+        xb = np.tile(np.arange(p, dtype=np.int64), p)
+        ss = _supersingular_array(p)
+        acc_a, acc_b = horner_eval(xa, xb, n, p, ss)
+        roots = set(zip(xa[(acc_a == 0) & (acc_b == 0)].tolist(),
+                        xb[(acc_a == 0) & (acc_b == 0)].tolist()))
+        assert len(roots) == ss.size - 1, p
+        acc_a, acc_b = horner_eval(xa, xb, n, p, _deuring_array(p))
+        zero = (acc_a == 0) & (acc_b == 0)
+        js = {j_invariant(LegendreCurve(t, p)) for t in zip(xa[zero].tolist(), xb[zero].tolist())}
+        assert js == roots, p
+
+
+def test_legendre_j_inverse_table_matches_exponentiation():
+    for p in (5, 13, 1009, 10007):
+        table = family._power_table(p)
+        inv = np.zeros(p, dtype=np.int64)
+        inv[table] = np.roll(table[::-1], 1)
+        assert np.array_equal(inv[1:] * np.arange(1, p) % p, np.ones(p - 1, dtype=np.int64))
+        rng = np.random.default_rng(p)
+        ta = rng.integers(2, p, 300, dtype=np.int64)
+        tb = rng.integers(0, p, 300, dtype=np.int64)
+        n = smallest_nonresidue(p)
+        got = legendre_j(ta, tb, p, n, inv)
+        want = legendre_j(ta, tb, p, n)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), p
+
+
+def test_orbit_scan_raises_on_a_singular_representative(monkeypatch):
+    # a representative whose Lambda^- reads 1 has norm N(L(L-1)) = 0
+    real = family.lambda_eps_pairs
+
+    def with_one(*args):
+        la, lb = real(*args)
+        la[0], lb[0] = 1, 0
+        return la, lb
+
+    monkeypatch.setattr(family, "lambda_eps_pairs", with_one)
+    with pytest.raises(ValueError, match="singular Legendre parameter"):
+        family._orbit_scan(1009)
 
 
 SQUARE_BLOCKS = (7, 17, 31, 71, 97, 199)  # m+1 = (p+1)/2 = k^2
@@ -207,12 +326,13 @@ def test_deuring_eval_matches_horner_on_random_points(p, monkeypatch):
     lb[:50] = 0  # points of F_p
     la[50:60] = 0
     n = smallest_nonresidue(p)
-    want_a, want_b = horner_eval(la, lb, n, p)
-    got_a, got_b = _deuring_eval(la, lb, n, p)
+    coeffs = _deuring_array(p)
+    want_a, want_b = horner_eval(la, lb, n, p, coeffs)
+    got_a, got_b = _bsgs_eval(la, lb, n, p, coeffs)
     assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
     # many row chunks, the last one partial
     monkeypatch.setattr(family, "BSGS_CHUNK_ELEMENTS", 150)
-    got_a, got_b = _deuring_eval(la, lb, n, p)
+    got_a, got_b = _bsgs_eval(la, lb, n, p, coeffs)
     assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
 
 
@@ -220,13 +340,13 @@ def test_orbit_scan_evaluates_each_orbit_once(monkeypatch):
     for p in primes_in(5, 200):
         sizes = []
 
-        def counting_eval(la, lb, n, q):
-            sizes.append(la.size)
-            return horner_eval(la, lb, n, q)
+        def counting_eval(xa, xb, n, q, coeffs):
+            sizes.append(xa.size)
+            return horner_eval(xa, xb, n, q, coeffs)
 
         reps = {min(orbit(lam, p)) for lam in range(2, p) if is_admissible(lam, p)}
         with monkeypatch.context() as m:
-            m.setattr(family, "_deuring_eval", counting_eval)
+            m.setattr(family, "_bsgs_eval", counting_eval)
             family._orbit_scan(p)
         assert sizes == ([len(reps)] if reps else []), p
 
