@@ -17,11 +17,14 @@ factor of 1.24 at X = 10^3, 1.28 at 10^4 and still 1.21 at 10^6.  The prime
 sum is the finite-X reference for judging a window average.
 
 The rational count is one vectorised pass: per prime, the Moebius blocks
-with a nonzero weight are paired with the superspecial residues, and the
-two floor sums of every pair go through the int64 numpy kernel
-_floor_sum_vec (the AtCoder Library floor_sum reduction, masked across
-lanes) in chunks of FLOOR_SUM_CHUNK lanes.  The tests keep the scalar
-per-residue floor-sum loop as its oracle, beside window_sum_bruteforce.
+with a nonzero weight are paired with the superspecial residues s <= 1/s
+(mod p), and the two floor sums of every pair go through the int64 numpy
+kernel _floor_sum_vec (the AtCoder Library floor_sum reduction, masked
+across lanes) in chunks of FLOOR_SUM_CHUNK lanes.  The lines of s and 1/s
+hold equally many points, so a residue pair is counted once with weight
+2 (see _rational_window_total).  The tests keep the scalar per-residue
+floor-sum loop, over every residue, as its oracle, beside
+window_sum_bruteforce.
 
 Skip conventions: bad reduction (p divides the denominator) and degenerate
 residues (lambda = 0, 1 mod p or delta = 0 mod p) are skipped, not counted.
@@ -234,8 +237,9 @@ def _count_pairs(pairs: np.ndarray) -> int:
     F(M, s, s + r, p) - F(M, s, s - r - 1, p) for the remainder r = M mod p,
     F the floor sum.  Both floor sums of every pair go through one
     `_floor_sum_vec` pass.  The weighted sum fits int64: a count is at most
-    M (2M + 1) and a weight at most its block's length N/(M(M+1)) + 1, so a
-    pair adds at most 2N + N(2N + 1) and a chunk stays below 2^58.
+    M (2M + 1) and a weight at most twice (a residue pair) its block's
+    length N/(M(M+1)) + 1, so a pair adds at most 2 (2N + N(2N + 1)) and a
+    chunk of FLOOR_SUM_CHUNK // 2 = 2^10 pairs stays below 2^59.
     """
     M, s, p, weight = pairs
     q, r = np.divmod(M, p)
@@ -260,6 +264,16 @@ def _rational_window_total(X: int, N: int) -> int:
     M on the residue's line.  The pairs of all primes are laid out into one
     fixed buffer of FLOOR_SUM_CHUNK // 2 pairs and counted a full buffer at
     a time.
+
+    Only the residues s <= 1/s (mod p) are counted, with weight 2 unless
+    s = 1/s.  On the box 1 <= a <= M, 1 <= |b| <= M the bijection
+    (a, b) -> (|b|, sgn(b) a) maps the line b = s a to the line b = a/s; it
+    keeps p !| a (on a line with s != 0, p | a iff p | b), a counted point
+    never has b = 0, and gcd(a, b) is unchanged, so the Moebius blocks are
+    too.  S_p is a union of S3 orbits, each holding 1/lambda with lambda,
+    so it is closed under s -> 1/s; an ArithmeticError is raised if not.
+    The one self-inverse admissible residue is s = p - 1 (s = 1 is not
+    admissible).
     """
     table = _mertens_table(N)
     ends = [0]  # ends[i] is the last d of block i, ends[0] = 0
@@ -271,9 +285,14 @@ def _rational_window_total(X: int, N: int) -> int:
     held = 0
     total = 0
     for p in primes_below(X):
-        residues = np.fromiter(superspecial_lambdas(p), dtype=np.int64)
+        lambdas = superspecial_lambdas(p)
+        inverse = {s: pow(s, -1, p) for s in lambdas}
+        if not inverse.keys() >= set(inverse.values()):
+            raise ArithmeticError(f"superspecial set mod {p} is not closed under 1/s")
+        residues = np.array([s for s in lambdas if s <= inverse[s]], dtype=np.int64)
         if not residues.size:
             continue
+        pair = np.where(residues == p - 1, 1, 2)
         weight = np.diff(_mertens_coprime(ends, p, table))
         nonzero = weight != 0
         M, w = heights[nonzero], weight[nonzero]
@@ -286,7 +305,7 @@ def _rational_window_total(X: int, N: int) -> int:
             np.take(M, block, out=cols[0])
             np.take(residues, res, out=cols[1])
             cols[2] = p
-            np.take(w, block, out=cols[3])
+            np.multiply(w[block], pair[res], out=cols[3])
             held += take
             lo += take
             if held == buf.shape[1]:
@@ -301,16 +320,16 @@ def _cost_estimate(X: int, N: int, mode: str) -> str:
     The scan of a prime p takes two (p/6 x k) @ (k x p/(2k)) int64 products,
     about p^2/6 multiply-adds, and finds about sum_p psi_p = 0.8 X^1.5/ln X
     superspecial residues below X (0.78-0.81 measured at X = 300..3000).  The
-    rational count runs two floor-sum lanes per (residue, Moebius block)
-    pair, with at most 2 sqrt(N) blocks.
+    rational count runs two floor-sum lanes per (residue pair {s, 1/s},
+    Moebius block), with at most 2 sqrt(N) blocks.
     """
     log_x = math.log(max(X, 3))
     cost = (f"~{X**3 / (18 * log_x):.1e} int64 multiply-adds in the per-prime "
             "baby-step/giant-step scans (X^3/(18 ln X))")
     residues = 0.8 * X**1.5 / log_x
     if mode == "rational":
-        return cost + (f", then ~{4 * math.sqrt(N) * residues:.1e} floor-sum lanes "
-                       "in the rational window count (3.2 sqrt(N) X^1.5/ln X)")
+        return cost + (f", then ~{2 * math.sqrt(N) * residues:.1e} floor-sum lanes "
+                       "in the rational window count (1.6 sqrt(N) X^1.5/ln X)")
     return cost + f", then ~{residues:.1e} residue counts (0.8 X^1.5/ln X)"
 
 

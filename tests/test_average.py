@@ -192,11 +192,12 @@ def test_floor_sum_bound_keeps_the_count_in_int64():
     assert m * (n + 2) < 2**39  # y = a*n + b
     assert n * (n + 1) // 2 < 2**46  # one lane's floor sum
     # a chunk's weighted sum: a pair's count is at most M (2M + 1) and its
-    # weight at most the block length N/(M(M+1)) + 1
-    per_pair = max((n // (M * (M + 1)) + 1) * M * (2 * M + 1)
+    # weight at most twice (a residue pair {s, 1/s}) the block length
+    # N/(M(M+1)) + 1
+    per_pair = max(2 * (n // (M * (M + 1)) + 1) * M * (2 * M + 1)
                    for M in (1, 2, 10, math.isqrt(n), n // 2, n))
-    assert per_pair <= 2 * n + n * (2 * n + 1)
-    assert FLOOR_SUM_CHUNK // 2 * (2 * n + n * (2 * n + 1)) < 2**63
+    assert per_pair <= 2 * (2 * n + n * (2 * n + 1))
+    assert FLOOR_SUM_CHUNK // 2 * 2 * (2 * n + n * (2 * n + 1)) < 2**59
 
 
 def test_mertens_table_matches_oracle_every_N_to_3000():
@@ -260,6 +261,34 @@ def test_rational_window_matches_scalar_oracle_6_to_150():
     for X in range(6, 151):
         N = default_window(X)
         assert window_sum(X, N, "rational").total == rational_window_scalar(X, N), X
+
+
+@pytest.mark.parametrize("X", range(250, 601, 50))
+def test_rational_window_matches_scalar_oracle_at_the_band_centres(X):
+    N = default_window(X)
+    assert window_sum(X, N, "rational").total == rational_window_scalar(X, N)
+
+
+def test_rational_line_counts_of_s_and_its_inverse_agree_below_100():
+    # the bijection (a, b) -> (|b|, sgn(b) a) behind counting {s, 1/s} once
+    for p in (q for q in range(2, 100) if all(q % d for d in range(2, q))):
+        for M in range(1, 3 * p + 1):
+            counts = [None, None] + [_rational_line_count(M, p, [s]) for s in range(2, p)]
+            for s in range(2, p):
+                assert counts[s] == counts[pow(s, -1, p)], (p, M, s)
+
+
+def test_superspecial_sets_are_closed_under_inversion_below_5000():
+    for p in primes_below(5000):
+        lambdas = set(superspecial_lambdas(p))
+        assert {pow(s, -1, p) for s in lambdas} == lambdas, p
+
+
+def test_rational_window_raises_on_a_set_not_closed_under_inversion(monkeypatch):
+    # 2 is kept (2 < 1/2 = 4 mod 7) but 4 is missing
+    monkeypatch.setattr(average, "superspecial_lambdas", lambda p: (2,) if p == 7 else ())
+    with pytest.raises(ArithmeticError, match="not closed"):
+        window_sum(10, 20, "rational")
 
 
 @pytest.mark.parametrize("chunk", [2, 6, 64])
