@@ -28,6 +28,9 @@ window_sum_bruteforce.
 
 Skip conventions: bad reduction (p divides the denominator) and degenerate
 residues (lambda = 0, 1 mod p or delta = 0 mod p) are skipped, not counted.
+
+window_sum refuses an (X, N) over the desk budget before any prime is
+scanned (limits.check_budget, which prices the run stage by stage).
 """
 
 from __future__ import annotations
@@ -39,14 +42,11 @@ from functools import lru_cache
 import numpy as np
 
 from .family import superspecial_lambdas
+from .limits import check_budget
 
 INTEGER_WINDOW_CONSTANT = (6 + 4 * math.sqrt(3)) * math.pi / 9
 RATIONAL_HEIGHT_CONSTANT = 4 * (3 + 2 * math.sqrt(3)) / (3 * math.pi)
 
-MAX_X_BUDGET = 50_000
-MAX_N_BUDGET = 10_000_000
-# isogeny --trials: 0.16-0.57 ms a trial from p = 10^3 to 2^31 (2-vCPU host)
-MAX_TRIALS_BUDGET = 100_000
 # floor-sum lanes per pass of the rational window count (two per pair); it
 # bounds the kernel's working set to a few 16 KB int64 buffers at any N
 FLOOR_SUM_CHUNK = 1 << 11
@@ -63,10 +63,6 @@ def _mode_constant(mode: str) -> float:
     if mode == "rational":
         return RATIONAL_HEIGHT_CONSTANT
     raise ValueError(f"unknown mode {mode!r}")
-
-
-class BudgetError(ValueError):
-    """A run was asked for that exceeds the configured desk-scale budget."""
 
 
 @lru_cache(maxsize=None)
@@ -189,10 +185,11 @@ def _floor_sum_vec(n, a, b, m) -> np.ndarray:
     not compacted).  The inputs are copied, not written.
 
     int64 bound: the window count calls this with n <= MAX_N_BUDGET,
-    m = p < MAX_X_BUDGET, 0 <= a < m and |b| < 2m.  Then y = a*n + b stays
-    below m*(n + 2) < 2^39, and each lane's sum is at most n(n + 1)/2 < 2^46;
-    the shift term n*floor(b/m), the partial sums and the reduced n, a, b, m
-    of later rounds are no larger, so every intermediate is far below 2^63.
+    m = p < MAX_X_BUDGET (both in `limits`), 0 <= a < m and |b| < 2m.  Then
+    y = a*n + b stays below m*(n + 2) < 2^39, and each lane's sum is at most
+    n(n + 1)/2 < 2^46; the shift term n*floor(b/m), the partial sums and the
+    reduced n, a, b, m of later rounds are no larger, so every intermediate
+    is far below 2^63.
     """
     n, a, b, m = (np.array(x, dtype=np.int64) for x in (n, a, b, m))
     total = np.zeros_like(n)
@@ -314,49 +311,6 @@ def _rational_window_total(X: int, N: int) -> int:
     return total + _count_pairs(buf[:, :held])
 
 
-def _cost_estimate(X: int, N: int, mode: str) -> str:
-    """The work of window_sum(X, N, mode), stage by stage.
-
-    The scan of a prime p takes two (p/6 x k) @ (k x p/(2k)) int64 products,
-    about p^2/6 multiply-adds, and finds about sum_p psi_p = 0.8 X^1.5/ln X
-    superspecial residues below X (0.78-0.81 measured at X = 300..3000).  The
-    rational count runs two floor-sum lanes per (residue pair {s, 1/s},
-    Moebius block), with at most 2 sqrt(N) blocks.
-    """
-    log_x = math.log(max(X, 3))
-    cost = (f"~{X**3 / (18 * log_x):.1e} int64 multiply-adds in the per-prime "
-            "baby-step/giant-step scans (X^3/(18 ln X))")
-    residues = 0.8 * X**1.5 / log_x
-    if mode == "rational":
-        return cost + (f", then ~{2 * math.sqrt(N) * residues:.1e} floor-sum lanes "
-                       "in the rational window count (1.6 sqrt(N) X^1.5/ln X)")
-    return cost + f", then ~{residues:.1e} residue counts (0.8 X^1.5/ln X)"
-
-
-def check_budget(X: int, N: int, mode: str) -> None:
-    """Raise BudgetError, with a cost estimate, if (X, N) is over budget."""
-    if X > MAX_X_BUDGET or N > MAX_N_BUDGET:
-        raise BudgetError(
-            f"X={X}, N={N} exceeds the desk budget "
-            f"(X <= {MAX_X_BUDGET}, N <= {MAX_N_BUDGET}); "
-            f"estimated cost {_cost_estimate(X, N, mode)}"
-        )
-
-
-def check_trials_budget(trials: int) -> None:
-    """Raise BudgetError, with a cost estimate, if isogeny asks for too many trials.
-
-    A compose_is_minus3 trial costs about 170 F_{p^2} multiplications, 12
-    inversions and 4 square roots (counted at p = 1009 to 2^31).
-    """
-    if trials > MAX_TRIALS_BUDGET:
-        raise BudgetError(
-            f"trials={trials} exceeds the desk budget (trials <= {MAX_TRIALS_BUDGET}); "
-            f"estimated cost ~{170 * trials:.1e} F_{{p^2}} multiplications, "
-            f"~{12 * trials:.1e} inversions and ~{4 * trials:.1e} square roots"
-        )
-
-
 def window_sum(X: int, N: int, mode: str = "integer") -> AverageRun:
     """Exact swapped-order window total with the predicted comparison.
 
@@ -395,10 +349,3 @@ def window_sum_bruteforce(X: int, N: int, mode: str = "integer") -> int:
 def default_window(X: int) -> int:
     """N = ceil(X^1.1), honoring the N > X regime of the asymptotic averages."""
     return math.ceil(X**1.1)
-
-
-def convergence_table(X_list, N_rule=None, mode: str = "integer") -> list[AverageRun]:
-    """One AverageRun per X, ascending, sharing the per-prime scan cache."""
-    if N_rule is None:
-        N_rule = default_window
-    return [window_sum(X, N_rule(X), mode) for X in sorted(X_list)]

@@ -18,10 +18,13 @@ from functools import lru_cache
 import mpmath
 
 from . import intpoly
+from .limits import (
+    CLASS_NUMBER_BOUND,
+    HILBERT_CLASS_BOUND,
+    HILBERT_D_BOUND,
+    LimitError,
+)
 
-CLASS_NUMBER_BOUND = 10**7
-HILBERT_D_BOUND = 200
-HILBERT_CLASS_BOUND = 8
 Q_SERIES_TERMS = 40
 
 
@@ -38,7 +41,7 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     """All reduced primitive forms (a, b, c) with b^2 - 4ac = -D."""
     _check_discriminant(D)
     if D > CLASS_NUMBER_BOUND:
-        raise ValueError(f"D={D} above enumeration bound {CLASS_NUMBER_BOUND}")
+        raise LimitError(f"D={D} above enumeration bound {CLASS_NUMBER_BOUND}")
     forms = []
     b = D % 2
     while 3 * b * b <= D:
@@ -188,9 +191,6 @@ class HilbertPoly:
     def mod(self, p: int) -> list[int]:
         return intpoly.reduce_mod(list(self.coefficients), p)
 
-    def __call__(self, x: int) -> int:
-        return intpoly.eval_at(list(self.coefficients), x)
-
 
 def working_digits(D: int, h: int) -> int:
     return 15 + h * int(math.pi * math.sqrt(D) / math.log(10) + 10)
@@ -201,11 +201,11 @@ def hilbert_poly(D: int) -> HilbertPoly:
     """The Hilbert class polynomial P_D(X), exact integer coefficients."""
     _check_discriminant(D)
     if D > HILBERT_D_BOUND:
-        raise ValueError(f"D={D} above analytic bound {HILBERT_D_BOUND}")
+        raise LimitError(f"D={D} above analytic bound {HILBERT_D_BOUND}")
     forms = reduced_forms(D)
     h = len(forms)
     if h > HILBERT_CLASS_BOUND:
-        raise ValueError(f"h(-{D})={h} too large for the analytic route")
+        raise LimitError(f"h(-{D})={h} too large for the analytic route")
     digits = working_digits(D, h)
     jq = j_q_coefficients()
     with mpmath.workdps(digits):

@@ -7,76 +7,62 @@ exercises the explicit 3-isogeny identities at one (p, lambda), and
 streamed one row per prime in ascending order (worker results are
 reordered), so reruns with the same flags and seed are byte-identical.
 
-Exit status: 0 all checks passed, 1 at least one failed, 2 usage error.
+Every request is checked against `limits` before any scan or trial starts;
+a refused one raises LimitError, printed as `error: ...` (with a cost
+estimate for a budget).  `psi` and `structure` admit a prime range whose
+scans cost no more than those of the largest `average` run.
+
+Exit status: 0 all checks passed, 1 at least one failed, 2 a request
+refused as malformed or over a bound or budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from .average import (
     SKIP_CONVENTIONS,
     AverageRun,
-    BudgetError,
-    check_budget,
-    check_trials_budget,
     default_window,
     primes_below,
     window_sum,
     window_sum_bruteforce,
 )
-from .classno import CLASS_NUMBER_BOUND
 from .family import (
     PSI_CSV_HEADER,
-    VECTOR_MODULUS_BOUND,
     PsiReport,
     is_admissible,
     psi_p,
     seed_scan_cache,
     superspecial_lambdas,
 )
-from .fields import MAX_MODULUS, is_prime
+from .fields import is_prime
 from .isogenies import compose_is_minus3, verify_transcription
+from .limits import (
+    LimitError,
+    check_bruteforce,
+    check_budget,
+    check_isogeny,
+    check_scan_range,
+)
 from .structure import StructureVerdict, structure_verdict
 
 DEFAULT_SEED = 1
-BRUTEFORCE_X_CAP = 200
-BRUTEFORCE_N_CAP = 2000
 
 USAGE_ERROR = 2
 
 
-class UsageError(ValueError):
-    pass
-
-
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    if lo < 5:
-        raise UsageError(f"--from must be at least 5, got {lo}")
-    if hi < lo:
-        raise UsageError(f"empty prime range [{lo}, {hi}]")
     # the largest prime is found by stepping down from hi, so an oversized
     # range is refused before any other integer is tested
     top = hi
     while top >= lo and not is_prime(top):
         top -= 1
-    if top < lo:
-        raise UsageError(f"no primes in [{lo}, {hi}]")
-    if top >= VECTOR_MODULUS_BOUND:
-        raise UsageError(
-            f"p={top} is at or above the scan's int64 bound "
-            f"VECTOR_MODULUS_BOUND = 2^{VECTOR_MODULUS_BOUND.bit_length() - 1} "
-            f"= {VECTOR_MODULUS_BOUND}"
-        )
-    # a psi row of p needs class numbers up to discriminant -12p
-    if 12 * top > CLASS_NUMBER_BOUND:
-        raise UsageError(
-            f"p={top} needs the class number of discriminant -12p = -{12 * top}, "
-            f"above CLASS_NUMBER_BOUND = {CLASS_NUMBER_BOUND}"
-        )
+    check_scan_range(lo, hi, top)
     return [p for p in range(lo, top) if is_prime(p)] + [top]
 
 
@@ -85,13 +71,18 @@ def _scan_worker(p: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _prefill_scans(primes, threads: int) -> None:
-    """Run the per-prime lambda scans on a worker pool, largest first."""
-    if threads <= 1:
+    """Run the per-prime lambda scans on a worker pool, largest first.
+
+    The pool has at most one worker per prime and per CPU, whatever
+    --threads asks for: under fork every worker starts on the first submit.
+    """
+    workers = min(threads, len(primes), os.cpu_count() or 1)
+    if workers <= 1:
         return
     from concurrent.futures import ProcessPoolExecutor
 
     todo = sorted(primes, reverse=True)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         seed_scan_cache(pool.map(_scan_worker, todo, chunksize=4))
 
 
@@ -137,7 +128,7 @@ def cmd_structure(args) -> int:
     out = None
     if args.format == "dot":
         if not args.output:
-            raise UsageError("--format dot needs --output DIRECTORY")
+            raise LimitError("--format dot needs --output DIRECTORY")
         dot_dir = Path(args.output)
         dot_dir.mkdir(parents=True, exist_ok=True)
     else:
@@ -168,14 +159,10 @@ def cmd_structure(args) -> int:
 def cmd_isogeny(args) -> int:
     p, lam = args.p, args.lam
     if not is_prime(p) or p < 5:
-        raise UsageError(f"p={p} is not a prime >= 5")
-    if p >= MAX_MODULUS:
-        raise UsageError(f"p={p} is at or above MAX_MODULUS = 2^31 = {MAX_MODULUS}")
-    if args.trials < 1:
-        raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    check_trials_budget(args.trials)
+        raise LimitError(f"p={p} is not a prime >= 5")
+    check_isogeny(p, args.trials)
     if not is_admissible(lam, p):
-        raise UsageError(f"lambda={lam} is inadmissible mod {p}")
+        raise LimitError(f"lambda={lam} is inadmissible mod {p}")
     verify_transcription(lam, p)
     print(f"anchors p={p} lambda={lam}: pass")
     ok = compose_is_minus3(lam, p, trials=args.trials, seed=args.seed)
@@ -189,15 +176,12 @@ def cmd_average(args) -> int:
     xs = sorted(set(args.X))
     # refuse a malformed or oversized row before any row is computed
     if xs[0] < 2 or (args.N is not None and args.N < 1):
-        raise UsageError(f"need X >= 2 and N >= 1, got X={xs[0]}, N={args.N}")
+        raise LimitError(f"need X >= 2 and N >= 1, got X={xs[0]}, N={args.N}")
     windows = [(X, args.N if args.N is not None else default_window(X)) for X in xs]
     for X, N in windows:
         check_budget(X, N, mode)
-        if args.check_bruteforce and (X > BRUTEFORCE_X_CAP or N > BRUTEFORCE_N_CAP):
-            raise UsageError(
-                f"--check-bruteforce capped at X <= {BRUTEFORCE_X_CAP}, "
-                f"N <= {BRUTEFORCE_N_CAP}"
-            )
+        if args.check_bruteforce:
+            check_bruteforce(X, N)
     out = _open_output(args)
     try:
         rows: list[AverageRun] = []
@@ -289,7 +273,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, BudgetError) as exc:
+    except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -25,9 +25,7 @@ from .fields import (
     primitive_root,
     smallest_nonresidue,
 )
-
-POINT_COUNT_BOUND_DEG1 = 2_000_000
-POINT_COUNT_BOUND_DEG2 = 2_000
+from .limits import POINT_COUNT_BOUND_DEG1, POINT_COUNT_BOUND_DEG2, LimitError
 
 
 def _reduce(u, p: int) -> tuple[int, int]:
@@ -138,7 +136,7 @@ def count_points(c: LegendreCurve, extension_degree: int = 1, bound: int | None 
         if bound is None:
             bound = POINT_COUNT_BOUND_DEG1
         if p > bound:
-            raise ValueError(f"p={p} above enumeration bound {bound}")
+            raise LimitError(f"p={p} above enumeration bound {bound}")
         if c.t[1]:
             raise ValueError("degree-1 count needs t in F_p")
         return _count_fp(c.t[0], p)
@@ -146,7 +144,7 @@ def count_points(c: LegendreCurve, extension_degree: int = 1, bound: int | None 
         if bound is None:
             bound = POINT_COUNT_BOUND_DEG2
         if p > bound:
-            raise ValueError(f"p={p} above enumeration bound {bound}")
+            raise LimitError(f"p={p} above enumeration bound {bound}")
         return _count_fp2(*c.t, p)
     raise ValueError("extension_degree must be 1 or 2")
 

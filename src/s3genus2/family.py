@@ -40,11 +40,8 @@ from .curves import (
     is_supersingular,
 )
 from .fields import check_modulus, fp2_mul, fp2_sqrt, smallest_nonresidue
+from .limits import VECTOR_MODULUS_BOUND, LimitError
 
-# The int64 evaluation kernel needs k * (p-1)^2 < 2^63 for up to (p+1)/2
-# coefficients (H_p), k = isqrt((p+1)/2): a block value sums k products of
-# two residues.  Below 2^25 that is at most 2^12 * 2^50 = 2^62.
-VECTOR_MODULUS_BOUND = 1 << 25
 # entries per baby-step or block-value matrix in one chunk of the scan
 # (4 MB of int64); every p below 4.8*10^4 fits in one chunk
 BSGS_CHUNK_ELEMENTS = 1 << 19
@@ -282,7 +279,7 @@ def legendre_j(
     holds it.
     """
     if p >= VECTOR_MODULUS_BOUND:
-        raise ValueError(f"p={p} above the vector kernel bound")
+        raise LimitError(f"p={p} above the vector kernel bound")
     sa, sb = fp2_mul((ta, tb), (ta, tb), p, n)
     da, db = (sa - ta) % p, (sb - tb) % p
     norm = (da * da % p - db * db % p * n) % p
@@ -311,7 +308,7 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
     """
     check_modulus(p)
     if p >= VECTOR_MODULUS_BOUND:
-        raise ValueError(f"p={p} above the vector kernel bound")
+        raise LimitError(f"p={p} above the vector kernel bound")
     lam = np.arange(2, p, dtype=np.int64)
     delta = (lam * lam - lam + 1) % p
     lam = lam[delta != 0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-MAX_MODULUS = 1 << 31  # keeps products inside native double-width integers
+from .limits import MAX_MODULUS, LimitError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -44,7 +44,7 @@ def is_prime(n: int) -> bool:
 @lru_cache(maxsize=None)
 def check_modulus(p: int) -> int:
     if not (5 <= p < MAX_MODULUS):
-        raise ValueError(f"modulus {p} out of range [5, 2^31)")
+        raise LimitError(f"modulus {p} out of range [5, 2^31)")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p

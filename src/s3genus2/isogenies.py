@@ -136,14 +136,8 @@ class IsogenyMap:
         third = pow(3, -1, p)
         self.kernel_x = ((lam + 1 + 2 * eps * sqrt_delta[0]) * third % p,
                          2 * eps * sqrt_delta[1] * third % p)
-        self._source = LegendreCurve(self.source_lambda, p)
-        self._target = LegendreCurve(self.target_lambda, p)
-
-    def source_curve(self) -> LegendreCurve:
-        return self._source
-
-    def target_curve(self) -> LegendreCurve:
-        return self._target
+        self.source = LegendreCurve(self.source_lambda, p)
+        self.target = LegendreCurve(self.target_lambda, p)
 
     def _closed_form(self, P):
         """(s, t) at the affine int-pair point P, or None where a denominator vanishes."""
@@ -164,24 +158,24 @@ class IsogenyMap:
     def _translated(self, P):
         """psi(P) at x0' through the first anchor T that moves P off x0'."""
         for T in (((0, 0), (0, 0)), ((1, 0), (0, 0))):
-            Q = self._source.add(P, T)
+            Q = self.source.add(P, T)
             if Q[0] == self.kernel_x:
                 return T
             img = self._closed_form(Q)
             if img is not None:
-                return self._target.add(img, T)
+                return self.target.add(img, T)
         raise ArithmeticError("both 2-torsion anchors fix x0'; impossible for admissible lambda")
 
     def image(self, P):
         """psi(P) for an int-pair point, checked on the source and the target."""
-        if not self._source.contains(P):
+        if not self.source.contains(P):
             raise ValueError("point not on the source curve")
         if P is None or P[0] == self.kernel_x:
             return None
         img = self._closed_form(P)
         if img is None:  # removable singularity of the tabulated form
             img = self._translated(P)
-        if not self._target.contains(img):
+        if not self.target.contains(img):
             raise ArithmeticError("isogeny image left the target curve")
         return img
 
@@ -191,8 +185,8 @@ def compose_is_minus3(lam: int, p: int, trials: int = 50, seed: int = 0) -> bool
     sqrt_delta = lambda_pair(lam, p)[1]
     psi_minus = IsogenyMap(lam, -1, sqrt_delta, p)
     psi_plus = IsogenyMap(lam, +1, sqrt_delta, p)
-    e_minus = psi_minus.source_curve()
-    e_plus = psi_plus.source_curve()
+    e_minus = psi_minus.source
+    e_plus = psi_plus.source
     rng = random.Random(seed)
     for _ in range(trials):
         P = e_minus.random_point(rng)
@@ -317,8 +311,3 @@ def resultant_factorization_check() -> tuple[bool, int]:
     if constant == 0 or intpoly.scale(prod, constant) != res:
         return False, 0
     return True, constant
-
-
-def resultant_degree() -> int:
-    F, dF = _phi3_bivariate()
-    return intpoly.degree(intpoly.resultant_bivariate(F, dF))

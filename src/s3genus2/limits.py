@@ -1,0 +1,147 @@
+"""Every resource limit of the toolkit, and the checks that refuse a request.
+
+The bounds below are the only definitions of what a job may ask for: the
+int64 and enumeration bounds that keep a kernel exact, and the desk
+budgets that keep a run to minutes.  A request outside them raises
+LimitError, a ValueError that the CLI turns into exit status 2 with the
+message (and, for a budget, a cost estimate) on stderr; nothing has been
+computed by then.  The CLI raises it for a malformed argument too.  Inside
+the library, an argument outside a function's domain (a non-prime
+modulus, an inadmissible lambda) stays a plain ValueError.
+
+The cost of a run is dominated by the per-prime scans (family._orbit_scan):
+about p/6 orbit representatives go through two (p/6 x k) @ (k x g) int64
+products with k g ~ p/12, the coefficients of ss_p, so a prime costs about
+p^2/36 multiply-adds and all primes below X about
+
+    F(X) = X^3 / (108 ln X),
+
+the prime number theorem's value of sum_{p < X} p^2/36 (`scan_cost`).
+F(MAX_X_BUDGET) is the scan work of the largest `average` run admitted;
+`psi` and `structure` admit a prime range whose scans cost no more.
+
+This module imports nothing from the package, so every other module can
+import it.
+"""
+
+from __future__ import annotations
+
+import math
+
+# F_p arithmetic: products of two residues stay in native double-width ints
+MAX_MODULUS = 1 << 31
+# the int64 scan kernels need k (p-1)^2 < 2^63 for up to (p+1)/2
+# coefficients, k = isqrt((p+1)/2): below 2^25 that is at most 2^12 * 2^50
+VECTOR_MODULUS_BOUND = 1 << 25
+# reduced-form enumeration of class numbers h(-D)
+CLASS_NUMBER_BOUND = 10**7
+# analytic Hilbert class polynomials: discriminant and class number
+HILBERT_D_BOUND = 200
+HILBERT_CLASS_BOUND = 8
+# naive point counts over F_p and F_{p^2}
+POINT_COUNT_BOUND_DEG1 = 2_000_000
+POINT_COUNT_BOUND_DEG2 = 2_000
+# desk budgets of `average` (prime bound X, window N); the floor-sum
+# kernel's int64 proof assumes them
+MAX_X_BUDGET = 50_000
+MAX_N_BUDGET = 10_000_000
+# isogeny --trials: 0.16-0.57 ms a trial from p = 10^3 to 2^31 (2-vCPU host)
+MAX_TRIALS_BUDGET = 100_000
+# average --check-bruteforce runs the double loop over (lambda, p)
+BRUTEFORCE_X_CAP = 200
+BRUTEFORCE_N_CAP = 2000
+
+
+class LimitError(ValueError):
+    """A request the toolkit refuses: malformed, or over a bound or budget."""
+
+
+def scan_cost(X: float) -> float:
+    """F(X) = X^3/(108 ln X), the int64 multiply-adds of the scans of the
+    primes below X (sum_{p < X} p^2/36)."""
+    return X**3 / (108 * math.log(max(X, 3)))
+
+
+def check_scan_range(lo: int, hi: int, top: int) -> None:
+    """Refuse a psi/structure range [lo, hi] by its largest prime `top`
+    (below lo when there is none), before its other primes are listed."""
+    if lo < 5:
+        raise LimitError(f"--from must be at least 5, got {lo}")
+    if hi < lo:
+        raise LimitError(f"empty prime range [{lo}, {hi}]")
+    if top < lo:
+        raise LimitError(f"no primes in [{lo}, {hi}]")
+    if top >= VECTOR_MODULUS_BOUND:
+        raise LimitError(
+            f"p={top} is at or above the scan's int64 bound "
+            f"VECTOR_MODULUS_BOUND = 2^{VECTOR_MODULUS_BOUND.bit_length() - 1} "
+            f"= {VECTOR_MODULUS_BOUND}"
+        )
+    # a psi row of p needs class numbers up to discriminant -12p
+    if 12 * top > CLASS_NUMBER_BOUND:
+        raise LimitError(
+            f"p={top} needs the class number of discriminant -12p = -{12 * top}, "
+            f"above CLASS_NUMBER_BOUND = {CLASS_NUMBER_BOUND}"
+        )
+    cost, budget = scan_cost(top) - scan_cost(lo), scan_cost(MAX_X_BUDGET)
+    if cost > budget:
+        raise LimitError(
+            f"primes {lo}..{top} exceed the desk budget of ~{budget:.1e} int64 "
+            f"multiply-adds, the scans of average --X {MAX_X_BUDGET}; estimated cost "
+            f"~{cost:.1e} in the per-prime baby-step/giant-step scans "
+            "(F(top) - F(from), F(X) = X^3/(108 ln X))"
+        )
+
+
+def check_isogeny(p: int, trials: int) -> None:
+    """Refuse an isogeny run over the modulus cap or the trials budget.
+
+    A compose_is_minus3 trial costs about 170 F_{p^2} multiplications, 12
+    inversions and 4 square roots (counted at p = 1009 to 2^31).
+    """
+    if p >= MAX_MODULUS:
+        raise LimitError(f"p={p} is at or above MAX_MODULUS = 2^31 = {MAX_MODULUS}")
+    if trials < 1:
+        raise LimitError(f"--trials must be at least 1, got {trials}")
+    if trials > MAX_TRIALS_BUDGET:
+        raise LimitError(
+            f"trials={trials} exceeds the desk budget (trials <= {MAX_TRIALS_BUDGET}); "
+            f"estimated cost ~{170 * trials:.1e} F_{{p^2}} multiplications, "
+            f"~{12 * trials:.1e} inversions and ~{4 * trials:.1e} square roots"
+        )
+
+
+def _window_cost(X: int, N: int, mode: str) -> str:
+    """The work of average.window_sum(X, N, mode), stage by stage.
+
+    The scans cost F(X) and find about sum_p psi_p = 0.8 X^1.5/ln X
+    superspecial residues below X (0.78-0.81 measured at X = 300..3000).
+    The rational count runs two floor-sum lanes per (residue pair {s, 1/s},
+    Moebius block), with at most 2 sqrt(N) blocks.
+    """
+    cost = (f"~{scan_cost(X):.1e} int64 multiply-adds in the per-prime "
+            "baby-step/giant-step scans (X^3/(108 ln X))")
+    residues = 0.8 * X**1.5 / math.log(max(X, 3))
+    if mode == "rational":
+        return cost + (f", then ~{2 * math.sqrt(N) * residues:.1e} floor-sum lanes "
+                       "in the rational window count (1.6 sqrt(N) X^1.5/ln X)")
+    return cost + f", then ~{residues:.1e} residue counts (0.8 X^1.5/ln X)"
+
+
+def check_budget(X: int, N: int, mode: str) -> None:
+    """Refuse a window sum over the desk budget, with a cost estimate."""
+    if X > MAX_X_BUDGET or N > MAX_N_BUDGET:
+        raise LimitError(
+            f"X={X}, N={N} exceeds the desk budget "
+            f"(X <= {MAX_X_BUDGET}, N <= {MAX_N_BUDGET}); "
+            f"estimated cost {_window_cost(X, N, mode)}"
+        )
+
+
+def check_bruteforce(X: int, N: int) -> None:
+    """Refuse a double-loop check over the bruteforce caps."""
+    if X > BRUTEFORCE_X_CAP or N > BRUTEFORCE_N_CAP:
+        raise LimitError(
+            f"--check-bruteforce capped at X <= {BRUTEFORCE_X_CAP}, "
+            f"N <= {BRUTEFORCE_N_CAP}"
+        )

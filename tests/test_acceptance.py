@@ -17,7 +17,7 @@ from fp2_oracle import F, normal_form
 
 from s3genus2 import intpoly
 from s3genus2.average import (
-    convergence_table,
+    default_window,
     prime_sum_prediction,
     window_sum,
     window_sum_bruteforce,
@@ -103,7 +103,7 @@ def test_criterion_03_isogeny_identity_200_pairs():
         verify_transcription(lam, p)  # the four anchors, exact
         _, s, _, _ = lambda_pair(lam, p)
         m = IsogenyMap(lam, -1, s, p)
-        src = m.source_curve()
+        src = m.source
         y = fp2_sqrt(src.rhs(m.kernel_x), p, src.n)
         if y is not None and m.image((m.kernel_x, y)) is not None:
             bad.append((p, lam, "kernel"))
@@ -304,7 +304,7 @@ def test_criterion_14a_window_equals_bruteforce():
 
 
 def test_criterion_14b_ratio_band_and_trend():
-    runs = convergence_table([1000, 3000, 10000], mode="integer")
+    runs = [window_sum(X, default_window(X), "integer") for X in (1000, 3000, 10000)]
     ratios = [r.normalized / prime_sum_prediction(r.X, r.mode) for r in runs]
     in_band = all(0.8 <= r <= 1.2 for r in ratios)
     trend_ok = all(abs(later - 1) <= abs(earlier - 1)

@@ -12,14 +12,10 @@ from s3genus2 import average
 from s3genus2.average import (
     FLOOR_SUM_CHUNK,
     INTEGER_WINDOW_CONSTANT,
-    MAX_N_BUDGET,
-    MAX_X_BUDGET,
     RATIONAL_HEIGHT_CONSTANT,
     AverageRun,
-    BudgetError,
     _floor_sum_vec,
     _mertens_table,
-    convergence_table,
     default_window,
     phi_lambda,
     prime_sum_prediction,
@@ -28,6 +24,7 @@ from s3genus2.average import (
     window_sum_bruteforce,
 )
 from s3genus2.family import superspecial_lambdas
+from s3genus2.limits import MAX_N_BUDGET, MAX_X_BUDGET, LimitError
 
 
 # The scalar rational-window path: one python floor sum at a time, per
@@ -300,22 +297,20 @@ def test_rational_window_is_independent_of_the_chunk(monkeypatch, chunk):
 
 
 def test_window_monotone_in_X_and_N():
-    t1 = window_sum(30, 100, "integer").total
-    t2 = window_sum(50, 100, "integer").total
-    t3 = window_sum(50, 200, "integer").total
-    assert t1 <= t2 <= t3
-    r1 = window_sum(30, 60, "rational").total
-    r2 = window_sum(50, 60, "rational").total
-    r3 = window_sum(50, 90, "rational").total
-    assert r1 <= r2 <= r3
+    t1, t2, t3 = (window_sum(X, N, "integer") for X, N in ((30, 100), (50, 100), (50, 200)))
+    assert t1.total <= t2.total <= t3.total
+    r1, r2, r3 = (window_sum(X, N, "rational") for X, N in ((30, 60), (50, 60), (50, 90)))
+    assert r1.total <= r2.total <= r3.total
+    for run in (t1, t2, t3, r1, r2, r3):
+        assert run.ratio == pytest.approx(run.normalized / run.predicted)
 
 
 def test_budget_errors():
-    with pytest.raises(BudgetError, match="baby-step/giant-step scans"):
+    with pytest.raises(LimitError, match="baby-step/giant-step scans"):
         window_sum(10**6, 100, "integer")
-    with pytest.raises(BudgetError, match="residue counts"):
+    with pytest.raises(LimitError, match="residue counts"):
         window_sum(100, 10**8, "integer")
-    with pytest.raises(BudgetError, match="floor-sum lanes"):
+    with pytest.raises(LimitError, match="floor-sum lanes"):
         window_sum(10**6, 100, "rational")
     with pytest.raises(ValueError):
         window_sum(10, 10, "diagonal")
@@ -324,14 +319,6 @@ def test_budget_errors():
 def test_default_window_rule():
     assert default_window(1000) == math.ceil(1000**1.1)
     assert default_window(1000) > 1000
-
-
-def test_convergence_table_sorted_and_consistent():
-    runs = convergence_table([300, 100, 200], N_rule=lambda X: 2 * X, mode="integer")
-    assert [r.X for r in runs] == [100, 200, 300]
-    for r in runs:
-        assert r.N == 2 * r.X
-        assert r.ratio == pytest.approx(r.normalized / r.predicted)
 
 
 def test_csv_row_format():

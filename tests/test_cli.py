@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from s3genus2.average import MAX_TRIALS_BUDGET
-from s3genus2.classno import CLASS_NUMBER_BOUND
 from s3genus2.cli import main
-from s3genus2.family import VECTOR_MODULUS_BOUND
-from s3genus2.fields import MAX_MODULUS
+from s3genus2.limits import (
+    CLASS_NUMBER_BOUND,
+    MAX_MODULUS,
+    MAX_TRIALS_BUDGET,
+    MAX_X_BUDGET,
+    VECTOR_MODULUS_BOUND,
+)
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +109,78 @@ def test_prime_above_the_class_number_bound_is_refused_before_any_scan(
     # the largest prime below the bound, 833309, is accepted
     assert 12 * 833309 <= CLASS_NUMBER_BOUND
     assert cli.primes_in_range(833300, 833346) == [833309]
+
+
+@pytest.mark.parametrize("command", ["psi", "structure"])
+def test_range_over_the_scan_budget_is_refused_before_listing_primes(
+    capsys, monkeypatch, command
+):
+    # the scans of 5..832987 cost F(832987) - F(5) = 3.9e14 multiply-adds,
+    # 3,670 times F(MAX_X_BUDGET), the scans of the largest average run
+    from s3genus2 import cli
+
+    real_is_prime, calls = cli.is_prime, []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return real_is_prime(n)
+
+    monkeypatch.setattr(cli, "is_prime", counting_is_prime)
+    monkeypatch.setattr("s3genus2.family._orbit_scan", None)
+    code, out, err = run_cli(capsys, command, "--from", "5", "--to", "833000")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: primes 5..832987 exceed the desk budget of ~1.1e+11 int64 "
+        "multiply-adds, the scans of average --X 50000; estimated cost ~3.9e+14 "
+        "in the per-prime baby-step/giant-step scans "
+        "(F(top) - F(from), F(X) = X^3/(108 ln X))\n"
+    )
+    # only the step down from --to to the largest prime ran
+    assert calls == list(range(833000, 832987 - 1, -1))
+
+
+def test_range_within_the_scan_budget_is_accepted():
+    from s3genus2 import cli
+    from s3genus2.average import primes_below
+
+    # every prime below MAX_X_BUDGET: the scans of average --X 50000
+    assert cli.primes_in_range(5, MAX_X_BUDGET) == list(primes_below(MAX_X_BUDGET))
+
+
+class _FakePool:
+    """A ProcessPoolExecutor stand-in that runs the jobs in this process."""
+
+    made: list[int] = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, 44), (2, 2), (1, 0), (None, 0)])
+def test_threads_are_capped_by_the_primes_and_the_cpus(capsys, monkeypatch, cpus, workers):
+    # psi over 5..200 has 44 primes; --threads 5000 must not ask for 5000
+    # workers, and a single worker needs no pool
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(_FakePool, "made", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    argv = ["psi", "--from", "5", "--to", "200", "--format", "csv"]
+    _, want, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--threads", "5000")
+    assert code == 0
+    assert _FakePool.made == ([workers] if workers else [])
+    assert out == want
 
 
 def test_cli_import_leaves_the_process_pool_out():

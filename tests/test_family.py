@@ -17,7 +17,6 @@ from s3genus2.curves import (
     j_invariant,
 )
 from s3genus2.family import (
-    VECTOR_MODULUS_BOUND,
     _bsgs_eval,
     _supersingular_array,
     fgh_eval,
@@ -34,6 +33,7 @@ from s3genus2.family import (
     torsion_from_lambda,
 )
 from s3genus2.fields import fp2_mul, fp2_sqrt, is_prime, smallest_nonresidue
+from s3genus2.limits import VECTOR_MODULUS_BOUND
 
 PRIMES_1MOD4 = [5, 13, 17, 29, 37, 41, 53, 61]
 PRIMES_11MOD12 = [11, 23, 47, 59, 71, 83, 107]

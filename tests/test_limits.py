@@ -1,0 +1,52 @@
+"""The resource model: the scan-cost estimate and the leaf-module rule."""
+
+import os
+import subprocess
+import sys
+from math import isqrt
+from pathlib import Path
+
+import pytest
+
+from s3genus2.average import primes_below
+from s3genus2.family import _supersingular_array
+from s3genus2.limits import MAX_X_BUDGET, scan_cost
+
+
+def _scan_multiply_adds(p: int) -> int:
+    """2 reps k g: the two (reps x k) @ (k x g) block products of the scan.
+
+    k and g are `_bsgs_eval`'s split of the ss_p coefficients; reps is the
+    number of S3 orbits of admissible lambda, all of size 6 but {-1, 2, 1/2}.
+    """
+    size = _supersingular_array(p).size
+    k = isqrt(size)
+    g = -(-size // k)
+    admissible = p - 2 - (2 if p % 3 == 1 else 0)
+    reps = (admissible - 3) // 6 + 1
+    return 2 * reps * k * g
+
+
+# At p = 1009 the split holds k g = 90 slots for 85 coefficients, so the
+# scan does 6.9% more than p^2/36; the excess k g - size < k is a relative
+# 1/sqrt(p/12) that falls below 5% from p ~ 4800 on.
+@pytest.mark.parametrize("p, rel", [(1009, 0.07), (10007, 0.05), (99991, 0.05)])
+def test_scan_cost_model_matches_the_scan_shape(p, rel):
+    assert _scan_multiply_adds(p) == pytest.approx(p * p / 36, rel=rel)
+
+
+def test_scan_cost_is_the_prime_sum_of_the_per_prime_cost():
+    # F(X) = X^3/(108 ln X) is the prime number theorem's sum_{p < X} p^2/36
+    exact = sum(p * p for p in primes_below(MAX_X_BUDGET)) / 36
+    assert scan_cost(MAX_X_BUDGET) == pytest.approx(exact, rel=0.05)
+
+
+def test_limits_imports_nothing_from_the_package():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, s3genus2.limits; "
+            "print(sorted(m for m in sys.modules if m.startswith('s3genus2')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "['s3genus2', 's3genus2.limits']"

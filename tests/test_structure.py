@@ -9,7 +9,6 @@ import pytest
 from s3genus2.classno import class_number
 from s3genus2.curves import LegendreCurve, is_supersingular, j_invariant
 from s3genus2.family import (
-    VECTOR_MODULUS_BOUND,
     lambda_pair,
     lambda_record,
     orbit,
@@ -17,6 +16,7 @@ from s3genus2.family import (
     superspecial_lambdas,
 )
 from s3genus2.fields import is_prime, smallest_nonresidue
+from s3genus2.limits import VECTOR_MODULUS_BOUND
 from s3genus2.structure import (
     GraphGp,
     RootProfile,
