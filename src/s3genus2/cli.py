@@ -3,9 +3,14 @@
 Four subcommands: `psi` scans primes and checks the closed-form count,
 `structure` runs the factorization-shape and graph checks, `isogeny`
 exercises the explicit 3-isogeny identities at one (p, lambda), and
-`average` computes window sums against the predicted constants.  Output is
-streamed one row per prime in ascending order (worker results are
-reordered), so reruns with the same flags and seed are byte-identical.
+`average` computes window sums against the predicted constants.
+
+`psi`, `structure` and `average` share one code path: after every refusal
+check, the primes are listed once (the sieve `average.primes_below`),
+`--threads K` scans them all on a single worker pool, and `_stream` writes
+the rows, one per prime or per X in ascending order, to one sink: the
+`--output` file or stdout.  Rows do not depend on the worker count, so
+reruns with the same flags and seed are byte-identical.
 
 Every request is checked against `limits` before any scan or trial starts;
 a refused one raises LimitError, printed as `error: ...` (with a cost
@@ -19,6 +24,7 @@ refused as malformed or over a bound or budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -34,7 +40,6 @@ from .average import (
 )
 from .family import (
     PSI_CSV_HEADER,
-    PsiReport,
     is_admissible,
     psi_p,
     seed_scan_cache,
@@ -58,20 +63,16 @@ USAGE_ERROR = 2
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
     # the largest prime is found by stepping down from hi, so an oversized
-    # range is refused before any other integer is tested
+    # range is refused before the others are listed
     top = hi
     while top >= lo and not is_prime(top):
         top -= 1
     check_scan_range(lo, hi, top)
-    return [p for p in range(lo, top) if is_prime(p)] + [top]
-
-
-def _scan_worker(p: int) -> tuple[int, tuple[int, ...]]:
-    return p, superspecial_lambdas(p)
+    return [q for q in primes_below(top) if q >= lo] + [top]
 
 
 def _prefill_scans(primes, threads: int) -> None:
-    """Run the per-prime lambda scans on a worker pool, largest first.
+    """Run the per-prime lambda scans on one worker pool, largest first.
 
     The pool has at most one worker per prime and per CPU, whatever
     --threads asks for: under fork every worker starts on the first submit.
@@ -83,77 +84,64 @@ def _prefill_scans(primes, threads: int) -> None:
 
     todo = sorted(primes, reverse=True)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        seed_scan_cache(pool.map(_scan_worker, todo, chunksize=4))
+        seed_scan_cache(zip(todo, pool.map(superspecial_lambdas, todo, chunksize=4)))
 
 
-def _open_output(args):
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", encoding="ascii", newline="\n")
-    return None
+def _stream(header, rows, output) -> int:
+    """Write the header lines, then each (line, ok) row; count the failed rows.
 
-
-def _emit(stream, line: str) -> None:
-    if stream is None:
-        print(line)
+    The sink is the --output file, its parent directories created, or
+    stdout without one.
+    """
+    if output:
+        Path(output).parent.mkdir(parents=True, exist_ok=True)
+        sink = open(output, "w", encoding="ascii", newline="\n")
     else:
-        stream.write(line + "\n")
+        sink = contextlib.nullcontext(sys.stdout)
+    failures = 0
+    with sink as out:
+        for line in header:
+            print(line, file=out)
+        for line, ok in rows:
+            print(line, file=out)
+            failures += not ok
+    return failures
 
 
 def cmd_psi(args) -> int:
     primes = primes_in_range(args.from_, args.to)
     _prefill_scans(primes, args.threads)
-    out = _open_output(args)
-    try:
-        if args.format == "csv":
-            _emit(out, PSI_CSV_HEADER)
-        failures = 0
-        for p in primes:
-            report: PsiReport = psi_p(p)
-            if not report.closed_form_ok:
-                failures += 1
-            _emit(out, report.to_csv_row() if args.format == "csv" else report.to_json())
-        print(f"# psi: {len(primes)} primes, {failures} failures", file=sys.stderr)
-        return 1 if failures else 0
-    finally:
-        if out:
-            out.close()
+    csv = args.format == "csv"
+    reports = map(psi_p, primes)
+    rows = ((r.to_csv_row() if csv else r.to_json(), r.closed_form_ok) for r in reports)
+    failures = _stream([PSI_CSV_HEADER] if csv else [], rows, args.output)
+    print(f"# psi: {len(primes)} primes, {failures} failures", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_structure(args) -> int:
+    dot = args.format == "dot"
+    if dot and not args.output:
+        raise LimitError("--format dot needs --output DIRECTORY")
     primes = primes_in_range(args.from_, args.to)
     _prefill_scans(primes, args.threads)
-    dot_dir = None
-    out = None
-    if args.format == "dot":
-        if not args.output:
-            raise LimitError("--format dot needs --output DIRECTORY")
-        dot_dir = Path(args.output)
-        dot_dir.mkdir(parents=True, exist_ok=True)
-    else:
-        out = _open_output(args)
-    try:
-        if args.format == "csv":
-            _emit(out, StructureVerdict.CSV_HEADER)
-        failures = 0
+    if dot:
+        Path(args.output).mkdir(parents=True, exist_ok=True)
+    json_rows = args.format == "json"
+
+    def rows():
+        # --format dot writes one graph file per prime and the csv rows,
+        # without their header, to stdout
         for p in primes:
             verdict, graph = structure_verdict(p)
-            if not verdict.ok:
-                failures += 1
-            if args.format == "dot":
-                if graph is not None:
-                    (dot_dir / f"g_{p}.dot").write_text(graph.to_dot(), encoding="ascii")
-                print(verdict.to_csv_row())
-            elif args.format == "csv":
-                _emit(out, verdict.to_csv_row())
-            else:
-                _emit(out, verdict.to_json(graph))
-        print(f"# structure: {len(primes)} primes, {failures} failures", file=sys.stderr)
-        return 1 if failures else 0
-    finally:
-        if out:
-            out.close()
+            if dot and graph is not None:
+                Path(args.output, f"g_{p}.dot").write_text(graph.to_dot(), encoding="ascii")
+            yield verdict.to_json(graph) if json_rows else verdict.to_csv_row(), verdict.ok
+
+    header = [StructureVerdict.CSV_HEADER] if args.format == "csv" else []
+    failures = _stream(header, rows(), None if dot else args.output)
+    print(f"# structure: {len(primes)} primes, {failures} failures", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_isogeny(args) -> int:
@@ -182,37 +170,29 @@ def cmd_average(args) -> int:
         check_budget(X, N, mode)
         if args.check_bruteforce:
             check_bruteforce(X, N)
-    out = _open_output(args)
-    try:
-        rows: list[AverageRun] = []
-        header = f"# {SKIP_CONVENTIONS}"
-        _emit(out, header)
-        if args.format == "csv":
-            _emit(out, AverageRun.CSV_HEADER)
-        status = 0
+    # every row's primes are below the largest X, so one pool scans them all
+    _prefill_scans(primes_below(xs[-1]), args.threads)
+    csv = args.format == "csv"
+
+    def rows():
         for X, N in windows:
             if N < X:
                 print(f"# warning: N={N} < X={X}, outside the N > X regime; "
                       "computed anyway", file=sys.stderr)
-            _prefill_scans(primes_below(X), args.threads)
             run = window_sum(X, N, mode)
+            match = True
             if args.check_bruteforce:
                 brute = window_sum_bruteforce(X, N, mode)
-                match = "match" if brute == run.total else "MISMATCH"
-                print(f"# bruteforce {mode} X={X} N={N}: {brute} ({match})",
-                      file=sys.stderr)
-                if brute != run.total:
-                    status = 1
-            rows.append(run)
-            if args.format == "csv":
-                _emit(out, run.to_csv_row())
-            else:
-                _emit(out, json.dumps(run.to_json_dict(), separators=(",", ":")))
-        print(f"# average: {len(rows)} row(s), mode={mode}", file=sys.stderr)
-        return status
-    finally:
-        if out:
-            out.close()
+                match = brute == run.total
+                print(f"# bruteforce {mode} X={X} N={N}: {brute} "
+                      f"({'match' if match else 'MISMATCH'})", file=sys.stderr)
+            yield (run.to_csv_row() if csv
+                   else json.dumps(run.to_json_dict(), separators=(",", ":"))), match
+
+    header = [f"# {SKIP_CONVENTIONS}"] + ([AverageRun.CSV_HEADER] if csv else [])
+    mismatches = _stream(header, rows(), args.output)
+    print(f"# average: {len(windows)} row(s), mode={mode}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

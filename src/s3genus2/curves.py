@@ -125,7 +125,7 @@ def j_invariant(c: LegendreCurve) -> tuple[int, int]:
 # point counting by exhaustive enumeration
 
 
-def count_points(c: LegendreCurve, extension_degree: int = 1, bound: int | None = None) -> int:
+def count_points(c: LegendreCurve, extension_degree: int = 1) -> int:
     """Exact number of points over F_p or F_{p^2}, including infinity.
 
     Enumerates x and tests quadratic residuosity of the cubic value, so it
@@ -133,18 +133,14 @@ def count_points(c: LegendreCurve, extension_degree: int = 1, bound: int | None 
     """
     p = c.p
     if extension_degree == 1:
-        if bound is None:
-            bound = POINT_COUNT_BOUND_DEG1
-        if p > bound:
-            raise LimitError(f"p={p} above enumeration bound {bound}")
+        if p > POINT_COUNT_BOUND_DEG1:
+            raise LimitError(f"p={p} above enumeration bound {POINT_COUNT_BOUND_DEG1}")
         if c.t[1]:
             raise ValueError("degree-1 count needs t in F_p")
         return _count_fp(c.t[0], p)
     if extension_degree == 2:
-        if bound is None:
-            bound = POINT_COUNT_BOUND_DEG2
-        if p > bound:
-            raise LimitError(f"p={p} above enumeration bound {bound}")
+        if p > POINT_COUNT_BOUND_DEG2:
+            raise LimitError(f"p={p} above enumeration bound {POINT_COUNT_BOUND_DEG2}")
         return _count_fp2(*c.t, p)
     raise ValueError("extension_degree must be 1 or 2")
 

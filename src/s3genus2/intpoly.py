@@ -48,13 +48,6 @@ def scale(f: list[int], c: int) -> list[int]:
     return trim([c * a for a in f])
 
 
-def eval_at(f: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def reduce_mod(f: list[int], p: int) -> list[int]:
     return trim([c % p for c in f])
 

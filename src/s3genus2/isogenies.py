@@ -220,7 +220,11 @@ def verify_transcription(lam: int, p: int) -> None:
 
 @lru_cache(maxsize=None)
 def phi_coefficients(level: int) -> dict[tuple[int, int], int]:
-    """Unordered-pair coefficient table {(i, j): c} with i >= j."""
+    """Full coefficient table {(i, j): c} of Phi_level(X, Y) = sum c X^i Y^j.
+
+    The data file lists each unordered pair once, with i >= j; the mirror
+    (j, i) is added here, so callers sum over the table as it stands.
+    """
     if level not in (2, 3):
         raise ValueError("only levels 2 and 3 ship with the package")
     table: dict[tuple[int, int], int] = {}
@@ -231,7 +235,7 @@ def phi_coefficients(level: int) -> dict[tuple[int, int], int]:
             continue
         lvl, i, j, c = line.split()
         if int(lvl) == level:
-            table[(int(i), int(j))] = int(c)
+            table[(int(i), int(j))] = table[(int(j), int(i))] = int(c)
     return table
 
 
@@ -247,9 +251,6 @@ def modular_poly_eval(level: int, x, y, p: int) -> tuple[int, int]:
     acc_a, acc_b = 0, 0
     for (i, j), c in table.items():
         ua, ub = fp2_mul(xp[i], yp[j], p, n)
-        if i != j:
-            va, vb = fp2_mul(xp[j], yp[i], p, n)
-            ua, ub = ua + va, ub + vb
         acc_a, acc_b = (acc_a + c * ua) % p, (acc_b + c * ub) % p
     return acc_a, acc_b
 
@@ -261,8 +262,6 @@ def phi_substitute_int(level: int, y0: int) -> list[int]:
     out = [0] * (deg + 1)
     for (i, j), c in table.items():
         out[i] += c * y0**j
-        if i != j:
-            out[j] += c * y0**i
     return intpoly.trim(out)
 
 
@@ -272,7 +271,7 @@ def phi_diagonal_int(level: int) -> list[int]:
     deg = 2 * max(i for i, _ in table)
     out = [0] * (deg + 1)
     for (i, j), c in table.items():
-        out[i + j] += c if i == j else 2 * c
+        out[i + j] += c
     return intpoly.trim(out)
 
 
@@ -282,9 +281,7 @@ def _phi3_bivariate() -> tuple[list[list[int]], list[list[int]]]:
     deg = max(i for i, _ in table)
     F: list[list[int]] = [[0] * (deg + 1) for _ in range(deg + 1)]
     for (i, j), c in table.items():
-        F[i][j] += c
-        if i != j:
-            F[j][i] += c
+        F[i][j] = c
     F = [intpoly.trim(row) for row in F]
     dF = [intpoly.scale(F[i], i) for i in range(1, deg + 1)]
     return F, dF

@@ -7,6 +7,8 @@ p = 11 mod 12 the rational roots carry a weighted multigraph with one edge
 per superspecial orbit.  Everything here consumes PsiReports and the exact
 class-number and class-polynomial routines; at tiny primes the class
 polynomial itself is computed over the integers and factored directly.
+The shape and graph checks return one note per failed clause, and a
+`structure` row carries those notes.
 
 The j-invariants come from the scan's lambda set in one numpy pass per
 prime: Lambda^-, Lambda^+ and j(E_Lambda) of every lambda are int64 (a, b)
@@ -82,20 +84,13 @@ def root_profile(p: int) -> RootProfile:
     )
 
 
-@dataclass(frozen=True)
-class ShapeVerdict:
-    p: int
-    ok: bool
-    clauses: tuple[bool, bool, bool, bool]
-    diagnostics: tuple[str, ...]
-
-
-def shape_check_3p(p: int) -> ShapeVerdict:
+def shape_check_3p(p: int) -> tuple[str, ...]:
     """The factorization-shape ledger of the level-3p class polynomial mod p.
 
     (i) 8000 occurs iff p = 5 mod 8; (ii) 54000 occurs iff p = 5, 17 mod 24;
     (iii) multiplicities 4/2/4-per-pair sum to h(-3p); (iv) orbit weights
     6/3/6-per-pair sum to psi_p.  p = 5 is excluded (multiplicity exception).
+    Returns one note per failed clause, none when the ledger holds.
     """
     if p % 4 != 1:
         raise ValueError("shape check applies to p = 1 mod 4")
@@ -108,20 +103,15 @@ def shape_check_3p(p: int) -> ShapeVerdict:
     allowed = {8000 % p, 54000 % p}
     if not set(prof.rational_js) <= allowed:
         notes.append(f"unexpected rational roots {sorted(set(prof.rational_js) - allowed)}")
-    c1 = prof.has8000 == (p % 8 == 5)
-    if not c1:
+    if prof.has8000 != (p % 8 == 5):
         notes.append(f"8000 presence {prof.has8000} vs p%8={p % 8}")
-    c2 = prof.has54000 == (p % 24 in (5, 17))
-    if not c2:
+    if prof.has54000 != (p % 24 in (5, 17)):
         notes.append(f"54000 presence {prof.has54000} vs p%24={p % 24}")
-    c3 = 4 * prof.has8000 + 2 * prof.has54000 + 4 * npairs == class_number(3 * p)
-    if not c3:
+    if 4 * prof.has8000 + 2 * prof.has54000 + 4 * npairs != class_number(3 * p):
         notes.append("multiplicity ledger != h(-3p)")
-    c4 = psi == 6 * prof.has8000 + 3 * prof.has54000 + 6 * npairs
-    if not c4:
+    if psi != 6 * prof.has8000 + 3 * prof.has54000 + 6 * npairs:
         notes.append("weight ledger != psi_p")
-    ok = c1 and c2 and c3 and c4 and not notes
-    return ShapeVerdict(p, ok, (c1, c2, c3, c4), tuple(notes))
+    return tuple(notes)
 
 
 @dataclass(frozen=True)
@@ -188,15 +178,11 @@ def build_graph(p: int) -> GraphGp:
     return GraphGp(p, tuple(vertices), tuple(edges))
 
 
-@dataclass(frozen=True)
-class GraphVerdict:
-    p: int
-    ok: bool
-    diagnostics: tuple[str, ...]
+def check_graph_structure(g: GraphGp) -> tuple[str, ...]:
+    """Degree pattern, loop placement, weights, and the 6n-3 / 2n-1 totals.
 
-
-def check_graph_structure(g: GraphGp) -> GraphVerdict:
-    """Degree pattern, loop placement, weights, and the 6n-3 / 2n-1 totals."""
+    Returns one note per failed check, none when the graph has the shape.
+    """
     p = g.p
     if p <= GRAPH_MIN_PRIME:
         raise ValueError("the degree pattern needs p > 11")
@@ -235,7 +221,7 @@ def check_graph_structure(g: GraphGp) -> GraphVerdict:
     # handshake: degree sum counts loops twice
     if sum(g.degree(v) for v in g.vertices) != 2 * len(g.edges):
         notes.append("handshake failure")
-    return GraphVerdict(p, not notes, tuple(notes))
+    return tuple(notes)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +325,10 @@ class StructureVerdict:
 
 
 def structure_verdict(p: int) -> tuple[StructureVerdict, GraphGp | None]:
-    """Dispatch the per-prime structural checks by congruence class."""
+    """Dispatch the per-prime structural checks by congruence class.
+
+    A check passes when it returns no notes; its notes join the row's.
+    """
     rep = psi_p(p)
     shape: bool | None = None
     graph_ok: bool | None = None
@@ -349,11 +338,15 @@ def structure_verdict(p: int) -> tuple[StructureVerdict, GraphGp | None]:
         shape = direct_root_check(5)
         notes.append("p=5 special case: root 8000=54000=0 with multiplicity 2")
     elif rep.congruence == "1mod4":
-        shape = shape_check_3p(p).ok
+        failed = shape_check_3p(p)
+        shape = not failed
+        notes += failed
     elif rep.congruence == "11mod12":
         graph = build_graph(p)
         if p > GRAPH_MIN_PRIME:
-            graph_ok = check_graph_structure(graph).ok
+            failed = check_graph_structure(graph)
+            graph_ok = not failed
+            notes += failed
         else:
             notes.append("p=11: degree-pattern checks need p > 11, skipped")
     return (

@@ -183,6 +183,37 @@ def test_threads_are_capped_by_the_primes_and_the_cpus(capsys, monkeypatch, cpus
     assert out == want
 
 
+def test_average_scans_every_row_on_one_pool(capsys, monkeypatch):
+    # the rows' primes are all below the largest X: one pool for the table
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(_FakePool, "made", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["average", "--X", "300", "--X", "450", "--X", "610"]
+    _, want, _ = run_cli(capsys, *argv, "--threads", "1")
+    assert _FakePool.made == []
+    code, out, _ = run_cli(capsys, *argv, "--threads", "2")
+    assert code == 0
+    assert _FakePool.made == [2]
+    assert out == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--from", "5", "--to", "60", "--format", "csv"],
+    ["structure", "--from", "5", "--to", "60", "--format", "json"],
+    ["average", "--X", "40", "--X", "60", "--mode", "rational"],
+])
+def test_output_into_a_new_directory_matches_stdout(capsys, tmp_path, argv):
+    target = tmp_path / "new" / "nested" / "rows.txt"
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 0
+    assert out == ""
+    assert target.read_bytes() == want.encode("ascii")
+
+
 def test_cli_import_leaves_the_process_pool_out():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
@@ -247,6 +278,21 @@ def test_structure_json_rows(capsys):
         {"u": 3, "v": 19, "w": 6}, {"u": 19, "v": 19, "w": 3}
     ]
     assert by_p[29]["shape"] is True and "graph_data" not in by_p[29]
+
+
+def test_structure_row_carries_the_notes_of_a_failed_ledger(capsys, monkeypatch):
+    # a wrong h(-39) breaks the multiplicity ledger at p = 13 only
+    from s3genus2 import structure
+
+    real = structure.class_number
+    monkeypatch.setattr(structure, "class_number", lambda D: real(D) + (D == 39))
+    code, out, _ = run_cli(capsys, "structure", "--from", "5", "--to", "17",
+                           "--format", "json")
+    assert code == 1
+    by_p = {r["p"]: r for r in map(json.loads, out.splitlines())}
+    assert by_p[13]["shape"] is False
+    assert by_p[13]["notes"] == ["multiplicity ledger != h(-3p)"]
+    assert by_p[17]["shape"] is True and by_p[17]["notes"] == []
 
 
 def test_structure_dot_requires_output(capsys):

@@ -473,7 +473,7 @@ def test_phi3_vanishes_on_isogenous_pair():
 
 def test_phi3_at_8000_8000_is_zero():
     poly = phi_substitute_int(3, 8000)
-    assert intpoly.eval_at(poly, 8000) == 0
+    assert sum(c * 8000**i for i, c in enumerate(poly)) == 0
 
 
 def test_phi2_at_8000_factors_into_class_polys():
@@ -509,12 +509,8 @@ def test_phi_kronecker_congruences():
     for level, p in ((2, 2), (3, 3)):
         from s3genus2.isogenies import phi_coefficients
 
-        table = phi_coefficients(level)
-        full = {}
-        for (i, j), c in table.items():
-            full[(i, j)] = full.get((i, j), 0) + c
-            if i != j:
-                full[(j, i)] = full.get((j, i), 0) + c
+        full = phi_coefficients(level)
+        assert all(full[(j, i)] == c for (i, j), c in full.items())
         want = {
             (1, 0): 1, (0, level): -1, (level + 1, 0): 0,  # placeholder, rebuilt below
         }
@@ -554,4 +550,4 @@ def test_resultant_vanishes_at_zero():
     F, dF = _phi3_bivariate()
     res = intpoly.resultant_bivariate(F, dF)
     assert intpoly.degree(res) == 20
-    assert intpoly.eval_at(res, 0) == 0
+    assert res[0] == 0  # the value at Y = 0

@@ -188,8 +188,8 @@ def test_closed_form_verdict_examples():
 
 def test_shape_check_range():
     for p in primes_in(7, 500, lambda q: q % 4 == 1):
-        v = shape_check_3p(p)
-        assert v.ok, (p, v.diagnostics)
+        notes = shape_check_3p(p)
+        assert notes == (), (p, notes)
 
 
 def test_shape_check_rejects_wrong_class():
@@ -230,8 +230,8 @@ def test_graph_p23_paper_scale_example():
 def test_graph_verdicts_range():
     for p in primes_in(13, 600, lambda q: q % 12 == 11):
         g = build_graph(p)
-        v = check_graph_structure(g)
-        assert v.ok, (p, v.diagnostics)
+        notes = check_graph_structure(g)
+        assert notes == (), (p, notes)
         n = len(g.vertices)
         assert g.weight_sum() == 6 * n - 3
 
