@@ -28,6 +28,7 @@ import contextlib
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .average import (
@@ -195,7 +196,10 @@ def cmd_average(args) -> int:
     return 1 if mismatches else 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="s3genus2",
         description="superspecial counting and class-polynomial checks for the "
@@ -249,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except LimitError as exc:

@@ -1,13 +1,15 @@
 """Explicit degree-3 isogenies between the paired Legendre curves.
 
 The map psi^eps sends E_{L^eps} to E_{L^-eps}.  It is evaluated through the
-closed-form rational functions s(x, y), t(x, y) (coefficient
-tables below, transcribed for eps = -1 and flipped to eps = +1 by negating
-the square root).  Their coefficients depend only on (lam, eps), so each
-map reduces them once to dense lists of (a, b) int pairs over F_{p^2};
-a point then costs a few Horner passes on the int pair of its abscissa and
-two divisions.  The one abscissa where the tables vanish outside the kernel
-is a removable singularity, mapped through a 2-torsion translate.  The
+closed-form rational functions s = s_num(x, y)/q(x)^2, t = y t_num(x)/q(x)^3
+with q(x) = 3x^2 - 2(lam+1)x - (lam-1)^2 (numerator tables below,
+transcribed for eps = -1 and flipped to eps = +1 by negating the square
+root).  Their coefficients depend only on (lam, eps), so each map reduces
+them once to dense lists of (a, b) int pairs over F_{p^2}, with the y^2
+part of s_num folded in through the source curve; a point then costs three
+Horner passes on the int pair of its abscissa and one inversion, of q(x).
+The one abscissa where q vanishes outside the kernel is a removable
+singularity, mapped through a 2-torsion translate.  The
 equivalent four-map composition (shift, degree-3 quotient, rescale, shift
 back) is the independent oracle of the test suite.  The level-2 and
 level-3 modular polynomials ship as an integer coefficient table and are
@@ -26,10 +28,11 @@ from .curves import LegendreCurve
 from .family import is_admissible, lambda_eps, lambda_pair
 from .fields import fp2_horner, fp2_inv, fp2_mul, smallest_nonresidue
 
-# Closed-form coefficient tables for psi^- (source curve E_{L^-}).
+# Closed-form numerator tables for psi^- (source curve E_{L^-}).
 # Keys are (x-power, y-power); values are coefficient polynomials in lambda,
 # ascending degree, as (sqrt-part, rational-part): coeff = rat + sqrt * sqrt(delta).
-# Numerator and denominator of s are both scaled by 9, those of t by 27.
+# The denominators are q^2 and q^3, q = 3x^2 - 2(lam+1)x - (lam-1)^2, so the
+# numerator of s carries a factor 9 and that of t a factor 27.
 S_NUM = {
     (5, 0): ((4, -8), (-5, 8, -8)),
     (4, 0): ((0, 8, 12), (12, -4, 2, 12)),
@@ -40,13 +43,6 @@ S_NUM = {
     (1, 0): ((4, -8, 8, -8, 4), (3, -4, -2, 8, -9, 4)),
     (0, 2): ((0, 8, -8, 16), (2, -4, 18, -16, 16)),
 }
-S_DEN = (  # ascending x-powers, rational coefficients only
-    (1, -4, 6, -4, 1),
-    (4, -4, -4, 4),
-    (-2, 20, -2),
-    (-12, -12),
-    (9,),
-)
 T_NUM = {  # x-power -> coefficient of x^k * y
     6: ((-14, 32, -32), (13, -42, 48, -32)),
     5: ((28, -36, 0, 64), (-26, 58, -12, -32, 64)),
@@ -56,15 +52,6 @@ T_NUM = {  # x-power -> coefficient of x^k * y
     1: ((-4, -4, 24, -8, -52, 76, -32), (-10, 34, -56, 36, 38, -102, 92, -32)),
     0: ((2, -8, 18, -32, 38, -24, 6), (1, 0, -13, 38, -57, 52, -27, 6)),
 }
-T_DEN = (
-    (-1, 6, -15, 20, -15, 6, -1),
-    (-6, 18, -12, -12, 18, -6),
-    (-3, -36, 78, -36, -3),
-    (28, -60, -60, 28),
-    (9, 126, 9),
-    (-54, -54),
-    (27,),
-)
 
 
 def _eval_lambda_poly(coeffs, lam: int, p: int) -> int:
@@ -97,9 +84,10 @@ class IsogenyMap:
     Evaluation uses the closed-form s(x, y), t(x, y); the tables are written
     for eps = -1 and the sign of sqrt(delta) is flipped for eps = +1.  The
     constructor reduces them at (lam, d = -eps sqrt(delta)) to ascending
-    lists of (a, b) int pairs: the denominators of s and t, the y^0 and y^2
-    parts of the numerator of s, and the numerator of t over y.  A point is
-    then a few Horner passes on the int pair of its abscissa.
+    lists of (a, b) int pairs: q, the numerator of s with its y^2 part
+    replaced by x(x - 1)(x - L) through the source curve, and the numerator
+    of t over y.  A point is then three Horner passes on the int pair of its
+    abscissa and one inversion, r = 1/q(x): s = s_num(x) r^2, t = y t_num(x) r^3.
 
     The denominators are q(x)^2 and q(x)^3, q(x) = 3x^2 - 2(lam+1)x - (lam-1)^2,
     whose roots are the kernel abscissa x0 = (lam+1+2 eps sqrt(delta))/3
@@ -124,13 +112,6 @@ class IsogenyMap:
         self.p = p
         self.n = smallest_nonresidue(p)
         self.sqrt_delta = sqrt_delta
-        # the tables encode psi^-; write d for the sign actually substituted
-        d = sqrt_delta if eps == -1 else (-sqrt_delta[0] % p, -sqrt_delta[1] % p)
-        self._s_den = [(_eval_lambda_poly(c, lam, p), 0) for c in S_DEN]
-        self._t_den = [(_eval_lambda_poly(c, lam, p), 0) for c in T_DEN]
-        self._s_num0 = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 0}, lam, d, p)
-        self._s_num2 = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 2}, lam, d, p)
-        self._t_num = _dense(T_NUM, lam, d, p)
         self.source_lambda = lambda_eps(lam, sqrt_delta, eps, p)
         self.target_lambda = lambda_eps(lam, sqrt_delta, -eps, p)
         third = pow(3, -1, p)
@@ -138,22 +119,38 @@ class IsogenyMap:
                          2 * eps * sqrt_delta[1] * third % p)
         self.source = LegendreCurve(self.source_lambda, p)
         self.target = LegendreCurve(self.target_lambda, p)
+        # the tables encode psi^-; write d for the sign actually substituted
+        d = sqrt_delta if eps == -1 else (-sqrt_delta[0] % p, -sqrt_delta[1] % p)
+        self._q = [(-(lam - 1) ** 2 % p, 0), (-2 * (lam + 1) % p, 0), (3, 0)]
+        # s_num = s_num0 + s_num2 y^2, with y^2 = x(x - 1)(x - L) on the source
+        s_num = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 0}, lam, d, p)
+        s_num2 = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 2}, lam, d, p)
+        src = self.source
+        for i, u in enumerate(s_num2):
+            for j, v in enumerate((src.a6, src.a4, src.a2, (1, 0))):
+                wa, wb = fp2_mul(u, v, p, self.n)
+                s_num[i + j] = (s_num[i + j][0] + wa) % p, (s_num[i + j][1] + wb) % p
+        self._s_num = s_num
+        self._t_num = _dense(T_NUM, lam, d, p)
 
     def _closed_form(self, P):
-        """(s, t) at the affine int-pair point P, or None where a denominator vanishes."""
+        """(s, t) at the affine int-pair point P, or None where q(x) vanishes.
+
+        P must lie on the source curve: the y^2 part of the numerator of s
+        was folded into s_num through y^2 = x(x - 1)(x - L), which holds
+        only there.  `image` checks P first; `_translated` passes the sum
+        of P and a 2-torsion point of the source.
+        """
         p, n = self.p, self.n
         x, y = P
-        sden = fp2_horner(self._s_den, x, p, n)
-        if sden == (0, 0):
+        q = fp2_horner(self._q, x, p, n)
+        if q == (0, 0):
             return None
-        tden = fp2_horner(self._t_den, x, p, n)
-        if tden == (0, 0):
-            return None
-        s2 = fp2_mul(fp2_horner(self._s_num2, x, p, n), fp2_mul(y, y, p, n), p, n)
-        s0 = fp2_horner(self._s_num0, x, p, n)
+        r = fp2_inv(q, p, n)
+        r2 = fp2_mul(r, r, p, n)
+        s = fp2_mul(fp2_horner(self._s_num, x, p, n), r2, p, n)
         ty = fp2_mul(fp2_horner(self._t_num, x, p, n), y, p, n)
-        s = fp2_mul((s0[0] + s2[0], s0[1] + s2[1]), fp2_inv(sden, p, n), p, n)
-        return s, fp2_mul(ty, fp2_inv(tden, p, n), p, n)
+        return s, fp2_mul(ty, fp2_mul(r2, r, p, n), p, n)
 
     def _translated(self, P):
         """psi(P) at x0' through the first anchor T that moves P off x0'."""

@@ -45,7 +45,8 @@ POINT_COUNT_BOUND_DEG2 = 2_000
 # kernel's int64 proof assumes them
 MAX_X_BUDGET = 50_000
 MAX_N_BUDGET = 10_000_000
-# isogeny --trials: 0.16-0.57 ms a trial from p = 10^3 to 2^31 (2-vCPU host)
+# isogeny --trials: about 130 F_{p^2} products a trial (check_isogeny), 0.08-0.21 ms
+# from p = 10^3 to 2^31 (2-vCPU host)
 MAX_TRIALS_BUDGET = 100_000
 # average --check-bruteforce runs the double loop over (lambda, p)
 BRUTEFORCE_X_CAP = 200
@@ -96,8 +97,11 @@ def check_scan_range(lo: int, hi: int, top: int) -> None:
 def check_isogeny(p: int, trials: int) -> None:
     """Refuse an isogeny run over the modulus cap or the trials budget.
 
-    A compose_is_minus3 trial costs about 170 F_{p^2} multiplications, 12
-    inversions and 4 square roots (counted at p = 1009 to 2^31).
+    A compose_is_minus3 trial samples two points and sends each through
+    both maps and through [-3]: about 130 F_{p^2} multiplications (a Horner
+    step counts as one), 8 inversions and 4 square roots, counted at
+    p = 1009.  Only the sampler's share varies with the draw: 3 products
+    and one square root a try, about two tries a point.
     """
     if p >= MAX_MODULUS:
         raise LimitError(f"p={p} is at or above MAX_MODULUS = 2^31 = {MAX_MODULUS}")
@@ -106,8 +110,8 @@ def check_isogeny(p: int, trials: int) -> None:
     if trials > MAX_TRIALS_BUDGET:
         raise LimitError(
             f"trials={trials} exceeds the desk budget (trials <= {MAX_TRIALS_BUDGET}); "
-            f"estimated cost ~{170 * trials:.1e} F_{{p^2}} multiplications, "
-            f"~{12 * trials:.1e} inversions and ~{4 * trials:.1e} square roots"
+            f"estimated cost ~{130 * trials:.1e} F_{{p^2}} multiplications, "
+            f"~{8 * trials:.1e} inversions and ~{4 * trials:.1e} square roots"
         )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from s3genus2.cli import main
+from s3genus2.cli import build_parser, main
 from s3genus2.limits import (
     CLASS_NUMBER_BOUND,
     MAX_MODULUS,
@@ -214,14 +214,38 @@ def test_output_into_a_new_directory_matches_stdout(capsys, tmp_path, argv):
     assert target.read_bytes() == want.encode("ascii")
 
 
-def test_cli_import_leaves_the_process_pool_out():
+def _checkout_env():
+    """The environment of a fresh interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_leaves_the_process_pool_out():
     code = "import sys, s3genus2.cli; print('concurrent.futures' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=_checkout_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # the parser is built once per process; no parsed state, such as the
+    # --X append list, may carry from one call into the next
+    argvs = [
+        ["average", "--X", "300", "--X", "450"],
+        ["average", "--X", "610"],
+        ["isogeny", "--p", "1009", "--lambda", "5", "--trials", "20", "--seed", "3"],
+        ["isogeny", "--p", "13", "--lambda", "3", "--trials", "10"],
+    ]
+    alone = [subprocess.run([sys.executable, "-m", "s3genus2.cli", *argv], env=_checkout_env(),
+                            capture_output=True, check=True).stdout for argv in argvs]
+    build_parser.cache_clear()
+    for argv, want in zip(argvs, alone):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode("ascii") == want, argv
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(argvs) - 1)
 
 
 def test_psi_csv_format(capsys):

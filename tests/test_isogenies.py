@@ -17,9 +17,7 @@ from s3genus2.curves import CubicCurve, LegendreCurve, _sqrt_table, j_invariant
 from s3genus2.family import lambda_eps, lambda_eps_pairs, lambda_pair
 from s3genus2.fields import fp2_sqrt, is_prime, smallest_nonresidue
 from s3genus2.isogenies import (
-    S_DEN,
     S_NUM,
-    T_DEN,
     T_NUM,
     IsogenyMap,
     _eval_lambda_poly,
@@ -32,6 +30,27 @@ from s3genus2.isogenies import (
 )
 
 SAMPLE = [(13, 3), (13, 7), (17, 5), (29, 11), (101, 23), (103, 40), (499, 77)]
+
+# The transcribed denominators of s and t for the oracle: ascending x-powers,
+# each a coefficient polynomial in lambda (ascending, rational part only).
+# The production map evaluates q = 3x^2 - 2(lam+1)x - (lam-1)^2 instead;
+# test_denominators_are_powers_of_q ties the two together.
+S_DEN = (
+    (1, -4, 6, -4, 1),
+    (4, -4, -4, 4),
+    (-2, 20, -2),
+    (-12, -12),
+    (9,),
+)
+T_DEN = (
+    (-1, 6, -15, 20, -15, 6, -1),
+    (-6, 18, -12, -12, 18, -6),
+    (-3, -36, 78, -36, -3),
+    (28, -60, -60, 28),
+    (9, 126, 9),
+    (-54, -54),
+    (27,),
+)
 
 
 def _table_coeff(pair, lam: int, sqrt_delta: F) -> F:
@@ -58,6 +77,24 @@ def closed_form_oracle(m: IsogenyMap, P):
         snum = snum + _table_coeff(pair, lam, d) * xpows[xp] * y**yp
     tnum = sum((_table_coeff(pair, lam, d) * xpows[xp] for xp, pair in T_NUM.items()), F(0, 0, p))
     return oracle.to_pairs((snum / sden, tnum * y / tden))
+
+
+def _bivariate_mul(f, g):
+    """Product of two polynomials in Z[lam][x], as ascending x-lists of
+    ascending lam-lists."""
+    out = [[] for _ in range(len(f) + len(g) - 1)]
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = intpoly.add(out[i + j], intpoly.mul(a, b))
+    return out
+
+
+def test_denominators_are_powers_of_q():
+    # q = 3x^2 - 2(lam+1)x - (lam-1)^2, exactly over Z[lam][x]
+    q = [[-1, 2, -1], [-2, -2], [3]]
+    q2 = _bivariate_mul(q, q)
+    assert q2 == [list(c) for c in S_DEN]
+    assert _bivariate_mul(q2, q) == [list(c) for c in T_DEN]
 
 
 def _admissible(p):

@@ -1,16 +1,28 @@
-"""The resource model: the scan-cost estimate and the leaf-module rule."""
+"""The resource model: the scan and trial cost estimates and the leaf-module rule."""
 
 import os
 import subprocess
 import sys
+from collections import Counter
 from math import isqrt
 from pathlib import Path
 
 import pytest
 
+from s3genus2 import curves, fields, isogenies
 from s3genus2.average import primes_below
 from s3genus2.family import _supersingular_array
-from s3genus2.limits import MAX_X_BUDGET, scan_cost
+from s3genus2.isogenies import compose_is_minus3
+from s3genus2.limits import (
+    MAX_TRIALS_BUDGET,
+    MAX_X_BUDGET,
+    LimitError,
+    check_isogeny,
+    scan_cost,
+)
+
+# the per-trial figures of check_isogeny's docstring and refusal message
+TRIAL_MULS, TRIAL_INVS, TRIAL_SQRTS = 130, 8, 4
 
 
 def _scan_multiply_adds(p: int) -> int:
@@ -50,3 +62,50 @@ def test_limits_imports_nothing_from_the_package():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "['s3genus2', 's3genus2.limits']"
+
+
+def _count_field_calls(monkeypatch) -> Counter:
+    """Count the F_{p^2} products, inversions and square roots of the
+    isogeny code; a Horner pass over k + 1 coefficients is k products."""
+    counts = Counter()
+
+    def counted(key, func, weight=lambda *args: 1):
+        def wrapper(*args):
+            counts[key] += weight(*args)
+            return func(*args)
+        return wrapper
+
+    for module in (curves, isogenies):
+        monkeypatch.setattr(module, "fp2_mul", counted("mul", fields.fp2_mul))
+        monkeypatch.setattr(module, "fp2_horner", counted(
+            "mul", fields.fp2_horner, lambda coeffs, *rest: len(coeffs) - 1))
+        monkeypatch.setattr(module, "fp2_inv", counted("inv", fields.fp2_inv))
+    monkeypatch.setattr(curves, "fp2_sqrt", counted("sqrt", fields.fp2_sqrt))
+    return counts
+
+
+def test_isogeny_trial_cost_matches_the_stated_figures(monkeypatch):
+    counts = _count_field_calls(monkeypatch)
+
+    def run(trials):
+        counts.clear()
+        assert compose_is_minus3(5, 1009, trials=trials, seed=1)
+        return Counter(counts)
+
+    # one seed draws the same first points, so the difference holds trials
+    # 11..410 alone, without the two maps' set-up
+    trials = 400
+    short, long = run(10), run(10 + trials)
+    muls, invs, sqrts = (long[k] - short[k] for k in ("mul", "inv", "sqrt"))
+    assert invs == TRIAL_INVS * trials
+    assert sqrts / trials == pytest.approx(TRIAL_SQRTS, rel=0.05)
+    assert muls / trials == pytest.approx(TRIAL_MULS, rel=0.02)
+    # each sampler try evaluates the source cubic (3 products) and one root
+    assert muls == (TRIAL_MULS - 3 * TRIAL_SQRTS) * trials + 3 * sqrts
+
+    over = MAX_TRIALS_BUDGET + 1
+    with pytest.raises(LimitError) as refusal:
+        check_isogeny(1009, over)
+    assert (f"~{TRIAL_MULS * over:.1e} F_{{p^2}} multiplications, "
+            f"~{TRIAL_INVS * over:.1e} inversions and "
+            f"~{TRIAL_SQRTS * over:.1e} square roots") in str(refusal.value)
