@@ -83,11 +83,6 @@ def prime_sum_prediction(X: int, mode: str = "integer") -> float:
     return _mode_constant(mode) * math.fsum(1 / (2 * math.sqrt(p)) for p in primes_below(X))
 
 
-def is_degenerate_rational(numerator: int, denominator: int) -> bool:
-    """lambda = 0 and lambda = 1 index singular members at every prime."""
-    return numerator == 0 or numerator == denominator
-
-
 def phi_lambda(numerator: int, denominator: int, X: int) -> int:
     """#{5 <= p < X : the member at numerator/denominator is superspecial}.
 
@@ -101,7 +96,8 @@ def phi_lambda(numerator: int, denominator: int, X: int) -> int:
     if g:
         numerator //= g
         denominator //= g
-    if is_degenerate_rational(numerator, denominator):
+    # lambda = 0 and lambda = 1 index singular members at every prime
+    if numerator == 0 or numerator == denominator:
         return 0
     count = 0
     for p in primes_below(X):

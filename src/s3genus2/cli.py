@@ -7,9 +7,9 @@ exercises the explicit 3-isogeny identities at one (p, lambda), and
 
 `psi`, `structure` and `average` share one code path: after every refusal
 check, the primes are listed once (the sieve `average.primes_below`),
-`--threads K` scans them all on a single worker pool, and `_stream` writes
+`family.scan_primes` picks where they are scanned, and `_stream` writes
 the rows, one per prime or per X in ascending order, to one sink: the
-`--output` file or stdout.  Rows do not depend on the worker count, so
+`--output` file or stdout.  Rows do not depend on where the scans ran, so
 reruns with the same flags and seed are byte-identical.
 
 Every request is checked against `limits` before any scan or trial starts;
@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -43,8 +42,7 @@ from .family import (
     PSI_CSV_HEADER,
     is_admissible,
     psi_p,
-    seed_scan_cache,
-    superspecial_lambdas,
+    scan_primes,
 )
 from .fields import is_prime
 from .isogenies import compose_is_minus3, verify_transcription
@@ -72,22 +70,6 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return [q for q in primes_below(top) if q >= lo] + [top]
 
 
-def _prefill_scans(primes, threads: int) -> None:
-    """Run the per-prime lambda scans on one worker pool, largest first.
-
-    The pool has at most one worker per prime and per CPU, whatever
-    --threads asks for: under fork every worker starts on the first submit.
-    """
-    workers = min(threads, len(primes), os.cpu_count() or 1)
-    if workers <= 1:
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    todo = sorted(primes, reverse=True)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        seed_scan_cache(zip(todo, pool.map(superspecial_lambdas, todo, chunksize=4)))
-
-
 def _stream(header, rows, output) -> int:
     """Write the header lines, then each (line, ok) row; count the failed rows.
 
@@ -111,7 +93,7 @@ def _stream(header, rows, output) -> int:
 
 def cmd_psi(args) -> int:
     primes = primes_in_range(args.from_, args.to)
-    _prefill_scans(primes, args.threads)
+    scan_primes(primes)
     csv = args.format == "csv"
     reports = map(psi_p, primes)
     rows = ((r.to_csv_row() if csv else r.to_json(), r.closed_form_ok) for r in reports)
@@ -125,7 +107,7 @@ def cmd_structure(args) -> int:
     if dot and not args.output:
         raise LimitError("--format dot needs --output DIRECTORY")
     primes = primes_in_range(args.from_, args.to)
-    _prefill_scans(primes, args.threads)
+    scan_primes(primes)
     if dot:
         Path(args.output).mkdir(parents=True, exist_ok=True)
     json_rows = args.format == "json"
@@ -172,7 +154,7 @@ def cmd_average(args) -> int:
         if args.check_bruteforce:
             check_bruteforce(X, N)
     # every row's primes are below the largest X, so one pool scans them all
-    _prefill_scans(primes_below(xs[-1]), args.threads)
+    scan_primes(primes_below(xs[-1]))
     csv = args.format == "csv"
 
     def rows():
@@ -212,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lower end of the prime range (>= 5)")
         sp.add_argument("--to", type=int, required=True,
                         help="upper end of the prime range (inclusive)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the per-prime scans")
         sp.add_argument("--output", help="write rows to this file")
 
     p_psi = sub.add_parser("psi", help="per-prime superspecial counts and the "
@@ -245,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_avg.add_argument("--mode", choices=("integer", "rational"), default="integer")
     p_avg.add_argument("--check-bruteforce", action="store_true",
                        help="compare against the direct double loop (small runs)")
-    p_avg.add_argument("--threads", type=int, default=1)
     p_avg.add_argument("--output", help="write rows to this file")
     p_avg.add_argument("--format", choices=("json", "csv"), default="csv")
     p_avg.set_defaults(func=cmd_average)

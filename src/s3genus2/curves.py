@@ -193,8 +193,8 @@ def _power_table(p: int) -> np.ndarray:
 
     The outer product of g^0 .. g^(B-1) and (g^B)^j, B = isqrt(p-1) + 1: two
     python loops of about sqrt(p) steps and one p-sized reduction.  A
-    scanned prime builds it once; the log table, the Deuring and the
-    supersingular coefficients and the scan's inverse table all read it.
+    scanned prime builds it once; the log and inverse tables and the
+    Deuring and supersingular coefficients all read it.
     """
     g = primitive_root(p)
     b = isqrt(p - 1) + 1
@@ -209,17 +209,27 @@ def _power_table(p: int) -> np.ndarray:
     return (table % p).ravel()[: p - 1]
 
 
-@lru_cache(maxsize=1)
 def _log_table(p: int) -> np.ndarray:
     """log[v] = the discrete log of v to the base of `_power_table(p)`.
 
     log[0] reads 0 as well, so a caller must keep 0 out of its arguments.
-    The Deuring coefficients and `family._supersingular_array` read it; a
-    scanned prime builds it once.
+    The Deuring coefficients and `family._supersingular_array` read it, each
+    once per prime; it is not cached, so only the inverse table stays alive
+    beside the power table between primes.
     """
     log = np.zeros(p, dtype=np.int64)
     log[_power_table(p)] = np.arange(p - 1)
     return log
+
+
+@lru_cache(maxsize=1)
+def _inverse_table(p: int) -> np.ndarray:
+    """inv[v] = 1/v mod p (inv[0] = 0): 1/g^i = g^(p-1-i) in `_power_table(p)`."""
+    table = _power_table(p)
+    inv = np.zeros(p, dtype=np.int64)
+    inv[1] = 1
+    inv[table[1:]] = table[:0:-1]
+    return inv
 
 
 def _deuring_array(p: int) -> np.ndarray:

@@ -18,14 +18,15 @@ per prime.  The tests hold H_p at every lambda's Lambda^- (the same kernel
 fed the Deuring coefficients), numpy Horner and the pure-python per-lambda
 scan `psi_p_bruteforce` as oracles for it.  The per-prime set-up reads one
 table of generator powers g^0 .. g^(p-2) (curves._power_table): the
-coefficients come from its discrete logarithms and the inverse table, which
-also inverts the norms in the j computation, from its reversal, so no
-p-sized exponentiation runs.
+coefficients come from its discrete logarithms and the inverse table,
+which also inverts the norms in the j computation, from its reversal
+(curves._inverse_table), so no p-sized exponentiation runs.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from math import isqrt
 
@@ -34,13 +35,14 @@ import numpy as np
 from .classno import class_number
 from .curves import (
     LegendreCurve,
+    _inverse_table,
     _log_table,
     _power_table,
     _sqrt_table,
     is_supersingular,
 )
 from .fields import check_modulus, fp2_mul, fp2_sqrt, smallest_nonresidue
-from .limits import VECTOR_MODULUS_BOUND, LimitError
+from .limits import SCAN_POOL_THRESHOLD, VECTOR_MODULUS_BOUND, LimitError, scan_cost
 
 # entries per baby-step or block-value matrix in one chunk of the scan
 # (4 MB of int64); every p below 4.8*10^4 fits in one chunk
@@ -168,17 +170,6 @@ class PsiReport:
         )
 
 
-def _pow_mod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            out = out * b % p
-        b = b * b % p
-        e >>= 1
-    return out
-
-
 def lambda_eps_pairs(
     lam: np.ndarray, eps, p: int, n: int, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -249,10 +240,22 @@ def _supersingular_array(p: int) -> np.ndarray:
 _SCAN_CACHE: dict[int, tuple[int, ...]] = {}
 
 
-def seed_scan_cache(entries) -> None:
-    """Install precomputed superspecial sets (e.g. from worker processes)."""
-    for p, lambdas in entries:
-        _SCAN_CACHE[p] = tuple(lambdas)
+def scan_primes(primes) -> None:
+    """Fill _SCAN_CACHE for the primes on one worker pool, when that pays.
+
+    The primes not yet cached are priced as limits.check_scan_range prices
+    a range.  Above SCAN_POOL_THRESHOLD they are scanned largest first on
+    one worker per prime and per CPU at most; otherwise nothing runs here,
+    and each prime is scanned when its row asks for it.
+    """
+    todo = sorted((p for p in primes if p not in _SCAN_CACHE), reverse=True)
+    workers = min(len(todo), os.cpu_count() or 1)
+    if workers <= 1 or scan_cost(todo[0]) - scan_cost(todo[-1]) <= SCAN_POOL_THRESHOLD:
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        _SCAN_CACHE.update(zip(todo, pool.map(_orbit_scan, todo, chunksize=4)))
 
 
 def superspecial_lambdas(p: int) -> tuple[int, ...]:
@@ -266,14 +269,14 @@ def superspecial_lambdas(p: int) -> tuple[int, ...]:
 
 
 def legendre_j(
-    ta: np.ndarray, tb: np.ndarray, p: int, n: int, inv: np.ndarray | None = None
+    ta: np.ndarray, tb: np.ndarray, p: int, n: int, inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """j(E_t) = 256 (t^2 - t + 1)^3 / (t(t - 1))^2 for each t = ta + tb*w.
 
     With D = t^2 - t this is 256 D (1 + 1/D)^3.  1/D goes through the norm
-    D_a^2 - n D_b^2, inverted by the F_p inverse table `inv` when the
-    caller holds one and by exponentiation otherwise; n is a non-residue,
-    so the norm vanishes only at D = 0, that is t in {0, 1}, which raises.
+    D_a^2 - n D_b^2, inverted by a read of the F_p inverse table `inv`
+    (curves._inverse_table); n is a non-residue, so the norm vanishes only
+    at D = 0, that is t in {0, 1}, which raises.
     Below VECTOR_MODULUS_BOUND = 2^25 every intermediate is at most two
     products of residues (or a residue times n < p), below 2^51, so int64
     holds it.
@@ -285,7 +288,7 @@ def legendre_j(
     norm = (da * da % p - db * db % p * n) % p
     if not norm.all():
         raise ValueError(f"singular Legendre parameter t in {{0, 1}} mod {p}")
-    ninv = inv[norm] if inv is not None else _pow_mod_vec(norm, p - 2, p)
+    ninv = inv[norm]
     u = ((da * ninv + 1) % p, (p - db) * ninv % p)
     ja, jb = fp2_mul(fp2_mul(fp2_mul(u, u, p, n), u, p, n), (da, db), p, n)
     return 256 * ja % p, 256 * jb % p
@@ -296,10 +299,10 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
 
     A supersingular partner forces the other, so Lambda^- alone decides;
     the tests check the Lambda^+ branch against this on every lambda.  The
-    set-up reads one table of generator powers g^i (curves._power_table):
-    the inverse table is its scatter 1/g^i = g^(p-1-i), and each lambda's
-    representative is the running minimum of its six S3 images, so the
-    representatives are the lambda equal to their own and come out sorted.
+    set-up reads the inverse table (curves._inverse_table), and each
+    lambda's representative is the running minimum of its six S3 images,
+    so the representatives are the lambda equal to their own and come out
+    sorted.
     ss_p is evaluated at j(E_{Lambda^-}) of every representative by the
     baby-step/giant-step `_bsgs_eval`, with no filter: the result is
     exact.  A representative whose Lambda^- is 0 or 1 raises (in
@@ -314,9 +317,7 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
     lam = lam[delta != 0]
     if lam.size == 0:
         return ()
-    table = _power_table(p)
-    inv = np.zeros(p, dtype=np.int64)
-    inv[table] = np.roll(table[::-1], 1)
+    inv = _inverse_table(p)
     inv_lam = inv[lam]
     one_m = p + 1 - lam
     rep = np.minimum(lam, inv_lam)

@@ -18,7 +18,8 @@ p^2/36 multiply-adds and all primes below X about
 
 the prime number theorem's value of sum_{p < X} p^2/36 (`scan_cost`).
 F(MAX_X_BUDGET) is the scan work of the largest `average` run admitted;
-`psi` and `structure` admit a prime range whose scans cost no more.
+`psi` and `structure` admit a prime range whose scans cost no more, and
+family.scan_primes puts scans costing more than SCAN_POOL_THRESHOLD on a pool.
 
 This module imports nothing from the package, so every other module can
 import it.
@@ -45,6 +46,9 @@ POINT_COUNT_BOUND_DEG2 = 2_000
 # kernel's int64 proof assumes them
 MAX_X_BUDGET = 50_000
 MAX_N_BUDGET = 10_000_000
+# the scan cost above which a worker pool pays: break-even near F(3300) = 4.1e7
+# on a 2-vCPU host; above F(3000) = 3.1e7, every perfbench workload is serial
+SCAN_POOL_THRESHOLD = 40_000_000
 # isogeny --trials: about 130 F_{p^2} products a trial (check_isogeny), 0.08-0.21 ms
 # from p = 10^3 to 2^31 (2-vCPU host)
 MAX_TRIALS_BUDGET = 100_000

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classno import class_number, hilbert_poly
-from .curves import _poly_divmod, _poly_fp2_roots, _sqrt_table
+from .curves import _inverse_table, _poly_divmod, _poly_fp2_roots, _sqrt_table
 from .family import (
     lambda_eps_pairs,
     legendre_j,
@@ -56,7 +56,7 @@ def _paired_js(lam: np.ndarray, p: int) -> np.ndarray:
     n = smallest_nonresidue(p)
     eps = np.repeat([-1, 1], lam.size)
     t = lambda_eps_pairs(np.tile(lam, 2), eps, p, n, _sqrt_table(p))
-    ja, jb = legendre_j(*t, p, n)
+    ja, jb = legendre_j(*t, p, n, _inverse_table(p))
     return (ja * p + jb).reshape(2, lam.size)
 
 

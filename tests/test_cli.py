@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from s3genus2 import cli, family
 from s3genus2.cli import build_parser, main
 from s3genus2.limits import (
     CLASS_NUMBER_BOUND,
@@ -149,9 +150,11 @@ def test_range_within_the_scan_budget_is_accepted():
 
 
 class _FakePool:
-    """A ProcessPoolExecutor stand-in that runs the jobs in this process."""
+    """A ProcessPoolExecutor stand-in that runs the jobs in this process and
+    records each pool's worker count and jobs."""
 
     made: list[int] = []
+    sent: list[list[int]] = []
 
     def __init__(self, max_workers):
         self.made.append(max_workers)
@@ -163,21 +166,37 @@ class _FakePool:
         return False
 
     def map(self, fn, jobs, chunksize=1):
+        jobs = list(jobs)
+        self.sent.append(jobs)
         return map(fn, jobs)
 
 
-@pytest.mark.parametrize("cpus, workers", [(64, 44), (2, 2), (1, 0), (None, 0)])
-def test_threads_are_capped_by_the_primes_and_the_cpus(capsys, monkeypatch, cpus, workers):
-    # psi over 5..200 has 44 primes; --threads 5000 must not ask for 5000
-    # workers, and a single worker needs no pool
+def _fake_pools(monkeypatch, cpus):
+    """Route scan_primes' pools to _FakePool, on `cpus` CPUs and an empty cache."""
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(_FakePool, "made", [])
+    monkeypatch.setattr(_FakePool, "sent", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(family, "_SCAN_CACHE", {})
+
+
+def _force_pool(monkeypatch):
+    """Price every scan above the pool threshold, from an empty cache."""
+    monkeypatch.setattr(family, "SCAN_POOL_THRESHOLD", 0)
+    monkeypatch.setattr(family, "_SCAN_CACHE", {})
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, 44), (2, 2), (1, 0), (None, 0)])
+def test_threads_are_capped_by_the_primes_and_the_cpus(capsys, monkeypatch, cpus, workers):
+    # psi over 5..200 has 44 primes: the pool never asks for more workers
+    # than there are primes or CPUs, and a single worker needs no pool
+    _fake_pools(monkeypatch, cpus)
     argv = ["psi", "--from", "5", "--to", "200", "--format", "csv"]
     _, want, _ = run_cli(capsys, *argv)
-    code, out, _ = run_cli(capsys, *argv, "--threads", "5000")
+    _force_pool(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert _FakePool.made == ([workers] if workers else [])
     assert out == want
@@ -185,18 +204,54 @@ def test_threads_are_capped_by_the_primes_and_the_cpus(capsys, monkeypatch, cpus
 
 def test_average_scans_every_row_on_one_pool(capsys, monkeypatch):
     # the rows' primes are all below the largest X: one pool for the table
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
-    monkeypatch.setattr(_FakePool, "made", [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _fake_pools(monkeypatch, 2)
     argv = ["average", "--X", "300", "--X", "450", "--X", "610"]
-    _, want, _ = run_cli(capsys, *argv, "--threads", "1")
+    _, want, _ = run_cli(capsys, *argv)
     assert _FakePool.made == []
-    code, out, _ = run_cli(capsys, *argv, "--threads", "2")
+    _force_pool(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert _FakePool.made == [2]
     assert out == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--from", "5", "--to", "2120", "--format", "csv"],
+    ["structure", "--from", "5", "--to", "1670"],
+    ["average", "--X", "610", "--mode", "rational"],
+])
+def test_benchmark_sized_runs_make_no_pool(capsys, monkeypatch, argv):
+    # the largest runs of the benchmark workloads price below the threshold
+    _fake_pools(monkeypatch, 64)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert _FakePool.made == []
+
+
+def test_a_cached_prime_is_not_sent_to_the_pool(capsys, monkeypatch):
+    _fake_pools(monkeypatch, 2)
+    argv = ["psi", "--from", "5", "--to", "200", "--format", "csv"]
+    _, want, _ = run_cli(capsys, *argv)
+    _force_pool(monkeypatch)
+    cached = (101, 199)
+    for p in cached:
+        family.superspecial_lambdas(p)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+    primes = cli.primes_in_range(5, 200)
+    assert _FakePool.sent == [sorted(set(primes) - set(cached), reverse=True)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--from", "5", "--to", "60"],
+    ["structure", "--from", "5", "--to", "60"],
+    ["average", "--X", "60"],
+])
+def test_threads_flag_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -258,12 +313,27 @@ def test_psi_csv_format(capsys):
     assert lines[-1] == "13,1mod4,6,2,4,true"
 
 
-def test_psi_deterministic_across_thread_counts(capsys, tmp_path):
+def test_psi_deterministic_across_thread_counts(capsys, monkeypatch, tmp_path):
+    # the same bytes from a real two-worker pool as from the serial path
+    import concurrent.futures
+
+    made = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    run_cli(capsys, "psi", "--from", "5", "--to", "60", "--format", "csv",
-            "--output", str(f1))
-    run_cli(capsys, "psi", "--from", "5", "--to", "60", "--format", "csv",
-            "--output", str(f2), "--threads", "2")
+    argv = ["psi", "--from", "5", "--to", "60", "--format", "csv"]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(family, "_SCAN_CACHE", {})
+    run_cli(capsys, *argv, "--output", str(f1))
+    assert made == []
+    _force_pool(monkeypatch)
+    run_cli(capsys, *argv, "--output", str(f2))
+    assert made == [2]
     assert f1.read_bytes() == f2.read_bytes()
 
 
@@ -401,22 +471,23 @@ def test_average_budget_exceeded(capsys):
     assert "estimated cost" in err
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_average_budget_is_checked_before_any_scan(capsys, monkeypatch, threads):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_average_budget_is_checked_before_any_scan(capsys, monkeypatch, cpus):
+    # with every scan priced for the pool, and on two CPUs one would start
     def no_scan(*args):
         raise AssertionError("scan started")
 
-    monkeypatch.setattr("s3genus2.cli._prefill_scans", no_scan)
-    monkeypatch.setattr("s3genus2.family._orbit_scan", no_scan)
-    code, out, err = run_cli(capsys, "average", "--X", "1000000", "--mode", "rational",
-                             "--threads", threads)
+    _fake_pools(monkeypatch, cpus)
+    _force_pool(monkeypatch)
+    monkeypatch.setattr(family, "_orbit_scan", no_scan)
+    code, out, err = run_cli(capsys, "average", "--X", "1000000", "--mode", "rational")
     assert code == 2
     assert "estimated cost" in err and "Traceback" not in err
     # a later row over budget stops the command before the first row
-    code, out, err = run_cli(capsys, "average", "--X", "20", "--X", "1000000",
-                             "--threads", threads)
+    code, out, err = run_cli(capsys, "average", "--X", "20", "--X", "1000000")
     assert code == 2
     assert out == "" and "estimated cost" in err
+    assert _FakePool.made == []
 
 
 @pytest.mark.parametrize("argv", [["--X", "1"], ["--X", "0"], ["--X", "-5"],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from s3genus2.classno import class_number
-from s3genus2.curves import LegendreCurve, is_supersingular, j_invariant
+from s3genus2.curves import LegendreCurve, _inverse_table, is_supersingular, j_invariant
 from s3genus2.family import (
     lambda_pair,
     lambda_record,
@@ -104,10 +104,22 @@ def test_build_graph_rejects_an_irrational_j(monkeypatch):
         build_graph(23)
 
 
+class _PowInverses:
+    """inv[v] = 1/v mod p by pow, element by element: an inverse table for a
+    prime whose p-sized table would take hundreds of MB."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def __getitem__(self, v):
+        return np.array([pow(x, -1, self.p) for x in v.tolist()], dtype=np.int64)
+
+
 def test_legendre_j_matches_j_invariant_on_random_parameters():
     rng = random.Random(20261018)
     top = max(q for q in range(VECTOR_MODULUS_BOUND - 200, VECTOR_MODULUS_BOUND) if is_prime(q))
     for p in (5, 13, 1009, 65537, top):
+        inv = _PowInverses(p) if p == top else _inverse_table(p)
         n = smallest_nonresidue(p)
         ts = []
         while len(ts) < 200:
@@ -117,7 +129,7 @@ def test_legendre_j_matches_j_invariant_on_random_parameters():
             ts.append((a, b))
         ta = np.array([a for a, _ in ts], dtype=np.int64)
         tb = np.array([b for _, b in ts], dtype=np.int64)
-        ja, jb = legendre_j(ta, tb, p, n)
+        ja, jb = legendre_j(ta, tb, p, n, inv)
         for (a, b), x, y in zip(ts, ja.tolist(), jb.tolist()):
             assert (x, y) == j_invariant(LegendreCurve((a, b), p)), (p, a, b)
 
@@ -125,11 +137,13 @@ def test_legendre_j_matches_j_invariant_on_random_parameters():
 def test_legendre_j_rejects_singular_parameters():
     p = 1009
     n = smallest_nonresidue(p)
+    inv = _inverse_table(p)
     for t in (0, 1):
         with pytest.raises(ValueError):
-            legendre_j(np.array([5, t, 7]), np.array([3, 0, 0]), p, n)
+            legendre_j(np.array([5, t, 7]), np.array([3, 0, 0]), p, n, inv)
+    # the bound is checked before the table is read
     with pytest.raises(ValueError):
-        legendre_j(np.array([2]), np.array([0]), VECTOR_MODULUS_BOUND + 15, 3)
+        legendre_j(np.array([2]), np.array([0]), VECTOR_MODULUS_BOUND + 15, 3, inv)
 
 
 def test_profile_empty_at_7mod12():
