@@ -111,32 +111,15 @@ def phi_lambda(numerator: int, denominator: int, X: int) -> int:
 
 @dataclass(frozen=True)
 class AverageRun:
+    """One `average` row; the fields are its columns, in output order."""
+
+    mode: str
     X: int
     N: int
-    mode: str
     total: int
     normalized: float
     predicted: float
     ratio: float
-
-    CSV_HEADER = "mode,X,N,total,normalized,predicted,ratio"
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.mode},{self.X},{self.N},{self.total},"
-            f"{self.normalized:.6f},{self.predicted:.6f},{self.ratio:.6f}"
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "X": self.X,
-            "N": self.N,
-            "total": self.total,
-            "normalized": round(self.normalized, 6),
-            "predicted": round(self.predicted, 6),
-            "ratio": round(self.ratio, 6),
-        }
 
 
 def _count_integers_in_window(N: int, residue: int, p: int) -> int:
@@ -325,7 +308,7 @@ def window_sum(X: int, N: int, mode: str = "integer") -> AverageRun:
         total = _rational_window_total(X, N)
         normalized = total / (N * N)
     predicted = constant * math.sqrt(X) / math.log(X)
-    return AverageRun(X, N, mode, total, normalized, predicted, normalized / predicted)
+    return AverageRun(mode, X, N, total, normalized, predicted, normalized / predicted)
 
 
 def window_sum_bruteforce(X: int, N: int, mode: str = "integer") -> int:

@@ -18,6 +18,7 @@ from functools import lru_cache
 import mpmath
 
 from . import intpoly
+from .fields import factorize
 from .limits import (
     CLASS_NUMBER_BOUND,
     HILBERT_CLASS_BOUND,
@@ -118,13 +119,14 @@ def dirichlet_tail_bound(D: int, terms: int) -> float:
 # j-function q-expansion, exact integer coefficients
 
 
-@lru_cache(maxsize=8)
-def j_q_coefficients(terms: int = Q_SERIES_TERMS) -> tuple[int, ...]:
-    """Coefficients of q*j(q) = 1 + 744q + 196884q^2 + ..., exactly.
+@lru_cache(maxsize=1)
+def j_q_coefficients() -> tuple[int, ...]:
+    """Coefficients of q*j(q) = 1 + 744q + 196884q^2 + ..., exactly, to Q_SERIES_TERMS.
 
     Built from E4^3 / (Delta/q); both factors have integer q-expansions and
     the division is exact because Delta/q has leading coefficient 1.
     """
+    terms = Q_SERIES_TERMS
     sigma3 = [0] * terms
     for d in range(1, terms):
         for n in range(d, terms, d):
@@ -262,25 +264,7 @@ def _is_fundamental(D: int) -> bool:
 
 
 def _squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
-def _factorize(m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+    return all(e == 1 for e in factorize(n).values())
 
 
 def _ordp_f(m: int, D1: int, D2: int, p: int) -> int:
@@ -291,7 +275,7 @@ def _ordp_f(m: int, D1: int, D2: int, p: int) -> int:
             return kronecker(-D1, ell)
         return kronecker(-D2, ell)
 
-    factors = _factorize(m)
+    factors = factorize(m)
     e_p = factors.pop(p, 0)
     if e_p % 2 == 0 or eps(p) != -1:
         return 0

@@ -12,6 +12,12 @@ the rows, one per prime or per X in ascending order, to one sink: the
 `--output` file or stdout.  Rows do not depend on where the scans ran, so
 reruns with the same flags and seed are byte-identical.
 
+A row is plain data (a dict keyed by its JSON keys, in output order, or
+the `AverageRun` fields), and `_line` is the one formatter for all three
+commands: compact JSON with floats rounded to six places, or CSV whose
+columns are the leading JSON keys of the row, spelled with `-` for None,
+lower-case bools and six decimals for floats.
+
 Every request is checked against `limits` before any scan or trial starts;
 a refused one raises LimitError, printed as `error: ...` (with a cost
 estimate for a budget).  `psi` and `structure` admit a prime range whose
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from functools import lru_cache
@@ -32,18 +39,12 @@ from pathlib import Path
 
 from .average import (
     SKIP_CONVENTIONS,
-    AverageRun,
     default_window,
     primes_below,
     window_sum,
     window_sum_bruteforce,
 )
-from .family import (
-    PSI_CSV_HEADER,
-    is_admissible,
-    psi_p,
-    scan_primes,
-)
+from .family import is_admissible, psi_p, scan_primes
 from .fields import is_prime
 from .isogenies import compose_is_minus3, verify_transcription
 from .limits import (
@@ -53,11 +54,16 @@ from .limits import (
     check_isogeny,
     check_scan_range,
 )
-from .structure import StructureVerdict, structure_verdict
+from .structure import structure_verdict
 
 DEFAULT_SEED = 1
 
 USAGE_ERROR = 2
+
+# the CSV columns of each row command: the leading JSON keys of its rows
+PSI_COLUMNS = ("p", "class", "psi", "h_p", "h_3p", "ok")
+STRUCTURE_COLUMNS = ("p", "class", "psi", "h_p", "h_3p", "closed_form", "shape", "graph")
+AVERAGE_COLUMNS = ("mode", "X", "N", "total", "normalized", "predicted", "ratio")
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -68,6 +74,22 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         top -= 1
     check_scan_range(lo, hi, top)
     return [q for q in primes_below(top) if q >= lo] + [top]
+
+
+def _cell(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _line(row: dict, columns) -> str:
+    """The row as a CSV line of `columns`, or as compact JSON when columns is None."""
+    if columns is not None:
+        return ",".join(_cell(row[k]) for k in columns)
+    row = {k: round(v, 6) if isinstance(v, float) else v for k, v in row.items()}
+    return json.dumps(row, separators=(",", ":"))
 
 
 def _stream(header, rows, output) -> int:
@@ -94,10 +116,9 @@ def _stream(header, rows, output) -> int:
 def cmd_psi(args) -> int:
     primes = primes_in_range(args.from_, args.to)
     scan_primes(primes)
-    csv = args.format == "csv"
-    reports = map(psi_p, primes)
-    rows = ((r.to_csv_row() if csv else r.to_json(), r.closed_form_ok) for r in reports)
-    failures = _stream([PSI_CSV_HEADER] if csv else [], rows, args.output)
+    columns = PSI_COLUMNS if args.format == "csv" else None
+    rows = ((_line(r, columns), r["ok"]) for r in map(psi_p, primes))
+    failures = _stream([",".join(columns)] if columns else [], rows, args.output)
     print(f"# psi: {len(primes)} primes, {failures} failures", file=sys.stderr)
     return 1 if failures else 0
 
@@ -110,18 +131,21 @@ def cmd_structure(args) -> int:
     scan_primes(primes)
     if dot:
         Path(args.output).mkdir(parents=True, exist_ok=True)
-    json_rows = args.format == "json"
+    columns = None if args.format == "json" else STRUCTURE_COLUMNS
 
     def rows():
         # --format dot writes one graph file per prime and the csv rows,
         # without their header, to stdout
         for p in primes:
-            verdict, graph = structure_verdict(p)
+            row, graph = structure_verdict(p)
             if dot and graph is not None:
                 Path(args.output, f"g_{p}.dot").write_text(graph.to_dot(), encoding="ascii")
-            yield verdict.to_json(graph) if json_rows else verdict.to_csv_row(), verdict.ok
+            if columns is None and graph is not None:
+                row["graph_data"] = graph.as_dict()
+            ok = row["closed_form"] and row["shape"] is not False and row["graph"] is not False
+            yield _line(row, columns), ok
 
-    header = [StructureVerdict.CSV_HEADER] if args.format == "csv" else []
+    header = [",".join(STRUCTURE_COLUMNS)] if args.format == "csv" else []
     failures = _stream(header, rows(), None if dot else args.output)
     print(f"# structure: {len(primes)} primes, {failures} failures", file=sys.stderr)
     return 1 if failures else 0
@@ -155,7 +179,7 @@ def cmd_average(args) -> int:
             check_bruteforce(X, N)
     # every row's primes are below the largest X, so one pool scans them all
     scan_primes(primes_below(xs[-1]))
-    csv = args.format == "csv"
+    columns = AVERAGE_COLUMNS if args.format == "csv" else None
 
     def rows():
         for X, N in windows:
@@ -169,10 +193,9 @@ def cmd_average(args) -> int:
                 match = brute == run.total
                 print(f"# bruteforce {mode} X={X} N={N}: {brute} "
                       f"({'match' if match else 'MISMATCH'})", file=sys.stderr)
-            yield (run.to_csv_row() if csv
-                   else json.dumps(run.to_json_dict(), separators=(",", ":"))), match
+            yield _line(dataclasses.asdict(run), columns), match
 
-    header = [f"# {SKIP_CONVENTIONS}"] + ([AverageRun.CSV_HEADER] if csv else [])
+    header = [f"# {SKIP_CONVENTIONS}"] + ([",".join(columns)] if columns else [])
     mismatches = _stream(header, rows(), args.output)
     print(f"# average: {len(windows)} row(s), mode={mode}", file=sys.stderr)
     return 1 if mismatches else 0

@@ -25,7 +25,6 @@ which also inverts the norms in the j computation, from its reversal
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from math import isqrt
@@ -47,8 +46,6 @@ from .limits import SCAN_POOL_THRESHOLD, VECTOR_MODULUS_BOUND, LimitError, scan_
 # entries per baby-step or block-value matrix in one chunk of the scan
 # (4 MB of int64); every p below 4.8*10^4 fits in one chunk
 BSGS_CHUNK_ELEMENTS = 1 << 19
-
-PSI_CSV_HEADER = "p,class,psi,h_p,h_3p,ok"
 
 
 def congruence_class(p: int) -> str:
@@ -135,39 +132,6 @@ def lambda_record(lam: int, p: int) -> LambdaRecord:
     delta, s, minus, plus = lambda_pair(lam, p)
     ss = is_supersingular(LegendreCurve(minus, p))
     return LambdaRecord(lam % p, p, delta, s, minus, plus, ss)
-
-
-@dataclass(frozen=True)
-class PsiReport:
-    """Per-prime summary of the superspecial scan."""
-
-    p: int
-    congruence: str
-    psi: int
-    lambdas: tuple[int, ...]
-    h_p: int
-    h_3p: int
-    closed_form_ok: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": self.p,
-                "class": self.congruence,
-                "psi": self.psi,
-                "h_p": self.h_p,
-                "h_3p": self.h_3p,
-                "ok": self.closed_form_ok,
-                "lambdas": list(self.lambdas),
-            },
-            separators=(",", ":"),
-        )
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.p},{self.congruence},{self.psi},{self.h_p},"
-            f"{self.h_3p},{str(self.closed_form_ok).lower()}"
-        )
 
 
 def lambda_eps_pairs(
@@ -424,8 +388,12 @@ def psi_closed_form(p: int) -> int:
     return 3 * class_number(p)
 
 
-def psi_p(p: int) -> PsiReport:
-    """Scan all lambda, count superspecial members, attach the verdict."""
+def psi_p(p: int) -> dict:
+    """Scan all lambda, count superspecial members, attach the verdict.
+
+    The row's keys are its JSON keys, in output order; `ok` is the
+    closed-form verdict.
+    """
     lambdas = superspecial_lambdas(p)
     psi = len(lambdas)
     # -p and -3p are only discriminants in the congruence classes the closed
@@ -433,7 +401,8 @@ def psi_p(p: int) -> PsiReport:
     h_p = class_number(p) if p % 4 == 3 else class_number(4 * p)
     h_3p = class_number(3 * p) if p % 4 == 1 else class_number(12 * p)
     ok = psi == psi_closed_form(p)
-    return PsiReport(p, congruence_class(p), psi, lambdas, h_p, h_3p, ok)
+    return {"p": p, "class": congruence_class(p), "psi": psi, "h_p": h_p,
+            "h_3p": h_3p, "ok": ok, "lambdas": lambdas}
 
 
 # ---------------------------------------------------------------------------

@@ -68,21 +68,24 @@ def smallest_nonresidue(p: int) -> int:
     raise ArithmeticError(f"no non-residue found mod {p}")  # unreachable for p >= 3
 
 
-def primitive_root(p: int) -> int:
-    """Smallest generator g of F_p^*: g^((p-1)/q) != 1 for each prime q | p - 1.
+def factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by trial division, at most sqrt(n)/2 steps."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
-    p - 1 is factored by trial division, at most sqrt(p) steps.
-    """
+
+def primitive_root(p: int) -> int:
+    """Smallest generator g of F_p^*: g^((p-1)/q) != 1 for each prime q | p - 1."""
     check_modulus(p)
-    rest, q, primes = p - 1, 2, []
-    while q * q <= rest:
-        if rest % q == 0:
-            primes.append(q)
-            while rest % q == 0:
-                rest //= q
-        q += 1
-    if rest > 1:
-        primes.append(rest)
+    primes = factorize(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in primes):
             return g

@@ -4,11 +4,11 @@ For p = 1 mod 4 the j-invariants of superspecial members are the roots of
 the level-3p class polynomial mod p; their multiplicities follow a fixed
 ledger (4 for 8000, 2 for 54000 and for each conjugate pair).  For
 p = 11 mod 12 the rational roots carry a weighted multigraph with one edge
-per superspecial orbit.  Everything here consumes PsiReports and the exact
-class-number and class-polynomial routines; at tiny primes the class
-polynomial itself is computed over the integers and factored directly.
-The shape and graph checks return one note per failed clause, and a
-`structure` row carries those notes.
+per superspecial orbit.  Everything here consumes the psi rows of
+`family.psi_p` and the exact class-number and class-polynomial routines;
+at tiny primes the class polynomial itself is computed over the integers
+and factored directly.  The shape and graph checks return one note per
+failed clause, and a `structure` row carries those notes.
 
 The j-invariants come from the scan's lambda set in one numpy pass per
 prime: Lambda^-, Lambda^+ and j(E_Lambda) of every lambda are int64 (a, b)
@@ -20,8 +20,8 @@ int-pair computation (lambda_pair, curves.j_invariant) as the exact oracle.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,15 +122,6 @@ class GraphGp:
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]  # (u, v, weight), u <= v
 
-    def degree(self, v: int) -> int:
-        d = 0
-        for u, w, _ in self.edges:
-            if u == v:
-                d += 1
-            if w == v:
-                d += 1
-        return d
-
     def weight_sum(self) -> int:
         return sum(w for _, _, w in self.edges)
 
@@ -149,9 +140,6 @@ class GraphGp:
             "vertices": list(self.vertices),
             "edges": [{"u": u, "v": v, "w": w} for u, v, w in self.edges],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), separators=(",", ":"))
 
 
 def build_graph(p: int) -> GraphGp:
@@ -197,8 +185,10 @@ def check_graph_structure(g: GraphGp) -> tuple[str, ...]:
         notes.append("non-loop edge weight != 6")
     if v54 not in g.vertices or v1728 not in g.vertices:
         notes.append("special vertices missing")
+    # each edge adds one to the degree of each endpoint, a loop two
+    degree = Counter(x for u, v, _ in g.edges for x in (u, v))
     for v in g.vertices:
-        d = g.degree(v)
+        d = degree[v]
         if v == v1728:
             if d != 1:
                 notes.append(f"deg(1728)={d}")
@@ -219,7 +209,7 @@ def check_graph_structure(g: GraphGp) -> tuple[str, ...]:
     if class_number(p) != 2 * n - 1:
         notes.append(f"h(-p)={class_number(p)} != 2n-1 with n={n}")
     # handshake: degree sum counts loops twice
-    if sum(g.degree(v) for v in g.vertices) != 2 * len(g.edges):
+    if sum(degree[v] for v in g.vertices) != 2 * len(g.edges):
         notes.append("handshake failure")
     return tuple(notes)
 
@@ -280,54 +270,14 @@ def direct_root_check(p: int) -> bool:
 # CLI-facing aggregation
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
-    p: int
-    congruence: str
-    psi: int
-    h_p: int
-    h_3p: int
-    closed_form: bool
-    shape: bool | None
-    graph: bool | None
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-    CSV_HEADER = "p,class,psi,h_p,h_3p,closed_form,shape,graph"
-
-    def to_csv_row(self) -> str:
-        def cell(v):
-            return "-" if v is None else str(v).lower()
-
-        return (
-            f"{self.p},{self.congruence},{self.psi},{self.h_p},{self.h_3p},"
-            f"{str(self.closed_form).lower()},{cell(self.shape)},{cell(self.graph)}"
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.closed_form and self.shape is not False and self.graph is not False
-
-    def to_json(self, graph_data: GraphGp | None = None) -> str:
-        payload = {
-            "p": self.p,
-            "class": self.congruence,
-            "psi": self.psi,
-            "h_p": self.h_p,
-            "h_3p": self.h_3p,
-            "closed_form": self.closed_form,
-            "shape": self.shape,
-            "graph": self.graph,
-            "notes": list(self.notes),
-        }
-        if graph_data is not None:
-            payload["graph_data"] = graph_data.as_dict()
-        return json.dumps(payload, separators=(",", ":"))
-
-
-def structure_verdict(p: int) -> tuple[StructureVerdict, GraphGp | None]:
+def structure_verdict(p: int) -> tuple[dict, GraphGp | None]:
     """Dispatch the per-prime structural checks by congruence class.
 
-    A check passes when it returns no notes; its notes join the row's.
+    Returns the `structure` row and the graph G_p (None off p = 11 mod 12).
+    The row is the psi row's first five keys, then `closed_form` (the psi
+    verdict), `shape` and `graph` (None where the check does not apply)
+    and `notes`.  A check passes when it returns no notes; its notes join
+    the row's.
     """
     rep = psi_p(p)
     shape: bool | None = None
@@ -337,11 +287,11 @@ def structure_verdict(p: int) -> tuple[StructureVerdict, GraphGp | None]:
     if p == 5:
         shape = direct_root_check(5)
         notes.append("p=5 special case: root 8000=54000=0 with multiplicity 2")
-    elif rep.congruence == "1mod4":
+    elif rep["class"] == "1mod4":
         failed = shape_check_3p(p)
         shape = not failed
         notes += failed
-    elif rep.congruence == "11mod12":
+    elif rep["class"] == "11mod12":
         graph = build_graph(p)
         if p > GRAPH_MIN_PRIME:
             failed = check_graph_structure(graph)
@@ -349,10 +299,6 @@ def structure_verdict(p: int) -> tuple[StructureVerdict, GraphGp | None]:
             notes += failed
         else:
             notes.append("p=11: degree-pattern checks need p > 11, skipped")
-    return (
-        StructureVerdict(
-            p, rep.congruence, rep.psi, rep.h_p, rep.h_3p,
-            rep.closed_form_ok, shape, graph_ok, tuple(notes),
-        ),
-        graph,
-    )
+    row = {k: rep[k] for k in ("p", "class", "psi", "h_p", "h_3p")}
+    row.update(closed_form=rep["ok"], shape=shape, graph=graph_ok, notes=notes)
+    return row, graph

@@ -70,7 +70,7 @@ def test_criterion_01_closed_form_exhaustive_to_2000():
     failures = []
     for p in primes_upto(2000):
         rep = psi_p(p)
-        if rep.psi != psi_closed_form(p):
+        if rep["psi"] != psi_closed_form(p):
             failures.append(p)
     report(1, not failures,
            f"psi_p = closed form for all {len(primes_upto(2000))} primes <= 2000"
@@ -80,13 +80,13 @@ def test_criterion_01_closed_form_exhaustive_to_2000():
 def test_criterion_02_known_small_prime_counts():
     r5, r7, r11 = psi_p(5), psi_p(7), psi_p(11)
     ok = (
-        r5.psi == 3
-        and set(r5.lambdas) == {(-1) % 5, 2, pow(2, -1, 5)}
-        and r7.psi == 0
-        and r11.psi == 3
+        r5["psi"] == 3
+        and set(r5["lambdas"]) == {(-1) % 5, 2, pow(2, -1, 5)}
+        and r7["psi"] == 0
+        and r11["psi"] == 3
     )
-    report(2, ok, f"psi_5={r5.psi} set={sorted(r5.lambdas)}, psi_7={r7.psi}, "
-           f"psi_11={r11.psi}")
+    report(2, ok, f"psi_5={r5['psi']} set={sorted(r5['lambdas'])}, psi_7={r7['psi']}, "
+           f"psi_11={r11['psi']}")
 
 
 def test_criterion_03_isogeny_identity_200_pairs():

@@ -4,6 +4,7 @@ helpers."""
 
 import math
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from s3genus2.average import (
     window_sum,
     window_sum_bruteforce,
 )
+from s3genus2.cli import AVERAGE_COLUMNS, _line
 from s3genus2.family import superspecial_lambdas
 from s3genus2.limits import MAX_N_BUDGET, MAX_X_BUDGET, LimitError
 
@@ -322,6 +324,6 @@ def test_default_window_rule():
 
 
 def test_csv_row_format():
-    run = AverageRun(100, 200, "integer", 42, 0.21, 0.5, 0.42)
-    assert run.to_csv_row() == "integer,100,200,42,0.210000,0.500000,0.420000"
-    assert AverageRun.CSV_HEADER == "mode,X,N,total,normalized,predicted,ratio"
+    run = AverageRun("integer", 100, 200, 42, 0.21, 0.5, 0.42)
+    assert _line(asdict(run), AVERAGE_COLUMNS) == "integer,100,200,42,0.210000,0.500000,0.420000"
+    assert ",".join(AVERAGE_COLUMNS) == "mode,X,N,total,normalized,predicted,ratio"

@@ -269,6 +269,37 @@ def test_output_into_a_new_directory_matches_stdout(capsys, tmp_path, argv):
     assert target.read_bytes() == want.encode("ascii")
 
 
+def _csv_spelling(value):
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--from", "5", "--to", "60"],
+    ["structure", "--from", "5", "--to", "60"],
+    ["average", "--X", "300", "--X", "450", "--mode", "rational"],
+])
+def test_csv_rows_are_the_leading_keys_of_the_json_rows(capsys, argv):
+    # one formatter serves every row command: the CSV header is the leading
+    # JSON keys of each row, and each cell is that row's JSON value spelled
+    # by the CSV rules (- for null, lower-case bools, six decimals)
+    lines = {}
+    for fmt in ("csv", "json"):
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+        lines[fmt] = [line for line in out.splitlines() if not line.startswith("#")]
+    header, *csv_rows = lines["csv"]
+    json_rows = [json.loads(line) for line in lines["json"]]
+    columns = header.split(",")
+    assert len(csv_rows) == len(json_rows) > 1
+    for line, row in zip(csv_rows, json_rows):
+        assert list(row)[:len(columns)] == columns
+        assert line.split(",") == [_csv_spelling(row[k]) for k in columns]
+
+
 def _checkout_env():
     """The environment of a fresh interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")

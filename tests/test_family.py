@@ -9,6 +9,7 @@ import pytest
 from fp2_oracle import F, normal_form
 
 from s3genus2 import family
+from s3genus2.cli import PSI_COLUMNS, _line
 from s3genus2.curves import (
     LegendreCurve,
     _deuring_array,
@@ -114,32 +115,32 @@ def test_orbit_rejects_zero_one():
 
 def test_psi_5_known_value():
     rep = psi_p(5)
-    assert rep.psi == 3
-    assert set(rep.lambdas) == {4, 2, 3}  # {-1, 2, 1/2} mod 5
-    assert rep.congruence == "1mod4"
-    assert rep.closed_form_ok
+    assert rep["psi"] == 3
+    assert set(rep["lambdas"]) == {4, 2, 3}  # {-1, 2, 1/2} mod 5
+    assert rep["class"] == "1mod4"
+    assert rep["ok"]
 
 
 def test_psi_7_known_value():
     rep = psi_p(7)
-    assert rep.psi == 0
-    assert rep.lambdas == ()
-    assert rep.congruence == "7mod12"
-    assert rep.closed_form_ok
+    assert rep["psi"] == 0
+    assert rep["lambdas"] == ()
+    assert rep["class"] == "7mod12"
+    assert rep["ok"]
 
 
 def test_psi_11_known_value():
     rep = psi_p(11)
-    assert rep.psi == 3
-    assert rep.congruence == "11mod12"
-    assert rep.closed_form_ok
+    assert rep["psi"] == 3
+    assert rep["class"] == "11mod12"
+    assert rep["ok"]
 
 
 def test_psi_13_derived_value():
     rep = psi_p(13)
-    assert rep.psi == 6
-    assert rep.h_3p == 4  # h(-39)
-    assert rep.closed_form_ok
+    assert rep["psi"] == 6
+    assert rep["h_3p"] == 4  # h(-39)
+    assert rep["ok"]
 
 
 def test_vectorized_scan_matches_bruteforce():
@@ -401,23 +402,23 @@ def test_sqrt_delta_rationality_by_congruence():
 def test_closed_form_verdict_small_range():
     for p in primes_in(5, 200):
         rep = psi_p(p)
-        assert rep.closed_form_ok, (p, rep.psi, psi_closed_form(p))
+        assert rep["ok"], (p, rep["psi"], psi_closed_form(p))
 
 
 def test_h3p_even_at_1mod4():
     # psi = (3/2) h(-3p) is an integer, so h(-3p) must be even
     for p in primes_in(5, 300):
         if p % 4 == 1:
-            assert psi_p(p).h_3p % 2 == 0
+            assert psi_p(p)["h_3p"] % 2 == 0
 
 
 def test_psi_report_serialization():
     rep = psi_p(5)
-    assert rep.to_json() == (
+    assert _line(rep, None) == (
         '{"p":5,"class":"1mod4","psi":3,"h_p":2,"h_3p":2,"ok":true,'
         '"lambdas":[2,3,4]}'
     )
-    assert rep.to_csv_row() == "5,1mod4,3,2,2,true"
+    assert _line(rep, PSI_COLUMNS) == "5,1mod4,3,2,2,true"
 
 
 def supersingular_legendre_params(p):
