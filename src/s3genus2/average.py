@@ -16,26 +16,30 @@ order is a factor 1 + 2/log X: the prime sum exceeds the leading term by a
 factor of 1.24 at X = 10^3, 1.28 at 10^4 and still 1.21 at 10^6.  The prime
 sum is the finite-X reference for judging a window average.
 
-The rational count is one vectorised pass: per prime, the Moebius blocks
-with a nonzero weight are paired with the superspecial residues s <= 1/s
-(mod p), and the two floor sums of every pair go through the int64 numpy
-kernel _floor_sum_vec (the AtCoder Library floor_sum reduction, masked
-across lanes) in chunks of FLOOR_SUM_CHUNK lanes.  The lines of s and 1/s
-hold equally many points, so a residue pair is counted once with weight
-2 (see _rational_window_total).  The tests keep the scalar per-residue
-floor-sum loop, over every residue, as its oracle, beside
-window_sum_bruteforce.
+The rational count is one vectorised pass over a whole table of windows
+(window_sums; window_sum is its one-window case): per prime, the block
+heights with a nonzero Moebius weight in some window are paired with the
+superspecial residues s <= 1/s (mod p), and the two floor sums of every
+pair go through the int64 numpy kernel _floor_sum_vec (the AtCoder Library
+floor_sum reduction, masked across lanes) in chunks of FLOOR_SUM_CHUNK
+lanes.  A height shared by several windows is counted once and weighted
+by each window; the extra memory is linear in the windows' Moebius
+blocks.  The lines of s and 1/s hold equally many points, so a residue
+pair is counted once with weight 2 (see _rational_window_totals).  The
+tests keep the scalar per-residue floor-sum loop, over every residue, as
+its oracle, beside window_sum_bruteforce.
 
 Skip conventions: bad reduction (p divides the denominator) and degenerate
 residues (lambda = 0, 1 mod p or delta = 0 mod p) are skipped, not counted.
 
-window_sum refuses an (X, N) over the desk budget before any prime is
-scanned (limits.check_budget, which prices the run stage by stage).
+window_sums refuses a table with an (X, N) over the desk budget before any
+prime is scanned (limits.check_budget, which prices the run stage by stage).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -205,19 +209,15 @@ def _mertens_coprime(x: np.ndarray, p: int, table: np.ndarray) -> np.ndarray:
     return total
 
 
-def _count_pairs(pairs: np.ndarray) -> int:
-    """Weighted lattice counts of one chunk of (M, s, p, weight) columns.
+def _count_pairs(M: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Lattice counts of one chunk of (M, s, p) lanes, as int64.
 
-    Per pair, the points (a, b) with 1 <= a <= M, p !| a, |b| <= M and
+    Per lane, the points (a, b) with 1 <= a <= M, p !| a, |b| <= M and
     b = s*a (mod p): 2 (M - q) q - q in whole periods, q = M // p, plus
     F(M, s, s + r, p) - F(M, s, s - r - 1, p) for the remainder r = M mod p,
-    F the floor sum.  Both floor sums of every pair go through one
-    `_floor_sum_vec` pass.  The weighted sum fits int64: a count is at most
-    M (2M + 1) and a weight at most twice (a residue pair) its block's
-    length N/(M(M+1)) + 1, so a pair adds at most 2 (2N + N(2N + 1)) and a
-    chunk of FLOOR_SUM_CHUNK // 2 = 2^10 pairs stays below 2^59.
+    F the floor sum.  Both floor sums of every lane go through one
+    `_floor_sum_vec` pass.  A count is at most M (2M + 1) < 2^48.
     """
-    M, s, p, weight = pairs
     q, r = np.divmod(M, p)
     floors = _floor_sum_vec(
         np.concatenate((M, M)),
@@ -226,20 +226,33 @@ def _count_pairs(pairs: np.ndarray) -> int:
         np.concatenate((p, p)),
     )
     h = M.size
-    count = floors[:h] - floors[h:] + (2 * (M - q) - 1) * q
-    return int(weight @ count)
+    return floors[:h] - floors[h:] + (2 * (M - q) - 1) * q
 
 
-def _rational_window_total(X: int, N: int) -> int:
-    """#{(p, b/a) : 5 <= p < X, b/a reduced, 1 <= a <= N, |b| <= N, the
-    member at b/a superspecial mod p}, by Moebius inversion over gcd(a, b).
+def _rational_window_totals(windows) -> list[int]:
+    """Per window (X, N): #{(p, b/a) : 5 <= p < X, b/a reduced, 1 <= a <= N,
+    |b| <= N, the member at b/a superspecial mod p}, by Moebius inversion
+    over gcd(a, b).
 
-    The d with the same M = N // d form a block, whose weight at p is the
-    sum of mu(d) over its d prime to p.  Every (block, superspecial residue)
-    pair with a nonzero weight counts the lattice points of height at most
-    M on the residue's line.  The pairs of all primes are laid out into one
-    fixed buffer of FLOOR_SUM_CHUNK // 2 pairs and counted a full buffer at
-    a time.
+    The d with the same M = N // d form a block of the window, whose weight
+    at p is the sum of mu(d) over its d prime to p.  A window counts, per
+    prime below its X and per block with a nonzero weight, the lattice
+    points of height at most M on the line of every superspecial residue.
+    Those counts do not depend on the window, so one pass serves every
+    window: the union of the windows' block heights is listed once, and at
+    each prime the heights with a nonzero weight in some window whose X
+    exceeds p are marked.  Each (marked height, residue) lane is counted
+    once, the counts are summed per height, and when the prime's last lane
+    is counted every window adds its weights times those sums.  The lanes
+    of all primes are laid out into one fixed buffer of FLOOR_SUM_CHUNK // 2
+    lanes and counted a full buffer at a time, so the kernel's working set
+    does not grow with the number of windows.  Beside the Mertens table of
+    the largest N, the memory is the union of heights and each window's
+    positions in it, linear in the windows' blocks (at most 2 sqrt(N)
+    each), and, per prime whose lanes wait in the buffer, one sum per
+    marked height and the windows' nonzero weights: at most windows + 1
+    values per marked height, each of which has a lane in the buffer or is
+    of the prime being laid out.
 
     Only the residues s <= 1/s (mod p) are counted, with weight 2 unless
     s = 1/s.  On the box 1 <= a <= M, 1 <= |b| <= M the bijection
@@ -250,17 +263,47 @@ def _rational_window_total(X: int, N: int) -> int:
     so it is closed under s -> 1/s; an ArithmeticError is raised if not.
     The one self-inverse admissible residue is s = p - 1 (s = 1 is not
     admissible).
+
+    int64 bound: a height's sum over the residues is at most the M (2M + 1)
+    points of its box, and a weight at most its block's length, so a
+    window's sum at one prime is at most sum_{d <= N} (N/d)(2N/d + 1)
+    < 3.3 N^2 + N (ln N + 1), below 2^49 for N <= MAX_N_BUDGET.
     """
-    table = _mertens_table(N)
-    ends = [0]  # ends[i] is the last d of block i, ends[0] = 0
-    while ends[-1] < N:
-        ends.append(N // (N // (ends[-1] + 1)))
-    ends = np.array(ends, dtype=np.int64)
-    heights = N // ends[1:]
-    buf = np.empty((4, FLOOR_SUM_CHUNK // 2), dtype=np.int64)
+    table = _mertens_table(max(N for _, N in windows))
+    index = {}  # every window's block heights, each at its position in the union
+    rows = []
+    for X, N in windows:
+        ends = [0]  # ends[i] is the last d of block i, ends[0] = 0
+        while ends[-1] < N:
+            ends.append(N // (N // (ends[-1] + 1)))
+        at = [index.setdefault(N // d, len(index)) for d in ends[1:]]
+        rows.append((X, np.array(ends, dtype=np.int64), np.array(at, dtype=np.intp)))
+    heights = np.array(list(index), dtype=np.int64)
+    totals = [0] * len(windows)
+    # per prime with lanes still to count: [lanes left, the sums of its
+    # marked heights, (window, indices, weights) of each window's nonzero
+    # weights]
+    waiting = deque()
+    buf = np.empty((5, FLOOR_SUM_CHUNK // 2), dtype=np.int64)
     held = 0
-    total = 0
-    for p in primes_below(X):
+
+    def count(cols):
+        counts = _count_pairs(*cols[:3]) * cols[3]
+        lo = 0
+        while lo < counts.size:
+            prime = waiting[0]
+            take = min(prime[0], counts.size - lo)
+            # a prime's lanes run height by height, so each height is one run
+            j = cols[4, lo : lo + take]
+            runs = np.flatnonzero(np.diff(j, prepend=-1))
+            prime[1][j[runs]] += np.add.reduceat(counts[lo : lo + take], runs)
+            prime[0] -= take
+            lo += take
+            if not prime[0]:
+                for i, at, weight in waiting.popleft()[2]:
+                    totals[i] += int(weight @ prime[1][at])
+
+    for p in primes_below(max(X for X, _ in windows)):
         lambdas = superspecial_lambdas(p)
         inverse = {s: pow(s, -1, p) for s in lambdas}
         if not inverse.keys() >= set(inverse.values()):
@@ -269,25 +312,65 @@ def _rational_window_total(X: int, N: int) -> int:
         if not residues.size:
             continue
         pair = np.where(residues == p - 1, 1, 2)
-        weight = np.diff(_mertens_coprime(ends, p, table))
-        nonzero = weight != 0
-        M, w = heights[nonzero], weight[nonzero]
+        marked = np.zeros(heights.size, dtype=bool)
+        nonzero = []
+        for i, (X, ends, at) in enumerate(rows):
+            if p < X:
+                weight = np.diff(_mertens_coprime(ends, p, table))
+                keep = weight != 0
+                marked[at[keep]] = True
+                nonzero.append((i, at[keep], weight[keep]))
+        # the block {1} has weight 1, so every prime has lanes and its
+        # entry leaves the queue once they are counted
+        M = heights[marked]
+        rank = np.zeros(heights.size, dtype=np.intp)  # a marked height's index in M
+        rank[marked] = np.arange(M.size)
         k = residues.size
         lo, stop = 0, M.size * k
+        waiting.append([stop, np.zeros(M.size, dtype=np.int64),
+                        [(i, rank[at], weight) for i, at, weight in nonzero]])
         while lo < stop:
             take = min(buf.shape[1] - held, stop - lo)
-            block, res = np.divmod(np.arange(lo, lo + take), k)
+            lane, res = np.divmod(np.arange(lo, lo + take), k)
             cols = buf[:, held : held + take]
-            np.take(M, block, out=cols[0])
+            np.take(M, lane, out=cols[0])
             np.take(residues, res, out=cols[1])
             cols[2] = p
-            np.multiply(w[block], pair[res], out=cols[3])
+            np.take(pair, res, out=cols[3])
+            cols[4] = lane
             held += take
             lo += take
             if held == buf.shape[1]:
-                total += _count_pairs(buf)
+                count(buf)
                 held = 0
-    return total + _count_pairs(buf[:, :held])
+    count(buf[:, :held])
+    return totals
+
+
+def window_sums(windows, mode: str = "integer") -> list[AverageRun]:
+    """The window_sum rows of a table of windows (X, N), in the given order.
+
+    Every window is checked against the desk budget before any is counted;
+    the rational totals of all windows come from one shared count
+    (_rational_window_totals).
+    """
+    constant = _mode_constant(mode)
+    for X, N in windows:
+        check_budget(X, N, mode)
+    if mode == "integer":
+        totals = [
+            sum(_count_integers_in_window(N, s, p)
+                for p in primes_below(X) for s in superspecial_lambdas(p))
+            for X, N in windows
+        ]
+    else:
+        totals = _rational_window_totals(windows)
+    runs = []
+    for (X, N), total in zip(windows, totals):
+        normalized = total / (N if mode == "integer" else N * N)
+        predicted = constant * math.sqrt(X) / math.log(X)
+        runs.append(AverageRun(mode, X, N, total, normalized, predicted, normalized / predicted))
+    return runs
 
 
 def window_sum(X: int, N: int, mode: str = "integer") -> AverageRun:
@@ -296,19 +379,7 @@ def window_sum(X: int, N: int, mode: str = "integer") -> AverageRun:
     integer mode counts lambda in [-N, N]; rational mode counts each
     rational of height at most N once (reduced b/a, a >= 1).
     """
-    constant = _mode_constant(mode)
-    check_budget(X, N, mode)
-    total = 0
-    if mode == "integer":
-        for p in primes_below(X):
-            for s in superspecial_lambdas(p):
-                total += _count_integers_in_window(N, s, p)
-        normalized = total / N
-    else:
-        total = _rational_window_total(X, N)
-        normalized = total / (N * N)
-    predicted = constant * math.sqrt(X) / math.log(X)
-    return AverageRun(mode, X, N, total, normalized, predicted, normalized / predicted)
+    return window_sums([(X, N)], mode)[0]
 
 
 def window_sum_bruteforce(X: int, N: int, mode: str = "integer") -> int:

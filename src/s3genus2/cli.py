@@ -41,8 +41,8 @@ from .average import (
     SKIP_CONVENTIONS,
     default_window,
     primes_below,
-    window_sum,
     window_sum_bruteforce,
+    window_sums,
 )
 from .family import is_admissible, psi_p, scan_primes
 from .fields import is_prime
@@ -179,14 +179,15 @@ def cmd_average(args) -> int:
             check_bruteforce(X, N)
     # every row's primes are below the largest X, so one pool scans them all
     scan_primes(primes_below(xs[-1]))
+    runs = window_sums(windows, mode)
     columns = AVERAGE_COLUMNS if args.format == "csv" else None
 
     def rows():
-        for X, N in windows:
+        for run in runs:
+            X, N = run.X, run.N
             if N < X:
                 print(f"# warning: N={N} < X={X}, outside the N > X regime; "
                       "computed anyway", file=sys.stderr)
-            run = window_sum(X, N, mode)
             match = True
             if args.check_bruteforce:
                 brute = window_sum_bruteforce(X, N, mode)

@@ -125,7 +125,9 @@ def _window_cost(X: int, N: int, mode: str) -> str:
     The scans cost F(X) and find about sum_p psi_p = 0.8 X^1.5/ln X
     superspecial residues below X (0.78-0.81 measured at X = 300..3000).
     The rational count runs two floor-sum lanes per (residue pair {s, 1/s},
-    Moebius block), with at most 2 sqrt(N) blocks.
+    Moebius block), with at most 2 sqrt(N) blocks.  A table's rows share
+    the lanes of their common block heights, so for a row of a table this
+    estimate is an upper bound.
     """
     cost = (f"~{scan_cost(X):.1e} int64 multiply-adds in the per-prime "
             "baby-step/giant-step scans (X^3/(108 ln X))")

@@ -63,8 +63,12 @@ def _paired_js(lam: np.ndarray, p: int) -> np.ndarray:
 def root_profile(p: int) -> RootProfile:
     """Collect j(E_{Lambda^+-}) over all superspecial lambda and split them."""
     lam = np.array(superspecial_lambdas(p), dtype=np.int64)
-    # codes a*p + b sort in (a, b) order
-    distinct = np.unique(_paired_js(lam, p))
+    # codes a*p + b sort in (a, b) order; a sorted code is new iff it
+    # differs from its predecessor
+    codes = np.sort(_paired_js(lam, p), axis=None)
+    new = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=new[1:])
+    distinct = codes[new]
     a, b = np.divmod(distinct, p)
     # (a, b) -> (a, -b) is injective, so the set is Frobenius-stable iff the
     # conjugate codes, sorted, are the codes themselves
@@ -161,9 +165,9 @@ def build_graph(p: int) -> GraphGp:
     if irrational.any():
         rep = reps[int(np.argmax(irrational))]
         raise ArithmeticError(f"irrational j at p={p}, lambda={rep}")
-    edges = sorted(zip(u.tolist(), v.tolist(), weights))
-    vertices = np.unique(np.concatenate((u, v))).tolist()
-    return GraphGp(p, tuple(vertices), tuple(edges))
+    u, v = u.tolist(), v.tolist()
+    edges = sorted(zip(u, v, weights))
+    return GraphGp(p, tuple(sorted(set(u) | set(v))), tuple(edges))
 
 
 def check_graph_structure(g: GraphGp) -> tuple[str, ...]:

@@ -23,6 +23,7 @@ from s3genus2.average import (
     primes_below,
     window_sum,
     window_sum_bruteforce,
+    window_sums,
 )
 from s3genus2.cli import AVERAGE_COLUMNS, _line
 from s3genus2.family import superspecial_lambdas
@@ -197,6 +198,14 @@ def test_floor_sum_bound_keeps_the_count_in_int64():
                    for M in (1, 2, 10, math.isqrt(n), n // 2, n))
     assert per_pair <= 2 * (2 * n + n * (2 * n + 1))
     assert FLOOR_SUM_CHUNK // 2 * 2 * (2 * n + n * (2 * n + 1)) < 2**59
+    # a window's sum at one prime: a height's sum over the residues is at
+    # most M (2M + 1) and its weight at most its block's length, so the sum
+    # is at most sum_{d <= N} (N/d)(2N/d + 1) <= 2 zeta(2) N^2 + N (ln N + 1)
+    N = 10**5
+    assert sum((N // d) * (2 * (N // d) + 1) for d in range(1, N + 1)) < (
+        3.3 * N * N + N * (math.log(N) + 1))
+    assert math.pi**2 / 3 < 3.3
+    assert 3.3 * n * n + n * (math.log(n) + 1) < 2**49
 
 
 def test_mertens_table_matches_oracle_every_N_to_3000():
@@ -294,8 +303,65 @@ def test_rational_window_raises_on_a_set_not_closed_under_inversion(monkeypatch)
 def test_rational_window_is_independent_of_the_chunk(monkeypatch, chunk):
     # pairs of one prime split across chunks, and chunks that mix primes
     want = rational_window_scalar(60, 150)
+    table = [(30, 80), (45, 150), (60, 100)]
+    want_table = [rational_window_scalar(X, N) for X, N in table]
     monkeypatch.setattr(average, "FLOOR_SUM_CHUNK", chunk)
     assert window_sum(60, 150, "rational").total == want
+    assert [run.total for run in window_sums(table, "rational")] == want_table
+
+
+def _forty_rows():
+    rng = random.Random(40)
+    return [(rng.randrange(6, 90), rng.randrange(1, 200)) for _ in range(40)]
+
+
+@pytest.mark.parametrize("table", [
+    [(60, 150)],  # one row
+    [(20, 100), (45, 80), (70, 130)],  # the larger primes count in the last rows only
+    [(30, 120), (50, 120), (70, 120)],  # every row has the same N, as with --N
+    [(80, 30), (40, 90), (100, 1), (25, 7)],  # N < X
+    _forty_rows(),
+])
+def test_window_table_matches_scalar_oracle_row_by_row(table):
+    runs = window_sums(table, "rational")
+    assert [(run.X, run.N) for run in runs] == table
+    assert [run.total for run in runs] == [rational_window_scalar(X, N) for X, N in table]
+    assert runs == [window_sum(X, N, "rational") for X, N in table]
+
+
+def test_a_table_counts_each_lane_once(monkeypatch):
+    # the eight-row table of the benchmark's seed 1: a lane is one
+    # (height M, residue s <= 1/s, prime p) with a nonzero weight in some
+    # row whose X exceeds p, and it sends two floor sums to the kernel
+    xs = (244, 310, 350, 402, 444, 494, 540, 596)
+    table = [(X, default_window(X)) for X in xs]
+    mertens = mertens_table_oracle(max(N for _, N in table)).tolist()
+    lanes = 0
+    for p in primes_below(max(xs)):
+        heights = set()
+        for X, N in table:
+            if p >= X:
+                continue
+            d = 1
+            while d <= N:
+                d_hi = N // (N // d)
+                if _mertens_coprime(d_hi, p, mertens) != _mertens_coprime(d - 1, p, mertens):
+                    heights.add(N // d)
+                d = d_hi + 1
+        residues = [s for s in superspecial_lambdas(p) if s <= pow(s, -1, p)]
+        lanes += len(heights) * len(residues)
+    assert 2 * lanes == 176_220  # 382,214 when each row counts its own lanes
+
+    sent = []
+    kernel = average._floor_sum_vec
+
+    def counted(n, a, b, m):
+        sent.append(len(n))
+        return kernel(n, a, b, m)
+
+    monkeypatch.setattr(average, "_floor_sum_vec", counted)
+    window_sums(table, "rational")
+    assert sum(sent) == 2 * lanes
 
 
 def test_window_monotone_in_X_and_N():

@@ -314,6 +314,43 @@ def test_cli_import_leaves_the_process_pool_out():
     assert result.stdout.strip() == "False"
 
 
+def test_row_commands_leave_numpy_ma_out():
+    # np.unique's first call imports numpy.ma (10-25 ms, 1.35 MB of RSS);
+    # no psi, structure or average row path may pay it
+    code = ("import contextlib, io, sys\n"
+            "from s3genus2.cli import main\n"
+            "for argv in (['psi', '--from', '5', '--to', '200'],\n"
+            "             ['structure', '--from', '5', '--to', '400'],\n"
+            "             ['average', '--X', '300', '--X', '450', '--mode', 'rational']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=_checkout_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "rational"],
+    ["--mode", "rational", "--format", "json"],
+    # every row shares every block height
+    ["--N", "500", "--mode", "rational", "--format", "json"],
+])
+def test_a_table_holds_the_rows_of_its_single_X_runs(capsys, flags):
+    # the rows of a table come from one shared count; each must be the row
+    # its X gives alone
+    xs = ("300", "450", "610")
+    code, table, _ = run_cli(capsys, "average", *(a for X in xs for a in ("--X", X)), *flags)
+    assert code == 0
+    rows = []
+    for X in xs:
+        code, out, _ = run_cli(capsys, "average", "--X", X, *flags)
+        assert code == 0
+        *head, row = out.splitlines()
+        rows.append(row)
+    assert table.splitlines() == head + rows
+
+
 def test_one_parser_serves_every_call_in_a_process(capsys):
     # the parser is built once per process; no parsed state, such as the
     # --X append list, may carry from one call into the next
@@ -531,7 +568,7 @@ def test_average_rejects_a_malformed_window(capsys, argv):
 
 
 def test_average_bruteforce_cap_is_checked_before_any_scan(capsys, monkeypatch):
-    monkeypatch.setattr("s3genus2.cli.window_sum", None)
+    monkeypatch.setattr("s3genus2.cli.window_sums", None)
     code, out, err = run_cli(capsys, "average", "--X", "20", "--X", "300",
                              "--check-bruteforce")
     assert code == 2
