@@ -21,13 +21,14 @@ The rational count is one vectorised pass over a whole table of windows
 heights with a nonzero Moebius weight in some window are paired with the
 superspecial residues s <= 1/s (mod p), and the two floor sums of every
 pair go through the int64 numpy kernel _floor_sum_vec (the AtCoder Library
-floor_sum reduction, masked across lanes) in chunks of FLOOR_SUM_CHUNK
-lanes.  A height shared by several windows is counted once and weighted
-by each window; the extra memory is linear in the windows' Moebius
-blocks.  The lines of s and 1/s hold equally many points, so a residue
-pair is counted once with weight 2 (see _rational_window_totals).  The
-tests keep the scalar per-residue floor-sum loop, over every residue, as
-its oracle, beside window_sum_bruteforce.
+floor_sum reduction, masked across lanes), a slice of that prime's
+heights at a time, FLOOR_SUM_CHUNK lanes at most unless one height's
+residues need more.  A height shared by several windows is counted once
+and weighted by each window; the extra memory is linear in the windows'
+Moebius blocks.  The lines of s and 1/s hold equally many points, so a
+residue pair is counted once with weight 2 (see _rational_window_totals).
+The tests keep the scalar per-residue floor-sum loop, over every residue,
+as its oracle, beside window_sum_bruteforce.
 
 Skip conventions: bad reduction (p divides the denominator) and degenerate
 residues (lambda = 0, 1 mod p or delta = 0 mod p) are skipped, not counted.
@@ -39,7 +40,6 @@ prime is scanned (limits.check_budget, which prices the run stage by stage).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -209,21 +209,24 @@ def _mertens_coprime(x: np.ndarray, p: int, table: np.ndarray) -> np.ndarray:
     return total
 
 
-def _count_pairs(M: np.ndarray, s: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Lattice counts of one chunk of (M, s, p) lanes, as int64.
+def _count_pairs(M: np.ndarray, s: np.ndarray, p: int) -> np.ndarray:
+    """Lattice counts of (M, s) lanes at the prime p, as int64.
 
     Per lane, the points (a, b) with 1 <= a <= M, p !| a, |b| <= M and
     b = s*a (mod p): 2 (M - q) q - q in whole periods, q = M // p, plus
     F(M, s, s + r, p) - F(M, s, s - r - 1, p) for the remainder r = M mod p,
     F the floor sum.  Both floor sums of every lane go through one
-    `_floor_sum_vec` pass.  A count is at most M (2M + 1) < 2^48.
+    `_floor_sum_vec` pass.  A count is at most M (2M + 1) < 2^48, and so is
+    the sum of a height's counts over distinct residues: their lines share
+    no point with p !| a, so together they hold at most the M (2M + 1)
+    points of the box.
     """
     q, r = np.divmod(M, p)
     floors = _floor_sum_vec(
         np.concatenate((M, M)),
         np.concatenate((s, s)),
         np.concatenate((s + r, s - r - 1)),
-        np.concatenate((p, p)),
+        np.full(2 * M.size, p, dtype=np.int64),
     )
     h = M.size
     return floors[:h] - floors[h:] + (2 * (M - q) - 1) * q
@@ -242,17 +245,15 @@ def _rational_window_totals(windows) -> list[int]:
     window: the union of the windows' block heights is listed once, and at
     each prime the heights with a nonzero weight in some window whose X
     exceeds p are marked.  Each (marked height, residue) lane is counted
-    once, the counts are summed per height, and when the prime's last lane
-    is counted every window adds its weights times those sums.  The lanes
-    of all primes are laid out into one fixed buffer of FLOOR_SUM_CHUNK // 2
-    lanes and counted a full buffer at a time, so the kernel's working set
-    does not grow with the number of windows.  Beside the Mertens table of
-    the largest N, the memory is the union of heights and each window's
-    positions in it, linear in the windows' blocks (at most 2 sqrt(N)
-    each), and, per prime whose lanes wait in the buffer, one sum per
-    marked height and the windows' nonzero weights: at most windows + 1
-    values per marked height, each of which has a lane in the buffer or is
-    of the prime being laid out.
+    once, the counts are summed per height, and every window adds its
+    weights times those sums before the next prime.  The marked heights go
+    to the kernel in slices of whole heights, FLOOR_SUM_CHUNK // 2 lanes at
+    most, or one height when its k residues alone exceed that, so a kernel
+    call carries at most max(FLOOR_SUM_CHUNK, 2k) floor-sum lanes at any N
+    and any number of windows.  Beside the Mertens table of the largest N,
+    the memory is the union of heights and each window's positions in it,
+    linear in the windows' blocks (at most 2 sqrt(N) each), plus, for the
+    current prime, one sum per height and the windows' nonzero weights.
 
     Only the residues s <= 1/s (mod p) are counted, with weight 2 unless
     s = 1/s.  On the box 1 <= a <= M, 1 <= |b| <= M the bijection
@@ -264,9 +265,10 @@ def _rational_window_totals(windows) -> list[int]:
     The one self-inverse admissible residue is s = p - 1 (s = 1 is not
     admissible).
 
-    int64 bound: a height's sum over the residues is at most the M (2M + 1)
-    points of its box, and a weight at most its block's length, so a
-    window's sum at one prime is at most sum_{d <= N} (N/d)(2N/d + 1)
+    int64 bound: a height's sum over the residues, pairs weighted 2, counts
+    each point of its box at most once, so it is at most M (2M + 1) < 2^48
+    (_count_pairs).  A weight is at most its block's length, so a window's
+    sum at one prime is at most sum_{d <= N} (N/d)(2N/d + 1)
     < 3.3 N^2 + N (ln N + 1), below 2^49 for N <= MAX_N_BUDGET.
     """
     table = _mertens_table(max(N for _, N in windows))
@@ -280,29 +282,6 @@ def _rational_window_totals(windows) -> list[int]:
         rows.append((X, np.array(ends, dtype=np.int64), np.array(at, dtype=np.intp)))
     heights = np.array(list(index), dtype=np.int64)
     totals = [0] * len(windows)
-    # per prime with lanes still to count: [lanes left, the sums of its
-    # marked heights, (window, indices, weights) of each window's nonzero
-    # weights]
-    waiting = deque()
-    buf = np.empty((5, FLOOR_SUM_CHUNK // 2), dtype=np.int64)
-    held = 0
-
-    def count(cols):
-        counts = _count_pairs(*cols[:3]) * cols[3]
-        lo = 0
-        while lo < counts.size:
-            prime = waiting[0]
-            take = min(prime[0], counts.size - lo)
-            # a prime's lanes run height by height, so each height is one run
-            j = cols[4, lo : lo + take]
-            runs = np.flatnonzero(np.diff(j, prepend=-1))
-            prime[1][j[runs]] += np.add.reduceat(counts[lo : lo + take], runs)
-            prime[0] -= take
-            lo += take
-            if not prime[0]:
-                for i, at, weight in waiting.popleft()[2]:
-                    totals[i] += int(weight @ prime[1][at])
-
     for p in primes_below(max(X for X, _ in windows)):
         lambdas = superspecial_lambdas(p)
         inverse = {s: pow(s, -1, p) for s in lambdas}
@@ -320,30 +299,16 @@ def _rational_window_totals(windows) -> list[int]:
                 keep = weight != 0
                 marked[at[keep]] = True
                 nonzero.append((i, at[keep], weight[keep]))
-        # the block {1} has weight 1, so every prime has lanes and its
-        # entry leaves the queue once they are counted
-        M = heights[marked]
-        rank = np.zeros(heights.size, dtype=np.intp)  # a marked height's index in M
-        rank[marked] = np.arange(M.size)
+        marked_at = np.flatnonzero(marked)
         k = residues.size
-        lo, stop = 0, M.size * k
-        waiting.append([stop, np.zeros(M.size, dtype=np.int64),
-                        [(i, rank[at], weight) for i, at, weight in nonzero]])
-        while lo < stop:
-            take = min(buf.shape[1] - held, stop - lo)
-            lane, res = np.divmod(np.arange(lo, lo + take), k)
-            cols = buf[:, held : held + take]
-            np.take(M, lane, out=cols[0])
-            np.take(residues, res, out=cols[1])
-            cols[2] = p
-            np.take(pair, res, out=cols[3])
-            cols[4] = lane
-            held += take
-            lo += take
-            if held == buf.shape[1]:
-                count(buf)
-                held = 0
-    count(buf[:, :held])
+        step = max(1, FLOOR_SUM_CHUNK // 2 // k)
+        sums = np.zeros(heights.size, dtype=np.int64)
+        for lo in range(0, marked_at.size, step):
+            at = marked_at[lo : lo + step]
+            counts = _count_pairs(np.repeat(heights[at], k), np.tile(residues, at.size), p)
+            sums[at] = counts.reshape(at.size, k) @ pair
+        for i, at, weight in nonzero:
+            totals[i] += int(weight @ sums[at])
     return totals
 
 

@@ -206,6 +206,9 @@ def test_floor_sum_bound_keeps_the_count_in_int64():
         3.3 * N * N + N * (math.log(N) + 1))
     assert math.pi**2 / 3 < 3.3
     assert 3.3 * n * n + n * (math.log(n) + 1) < 2**49
+    # a height's sum over the residues, pairs weighted 2: its lines share no
+    # point, so it is at most the M (2M + 1) points of the box
+    assert n * (2 * n + 1) < 2**48
 
 
 def test_mertens_table_matches_oracle_every_N_to_3000():
@@ -301,7 +304,8 @@ def test_rational_window_raises_on_a_set_not_closed_under_inversion(monkeypatch)
 
 @pytest.mark.parametrize("chunk", [2, 6, 64])
 def test_rational_window_is_independent_of_the_chunk(monkeypatch, chunk):
-    # pairs of one prime split across chunks, and chunks that mix primes
+    # a prime's heights split across kernel calls, and at chunks 2 and 6
+    # a height whose k residues alone exceed the chunk
     want = rational_window_scalar(60, 150)
     table = [(30, 80), (45, 150), (60, 100)]
     want_table = [rational_window_scalar(X, N) for X, N in table]
@@ -362,6 +366,30 @@ def test_a_table_counts_each_lane_once(monkeypatch):
     monkeypatch.setattr(average, "_floor_sum_vec", counted)
     window_sums(table, "rational")
     assert sum(sent) == 2 * lanes
+
+
+@pytest.mark.parametrize("table", [
+    [(X, default_window(X)) for X in (244, 310, 350, 402, 444, 494, 540, 596)],
+    _forty_rows(),
+])
+def test_each_kernel_call_counts_one_prime(monkeypatch, table):
+    # a call holds the lanes of one prime, at most FLOOR_SUM_CHUNK of them
+    # unless one height's k residues (2k floor sums) need more
+    calls = []
+    kernel = average._floor_sum_vec
+
+    def recorded(n, a, b, m):
+        calls.append((np.unique(m).tolist(), len(m)))
+        return kernel(n, a, b, m)
+
+    monkeypatch.setattr(average, "_floor_sum_vec", recorded)
+    window_sums(table, "rational")
+    assert calls
+    for primes, lanes in calls:
+        assert len(primes) == 1
+        p = primes[0]
+        k = sum(s <= pow(s, -1, p) for s in superspecial_lambdas(p))
+        assert lanes <= max(FLOOR_SUM_CHUNK, 2 * k), (p, lanes)
 
 
 def test_window_monotone_in_X_and_N():
