@@ -3,9 +3,9 @@ p-adic valuation formula.
 
 Class numbers come from enumerating reduced primitive binary quadratic
 forms.  Hilbert class polynomials are built analytically: one j-value per
-reduced form via the q-expansion, multiplied out at high working precision
-and rounded to exact integers (rounding failures raise, never pass
-silently).  The valuation formula is evaluated by trial-division
+reduced form via the q-expansion, multiplied out in fixed-point arithmetic
+on python ints and rounded to exact integers (rounding failures raise,
+never pass silently).  The valuation formula is evaluated by trial-division
 factorization of the quadratic-form values.
 """
 
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import mpmath
 
 from . import intpoly
 from .fields import factorize
@@ -198,9 +196,98 @@ def working_digits(D: int, h: int) -> int:
     return 15 + h * int(math.pi * math.sqrt(D) / math.log(10) + 10)
 
 
+# ---------------------------------------------------------------------------
+# fixed-point reals: the int x stands for x / 2^bits
+
+GUARD_BITS = 16
+
+
+def _atan_inv(n: int, work: int) -> int:
+    """atan(1/n) at scale 2^work, by its alternating Taylor series."""
+    power = (1 << work) // n
+    total = 0
+    k = 1
+    while power:
+        total += power // k if k % 4 == 1 else -(power // k)
+        power //= n * n
+        k += 2
+    return total
+
+
+def _fixed_pi(bits: int) -> int:
+    """pi at scale 2^bits by Machin's formula pi/4 = 4 atan(1/5) - atan(1/239)."""
+    work = bits + 16
+    return (16 * _atan_inv(5, work) - 4 * _atan_inv(239, work)) >> 16
+
+
+def _taylor_terms(x: int, work: int):
+    """x^n / n! at scale 2^work for n = 0, 1, ... while nonzero; x >= 0."""
+    term = 1 << work
+    n = 0
+    while term:
+        yield term
+        n += 1
+        term = term * x // (n << work)
+
+
+def _exp_fixed(x: int, bits: int) -> int:
+    """exp(x / 2^bits) at scale 2^bits for x >= 0, to a few units of relative error.
+
+    Sums the Taylor series at x / 2^k < 2^-8 and squares k times.  Each
+    squaring doubles the relative error, so the sum carries k + 8 guard bits.
+    """
+    k = max(0, x.bit_length() - bits + 8)
+    work = bits + k + 8
+    total = sum(_taylor_terms(x << 8, work))
+    for _ in range(k):
+        total = total * total >> work
+    return total >> (work - bits)
+
+
+def _cis_fixed(x: int, bits: int) -> tuple[int, int]:
+    """(cos, sin) of x / 2^bits at scale 2^bits for x >= 0, as _exp_fixed does exp."""
+    k = max(0, x.bit_length() - bits + 8)
+    work = bits + k + 8
+    c = s = 0
+    for n, term in enumerate(_taylor_terms(x << 8, work)):
+        if n % 2:
+            s += term if n % 4 == 1 else -term
+        else:
+            c += term if n % 4 == 0 else -term
+    for _ in range(k):
+        c, s = (c - s) * (c + s) >> work, c * s >> (work - 1)
+    return c >> (work - bits), s >> (work - bits)
+
+
+def _cmul(xr: int, xi: int, yr: int, yi: int, bits: int) -> tuple[int, int]:
+    """The product of two fixed-point complex numbers at scale 2^bits."""
+    return (xr * yr - xi * yi) >> bits, (xr * yi + xi * yr) >> bits
+
+
 @lru_cache(maxsize=256)
 def hilbert_poly(D: int) -> HilbertPoly:
-    """The Hilbert class polynomial P_D(X), exact integer coefficients."""
+    """The Hilbert class polynomial P_D(X), exact integer coefficients.
+
+    One j-value per reduced form (a, b, c), tau = (-b + i sqrt(D)) / (2a),
+    from the q-expansion, then the product of (X - j_i), all in fixed-point
+    complex arithmetic on python ints at scale 2^B, B = working_digits(D, h)
+    * log2(10) + GUARD_BITS.
+
+    Error budget: pi, sqrt(D), 1/|q| = exp(pi sqrt(D) / a) with |q| from it,
+    and arg q = -pi b / a come within a few units of 2^-B (relative units
+    for the exponentials).  The q-series sum is 1 + 744 q + ..., so
+    j = sum / q carries a relative error of about 2^(10 - B).  On reduced
+    forms |j - 1/q| <= 2079, so no coefficient of the product exceeds
+    prod (1 + |j_i|) <= (exp(pi sqrt(D)) + 2080)^h < (100 exp(pi sqrt(D)))^h,
+    and the h products leave an absolute error of about h 2^(10 - B) times
+    that bound.  B carries working_digits(D, h) = h (pi sqrt(D) / ln 10 + 10)
+    + 15 decimal digits, 7 h + 15 more than the bound has, so the error
+    stays far below the 0.01 the two certificates allow: every coefficient
+    lies within 0.01 of an integer (imaginary part within 0.01 of 0), and
+    the rounded polynomial moves no computed root by more than 0.01 (Newton
+    shift |f(r)| / max(|f'(r)|, 1)).  Either failure raises PrecisionError;
+    the rounding is never silent.
+    """
     _check_discriminant(D)
     if D > HILBERT_D_BOUND:
         raise LimitError(f"D={D} above analytic bound {HILBERT_D_BOUND}")
@@ -208,44 +295,54 @@ def hilbert_poly(D: int) -> HilbertPoly:
     h = len(forms)
     if h > HILBERT_CLASS_BOUND:
         raise LimitError(f"h(-{D})={h} too large for the analytic route")
-    digits = working_digits(D, h)
+    bits = math.ceil(working_digits(D, h) * math.log2(10)) + GUARD_BITS
+    one = 1 << bits
+    pi = _fixed_pi(bits)
+    sqrt_d = math.isqrt(D << (2 * bits))
     jq = j_q_coefficients()
-    with mpmath.workdps(digits):
-        sqrt_d = mpmath.sqrt(D)
-        roots = []
-        for a, b, c in forms:
-            tau = mpmath.mpc(-b, sqrt_d) / (2 * a)
-            q = mpmath.exp(2j * mpmath.pi * tau)
-            acc = mpmath.mpc(0)
-            for k in range(len(jq) - 1, -1, -1):
-                acc = acc * q + jq[k]
-            roots.append(acc / q)
-        poly = [mpmath.mpc(1)]
-        for r in roots:
-            nxt = [mpmath.mpc(0)] * (len(poly) + 1)
-            for i, cf in enumerate(poly):
-                nxt[i] += -r * cf
-                nxt[i + 1] += cf
-            poly = nxt
-        coeffs = []
-        for cf in poly:
-            target = mpmath.nint(cf.real)
-            if abs(cf.real - target) > 0.01 or abs(cf.imag) > 0.01:
-                raise PrecisionError(
-                    f"P_{D}: coefficient {cf} is {abs(cf.real - target)} away "
-                    "from an integer"
-                )
-            coeffs.append(int(target))
-        # the rounded polynomial must still vanish at the float roots
-        for r in roots:
-            val = mpmath.mpc(0)
-            dval = mpmath.mpc(0)
-            for cf in reversed(coeffs):
-                dval = dval * r + val
-                val = val * r + cf
-            shift = abs(val) / max(abs(dval), mpmath.mpf(1))
-            if shift > 0.01:
-                raise PrecisionError(f"P_{D}: rounded poly moved a root by {shift}")
+    roots = []
+    for a, b, _ in forms:
+        inv_abs_q = _exp_fixed(pi * sqrt_d // (a << bits), bits)
+        abs_q = (one << bits) // inv_abs_q
+        cos, sin = _cis_fixed(pi * abs(b) // a, bits)
+        if b > 0:  # arg q = -pi b / a
+            sin = -sin
+        qr, qi = abs_q * cos >> bits, abs_q * sin >> bits
+        sr = si = 0
+        for cf in reversed(jq):
+            sr, si = _cmul(sr, si, qr, qi, bits)
+            sr += cf << bits
+        # j = (sum jq[k] q^k) / q, dividing by q as a product with 1/q
+        roots.append(_cmul(sr, si, inv_abs_q * cos >> bits, -(inv_abs_q * sin) >> bits, bits))
+    re, im = [one], [0]
+    for rr, ri in roots:
+        next_re, next_im = [0] + re, [0] + im
+        for i, (cr, ci) in enumerate(zip(re, im)):
+            tr, ti = _cmul(rr, ri, cr, ci, bits)
+            next_re[i] -= tr
+            next_im[i] -= ti
+        re, im = next_re, next_im
+    coeffs = []
+    for k, (cr, ci) in enumerate(zip(re, im)):
+        target = (cr + (one >> 1)) >> bits
+        off = max(abs(cr - (target << bits)), abs(ci))
+        if 100 * off > one:
+            raise PrecisionError(
+                f"P_{D}: coefficient of X^{k} is {off / one:.3g} away from an integer"
+            )
+        coeffs.append(target)
+    # the rounded polynomial must still vanish at the computed roots
+    for rr, ri in roots:
+        vr = vi = dr = di = 0
+        for cf in reversed(coeffs):
+            dr, di = _cmul(dr, di, rr, ri, bits)
+            dr, di = dr + vr, di + vi
+            vr, vi = _cmul(vr, vi, rr, ri, bits)
+            vr += cf << bits
+        denom = max(dr * dr + di * di, one * one)
+        if 10**4 * (vr * vr + vi * vi) > denom:
+            shift = math.sqrt((vr * vr + vi * vi) / denom)
+            raise PrecisionError(f"P_{D}: rounded poly moved a root by {shift:.3g}")
     return HilbertPoly(D, tuple(coeffs))
 
 

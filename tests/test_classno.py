@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from s3genus2 import intpoly
+from s3genus2 import classno, intpoly
 from s3genus2.classno import (
+    PrecisionError,
     class_number,
     dirichlet_crosscheck,
     dirichlet_tail_bound,
@@ -14,8 +15,10 @@ from s3genus2.classno import (
     j_q_coefficients,
     kronecker,
     reduced_forms,
+    working_digits,
 )
 from s3genus2.fields import is_prime
+from s3genus2.limits import HILBERT_CLASS_BOUND, HILBERT_D_BOUND, LimitError
 
 
 def class_number_oracle(D):
@@ -140,6 +143,80 @@ def test_p35_mod_61_factors():
 def test_hilbert_poly_rejects_large_inputs():
     with pytest.raises(ValueError):
         hilbert_poly(9999)
+    assert class_number(119) == 10
+    with pytest.raises(LimitError):
+        hilbert_poly(119)
+
+
+def hilbert_poly_mpmath_oracle(D):
+    """P_D's coefficients from the q-expansion in mpmath floating point, with
+    the same working precision and rounding certificates as hilbert_poly."""
+    import mpmath
+
+    forms = reduced_forms(D)
+    digits = working_digits(D, len(forms))
+    jq = j_q_coefficients()
+    with mpmath.workdps(digits):
+        sqrt_d = mpmath.sqrt(D)
+        roots = []
+        for a, b, c in forms:
+            tau = mpmath.mpc(-b, sqrt_d) / (2 * a)
+            q = mpmath.exp(2j * mpmath.pi * tau)
+            acc = mpmath.mpc(0)
+            for k in range(len(jq) - 1, -1, -1):
+                acc = acc * q + jq[k]
+            roots.append(acc / q)
+        poly = [mpmath.mpc(1)]
+        for r in roots:
+            nxt = [mpmath.mpc(0)] * (len(poly) + 1)
+            for i, cf in enumerate(poly):
+                nxt[i] += -r * cf
+                nxt[i + 1] += cf
+            poly = nxt
+        coeffs = []
+        for cf in poly:
+            target = mpmath.nint(cf.real)
+            if abs(cf.real - target) > 0.01 or abs(cf.imag) > 0.01:
+                raise PrecisionError(
+                    f"P_{D}: coefficient {cf} is {abs(cf.real - target)} away "
+                    "from an integer"
+                )
+            coeffs.append(int(target))
+        # the rounded polynomial must still vanish at the float roots
+        for r in roots:
+            val = mpmath.mpc(0)
+            dval = mpmath.mpc(0)
+            for cf in reversed(coeffs):
+                dval = dval * r + val
+                val = val * r + cf
+            shift = abs(val) / max(abs(dval), mpmath.mpf(1))
+            if shift > 0.01:
+                raise PrecisionError(f"P_{D}: rounded poly moved a root by {shift}")
+    return tuple(coeffs)
+
+
+def test_hilbert_poly_matches_mpmath_oracle_on_every_admissible_discriminant():
+    admissible = [
+        D for D in range(3, HILBERT_D_BOUND + 1)
+        if (-D) % 4 in (0, 1) and class_number(D) <= HILBERT_CLASS_BOUND
+    ]
+    assert len(admissible) == 94
+    for D in admissible:
+        assert hilbert_poly(D).coefficients == hilbert_poly_mpmath_oracle(D), D
+
+
+@pytest.fixture
+def five_digit_hilbert(monkeypatch):
+    hilbert_poly.cache_clear()
+    monkeypatch.setattr(classno, "working_digits", lambda D, h: 5)
+    yield
+    hilbert_poly.cache_clear()
+
+
+@pytest.mark.parametrize("D", [20, 35, 56])
+def test_hilbert_poly_raises_when_precision_runs_short(five_digit_hilbert, D):
+    with pytest.raises(PrecisionError):
+        hilbert_poly(D)
 
 
 def test_gross_zagier_prop_2_8_values():

@@ -330,6 +330,18 @@ def test_row_commands_leave_numpy_ma_out():
     assert result.stdout.strip() == "False"
 
 
+def test_commands_and_class_polynomials_leave_mpmath_out():
+    code = ("import contextlib, io, sys\n"
+            "from s3genus2 import classno, cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['psi', '--from', '5', '--to', '60']) == 0\n"
+            "classno.hilbert_poly(35)\n"
+            "print('mpmath' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=_checkout_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("flags", [
     ["--mode", "rational"],
     ["--mode", "rational", "--format", "json"],
