@@ -2,10 +2,13 @@
 
 E_t : y^2 = x(x-1)(x-t) with t in the quadratic extension.  Coefficients,
 parameters and points are the (a, b) int pairs of `fields`.  Provides the
-j-invariant, the chord-tangent group law, naive point counts (these double
-as an independent oracle), the Deuring-polynomial supersingularity test
-and the roots of the level-3 division polynomial, found by gcd and random
-splitting on int-pair polynomials over F_{p^2}.
+j-invariant, the on-curve test, naive point counts (these double as an
+independent oracle), the Deuring-polynomial supersingularity test, the
+x-coordinate map of [3] from the division polynomials, and the roots of
+the level-3 division polynomial, found by gcd and random splitting on
+int-pair polynomials over F_{p^2}.  There is no point law: the isogeny
+check compares x-maps, and the test suite keeps the chord-tangent law as
+its oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .fields import (
     fp2_horner,
     fp2_inv,
     fp2_mul,
-    fp2_sqrt,
     primitive_root,
     smallest_nonresidue,
 )
@@ -50,50 +52,6 @@ class CubicCurve:
 
     def contains(self, P) -> bool:
         return P is None or fp2_mul(P[1], P[1], self.p, self.n) == self.rhs(P[0])
-
-    def add(self, P, Q):
-        """P + Q by the chord-tangent law (P == Q doubles)."""
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        p, n = self.p, self.n
-        (x1, y1), (x2, y2) = P, Q
-        a2a, a2b = self.a2
-        if x1 == x2:
-            if (y1[0] + y2[0]) % p == 0 and (y1[1] + y2[1]) % p == 0:
-                return None
-            # tangent slope (3x^2 + 2 a2 x + a4) / 2y
-            ua, ub = fp2_mul((3 * x1[0] + 2 * a2a, 3 * x1[1] + 2 * a2b), x1, p, n)
-            a4a, a4b = self.a4
-            num, den = (ua + a4a, ub + a4b), (2 * y1[0], 2 * y1[1])
-        else:
-            num = (y2[0] - y1[0], y2[1] - y1[1])
-            den = (x2[0] - x1[0], x2[1] - x1[1])
-        slope = fp2_mul(num, fp2_inv(den, p, n), p, n)
-        sa, sb = fp2_mul(slope, slope, p, n)
-        x3 = (sa - a2a - x1[0] - x2[0]) % p, (sb - a2b - x1[1] - x2[1]) % p
-        ta, tb = fp2_mul(slope, (x1[0] - x3[0], x1[1] - x3[1]), p, n)
-        return x3, ((ta - y1[0]) % p, (tb - y1[1]) % p)
-
-    def minus3(self, P):
-        """[-3]P, as -(P + 2P)."""
-        R = self.add(P, self.add(P, P))
-        if R is None:
-            return None
-        x, (ya, yb) = R
-        return x, (-ya % self.p, -yb % self.p)
-
-    def random_point(self, rng: random.Random):
-        """Random x (a-part, then b-part) until f(x) is a square; then a random sign."""
-        p, n = self.p, self.n
-        while True:
-            x = (rng.randrange(p), rng.randrange(p))
-            y = fp2_sqrt(self.rhs(x), p, n)
-            if y is not None:
-                if not rng.randrange(2):
-                    y = (-y[0] % p, -y[1] % p)
-                return x, y
 
 
 class LegendreCurve(CubicCurve):
@@ -279,6 +237,28 @@ def psi3_coefficients(lam: tuple[int, int], p: int) -> list[tuple[int, int]]:
     sa, sb = fp2_mul(lam, lam, p, smallest_nonresidue(p))
     return [(-sa % p, -sb % p), (0, 0), (6 * la % p, 6 * lb % p),
             (-4 * (1 + la) % p, -4 * lb % p), (3, 0)]
+
+
+def triple_x_coefficients(lam: tuple[int, int], p: int) -> tuple[list, list]:
+    """(num, den) with x([3]P) = num(x)/den(x) on E_lam, as ascending (a, b) pairs.
+
+    den = psi3^2 and num = x psi3^2 - 4 f W, with f = x(x - 1)(x - L) and
+    W = psi4/psi2 = 2x^6 - 4(1+L)x^5 + 10Lx^4 - 10L^2x^2 + 4(1+L)L^2x - 2L^3,
+    L = lam (Silverman, AEC, Ex. 3.7, at a2 = -(1+L), a4 = L, a6 = 0).
+    """
+    n = smallest_nonresidue(p)
+    lam = _reduce(lam, p)
+    one, one_l = (1, 0), ((1 + lam[0]) % p, lam[1])
+    l2 = fp2_mul(lam, lam, p, n)
+    terms = ((-2, fp2_mul(l2, lam, p, n)), (4, fp2_mul(one_l, l2, p, n)), (-10, l2),
+             (0, one), (10, lam), (-4, one_l), (2, one))
+    w = [(c * a % p, c * b % p) for c, (a, b) in terms]
+    f = [(0, 0), lam, (-one_l[0] % p, -one_l[1] % p), one]
+    psi3 = psi3_coefficients(lam, p)
+    den = _poly_mul(psi3, psi3, p, n)
+    fw = _poly_mul(f, w, p, n)
+    num = [((a - 4 * c) % p, (b - 4 * d) % p) for (a, b), (c, d) in zip([(0, 0)] + den, fw)]
+    return num, den
 
 
 def psi3_roots(lam: tuple[int, int], p: int, seed: int = 1) -> list[tuple[int, int]]:

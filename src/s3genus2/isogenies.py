@@ -1,19 +1,20 @@
 """Explicit degree-3 isogenies between the paired Legendre curves.
 
-The map psi^eps sends E_{L^eps} to E_{L^-eps}.  It is evaluated through the
-closed-form rational functions s = s_num(x, y)/q(x)^2, t = y t_num(x)/q(x)^3
-with q(x) = 3x^2 - 2(lam+1)x - (lam-1)^2 (numerator tables below,
-transcribed for eps = -1 and flipped to eps = +1 by negating the square
-root).  Their coefficients depend only on (lam, eps), so each map reduces
-them once to dense lists of (a, b) int pairs over F_{p^2}, with the y^2
-part of s_num folded in through the source curve; a point then costs three
-Horner passes on the int pair of its abscissa and one inversion, of q(x).
-The one abscissa where q vanishes outside the kernel is a removable
-singularity, mapped through a 2-torsion translate.  The
-equivalent four-map composition (shift, degree-3 quotient, rescale, shift
-back) is the independent oracle of the test suite.  The level-2 and
-level-3 modular polynomials ship as an integer coefficient table and are
-re-validated by exact identities in the test suite.
+The map psi^eps sends E_{L^eps} to E_{L^-eps}.  Its tabulated closed form
+is s = s_num(x, y)/q(x)^2, t = y t_num(x)/q(x)^3, q(x) = 3x^2 - 2(lam+1)x
+- (lam-1)^2 = 3(x - x0)(x - x0'), with x0 the kernel abscissa and x0' that
+of the other sign (tables below, transcribed for eps = -1 and flipped to
+eps = +1 by negating the square root).  As Velu's formulas predict for the
+kernel {O, (x0, +-y0)}, the numerators carry (x - x0')^2 and (x - x0')^3;
+each map divides them out once, exactly, which certifies the tables.  A
+point then costs three Horner passes and one inversion, of 3(x - x0).
+
+`compose_is_minus3` compares x-maps, s^+(s^-(x)) against x([3]), and reads
+the sign off the invariant differential: no point law, no square root.
+The chord-tangent law and the four-map composition (shift, degree-3
+quotient, rescale, shift back) are the test suite's oracles.  The level-2
+and level-3 modular polynomials ship as an integer coefficient table and
+are re-validated by exact identities in the test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from importlib import resources
 
 from . import intpoly
 from .classno import hilbert_poly
-from .curves import LegendreCurve
+from .curves import LegendreCurve, _poly_divmod, _poly_mul, triple_x_coefficients
 from .family import is_admissible, lambda_eps, lambda_pair
 from .fields import fp2_horner, fp2_inv, fp2_mul, smallest_nonresidue
 
@@ -81,25 +82,17 @@ def _check_admissible(lam: int, p: int, sqrt_delta: tuple[int, int]) -> None:
 class IsogenyMap:
     """psi^eps : E_{L^eps(lam)} -> E_{L^-eps(lam)}, degree 3, on int-pair points.
 
-    Evaluation uses the closed-form s(x, y), t(x, y); the tables are written
-    for eps = -1 and the sign of sqrt(delta) is flipped for eps = +1.  The
-    constructor reduces them at (lam, d = -eps sqrt(delta)) to ascending
-    lists of (a, b) int pairs: q, the numerator of s with its y^2 part
-    replaced by x(x - 1)(x - L) through the source curve, and the numerator
-    of t over y.  A point is then three Horner passes on the int pair of its
-    abscissa and one inversion, r = 1/q(x): s = s_num(x) r^2, t = y t_num(x) r^3.
-
-    The denominators are q(x)^2 and q(x)^3, q(x) = 3x^2 - 2(lam+1)x - (lam-1)^2,
-    whose roots are the kernel abscissa x0 = (lam+1+2 eps sqrt(delta))/3
-    (mapped to O before the closed form runs) and x0' = (lam+1-2 eps
-    sqrt(delta))/3, the kernel abscissa of the other sign.  At x0' the
-    singularity is removable: psi(P) = psi(P + T) + T for T = (0, 0) or
-    (1, 0), since psi fixes both and each is its own negative; if P + T
-    lies in the kernel, the image is T.  Two anchors suffice: translation
-    by (0, 0) sends x to L/x and translation by (1, 0) sends x to
-    (x - L)/(x - 1), L = Lambda^eps.  If both fixed x0', then x0'^2 = L and
-    x0'^2 - 2x0' + L = 0, so x0' is 0 or 1; that needs q(0) = 0 or
-    q(1) = 0, that is lam in {0, 1}, which is inadmissible.
+    The tables are written for eps = -1 and the sign of sqrt(delta) is
+    flipped for eps = +1.  The constructor reduces them at (lam, d = -eps
+    sqrt(delta)) to ascending lists of (a, b) int pairs: q, the numerator
+    of s with its y^2 part replaced by x(x - 1)(x - L) through the source
+    curve, and the numerator of t over y.  It then divides q by
+    (x - x0'), the numerator of s by (x - x0')^2 and that of t by
+    (x - x0')^3, x0' = (lam+1-2 eps sqrt(delta))/3; a nonzero remainder
+    is a bad transcription and raises ArithmeticError.  Left are
+    Q = 3(x - x0), x0 = kernel_x = (lam+1+2 eps sqrt(delta))/3, and the
+    cubics S and T: s = S(x)/Q(x)^2 and t = y T(x)/Q(x)^3 at every point
+    but the kernel.
     """
 
     def __init__(self, lam: int, eps: int, sqrt_delta: tuple[int, int], p: int):
@@ -110,7 +103,7 @@ class IsogenyMap:
         self.lam = lam
         self.eps = eps
         self.p = p
-        self.n = smallest_nonresidue(p)
+        self.n = n = smallest_nonresidue(p)
         self.sqrt_delta = sqrt_delta
         self.source_lambda = lambda_eps(lam, sqrt_delta, eps, p)
         self.target_lambda = lambda_eps(lam, sqrt_delta, -eps, p)
@@ -121,47 +114,52 @@ class IsogenyMap:
         self.target = LegendreCurve(self.target_lambda, p)
         # the tables encode psi^-; write d for the sign actually substituted
         d = sqrt_delta if eps == -1 else (-sqrt_delta[0] % p, -sqrt_delta[1] % p)
-        self._q = [(-(lam - 1) ** 2 % p, 0), (-2 * (lam + 1) % p, 0), (3, 0)]
+        q = [(-(lam - 1) ** 2 % p, 0), (-2 * (lam + 1) % p, 0), (3, 0)]
         # s_num = s_num0 + s_num2 y^2, with y^2 = x(x - 1)(x - L) on the source
         s_num = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 0}, lam, d, p)
         s_num2 = _dense({xp: c for (xp, yp), c in S_NUM.items() if yp == 2}, lam, d, p)
         src = self.source
         for i, u in enumerate(s_num2):
             for j, v in enumerate((src.a6, src.a4, src.a2, (1, 0))):
-                wa, wb = fp2_mul(u, v, p, self.n)
+                wa, wb = fp2_mul(u, v, p, n)
                 s_num[i + j] = (s_num[i + j][0] + wa) % p, (s_num[i + j][1] + wb) % p
-        self._s_num = s_num
-        self._t_num = _dense(T_NUM, lam, d, p)
+        # divide (x - x0')^k out of q, s_num and t_num, k = 1, 2, 3;
+        # x0' = 2(lam+1)/3 - x0
+        linear = [((self.kernel_x[0] - 2 * (lam + 1) * third) % p, self.kernel_x[1]), (1, 0)]
+        power, reduced = [(1, 0)], []
+        for f in (q, s_num, _dense(T_NUM, lam, d, p)):
+            power = _poly_mul(power, linear, p, n)
+            quot, rem = _poly_divmod(f, power, p, n)
+            if rem:
+                raise ArithmeticError("a closed-form table lacks its factor of x - x0'")
+            reduced.append(quot)
+        self._Q, self._S, self._T = reduced
 
-    def _closed_form(self, P):
-        """(s, t) at the affine int-pair point P, or None where q(x) vanishes.
+    def x_map(self, x):
+        """s(x) = S(x)/Q(x)^2 for x in F_{p^2}; None (infinity) at x0 and at None."""
+        if x is None or x == self.kernel_x:
+            return None
+        p, n = self.p, self.n
+        r = fp2_inv(fp2_horner(self._Q, x, p, n), p, n)
+        return fp2_mul(fp2_horner(self._S, x, p, n), fp2_mul(r, r, p, n), p, n)
 
-        P must lie on the source curve: the y^2 part of the numerator of s
-        was folded into s_num through y^2 = x(x - 1)(x - L), which holds
-        only there.  `image` checks P first; `_translated` passes the sum
-        of P and a 2-torsion point of the source.
+    def multiplier(self):
+        """c with psi^*(dx/y) = c dx/y, or None if no constant c exists.
+
+        ds/t = (S'Q - 2SQ')/T dx/y; with Q = q0 + q1 x the numerator's
+        x^k coefficient is (k+1) S_{k+1} q0 + (k-2) S_k q1, and each must be
+        c T_k for one c (Silverman, AEC, III.5).
         """
         p, n = self.p, self.n
-        x, y = P
-        q = fp2_horner(self._q, x, p, n)
-        if q == (0, 0):
+        S, T, (q0, q1) = self._S + [(0, 0)], self._T, self._Q
+        if len(S) != 5 or len(T) != 4 or T[3] == (0, 0):
             return None
-        r = fp2_inv(q, p, n)
-        r2 = fp2_mul(r, r, p, n)
-        s = fp2_mul(fp2_horner(self._s_num, x, p, n), r2, p, n)
-        ty = fp2_mul(fp2_horner(self._t_num, x, p, n), y, p, n)
-        return s, fp2_mul(ty, fp2_mul(r2, r, p, n), p, n)
-
-    def _translated(self, P):
-        """psi(P) at x0' through the first anchor T that moves P off x0'."""
-        for T in (((0, 0), (0, 0)), ((1, 0), (0, 0))):
-            Q = self.source.add(P, T)
-            if Q[0] == self.kernel_x:
-                return T
-            img = self._closed_form(Q)
-            if img is not None:
-                return self.target.add(img, T)
-        raise ArithmeticError("both 2-torsion anchors fix x0'; impossible for admissible lambda")
+        num = []
+        for k in range(4):
+            u, v = fp2_mul(S[k + 1], q0, p, n), fp2_mul(S[k], q1, p, n)
+            num.append(tuple(((k + 1) * a + (k - 2) * b) % p for a, b in zip(u, v)))
+        c = fp2_mul(num[3], fp2_inv(T[3], p, n), p, n)
+        return c if all(fp2_mul(c, t, p, n) == u for t, u in zip(T, num)) else None
 
     def image(self, P):
         """psi(P) for an int-pair point, checked on the source and the target."""
@@ -169,29 +167,45 @@ class IsogenyMap:
             raise ValueError("point not on the source curve")
         if P is None or P[0] == self.kernel_x:
             return None
-        img = self._closed_form(P)
-        if img is None:  # removable singularity of the tabulated form
-            img = self._translated(P)
+        p, n = self.p, self.n
+        x, y = P
+        r = fp2_inv(fp2_horner(self._Q, x, p, n), p, n)
+        r2 = fp2_mul(r, r, p, n)
+        s = fp2_mul(fp2_horner(self._S, x, p, n), r2, p, n)
+        ty = fp2_mul(fp2_horner(self._T, x, p, n), y, p, n)
+        img = s, fp2_mul(ty, fp2_mul(r2, r, p, n), p, n)
         if not self.target.contains(img):
             raise ArithmeticError("isogeny image left the target curve")
         return img
 
 
 def compose_is_minus3(lam: int, p: int, trials: int = 50, seed: int = 0) -> bool:
-    """Check psi^+ o psi^- = [-3] = psi^- o psi^+ on random rational points."""
+    """Check psi^+ o psi^- = [-3] = psi^- o psi^+ on x-coordinates.
+
+    An endomorphism is fixed up to sign by its x-map (Silverman, AEC, III.5
+    and Ex. 3.7).  The sign: the composite pulls dx/y back to c^+ c^- dx/y,
+    which must be -3 (+[3] gives 3).  The x-map: each trial draws one x in
+    F_{p^2} per direction, psi^- first, and requires s_second(s_first(x))
+    den3(x) = num3(x), x([3]) = num3/den3; infinity must meet den3(x) = 0.
+    """
     sqrt_delta = lambda_pair(lam, p)[1]
     psi_minus = IsogenyMap(lam, -1, sqrt_delta, p)
     psi_plus = IsogenyMap(lam, +1, sqrt_delta, p)
-    e_minus = psi_minus.source
-    e_plus = psi_plus.source
+    n = psi_minus.n
+    c_minus, c_plus = psi_minus.multiplier(), psi_plus.multiplier()
+    if c_minus is None or c_plus is None or fp2_mul(c_minus, c_plus, p, n) != (p - 3, 0):
+        return False
+    directions = [(first, second, triple_x_coefficients(first.source_lambda, p))
+                  for first, second in ((psi_minus, psi_plus), (psi_plus, psi_minus))]
     rng = random.Random(seed)
     for _ in range(trials):
-        P = e_minus.random_point(rng)
-        if psi_plus.image(psi_minus.image(P)) != e_minus.minus3(P):
-            return False
-        Q = e_plus.random_point(rng)
-        if psi_minus.image(psi_plus.image(Q)) != e_plus.minus3(Q):
-            return False
+        for first, second, (num3, den3) in directions:
+            x = rng.randrange(p), rng.randrange(p)
+            s = second.x_map(first.x_map(x))
+            den = fp2_horner(den3, x, p, n)
+            ok = den == (0, 0) if s is None else fp2_mul(s, den, p, n) == fp2_horner(num3, x, p, n)
+            if not ok:
+                return False
     return True
 
 

@@ -49,8 +49,8 @@ MAX_N_BUDGET = 10_000_000
 # the scan cost above which a worker pool pays: break-even near F(3300) = 4.1e7
 # on a 2-vCPU host; above F(3000) = 3.1e7, every perfbench workload is serial
 SCAN_POOL_THRESHOLD = 40_000_000
-# isogeny --trials: about 130 F_{p^2} products a trial (check_isogeny), 0.08-0.21 ms
-# from p = 10^3 to 2^31 (2-vCPU host)
+# isogeny --trials: 60 F_{p^2} products and 4 inversions a trial (check_isogeny),
+# 0.04-0.09 ms from p = 10^3 to 2^31 (2-vCPU host)
 MAX_TRIALS_BUDGET = 100_000
 # average --check-bruteforce runs the double loop over (lambda, p)
 BRUTEFORCE_X_CAP = 200
@@ -101,11 +101,10 @@ def check_scan_range(lo: int, hi: int, top: int) -> None:
 def check_isogeny(p: int, trials: int) -> None:
     """Refuse an isogeny run over the modulus cap or the trials budget.
 
-    A compose_is_minus3 trial samples two points and sends each through
-    both maps and through [-3]: about 130 F_{p^2} multiplications (a Horner
-    step counts as one), 8 inversions and 4 square roots, counted at
-    p = 1009.  Only the sampler's share varies with the draw: 3 products
-    and one square root a try, about two tries a point.
+    A compose_is_minus3 trial draws two x-coordinates and sends each
+    through both x-maps and through the x-map of [3]: 60 F_{p^2}
+    multiplications (a Horner step counts as one) and 4 inversions,
+    counted at p = 1009, and no square root.
     """
     if p >= MAX_MODULUS:
         raise LimitError(f"p={p} is at or above MAX_MODULUS = 2^31 = {MAX_MODULUS}")
@@ -114,8 +113,8 @@ def check_isogeny(p: int, trials: int) -> None:
     if trials > MAX_TRIALS_BUDGET:
         raise LimitError(
             f"trials={trials} exceeds the desk budget (trials <= {MAX_TRIALS_BUDGET}); "
-            f"estimated cost ~{130 * trials:.1e} F_{{p^2}} multiplications, "
-            f"~{8 * trials:.1e} inversions and ~{4 * trials:.1e} square roots"
+            f"estimated cost ~{60 * trials:.1e} F_{{p^2}} multiplications "
+            f"and ~{4 * trials:.1e} inversions"
         )
 
 

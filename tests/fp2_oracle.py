@@ -3,10 +3,11 @@
 `F` is a minimal F_{p^2} operator class with its own product formula, so
 the int-pair functions of `s3genus2.fields` are checked against code that
 does not call them.  Points are (x, y) tuples of `F`, None for infinity.
-On top of that sit the chord-tangent group law, the oracle of
-`CubicCurve.add`, `minus3` and `random_point`, and the four-map
-composition route of psi^eps (shift to the normal form, descend by 3,
-rescale, shift back), the oracle of `IsogenyMap.image`.
+On top of that sit the chord-tangent group law with its sampler, the
+oracle of `isogenies.compose_is_minus3` (the package checks x-maps and
+has no point law), and the four-map composition route of psi^eps (shift
+to the normal form, descend by 3, rescale, shift back), the oracle of
+`IsogenyMap.image`.
 """
 
 from dataclasses import dataclass

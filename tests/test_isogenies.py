@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import random
 from importlib import resources
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from fp2_oracle import F, descend_by_3, descend_by_3_pure_cube, eval_composed, normal_form
 
-from s3genus2 import intpoly
+from s3genus2 import cli, curves, family, fields, intpoly, isogenies
 from s3genus2.classno import hilbert_poly
 from s3genus2.curves import CubicCurve, LegendreCurve, _sqrt_table, j_invariant
 from s3genus2.family import lambda_eps, lambda_eps_pairs, lambda_pair
@@ -62,7 +63,8 @@ def _table_coeff(pair, lam: int, sqrt_delta: F) -> F:
 def closed_form_oracle(m: IsogenyMap, P):
     """Oracle: every coefficient table evaluated at (lam, d) for this int-pair point.
 
-    The image is returned in the int-pair form of `IsogenyMap._closed_form`.
+    The image is returned in the int-pair form of `IsogenyMap.image`; None
+    where a denominator vanishes, at the kernel abscissas of both signs.
     """
     lam, p = m.lam, m.p
     d = oracle.lift(m.sqrt_delta, p) * -m.eps
@@ -108,6 +110,11 @@ def _maps(lam, p):
 
 def _neg(u, p):
     return -u[0] % p, -u[1] % p
+
+
+def _random_point(c, rng):
+    """An int-pair point of c, drawn by the oracle's sampler."""
+    return oracle.to_pairs(oracle.random_point(c, rng))
 
 
 def _affine_points(c):
@@ -225,7 +232,7 @@ def test_descend_by_3_kernel_and_image():
         E = _cubic(a, -2 * a * b, a * b * b)
         quotient = _cubic(-27 * a, 2 * 27 * a * (4 * a + 27 * b), -27 * a * (4 * a + 27 * b) ** 2)
         for _ in range(5):
-            img = descend_by_3(a, b, oracle.to_obj(E.random_point(rng), p))
+            img = descend_by_3(a, b, oracle.random_point(E, rng))
             assert quotient.contains(oracle.to_pairs(img))
 
 
@@ -237,7 +244,7 @@ def test_descend_twice_rescaled_is_multiplication_by_3():
         a = F(rng.randrange(1, p), rng.randrange(p), p)
         b = F(rng.randrange(1, p), rng.randrange(p), p)
         E = _cubic(a, -2 * a * b, a * b * b)
-        P = oracle.to_obj(E.random_point(rng), p)
+        P = oracle.random_point(E, rng)
         Q1 = descend_by_3(a, b, P)
         if Q1 is None:
             continue
@@ -261,7 +268,7 @@ def test_descend_pure_cube_family():
         if sd is not None:
             assert descend_by_3_pure_cube(d, (zero, sd)) is None
         for _ in range(5):
-            img = descend_by_3_pure_cube(d, oracle.to_obj(E.random_point(rng), p))
+            img = descend_by_3_pure_cube(d, oracle.random_point(E, rng))
             assert quotient.contains(oracle.to_pairs(img))
 
 
@@ -296,7 +303,7 @@ def test_psi_image_is_on_target_curve():
         for m in _maps(lam, p):
             src, dst = m.source, m.target
             for _ in range(12):
-                assert dst.contains(m.image(src.random_point(rng)))
+                assert dst.contains(m.image(_random_point(src, rng)))
 
 
 def test_closed_form_equals_composition():
@@ -305,23 +312,25 @@ def test_closed_form_equals_composition():
         for m in _maps(lam, p):
             src = m.source
             for _ in range(15):
-                P = src.random_point(rng)
+                P = _random_point(src, rng)
                 assert m.image(P) == eval_composed(m, P)
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 24) if is_prime(p)])
 def test_closed_form_matches_oracle_on_every_point(p):
     # every affine F_{p^2}-point of every admissible lambda, both signs: the
-    # closed form against the tables, the map against the composition route
+    # reduced map against the tables wherever q(x) != 0, and against the
+    # composition route everywhere
     nones = 0
     for lam in _admissible(p):
         for m in _maps(lam, p):
             for P in _affine_points(m.source):
-                got = m._closed_form(P)
-                assert got == closed_form_oracle(m, P), (lam, m.eps, P)
-                assert m.image(P) == eval_composed(m, P), (lam, m.eps, P)
-                nones += got is None
-    assert nones > 0  # the removable singularities were among the points
+                got, want = m.image(P), closed_form_oracle(m, P)
+                if want is not None:
+                    assert got == want, (lam, m.eps, P)
+                assert got == eval_composed(m, P), (lam, m.eps, P)
+                nones += want is None
+    assert nones > 0  # the zeros of q were among the points
 
 
 @pytest.mark.parametrize("p", [1009, 9973, 19997])
@@ -332,8 +341,10 @@ def test_closed_form_matches_oracle_on_random_points(p):
         for m in _maps(lam, p):
             src = m.source
             for _ in range(50):
-                P = src.random_point(rng)
-                assert m._closed_form(P) == closed_form_oracle(m, P)
+                P = _random_point(src, rng)
+                want = closed_form_oracle(m, P)
+                if want is not None:
+                    assert m.image(P) == want
 
 
 def _removable_points(m):
@@ -345,12 +356,13 @@ def _removable_points(m):
 
 
 def test_vanishing_denominator_falls_back_to_composition():
-    # the tabulated denominators vanish at the kernel abscissa of psi^-eps
+    # the tabulated denominators vanish at the kernel abscissa of psi^-eps,
+    # where the reduced map agrees with the composition route
     checked = 0
     for p, lam in SAMPLE:
         for m in _maps(lam, p):
             for P in _removable_points(m):
-                assert m._closed_form(P) is None and closed_form_oracle(m, P) is None
+                assert closed_form_oracle(m, P) is None
                 img = m.image(P)
                 assert img == eval_composed(m, P) and m.target.contains(img)
                 checked += 1
@@ -358,30 +370,30 @@ def test_vanishing_denominator_falls_back_to_composition():
 
 
 def test_removable_singularity_matches_composition_below_110():
-    # every point at x0' of every admissible lambda, both signs: the 2-torsion
-    # translate agrees with the composition route, and (1, 0) is needed where
-    # translation by (0, 0) lands on x0' again
-    cases = second_anchor = 0
+    # every point at x0' of every admissible lambda, both signs: the reduced
+    # map agrees with the composition route
+    cases = 0
     for p in range(5, 110):
         if not is_prime(p):
             continue
         for lam in _admissible(p):
             for m in _maps(lam, p):
                 for P in _removable_points(m):
-                    assert m._closed_form(P) is None
                     assert m.image(P) == eval_composed(m, P), (p, lam, m.eps, P)
                     cases += 1
-                    second_anchor += m.source.add(P, ((0, 0), (0, 0)))[0] == P[0]
-    assert cases > 0 and second_anchor > 0
+    assert cases > 0
 
 
 def test_psi_is_homomorphism_on_samples():
     rng = random.Random(17)
     m = _maps(40, 103)[0]
     src, dst = m.source, m.target
+    p = m.p
     for _ in range(10):
-        P, Q = src.random_point(rng), src.random_point(rng)
-        assert m.image(src.add(P, Q)) == dst.add(m.image(P), m.image(Q))
+        P, Q = oracle.random_point(src, rng), oracle.random_point(src, rng)
+        sum_image = m.image(oracle.to_pairs(oracle.add(src, P, Q)))
+        images = (oracle.to_obj(m.image(oracle.to_pairs(R)), p) for R in (P, Q))
+        assert sum_image == oracle.to_pairs(oracle.add(dst, *images))
 
 
 def test_flipping_sqrt_sign_swaps_the_maps():
@@ -393,7 +405,7 @@ def test_flipping_sqrt_sign_swaps_the_maps():
     rng = random.Random(23)
     src = m_plus.source
     for _ in range(10):
-        P = src.random_point(rng)
+        P = _random_point(src, rng)
         assert m_plus.image(P) == m_flip.image(P)
 
 
@@ -410,7 +422,7 @@ def test_frobenius_equivariance_when_sqrt_irrational():
         m_minus, m_plus = _maps(lam, p)
         src = m_minus.source
         for _ in range(100 // 4):
-            P = src.random_point(rng)
+            P = _random_point(src, rng)
             assert frob(m_minus.image(P), p) == m_plus.image(frob(P, p))
             done += 1
     assert done >= 50
@@ -443,10 +455,12 @@ def test_image_checks_source_and_target(monkeypatch):
         off = ((5, 0), (2, 0))
     with pytest.raises(ValueError):
         m.image(off)
-    P = src.random_point(random.Random(1))
-    bad = ((1, 1), (1, 1))
-    assert not dst.contains(bad)
-    monkeypatch.setattr(m, "_closed_form", lambda P: bad)
+    P = _random_point(src, random.Random(1))
+    img = m.image(P)
+    assert img[1] != (0, 0)
+    # doubling T doubles t, which leaves the target curve where t != 0
+    monkeypatch.setattr(m, "_T", [(2 * a % m.p, 2 * b % m.p) for a, b in m._T])
+    assert not dst.contains((img[0], (2 * img[1][0] % m.p, 2 * img[1][1] % m.p)))
     with pytest.raises(ArithmeticError):
         m.image(P)
 
@@ -459,36 +473,141 @@ def _load_workloads():
     return module
 
 
-def test_pair_random_draws_the_oracle_points_on_the_isogeny_pool():
-    # compose_is_minus3 draws from E_{L^-} and E_{L^+} in turn; the int-pair
-    # sampler must draw the object sampler's points and leave the same state
+def test_isogeny_stdout_matches_the_golden_pool_lines(capsys):
+    # the printed lines of every isogeny-pool tuple, byte for byte
     wl = _load_workloads()
     pool = wl.isogeny_pool()
     assert len(pool) == 120
+    golden = json.loads((wl.GOLDEN / "isogeny.json").read_text(encoding="ascii"))
+    lines = {tuple(k): v for k, v in golden["pool"]}
     for p, lam, seed in pool:
-        _, _, minus, plus = lambda_pair(lam, p)
-        curves = (LegendreCurve(minus, p), LegendreCurve(plus, p))
-        rng, rng_oracle = random.Random(seed), random.Random(seed)
-        for _ in range(wl.ISOGENY_TRIALS):
-            for c in curves:
-                assert c.random_point(rng) == oracle.to_pairs(oracle.random_point(c, rng_oracle))
-        assert rng.getstate() == rng_oracle.getstate(), (p, lam, seed)
+        assert cli.main(wl.isogeny_argv(p, lam, seed)) == 0
+        assert capsys.readouterr().out == "".join(ln + "\n" for ln in lines[(p, lam, seed)])
 
 
 def test_compose_trial_loop_builds_no_field_objects(monkeypatch):
-    # the trial loop runs on int pairs and never meets the removable singularity
-    fallbacks = 0
-    translated = IsogenyMap._translated
+    # a trial takes no square root: only lambda_pair's, once per call, remain
+    roots = 0
 
-    def counting_fallback(self, P):
-        nonlocal fallbacks
-        fallbacks += 1
-        return translated(self, P)
+    def counting_sqrt(*args):
+        nonlocal roots
+        roots += 1
+        return fields.fp2_sqrt(*args)
 
-    monkeypatch.setattr(IsogenyMap, "_translated", counting_fallback)
+    monkeypatch.setattr(family, "fp2_sqrt", counting_sqrt)
+    counts = []
     for trials in (1, 40):
+        roots = 0
         assert compose_is_minus3(40, 1009, trials=trials, seed=5)
-    assert fallbacks == 0
+        counts.append(roots)
+    assert counts[0] == counts[1] == 1
+    assert not hasattr(curves, "fp2_sqrt") and not hasattr(isogenies, "fp2_sqrt")
+
+
+def test_x_only_check_passes_on_every_admissible_lambda_and_the_pool():
+    for p in (17, 19, 23):
+        for lam in _admissible(p):
+            assert compose_is_minus3(lam, p, trials=20, seed=lam), (p, lam)
+    for p, lam, seed in _load_workloads().isogeny_pool():
+        assert compose_is_minus3(lam, p, trials=50, seed=seed), (p, lam, seed)
+    for p in (2147483629, 2**31 - 1):
+        assert compose_is_minus3(1234, p, trials=50, seed=1), p
+
+
+def test_infinity_on_the_left_must_meet_a_zero_of_psi3(monkeypatch):
+    # at p = 5..13 the seeded draws reach every x, kernel abscissas included:
+    # each pole of the composite x-map is a root of psi3, and a pole put at
+    # x = 0, where psi3 = -L^2 != 0, fails the check
+    poles = 0
+    x_map = IsogenyMap.x_map
+
+    def counting(self, x):
+        nonlocal poles
+        s = x_map(self, x)
+        poles += x is not None and s is None
+        return s
+
+    monkeypatch.setattr(IsogenyMap, "x_map", counting)
+    for p in (5, 7, 11, 13):
+        for lam in _admissible(p):
+            assert compose_is_minus3(lam, p, trials=1000, seed=p), (p, lam)
+    assert poles > 0
+    monkeypatch.setattr(IsogenyMap, "x_map", lambda m, x: None if x == (0, 0) else x_map(m, x))
+    for p in (5, 7, 11, 13):
+        for lam in _admissible(p):
+            assert not compose_is_minus3(lam, p, trials=1000, seed=p), (p, lam)
+
+
+@pytest.mark.parametrize("p", [17, 19, 23])
+def test_composed_route_twice_is_minus3(p):
+    # the oracle route: the four-map composition applied twice against the
+    # object law's [-3], on random points and the points at x0'
+    rng = random.Random(p)
+    for lam in _admissible(p):
+        m_minus, m_plus = _maps(lam, p)
+        for first, second in ((m_minus, m_plus), (m_plus, m_minus)):
+            src = first.source
+            points = [oracle.random_point(src, rng) for _ in range(5)]
+            points += [oracle.to_obj(P, p) for P in _removable_points(first)]
+            for P in points:
+                twice = eval_composed(second, eval_composed(first, oracle.to_pairs(P)))
+                assert twice == oracle.to_pairs(oracle.scalar_mul(src, -3, P)), (lam, P)
+
+
+@pytest.mark.parametrize("p", [1009, 10007, 19997, 2147483629])
+def test_tables_divide_exactly_and_pull_back_dx_over_y(p):
+    # Q = q/(x - x0') is 3(x - x0), S and T are cubics, and the multipliers
+    # of the invariant differential multiply to -3
+    rng = random.Random(p)
+    for _ in range(20):
+        lam = rng.randrange(2, p)
+        if (lam * lam - lam + 1) % p == 0:
+            continue
+        m_minus, m_plus = _maps(lam, p)
+        for m in (m_minus, m_plus):
+            x0 = m.kernel_x
+            assert m._Q == [(-3 * x0[0] % p, -3 * x0[1] % p), (3, 0)]
+            assert len(m._S) == len(m._T) == 4
+        ca, cb = m_minus.multiplier(), m_plus.multiplier()
+        assert F(*ca, p) * F(*cb, p) == -3, (p, lam)
+
+
+@pytest.mark.parametrize("table", ["S_NUM", "T_NUM"])
+def test_a_wrong_table_coefficient_fails_the_check(table, monkeypatch):
+    # adding 1 to any one coefficient either breaks the exact division or
+    # fails the check
+    p, lam = 1009, 5
+    terms = getattr(isogenies, table)
+    for key, pair in list(terms.items()):
+        for part in (0, 1):
+            for i in range(len(pair[part])):
+                bumped = [list(pair[0]), list(pair[1])]
+                bumped[part][i] += 1
+                monkeypatch.setitem(terms, key, (tuple(bumped[0]), tuple(bumped[1])))
+                try:
+                    assert not compose_is_minus3(lam, p, trials=5, seed=1), (key, part, i)
+                except ArithmeticError:
+                    pass
+        monkeypatch.setitem(terms, key, pair)
+
+
+@pytest.mark.parametrize("attr, k", [("_S", 0), ("_S", 3), ("_T", 0), ("_T", 2), ("_T", None)])
+def test_a_wrong_reduced_coefficient_fails_without_raising(attr, k, monkeypatch):
+    # past the division, the x-map comparison and the constant multiplier
+    # must catch a wrong S or T; k = None zeroes the leading coefficient of T
+    class Bumped(IsogenyMap):
+        def __init__(self, *args):
+            super().__init__(*args)
+            coeffs = list(getattr(self, attr))
+            if k is None:
+                coeffs[-1] = (0, 0)
+            else:
+                coeffs[k] = ((coeffs[k][0] + 1) % self.p, coeffs[k][1])
+            setattr(self, attr, coeffs)
+
+    monkeypatch.setattr(isogenies, "IsogenyMap", Bumped)
+    for p, lam in ((1009, 5), (2003, 10), (10007, 77), (19997, 1234)):
+        assert not compose_is_minus3(lam, p, trials=5, seed=1), (p, lam)
 
 
 def test_degenerate_lambda_rejected():

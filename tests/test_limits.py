@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from s3genus2 import curves, fields, isogenies
+from s3genus2 import curves, family, fields, isogenies
 from s3genus2.average import primes_below
 from s3genus2.family import _supersingular_array
 from s3genus2.isogenies import compose_is_minus3
@@ -22,7 +22,7 @@ from s3genus2.limits import (
 )
 
 # the per-trial figures of check_isogeny's docstring and refusal message
-TRIAL_MULS, TRIAL_INVS, TRIAL_SQRTS = 130, 8, 4
+TRIAL_MULS, TRIAL_INVS = 60, 4
 
 
 def _scan_multiply_adds(p: int) -> int:
@@ -80,7 +80,7 @@ def _count_field_calls(monkeypatch) -> Counter:
         monkeypatch.setattr(module, "fp2_horner", counted(
             "mul", fields.fp2_horner, lambda coeffs, *rest: len(coeffs) - 1))
         monkeypatch.setattr(module, "fp2_inv", counted("inv", fields.fp2_inv))
-    monkeypatch.setattr(curves, "fp2_sqrt", counted("sqrt", fields.fp2_sqrt))
+    monkeypatch.setattr(family, "fp2_sqrt", counted("sqrt", fields.fp2_sqrt))
     return counts
 
 
@@ -92,20 +92,19 @@ def test_isogeny_trial_cost_matches_the_stated_figures(monkeypatch):
         assert compose_is_minus3(5, 1009, trials=trials, seed=1)
         return Counter(counts)
 
-    # one seed draws the same first points, so the difference holds trials
-    # 11..410 alone, without the two maps' set-up
+    # one seed draws the same first x's, so the difference holds trials
+    # 11..410 alone, without the two maps' set-up; the square roots are
+    # lambda_pair's, one a call, and do not grow with the trials
     trials = 400
     short, long = run(10), run(10 + trials)
     muls, invs, sqrts = (long[k] - short[k] for k in ("mul", "inv", "sqrt"))
     assert invs == TRIAL_INVS * trials
-    assert sqrts / trials == pytest.approx(TRIAL_SQRTS, rel=0.05)
-    assert muls / trials == pytest.approx(TRIAL_MULS, rel=0.02)
-    # each sampler try evaluates the source cubic (3 products) and one root
-    assert muls == (TRIAL_MULS - 3 * TRIAL_SQRTS) * trials + 3 * sqrts
+    assert muls == TRIAL_MULS * trials
+    assert sqrts == 0 and short["sqrt"] == 1
 
     over = MAX_TRIALS_BUDGET + 1
     with pytest.raises(LimitError) as refusal:
         check_isogeny(1009, over)
-    assert (f"~{TRIAL_MULS * over:.1e} F_{{p^2}} multiplications, "
-            f"~{TRIAL_INVS * over:.1e} inversions and "
-            f"~{TRIAL_SQRTS * over:.1e} square roots") in str(refusal.value)
+    assert (f"~{TRIAL_MULS * over:.1e} F_{{p^2}} multiplications "
+            f"and ~{TRIAL_INVS * over:.1e} inversions") in str(refusal.value)
+    assert "square root" not in str(refusal.value)
