@@ -3,17 +3,14 @@
 E_t : y^2 = x(x-1)(x-t) with t in the quadratic extension.  Coefficients,
 parameters and points are the (a, b) int pairs of `fields`.  Provides the
 j-invariant, the on-curve test, naive point counts (these double as an
-independent oracle), the Deuring-polynomial supersingularity test, the
-x-coordinate map of [3] from the division polynomials, and the roots of
-the level-3 division polynomial, found by gcd and random splitting on
-int-pair polynomials over F_{p^2}.  There is no point law: the isogeny
-check compares x-maps, and the test suite keeps the chord-tangent law as
-its oracle.
+independent oracle), the Deuring-polynomial supersingularity test, and
+the x-coordinate map of [3] from the division polynomials.  There is no
+point law: the isogeny check compares x-maps, and the test suite keeps
+the chord-tangent law as its oracle.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from math import isqrt
 
@@ -261,21 +258,8 @@ def triple_x_coefficients(lam: tuple[int, int], p: int) -> tuple[list, list]:
     return num, den
 
 
-def psi3_roots(lam: tuple[int, int], p: int, seed: int = 1) -> list[tuple[int, int]]:
-    """All roots in F_{p^2} of the level-3 division polynomial of E_lam.
-
-    The F_{p^2}-rational part is split off with gcd(psi3, x^(p^2) - x) and
-    factored by random splitting; the roots come sorted by (a-part, b-part).
-    """
-    lam = _reduce(lam, p)
-    if lam in ((0, 0), (1, 0)):
-        raise ValueError("singular Legendre parameter")
-    return sorted(_poly_fp2_roots(psi3_coefficients(lam, p), p, smallest_nonresidue(p), seed))
-
-
 # dense polynomials over F_{p^2} = F_p[w]/(w^2 - n): ascending lists of
 # (a, b) int pairs, every coefficient reduced mod p
-SPLIT_PROBES = 64  # splitting probes per factor before giving up
 
 
 def _poly_trim(f):
@@ -311,59 +295,3 @@ def _poly_divmod(f, g, p, n):
             f[shift + i] = (fa - ua) % p, (fb - ub) % p
         f.pop()
     return _poly_trim(quot), _poly_trim(f)
-
-
-def _poly_powmod(base, e: int, mod, p, n):
-    result = [(1, 0)]
-    base = _poly_divmod(base, mod, p, n)[1]
-    while e:
-        if e & 1:
-            result = _poly_divmod(_poly_mul(result, base, p, n), mod, p, n)[1]
-        base = _poly_divmod(_poly_mul(base, base, p, n), mod, p, n)[1]
-        e >>= 1
-    return result
-
-
-def _poly_gcd(f, g, p, n):
-    """Monic gcd of f and g."""
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _poly_divmod(f, g, p, n)[1]
-    if f:
-        inv = fp2_inv(f[-1], p, n)
-        f = [fp2_mul(c, inv, p, n) for c in f]
-    return f
-
-
-def _poly_fp2_roots(f, p: int, n: int, seed: int) -> list[tuple[int, int]]:
-    """Distinct roots in F_{p^2} of f, by gcd with x^(p^2) - x and random splitting."""
-    xq = _poly_powmod([(0, 0), (1, 0)], p * p, f, p, n)
-    # gcd(f, x^(p^2) - x): product of the distinct linear factors of f
-    diff = xq + [(0, 0)] * max(0, 2 - len(xq))
-    diff[1] = (diff[1][0] - 1) % p, diff[1][1]
-    stack = [_poly_gcd(f, _poly_trim(diff), p, n)]
-    rng = random.Random(seed)
-    roots = []
-    while stack:
-        h = stack.pop()
-        if len(h) <= 1:
-            continue
-        if len(h) == 2:
-            ra, rb = fp2_mul(h[0], fp2_inv(h[1], p, n), p, n)
-            roots.append((-ra % p, -rb % p))
-            continue
-        # Cantor-Zassenhaus: gcd(h, (x + r)^((p^2 - 1)/2) - 1) keeps the
-        # roots x with x + r a nonzero square, a proper factor about half
-        # the time; a factor that never splits means h was not squarefree
-        for _ in range(SPLIT_PROBES):
-            r = rng.randrange(p), rng.randrange(p)
-            probe = _poly_powmod([r, (1, 0)], (p * p - 1) // 2, h, p, n)
-            probe = probe + [(0, 0)] * max(0, 1 - len(probe))
-            probe[0] = (probe[0][0] - 1) % p, probe[0][1]
-            d = _poly_gcd(_poly_trim(probe), h, p, n)
-            if 0 < len(d) - 1 < len(h) - 1:
-                stack += [d, _poly_divmod(h, d, p, n)[0]]
-                break
-        else:
-            raise ArithmeticError(f"no split of a degree-{len(h) - 1} factor in {SPLIT_PROBES} probes")
-    return roots

@@ -7,8 +7,9 @@ p = 11 mod 12 the rational roots carry a weighted multigraph with one edge
 per superspecial orbit.  Everything here consumes the psi rows of
 `family.psi_p` and the exact class-number and class-polynomial routines;
 at tiny primes the class polynomial itself is computed over the integers
-and factored directly.  The shape and graph checks return one note per
-failed clause, and a `structure` row carries those notes.
+and compared, coefficient for coefficient, with the ledger's product of
+the (X - j)^m.  The shape and graph checks return one note per failed
+clause, and a `structure` row carries those notes.
 
 The j-invariants come from the scan's lambda set in one numpy pass per
 prime: Lambda^-, Lambda^+ and j(E_Lambda) of every lambda are int64 (a, b)
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classno import class_number, hilbert_poly
-from .curves import _inverse_table, _poly_divmod, _poly_fp2_roots, _sqrt_table
+from .curves import _inverse_table, _poly_mul, _sqrt_table
 from .family import (
     lambda_eps_pairs,
     legendre_j,
@@ -222,52 +223,33 @@ def check_graph_structure(g: GraphGp) -> tuple[str, ...]:
 # direct verification at tiny primes
 
 
-def _poly_root_multiset(coeffs: list[int], p: int) -> dict[tuple[int, int], int]:
-    """Roots in F_{p^2} of an F_p polynomial, with multiplicities."""
-    n = smallest_nonresidue(p)
-    f = [(c % p, 0) for c in coeffs]
-    roots: dict[tuple[int, int], int] = {}
-    for ra, rb in _poly_fp2_roots(f, p, n, seed=1):
-        linear, mult = [(-ra % p, -rb % p), (1, 0)], 0
-        quot, rem = _poly_divmod(f, linear, p, n)
-        while not rem:
-            f, mult = quot, mult + 1
-            quot, rem = _poly_divmod(f, linear, p, n)
-        roots[(ra, rb)] = mult
-    return roots
-
-
 def direct_root_check(p: int) -> bool:
-    """Compare P_{3p} mod p against the enumerated j-set, with multiplicities.
+    """Compare P_{3p} mod p with the ledger's polynomial, multiplied out.
 
     Only meaningful at tiny primes where the level-3p class polynomial is
-    computable over the integers.  p = 5 expects the single root 0 = 8000 =
-    54000 mod 5 with multiplicity 2; elsewhere the multiplicity ledger is
-    4 for 8000, 2 for 54000 and 2 for each member of a conjugate pair.
+    computable over the integers.  The ledger's polynomial is the product of
+    (X - j)^m over the distinct j of `root_profile(p)`: m = 4 for 8000, 2 for
+    54000 and 2 for each member of a conjugate pair, and any other rational
+    j fails the check.  p = 5 expects the single root 0 = 8000 = 54000 mod 5
+    with m = 2.  The check holds iff deg P_{3p} = h(-3p) and the product
+    equals P_{3p} mod p coefficient for coefficient, so it also requires
+    P_{3p} to split completely over F_{p^2}.
     """
     if p % 4 != 1:
         raise ValueError("direct check applies to p = 1 mod 4")
     poly = hilbert_poly(3 * p)
-    roots = _poly_root_multiset(poly.mod(p), p)
-    prof = root_profile(p)
-    if set(roots) != set(prof.distinct_js):
-        return False
     if poly.degree != class_number(3 * p):
         return False
-    if p == 5:
-        return roots == {(0, 0): 2}
-    for (a, b), mult in roots.items():
-        if b == 0 and a == 8000 % p:
-            expected = 4
-        elif b == 0 and a == 54000 % p:
-            expected = 2
-        elif b == 0:
+    n = smallest_nonresidue(p)
+    ledger = {0: 2} if p == 5 else {8000 % p: 4, 54000 % p: 2}
+    product = [(1, 0)]
+    for a, b in root_profile(p).distinct_js:
+        mult = 2 if b else ledger.get(a)
+        if mult is None:
             return False
-        else:
-            expected = 2
-        if mult != expected:
-            return False
-    return True
+        for _ in range(mult):
+            product = _poly_mul(product, [(-a % p, -b % p), (1, 0)], p, n)
+    return product == [(c, 0) for c in poly.mod(p)]
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def test_criterion_08_graph_checks_to_2000():
 
 def test_criterion_09_direct_root_check_tiny():
     bad = [p for p in (5, 13, 17, 29, 37, 41) if not direct_root_check(p)]
-    report(9, not bad, "analytic P_{3p} mod p root sets and multiplicities at "
+    report(9, not bad, "analytic P_{3p} mod p equals the ledger's product of (X - j)^m at "
            f"p in (5, 13, 17, 29, 37, 41){'' if not bad else f'; bad {bad}'}")
 
 

@@ -1,5 +1,7 @@
 """CLI behaviour: exit codes, determinism, formats, file outputs."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_isogenies import _load_workloads
 
 from s3genus2 import cli, family
 from s3genus2.cli import build_parser, main
@@ -426,6 +429,39 @@ def test_structure_csv_and_exit(capsys):
     assert rows[13].endswith("true,true,-")
     assert rows[23].endswith("true,-,true")
     assert rows[7].split(",")[2] == "0"
+
+
+@pytest.mark.parametrize("workload,command,hi", [
+    ("structure-sweep", "structure", 1670),
+    ("psi-scan", "psi", 2120),
+], ids=["structure", "psi"])
+def test_row_command_stdout_matches_the_golden_rows(capsys, workload, command, hi):
+    # the benchmark's widest ranges, byte for byte; the structure rows
+    # include p = 5, the one row that runs direct_root_check
+    code, out, _ = run_cli(capsys, command, "--from", "5", "--to", str(hi), "--format", "csv")
+    assert code == 0
+    assert out == _load_workloads().expected_output({"workload": workload, "range": [5, hi]})
+
+
+def test_the_benchmark_harness_imports_only_names_the_package_has():
+    # a name the harness imports from s3genus2 and the package lost would
+    # make the benchmark's oracle step exit 1
+    imported = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "s3genus2":
+                imported |= {(node.module, alias.name) for alias in node.names}
+    assert imported == {
+        ("s3genus2", "cli"),
+        ("s3genus2.family", "psi_p_bruteforce"),
+        ("s3genus2.family", "superspecial_lambdas"),
+        ("s3genus2.average", "window_sum"),
+        ("s3genus2.average", "window_sum_bruteforce"),
+        ("s3genus2.classno", "hilbert_poly"),
+        ("s3genus2.isogenies", "resultant_factorization_check"),
+    }
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), (module, name)
 
 
 def test_structure_dot_output(capsys, tmp_path):

@@ -1,11 +1,13 @@
 """Tests for root profiles, the shape ledger, the graph, and tiny-scale
 direct verification of the class-polynomial correspondence."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
+from s3genus2 import intpoly
 from s3genus2.classno import class_number
 from s3genus2.cli import STRUCTURE_COLUMNS, _line
 from s3genus2.curves import LegendreCurve, _inverse_table, is_supersingular, j_invariant
@@ -278,21 +280,56 @@ def test_direct_root_check_tiny_primes():
         assert direct_root_check(p), p
 
 
+def _profile_with(p: int, edit):
+    """root_profile(p) with its distinct j-invariants passed through edit."""
+    prof = root_profile(p)
+    return dataclasses.replace(prof, distinct_js=tuple(edit(prof.distinct_js)))
+
+
+def test_direct_root_check_fails_without_a_conjugate_pair(monkeypatch):
+    # p = 37 is the one tiny prime whose ledger holds a conjugate pair
+    from s3genus2 import structure
+
+    assert direct_root_check(37)
+    assert root_profile(37).conjugate_pairs == (((3, 10), (3, 27)),)
+    pair = {(3, 10), (3, 27)}
+    monkeypatch.setattr(structure, "root_profile",
+                        lambda p: _profile_with(p, lambda js: [j for j in js if j not in pair]))
+    assert not direct_root_check(37)
+
+
+@pytest.mark.parametrize("p", [13, 17, 29, 37, 41])
+def test_direct_root_check_fails_on_a_rational_j_off_the_ledger(monkeypatch, p):
+    from s3genus2 import structure
+
+    stray = min({1, 2, 3} - {8000 % p, 54000 % p})
+    monkeypatch.setattr(structure, "root_profile",
+                        lambda q: _profile_with(q, lambda js: sorted({*js, (stray, 0)})))
+    assert not direct_root_check(p)
+
+
+@pytest.mark.parametrize("js", [(), ((1, 0),), ((0, 0), (1, 0)), ((0, 0), (2, 1), (2, 4))],
+                         ids=["none", "1", "0-and-1", "0-and-a-pair"])
+def test_direct_root_check_at_5_wants_only_the_root_0(monkeypatch, js):
+    from s3genus2 import structure
+
+    monkeypatch.setattr(structure, "root_profile", lambda p: _profile_with(p, lambda _: js))
+    assert not direct_root_check(5)
+
+
 def test_graph_vertices_are_class_polynomial_roots_tiny():
-    # at p = 11 mod 12 the vertex set is exactly the root set of the level-p
-    # class polynomial mod p, which factors as (X - 1728) R(X)^2
+    # at p = 11 mod 12 the level-p class polynomial mod p is
+    # (X - 1728) R(X)^2, R the product of X - v over the other vertices
     from s3genus2.classno import hilbert_poly
-    from s3genus2.structure import _poly_root_multiset
 
     for p in (11, 23, 47, 59, 83, 107, 131, 167, 179):
         if class_number(p) > 8:
             continue
-        g = build_graph(p)
-        roots = _poly_root_multiset(hilbert_poly(p).mod(p), p)
-        assert all(b == 0 for (_, b) in roots), p
-        assert {a for (a, _) in roots} == set(g.vertices), p
-        for (a, _), mult in roots.items():
-            assert mult == (1 if a == 1728 % p else 2), (p, a, mult)
+        product = [1]
+        for v in build_graph(p).vertices:
+            for _ in range(1 if v == 1728 % p else 2):
+                product = intpoly.reduce_mod(intpoly.mul(product, [-v, 1]), p)
+        assert product == hilbert_poly(p).mod(p), p
 
 
 def test_structure_verdict_rows():
