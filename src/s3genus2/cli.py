@@ -16,15 +16,20 @@ A row is plain data (a dict keyed by its JSON keys, in output order, or
 the `AverageRun` fields), and `_line` is the one formatter for all three
 commands: compact JSON with floats rounded to six places, or CSV whose
 columns are the leading JSON keys of the row, spelled with `-` for None,
-lower-case bools and six decimals for floats.
+lower-case bools and six decimals for floats.  A `structure` graph G_p is
+spelled here too: `_graph_data` for the JSON row's `graph_data`, `_dot`
+for the `--format dot` files.
 
 Every request is checked against `limits` before any scan or trial starts;
 a refused one raises LimitError, printed as `error: ...` (with a cost
 estimate for a budget).  `psi` and `structure` admit a prime range whose
-scans cost no more than those of the largest `average` run.
+scans cost no more than those of the largest `average` run.  An `--output`
+that cannot be created or opened is refused the same way, after those
+checks and before any scan.
 
 Exit status: 0 all checks passed, 1 at least one failed, 2 a request
-refused as malformed or over a bound or budget.
+refused as malformed, over a bound or budget, or with an unwritable
+--output.
 """
 
 from __future__ import annotations
@@ -92,33 +97,59 @@ def _line(row: dict, columns) -> str:
     return json.dumps(row, separators=(",", ":"))
 
 
-def _stream(header, rows, output) -> int:
-    """Write the header lines, then each (line, ok) row; count the failed rows.
+def _graph_data(g) -> dict:
+    """G_p as the `graph_data` of a JSON structure row."""
+    return {
+        "p": g.p,
+        "vertices": list(g.vertices),
+        "edges": [{"u": u, "v": v, "w": w} for u, v, w in g.edges],
+    }
 
-    The sink is the --output file, its parent directories created, or
-    stdout without one.
+
+def _dot(g) -> str:
+    """G_p as a DOT graph: its vertices, then its edges labelled by weight."""
+    lines = [f"graph G_{g.p} {{"]
+    lines += [f'  "{v}";' for v in g.vertices]
+    lines += [f'  "{u}" -- "{v}" [label={w}];' for u, v, w in g.edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _sink(output, directory=False):
+    """Where the rows go: the --output file, its parent directories created,
+    or stdout without one or when `output` is the directory for DOT files.
+
+    A path that cannot be created or opened is refused as a LimitError.
     """
-    if output:
-        Path(output).parent.mkdir(parents=True, exist_ok=True)
-        sink = open(output, "w", encoding="ascii", newline="\n")
-    else:
-        sink = contextlib.nullcontext(sys.stdout)
+    try:
+        if directory:
+            Path(output).mkdir(parents=True, exist_ok=True)
+        elif output:
+            Path(output).parent.mkdir(parents=True, exist_ok=True)
+            return open(output, "w", encoding="ascii", newline="\n")
+    except OSError as exc:
+        raise LimitError(f"cannot write --output {output}: {exc.strerror}") from None
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _stream(header, rows, out) -> int:
+    """Write the header lines, then each (line, ok) row; count the failed rows."""
     failures = 0
-    with sink as out:
-        for line in header:
-            print(line, file=out)
-        for line, ok in rows:
-            print(line, file=out)
-            failures += not ok
+    for line in header:
+        print(line, file=out)
+    for line, ok in rows:
+        print(line, file=out)
+        failures += not ok
     return failures
 
 
 def cmd_psi(args) -> int:
     primes = primes_in_range(args.from_, args.to)
-    scan_primes(primes)
     columns = PSI_COLUMNS if args.format == "csv" else None
-    rows = ((_line(r, columns), r["ok"]) for r in map(psi_p, primes))
-    failures = _stream([",".join(columns)] if columns else [], rows, args.output)
+    with _sink(args.output) as out:
+        scan_primes(primes)
+        rows = ((_line(r, columns), r["ok"]) for r in map(psi_p, primes))
+        failures = _stream([",".join(columns)] if columns else [], rows, out)
     print(f"# psi: {len(primes)} primes, {failures} failures", file=sys.stderr)
     return 1 if failures else 0
 
@@ -128,9 +159,6 @@ def cmd_structure(args) -> int:
     if dot and not args.output:
         raise LimitError("--format dot needs --output DIRECTORY")
     primes = primes_in_range(args.from_, args.to)
-    scan_primes(primes)
-    if dot:
-        Path(args.output).mkdir(parents=True, exist_ok=True)
     columns = None if args.format == "json" else STRUCTURE_COLUMNS
 
     def rows():
@@ -139,14 +167,16 @@ def cmd_structure(args) -> int:
         for p in primes:
             row, graph = structure_verdict(p)
             if dot and graph is not None:
-                Path(args.output, f"g_{p}.dot").write_text(graph.to_dot(), encoding="ascii")
+                Path(args.output, f"g_{p}.dot").write_text(_dot(graph), encoding="ascii")
             if columns is None and graph is not None:
-                row["graph_data"] = graph.as_dict()
+                row["graph_data"] = _graph_data(graph)
             ok = row["closed_form"] and row["shape"] is not False and row["graph"] is not False
             yield _line(row, columns), ok
 
     header = [",".join(STRUCTURE_COLUMNS)] if args.format == "csv" else []
-    failures = _stream(header, rows(), None if dot else args.output)
+    with _sink(args.output, directory=dot) as out:
+        scan_primes(primes)
+        failures = _stream(header, rows(), out)
     print(f"# structure: {len(primes)} primes, {failures} failures", file=sys.stderr)
     return 1 if failures else 0
 
@@ -177,12 +207,9 @@ def cmd_average(args) -> int:
         check_budget(X, N, mode)
         if args.check_bruteforce:
             check_bruteforce(X, N)
-    # every row's primes are below the largest X, so one pool scans them all
-    scan_primes(primes_below(xs[-1]))
-    runs = window_sums(windows, mode)
     columns = AVERAGE_COLUMNS if args.format == "csv" else None
 
-    def rows():
+    def rows(runs):
         for run in runs:
             X, N = run.X, run.N
             if N < X:
@@ -197,7 +224,10 @@ def cmd_average(args) -> int:
             yield _line(dataclasses.asdict(run), columns), match
 
     header = [f"# {SKIP_CONVENTIONS}"] + ([",".join(columns)] if columns else [])
-    mismatches = _stream(header, rows(), args.output)
+    with _sink(args.output) as out:
+        # every row's primes are below the largest X, so one pool scans them all
+        scan_primes(primes_below(xs[-1]))
+        mismatches = _stream(header, rows(window_sums(windows, mode)), out)
     print(f"# average: {len(windows)} row(s), mode={mode}", file=sys.stderr)
     return 1 if mismatches else 0
 

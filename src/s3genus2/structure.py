@@ -3,20 +3,23 @@
 For p = 1 mod 4 the j-invariants of superspecial members are the roots of
 the level-3p class polynomial mod p; their multiplicities follow a fixed
 ledger (4 for 8000, 2 for 54000 and for each conjugate pair).  For
-p = 11 mod 12 the rational roots carry a weighted multigraph with one edge
-per superspecial orbit.  Everything here consumes the psi rows of
-`family.psi_p` and the exact class-number and class-polynomial routines;
-at tiny primes the class polynomial itself is computed over the integers
-and compared, coefficient for coefficient, with the ledger's product of
-the (X - j)^m.  The shape and graph checks return one note per failed
-clause, and a `structure` row carries those notes.
+p = 11 mod 12 the rational roots carry a weighted graph: each pair
+{j(Lambda^-), j(Lambda^+)} is an edge weighted by the number of
+superspecial lambda on it; a whole S3 orbit shares one pair.
+Everything here consumes the psi rows of `family.psi_p` and the exact
+class-number and class-polynomial routines; at tiny primes the class
+polynomial itself is computed over the integers and compared, coefficient
+for coefficient, with the ledger's product of the (X - j)^m.  The shape
+and graph checks return one note per failed clause, and a `structure` row
+carries those notes.  The DOT and JSON spellings of a graph are `cli`'s.
 
 The j-invariants come from the scan's lambda set in one numpy pass per
 prime: Lambda^-, Lambda^+ and j(E_Lambda) of every lambda are int64 (a, b)
 arrays over F_p[w]/(w^2 - n), n the smallest non-residue, and a j is
 handled by its code a*p + b, so sorting, deduplication and the Frobenius
 lookup (a, -b) are array operations.  The tests keep the per-lambda
-int-pair computation (lambda_pair, curves.j_invariant) as the exact oracle.
+int-pair computation (lambda_pair, curves.j_invariant) and the S3 orbit
+walk (family.orbit) as the exact oracles.
 """
 
 from __future__ import annotations
@@ -28,13 +31,7 @@ import numpy as np
 
 from .classno import class_number, hilbert_poly
 from .curves import _inverse_table, _poly_mul, _sqrt_table
-from .family import (
-    lambda_eps_pairs,
-    legendre_j,
-    orbit,
-    psi_p,
-    superspecial_lambdas,
-)
+from .family import lambda_eps_pairs, legendre_j, psi_p, superspecial_lambdas
 from .fields import smallest_nonresidue
 
 GRAPH_MIN_PRIME = 11  # the degree/weight pattern needs p > 11
@@ -42,14 +39,11 @@ GRAPH_MIN_PRIME = 11  # the degree/weight pattern needs p > 11
 
 @dataclass(frozen=True)
 class RootProfile:
-    """Distinct j-invariants of the superspecial members at one prime, as (a, b) pairs."""
+    """Distinct j-invariants of the superspecial members at one prime, as
+    sorted (a, b) pairs.  perfbench/layertrace.py counts `distinct_js`."""
 
     p: int
     distinct_js: tuple[tuple[int, int], ...]
-    rational_js: tuple[int, ...]
-    conjugate_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    has8000: bool
-    has54000: bool
 
 
 def _paired_js(lam: np.ndarray, p: int) -> np.ndarray:
@@ -62,7 +56,7 @@ def _paired_js(lam: np.ndarray, p: int) -> np.ndarray:
 
 
 def root_profile(p: int) -> RootProfile:
-    """Collect j(E_{Lambda^+-}) over all superspecial lambda and split them."""
+    """Collect j(E_{Lambda^+-}) over all superspecial lambda; check Frobenius."""
     lam = np.array(superspecial_lambdas(p), dtype=np.int64)
     # codes a*p + b sort in (a, b) order; a sorted code is new iff it
     # differs from its predecessor
@@ -75,18 +69,7 @@ def root_profile(p: int) -> RootProfile:
     # conjugate codes, sorted, are the codes themselves
     if not np.array_equal(np.sort(a * p + (-b) % p), distinct):
         raise ArithmeticError(f"profile not Frobenius-stable at p={p}")
-    rational = tuple(a[b == 0].tolist())
-    # (a, b) <= (a, p - b) picks the member of each pair with b < p/2
-    first = (b != 0) & (2 * b < p)
-    pairs = tuple(((x, y), (x, p - y)) for x, y in zip(a[first].tolist(), b[first].tolist()))
-    return RootProfile(
-        p,
-        tuple(zip(a.tolist(), b.tolist())),
-        rational,
-        pairs,
-        8000 % p in rational,
-        54000 % p in rational,
-    )
+    return RootProfile(p, tuple(zip(a.tolist(), b.tolist())))
 
 
 def shape_check_3p(p: int) -> tuple[str, ...]:
@@ -101,74 +84,55 @@ def shape_check_3p(p: int) -> tuple[str, ...]:
         raise ValueError("shape check applies to p = 1 mod 4")
     if p <= 5:
         raise ValueError("p = 5 is the special case; use direct_root_check")
-    prof = root_profile(p)
+    js = root_profile(p).distinct_js
+    rational = {a for a, b in js if b == 0}
+    # the profile is Frobenius-stable, so the other j's come in conjugate pairs
+    npairs = (len(js) - len(rational)) // 2
+    has8000, has54000 = 8000 % p in rational, 54000 % p in rational
     psi = len(superspecial_lambdas(p))
-    npairs = len(prof.conjugate_pairs)
     notes = []
     allowed = {8000 % p, 54000 % p}
-    if not set(prof.rational_js) <= allowed:
-        notes.append(f"unexpected rational roots {sorted(set(prof.rational_js) - allowed)}")
-    if prof.has8000 != (p % 8 == 5):
-        notes.append(f"8000 presence {prof.has8000} vs p%8={p % 8}")
-    if prof.has54000 != (p % 24 in (5, 17)):
-        notes.append(f"54000 presence {prof.has54000} vs p%24={p % 24}")
-    if 4 * prof.has8000 + 2 * prof.has54000 + 4 * npairs != class_number(3 * p):
+    if not rational <= allowed:
+        notes.append(f"unexpected rational roots {sorted(rational - allowed)}")
+    if has8000 != (p % 8 == 5):
+        notes.append(f"8000 presence {has8000} vs p%8={p % 8}")
+    if has54000 != (p % 24 in (5, 17)):
+        notes.append(f"54000 presence {has54000} vs p%24={p % 24}")
+    if 4 * has8000 + 2 * has54000 + 4 * npairs != class_number(3 * p):
         notes.append("multiplicity ledger != h(-3p)")
-    if psi != 6 * prof.has8000 + 3 * prof.has54000 + 6 * npairs:
+    if psi != 6 * has8000 + 3 * has54000 + 6 * npairs:
         notes.append("weight ledger != psi_p")
     return tuple(notes)
 
 
 @dataclass(frozen=True)
 class GraphGp:
-    """Weighted multigraph on the rational superspecial j-invariants."""
+    """Weighted graph on the rational superspecial j-invariants.
+
+    An edge's weight counts the superspecial lambda whose pair
+    {j(Lambda^-), j(Lambda^+)} it joins, so two orbits on one pair would
+    make one edge of twice the weight, not two parallel edges.
+    """
 
     p: int
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]  # (u, v, weight), u <= v
 
-    def weight_sum(self) -> int:
-        return sum(w for _, _, w in self.edges)
-
-    def to_dot(self) -> str:
-        lines = [f"graph G_{self.p} {{"]
-        for v in self.vertices:
-            lines.append(f'  "{v}";')
-        for u, v, w in self.edges:
-            lines.append(f'  "{u}" -- "{v}" [label={w}];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "vertices": list(self.vertices),
-            "edges": [{"u": u, "v": v, "w": w} for u, v, w in self.edges],
-        }
-
 
 def build_graph(p: int) -> GraphGp:
-    """One edge per superspecial orbit, joining the paired j-invariants."""
+    """One edge per pair of paired j-invariants, weighted by its lambda count."""
     if p % 12 != 11:
         raise ValueError("the graph is defined for p = 11 mod 12")
-    lambdas = set(superspecial_lambdas(p))
-    reps, weights = [], []
-    while lambdas:
-        rep = min(lambdas)
-        members = orbit(rep, p)
-        lambdas -= members
-        reps.append(rep)
-        weights.append(len(members))
-    j1, j2 = _paired_js(np.array(reps, dtype=np.int64), p)
+    lam = np.array(superspecial_lambdas(p), dtype=np.int64)
+    j1, j2 = _paired_js(lam, p)
     u, b1 = np.divmod(np.minimum(j1, j2), p)
     v, b2 = np.divmod(np.maximum(j1, j2), p)
     irrational = (b1 != 0) | (b2 != 0)
     if irrational.any():
-        rep = reps[int(np.argmax(irrational))]
-        raise ArithmeticError(f"irrational j at p={p}, lambda={rep}")
-    u, v = u.tolist(), v.tolist()
-    edges = sorted(zip(u, v, weights))
-    return GraphGp(p, tuple(sorted(set(u) | set(v))), tuple(edges))
+        raise ArithmeticError(f"irrational j at p={p}, lambda={int(lam[irrational].min())}")
+    weights = Counter(zip(u.tolist(), v.tolist()))
+    edges = sorted((x, y, w) for (x, y), w in weights.items())
+    return GraphGp(p, tuple(sorted({x for e in weights for x in e})), tuple(edges))
 
 
 def check_graph_structure(g: GraphGp) -> tuple[str, ...]:
@@ -207,7 +171,7 @@ def check_graph_structure(g: GraphGp) -> tuple[str, ...]:
         notes.append(f"54000 has {nonloop_at_54} plain edges, want 1")
     n = len(g.vertices)
     psi = len(superspecial_lambdas(p))
-    if g.weight_sum() != psi:
+    if sum(w for _, _, w in g.edges) != psi:
         notes.append("edge weights do not sum to psi_p")
     if psi != 6 * n - 3:
         notes.append(f"psi={psi} != 6n-3 with n={n}")

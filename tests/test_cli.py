@@ -272,6 +272,26 @@ def test_output_into_a_new_directory_matches_stdout(capsys, tmp_path, argv):
     assert target.read_bytes() == want.encode("ascii")
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["psi", "--from", "5", "--to", "30"], "dir"),
+    (["average", "--X", "300"], "dir"),
+    (["structure", "--from", "5", "--to", "30", "--format", "csv"], "dir"),
+    (["structure", "--from", "5", "--to", "30", "--format", "dot"], "file"),
+    (["psi", "--from", "5", "--to", "30"], "file/rows.csv"),
+], ids=["psi-dir", "average-dir", "structure-csv-dir", "structure-dot-file", "psi-under-a-file"])
+def test_an_output_that_cannot_be_written_is_refused_before_any_scan(
+        capsys, monkeypatch, tmp_path, argv, target):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept\n")
+    monkeypatch.setattr(cli, "scan_primes", None)
+    monkeypatch.setattr("s3genus2.family._orbit_scan", None)
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --output {tmp_path / target}: ")
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 def _csv_spelling(value):
     if value is None:
         return "-"

@@ -2,6 +2,7 @@
 direct verification of the class-polynomial correspondence."""
 
 import dataclasses
+import json
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from s3genus2 import intpoly
 from s3genus2.classno import class_number
-from s3genus2.cli import STRUCTURE_COLUMNS, _line
+from s3genus2.cli import STRUCTURE_COLUMNS, _dot, _graph_data, _line, main
 from s3genus2.curves import LegendreCurve, _inverse_table, is_supersingular, j_invariant
 from s3genus2.family import (
     lambda_pair,
@@ -47,20 +48,22 @@ def root_profile_oracle(p: int) -> RootProfile:
     for lam in superspecial_lambdas(p):
         _, _, minus, plus = lambda_pair(lam, p)
         seen.update(j_invariant(LegendreCurve(t, p)) for t in (minus, plus))
-    distinct = tuple(sorted(seen))
-    rational = tuple(a for a, b in distinct if b == 0)
-    pairs = []
-    for a, b in distinct:
-        if b == 0:
-            continue
-        conj = a, -b % p
-        if conj not in seen:
-            raise ArithmeticError(f"profile not Frobenius-stable at p={p}")
-        if (a, b) <= conj:
-            pairs.append(((a, b), conj))
-    return RootProfile(
-        p, distinct, rational, tuple(pairs), 8000 % p in rational, 54000 % p in rational
-    )
+    if any((a, -b % p) not in seen for a, b in seen):
+        raise ArithmeticError(f"profile not Frobenius-stable at p={p}")
+    return RootProfile(p, tuple(sorted(seen)))
+
+
+def rational_js(prof: RootProfile) -> tuple[int, ...]:
+    return tuple(a for a, b in prof.distinct_js if b == 0)
+
+
+def conjugate_pairs(prof: RootProfile) -> tuple:
+    """Each conjugate pair of the profile, led by its member with b < p/2."""
+    return tuple(((a, b), (a, prof.p - b)) for a, b in prof.distinct_js if b and 2 * b < prof.p)
+
+
+def weight_sum(g: GraphGp) -> int:
+    return sum(w for _, _, w in g.edges)
 
 
 def build_graph_oracle(p: int) -> GraphGp:
@@ -86,7 +89,7 @@ def test_root_profile_matches_oracle_every_prime_below_3000():
     for p in primes_in(5, 2999):
         got = root_profile(p)
         assert got == root_profile_oracle(p), p
-        assert all(type(a) is int for a in got.rational_js), p
+        assert all(type(x) is int for j in got.distinct_js for x in j), p
 
 
 def test_build_graph_matches_oracle_every_prime_below_3000():
@@ -153,13 +156,13 @@ def test_profile_empty_at_7mod12():
     for p in (7, 19, 31, 43):
         prof = root_profile(p)
         assert prof.distinct_js == ()
-        assert prof.rational_js == ()
+        assert rational_js(prof) == ()
 
 
 def test_profile_rational_js_limited_at_1mod4():
     for p in primes_in(5, 300, lambda q: q % 4 == 1):
         prof = root_profile(p)
-        assert set(prof.rational_js) <= {8000 % p, 54000 % p}, p
+        assert set(rational_js(prof)) <= {8000 % p, 54000 % p}, p
 
 
 def test_profile_frobenius_stable_and_supersingular():
@@ -192,8 +195,8 @@ def test_rational_root_count_relation_11mod12():
     # rational root set of size n has h(-p) = 2n - 1
     for p in primes_in(13, 500, lambda q: q % 12 == 11):
         prof = root_profile(p)
-        n = len(prof.rational_js)
-        assert prof.conjugate_pairs == ()
+        n = len(rational_js(prof))
+        assert conjugate_pairs(prof) == ()
         assert class_number(p) == 2 * n - 1, p
 
 
@@ -223,8 +226,8 @@ def test_shape_case_table_examples():
 
     for p, want8000, want54000 in ((13, True, False), (17, False, True), (73, False, False), (29, True, True)):
         prof = root_profile(p)
-        assert prof.has8000 == want8000, p
-        assert prof.has54000 == want54000, p
+        assert (8000 % p in rational_js(prof)) == want8000, p
+        assert (54000 % p in rational_js(prof)) == want54000, p
 
 
 def test_minus_32768_not_a_rational_root_beyond_collisions():
@@ -232,12 +235,12 @@ def test_minus_32768_not_a_rational_root_beyond_collisions():
     # collision is a residue coincidence, not an extra root
     for p in primes_in(31, 500, lambda q: q % 4 == 1):
         prof = root_profile(p)
-        assert (-32768) % p not in prof.rational_js, p
+        assert (-32768) % p not in rational_js(prof), p
 
 
 def test_graph_p23_paper_scale_example():
     g = build_graph(23)
-    assert g.weight_sum() == 9  # psi_23
+    assert weight_sum(g) == 9  # psi_23
     assert g.vertices == (1728 % 23, 54000 % 23) or g.vertices == (54000 % 23, 1728 % 23)
     loops = [e for e in g.edges if e[0] == e[1]]
     assert loops == [(54000 % 23, 54000 % 23, 3)]
@@ -250,29 +253,79 @@ def test_graph_verdicts_range():
         notes = check_graph_structure(g)
         assert notes == (), (p, notes)
         n = len(g.vertices)
-        assert g.weight_sum() == 6 * n - 3
+        assert weight_sum(g) == 6 * n - 3
 
 
 def test_graph_rejects_wrong_class_and_p11():
     with pytest.raises(ValueError):
         build_graph(13)
     g11 = build_graph(11)
-    assert g11.weight_sum() == 3
+    assert weight_sum(g11) == 3
     with pytest.raises(ValueError):
         check_graph_structure(g11)
 
 
 def test_graph_serialization_deterministic():
     g = build_graph(23)
-    dot = g.to_dot()
+    dot = _dot(g)
     assert dot == (
         'graph G_23 {\n  "3";\n  "19";\n  "3" -- "19" [label=6];\n'
         '  "19" -- "19" [label=3];\n}\n'
     )
-    assert _line(g.as_dict(), None) == (
+    assert _line(_graph_data(g), None) == (
         '{"p":23,"vertices":[3,19],"edges":[{"u":3,"v":19,"w":6},'
         '{"u":19,"v":19,"w":3}]}'
     )
+
+
+# each clause of check_graph_structure, on graphs edited by hand; 1728 is
+# 3 mod 23 and 36 mod 47, 54000 is 19 mod 23 and 44 mod 47
+
+
+@pytest.mark.parametrize("p, edges, vertices, notes", [
+    (23, ((3, 3, 3), (3, 19, 6), (19, 19, 3)), None,
+     ("self loops at [3, 19], want only 19", "deg(1728)=3",
+      "edge weights do not sum to psi_p")),
+    (23, ((3, 19, 6), (19, 19, 6)), None,
+     ("self loop weight != 3", "edge weights do not sum to psi_p")),
+    (23, None, (19,),
+     ("special vertices missing", "psi=9 != 6n-3 with n=1", "h(-p)=3 != 2n-1 with n=1",
+      "handshake failure")),
+    (47, ((10, 36, 6), (10, 36, 6), (10, 44, 6), (44, 44, 3)), None,
+     ("deg(10)=3", "deg(1728)=2", "edge weights do not sum to psi_p")),
+    (23, ((19, 19, 3),), None,
+     ("deg(1728)=0", "deg(54000)=2", "54000 has 0 plain edges, want 1",
+      "edge weights do not sum to psi_p")),
+    # two orbits on one pair: the one input the lambda count merges into one
+    # edge where the orbit walk kept two
+    (23, ((3, 19, 12), (19, 19, 3)), None,
+     ("non-loop edge weight != 6", "edge weights do not sum to psi_p")),
+], ids=["second-loop", "loop-weight-6", "no-1728", "degree-3", "54000-cut-off", "weight-12"])
+def test_graph_check_names_each_failed_clause(p, edges, vertices, notes):
+    g = build_graph(p)
+    assert check_graph_structure(g) == ()
+    edited = dataclasses.replace(g, edges=edges or g.edges, vertices=vertices or g.vertices)
+    assert check_graph_structure(edited) == notes
+
+
+def test_structure_graphs_match_the_orbit_walk_in_json_and_dot(capsys, tmp_path):
+    # the oracle's graph, spelled here, against both of cli's spellings
+    primes = primes_in(11, 400, lambda q: q % 12 == 11)
+    assert main(["structure", "--from", "11", "--to", "400", "--format", "json"]) == 0
+    lines = {json.loads(ln)["p"]: ln for ln in capsys.readouterr().out.splitlines()}
+    assert main(["structure", "--from", "11", "--to", "400", "--format", "dot",
+                 "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f"g_{p}.dot" for p in primes)
+    for p in primes:
+        g = build_graph_oracle(p)
+        edges = ",".join(f'{{"u":{u},"v":{v},"w":{w}}}' for u, v, w in g.edges)
+        vertices = ",".join(map(str, g.vertices))
+        assert lines[p].endswith(
+            f',"graph_data":{{"p":{p},"vertices":[{vertices}],"edges":[{edges}]}}}}'), p
+        dot = [f"graph G_{p} {{"] + [f'  "{v}";' for v in g.vertices]
+        dot += [f'  "{u}" -- "{v}" [label={w}];' for u, v, w in g.edges] + ["}"]
+        assert (tmp_path / f"g_{p}.dot").read_text(encoding="ascii") == "\n".join(dot) + "\n", p
 
 
 def test_direct_root_check_tiny_primes():
@@ -291,7 +344,7 @@ def test_direct_root_check_fails_without_a_conjugate_pair(monkeypatch):
     from s3genus2 import structure
 
     assert direct_root_check(37)
-    assert root_profile(37).conjugate_pairs == (((3, 10), (3, 27)),)
+    assert conjugate_pairs(root_profile(37)) == (((3, 10), (3, 27)),)
     pair = {(3, 10), (3, 27)}
     monkeypatch.setattr(structure, "root_profile",
                         lambda p: _profile_with(p, lambda js: [j for j in js if j not in pair]))
@@ -306,6 +359,29 @@ def test_direct_root_check_fails_on_a_rational_j_off_the_ledger(monkeypatch, p):
     monkeypatch.setattr(structure, "root_profile",
                         lambda q: _profile_with(q, lambda js: sorted({*js, (stray, 0)})))
     assert not direct_root_check(p)
+
+
+# each clause of shape_check_3p, on profiles edited by hand; 8000 is 5 and
+# 54000 is 11 mod 13
+
+
+@pytest.mark.parametrize("p, edit, notes", [
+    (13, lambda js: sorted({*js, (1, 0)}), ("unexpected rational roots [1]",)),
+    (13, lambda js: [j for j in js if j != (5, 0)],
+     ("8000 presence False vs p%8=5", "multiplicity ledger != h(-3p)",
+      "weight ledger != psi_p")),
+    (13, lambda js: sorted({*js, (11, 0)}),
+     ("54000 presence True vs p%24=13", "multiplicity ledger != h(-3p)",
+      "weight ledger != psi_p")),
+    (37, lambda js: [j for j in js if j not in {(3, 10), (3, 27)}],
+     ("multiplicity ledger != h(-3p)", "weight ledger != psi_p")),
+], ids=["stray-rational", "8000-dropped", "54000-added", "pair-dropped"])
+def test_shape_check_names_each_failed_clause(monkeypatch, p, edit, notes):
+    from s3genus2 import structure
+
+    assert shape_check_3p(p) == ()
+    monkeypatch.setattr(structure, "root_profile", lambda q: _profile_with(q, edit))
+    assert shape_check_3p(p) == notes
 
 
 @pytest.mark.parametrize("js", [(), ((1, 0),), ((0, 0), (1, 0)), ((0, 0), (2, 1), (2, 4))],
@@ -342,7 +418,7 @@ def test_structure_verdict_rows():
     assert v11["graph"] is None and g11 is not None
     assert "skipped" in v11["notes"][0]
     v23, g23 = structure_verdict(23)
-    assert v23["graph"] is True and g23.weight_sum() == 9
+    assert v23["graph"] is True and weight_sum(g23) == 9
     v13, _ = structure_verdict(13)
     assert v13["shape"] is True
     assert v13["closed_form"] and v13["shape"] is not False and v13["graph"] is not False
