@@ -2,15 +2,17 @@
 
 E_t : y^2 = x(x-1)(x-t) with t in the quadratic extension.  Coefficients,
 parameters and points are the (a, b) int pairs of `fields`.  Provides the
-j-invariant, the on-curve test, naive point counts (these double as an
-independent oracle), the Deuring-polynomial supersingularity test, and
-the x-coordinate map of [3] from the division polynomials.  There is no
-point law: the isogeny check compares x-maps, and the test suite keeps
-the chord-tangent law as its oracle.
+j-invariant, the on-curve test, the square-root table mod p, the
+Deuring-polynomial supersingularity test, the x-only check of a composite
+of two x-maps against [3], and dense polynomial products and division
+over F_{p^2}.  There is no point law: the isogeny check compares x-maps,
+and the test suite keeps the chord-tangent law, the naive point counts
+and the division-polynomial x-map of [3] as its oracles.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from math import isqrt
 
@@ -24,7 +26,6 @@ from .fields import (
     primitive_root,
     smallest_nonresidue,
 )
-from .limits import POINT_COUNT_BOUND_DEG1, POINT_COUNT_BOUND_DEG2, LimitError
 
 
 def _reduce(u, p: int) -> tuple[int, int]:
@@ -77,27 +78,7 @@ def j_invariant(c: LegendreCurve) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# point counting by exhaustive enumeration
-
-
-def count_points(c: LegendreCurve, extension_degree: int = 1) -> int:
-    """Exact number of points over F_p or F_{p^2}, including infinity.
-
-    Enumerates x and tests quadratic residuosity of the cubic value, so it
-    is also usable as an oracle against the Deuring-polynomial test.
-    """
-    p = c.p
-    if extension_degree == 1:
-        if p > POINT_COUNT_BOUND_DEG1:
-            raise LimitError(f"p={p} above enumeration bound {POINT_COUNT_BOUND_DEG1}")
-        if c.t[1]:
-            raise ValueError("degree-1 count needs t in F_p")
-        return _count_fp(c.t[0], p)
-    if extension_degree == 2:
-        if p > POINT_COUNT_BOUND_DEG2:
-            raise LimitError(f"p={p} above enumeration bound {POINT_COUNT_BOUND_DEG2}")
-        return _count_fp2(*c.t, p)
-    raise ValueError("extension_degree must be 1 or 2")
+# square roots mod p
 
 
 def _sqrt_table(p: int) -> np.ndarray:
@@ -106,36 +87,6 @@ def _sqrt_table(p: int) -> np.ndarray:
     x = np.arange((p + 1) // 2, dtype=np.int64)
     table[(x * x) % p] = x
     return table
-
-
-def _count_fp(t: int, p: int) -> int:
-    x = np.arange(p, dtype=np.int64)
-    f = (x * ((x * (x - (1 + t))) % p + t)) % p
-    is_sq = _sqrt_table(p) >= 0
-    zero = int(np.count_nonzero(f == 0))
-    on = int(np.count_nonzero(is_sq[f] & (f != 0)))
-    return 1 + zero + 2 * on
-
-
-def _count_fp2(ta: int, tb: int, p: int) -> int:
-    n = smallest_nonresidue(p)
-    a = np.repeat(np.arange(p, dtype=np.int64), p)
-    b = np.tile(np.arange(p, dtype=np.int64), p)
-    # f = x * (x - 1) * (x - t)
-    f = fp2_mul((a, b), ((a - 1) % p, b), p, n)
-    fa, fb = fp2_mul(f, ((a - ta) % p, (b - tb) % p), p, n)
-    norm = (fa * fa - n * ((fb * fb) % p)) % p
-    is_sq = _sqrt_table(p) >= 0
-    zero = int(np.count_nonzero((fa == 0) & (fb == 0)))
-    on = int(np.count_nonzero(is_sq[norm])) - zero
-    return 1 + zero + 2 * on
-
-
-def count_points_weil(c: LegendreCurve) -> int:
-    """#E(F_{p^2}) from the degree-1 count: (p+1)^2 - a^2, a = p+1-#E(F_p)."""
-    p = c.p
-    a = p + 1 - count_points(c, 1)
-    return (p + 1) ** 2 - a * a
 
 
 # ---------------------------------------------------------------------------
@@ -225,37 +176,79 @@ def is_supersingular(c: LegendreCurve) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# level-3 division polynomial
+# x-only check of a composite of two x-maps against [3]
 
 
-def psi3_coefficients(lam: tuple[int, int], p: int) -> list[tuple[int, int]]:
-    """Ascending (a, b) coefficients of 3x^4 - 4(1+L)x^3 + 6Lx^2 - L^2, L = lam."""
-    la, lb = lam
-    sa, sb = fp2_mul(lam, lam, p, smallest_nonresidue(p))
-    return [(-sa % p, -sb % p), (0, 0), (6 * la % p, 6 * lb % p),
-            (-4 * (1 + la) % p, -4 * lb % p), (3, 0)]
+def _lane(lam, first, second, p: int, n: int) -> tuple[int, ...]:
+    """The int constants of one direction of `composite_x_is_triple`.
 
-
-def triple_x_coefficients(lam: tuple[int, int], p: int) -> tuple[list, list]:
-    """(num, den) with x([3]P) = num(x)/den(x) on E_lam, as ascending (a, b) pairs.
-
-    den = psi3^2 and num = x psi3^2 - 4 f W, with f = x(x - 1)(x - L) and
-    W = psi4/psi2 = 2x^6 - 4(1+L)x^5 + 10Lx^4 - 10L^2x^2 + 4(1+L)L^2x - 2L^3,
-    L = lam (Silverman, AEC, Ex. 3.7, at a2 = -(1+L), a4 = L, a6 = 0).
+    A constant that multiplies a value carries n times its w-part as well.
     """
-    n = smallest_nonresidue(p)
-    lam = _reduce(lam, p)
-    one, one_l = (1, 0), ((1 + lam[0]) % p, lam[1])
-    l2 = fp2_mul(lam, lam, p, n)
-    terms = ((-2, fp2_mul(l2, lam, p, n)), (4, fp2_mul(one_l, l2, p, n)), (-10, l2),
-             (0, one), (10, lam), (-4, one_l), (2, one))
-    w = [(c * a % p, c * b % p) for c, (a, b) in terms]
-    f = [(0, 0), lam, (-one_l[0] % p, -one_l[1] % p), one]
-    psi3 = psi3_coefficients(lam, p)
-    den = _poly_mul(psi3, psi3, p, n)
-    fw = _poly_mul(f, w, p, n)
-    num = [((a - 4 * c) % p, (b - 4 * d) % p) for (a, b), (c, d) in zip([(0, 0)] + den, fw)]
-    return num, den
+    (r1, (c0, c1, c2, c3)), (r2, t) = first, second
+    la, lb = lam
+    a4, b = (-4 - 4 * la, -4 * lb), (la, lb)
+    e4, bb = fp2_mul(a4, b, p, n), fp2_mul(b, b, p, n)
+    c1, c3, t0, t1, t2, t3, r2, a4, e4 = (
+        (u % p, v % p, n * v % p) for u, v in (c1, c3, *t, r2, a4, e4))
+    return (*r1, *c0, *c1, *c2, *c3, *t0, *t1, *t2, *t3, *r2, *a4, *e4,
+            3 * la % p, 3 * lb % p, 6 * la % p, 6 * lb % p, *bb, 12 * bb[0] % p, 12 * bb[1] % p)
+
+
+def composite_x_is_triple(directions, p: int, n: int, trials: int, seed: int) -> bool:
+    """True iff s2(s1(x)) = x([3]) at `trials` seeded x in F_{p^2} per direction.
+
+    A direction is (L, (r1, c), (r2, t)): s1(x) = c(x)/(x - r1)^2 and
+    s2(u) = t(u)/(u - r2)^2, c and t cubics (ascending (a, b) pairs) with
+    c(r1) != 0 and t(r2) != 0, and [3] acts on E_L.  Then s1 = U/V with
+    (U : V) = (c(x) : Q^2), Q = x - r1, and s2(U/V) = N/(V W^2) with
+    N = sum_k t_k U^k V^(3-k) and W = U - r2 V; neither pair reads (0 : 0).
+    On y^2 = x^3 + a x^2 + b x (a = -(1 + L), b = L), x([3]) = x phi^2/psi3^2
+    with phi = (x^2 - 3b)^2 - 4ab x - 12b^2 and psi3 = x^2 (3x^2 + 4a x + 6b)
+    - b^2: x-only doubling and differential addition with P as the
+    difference, the factor x cancelled (Costello-Smith 2018).  So a trial
+    requires N psi3^2 = x (Q phi W)^2 on ints of F_p[w]/(w^2 - n), every
+    product written out: no helper call and no inversion.  The x's are
+    drawn by random.Random(seed).randrange(p), two per direction, in order.
+    """
+    lanes = [_lane(lam, first, second, p, n) for lam, first, second in directions]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        for (r1a, r1b, c0a, c0b, c1a, c1b, c1n, c2a, c2b, c3a, c3b, c3n,
+             t0a, t0b, t0n, t1a, t1b, t1n, t2a, t2b, t2n, t3a, t3b, t3n, r2a, r2b, r2n,
+             a4a, a4b, a4n, e4a, e4b, e4n, b3a, b3b, b6a, b6b, bba, bbb, b12a, b12b) in lanes:
+            xa, xb = rng.randrange(p), rng.randrange(p)
+            # x^2; U = c0 + c1 x + x^2 (c2 + c3 x); Q = x - r1 and V = Q^2
+            sa, sb = (xa * xa + n * xb * xb) % p, 2 * xa * xb % p
+            ha, hb = c3a * xa + c3n * xb + c2a, c3a * xb + c3b * xa + c2b
+            ua = (sa * ha + n * sb * hb + c1a * xa + c1n * xb + c0a) % p
+            ub = (sa * hb + sb * ha + c1a * xb + c1b * xa + c0b) % p
+            qa, qb = xa - r1a, xb - r1b
+            va, vb = (qa * qa + n * qb * qb) % p, 2 * qa * qb % p
+            # N = (t3 U + t2 V) U^2 + (t1 U + t0 V) V^2 and W = U - r2 V
+            ea = t3a * ua + t3n * ub + t2a * va + t2n * vb
+            eb = t3a * ub + t3b * ua + t2a * vb + t2b * va
+            fa = t1a * ua + t1n * ub + t0a * va + t0n * vb
+            fb = t1a * ub + t1b * ua + t0a * vb + t0b * va
+            ga, gb = ua * ua + n * ub * ub, 2 * ua * ub  # U^2 and V^2
+            ha, hb = va * va + n * vb * vb, 2 * va * vb
+            na = (ea * ga + n * eb * gb + fa * ha + n * fb * hb) % p
+            nb = (ea * gb + eb * ga + fa * hb + fb * ha) % p
+            wa, wb = ua - r2a * va - r2n * vb, ub - r2a * vb - r2b * va
+            # psi3 = x^2 (3x^2 + 4a x + 6b) - b^2; phi = (x^2 - 3b)^2 - 4ab x - 12b^2
+            ga, gb = 3 * sa + a4a * xa + a4n * xb + b6a, 3 * sb + a4a * xb + a4b * xa + b6b
+            ra, rb = (sa * ga + n * sb * gb - bba) % p, (sa * gb + sb * ga - bbb) % p
+            ga, gb = sa - b3a, sb - b3b
+            ha = (ga * ga + n * gb * gb - e4a * xa - e4n * xb - b12a) % p
+            hb = (2 * ga * gb - e4a * xb - e4b * xa - b12b) % p
+            # N psi3^2 against x (Q phi W)^2
+            ga, gb = (ra * ra + n * rb * rb) % p, 2 * ra * rb % p
+            la, lb = na * ga + n * nb * gb, na * gb + nb * ga
+            ga, gb = (qa * ha + n * qb * hb) % p, (qa * hb + qb * ha) % p
+            ga, gb = (ga * wa + n * gb * wb) % p, (ga * wb + gb * wa) % p
+            ga, gb = ga * ga + n * gb * gb, 2 * ga * gb
+            if (la - xa * ga - n * xb * gb) % p or (lb - xa * gb - xb * ga) % p:
+                return False
+    return True
 
 
 # dense polynomials over F_{p^2} = F_p[w]/(w^2 - n): ascending lists of

@@ -6,26 +6,27 @@ is s = s_num(x, y)/q(x)^2, t = y t_num(x)/q(x)^3, q(x) = 3x^2 - 2(lam+1)x
 of the other sign (tables below, transcribed for eps = -1 and flipped to
 eps = +1 by negating the square root).  As Velu's formulas predict for the
 kernel {O, (x0, +-y0)}, the numerators carry (x - x0')^2 and (x - x0')^3;
-each map divides them out once, exactly, which certifies the tables.  A
-point then costs three Horner passes and one inversion, of 3(x - x0).
+each map divides them out once, exactly, which certifies the tables.  An
+image point then costs three Horner passes and one inversion, of 3(x - x0).
 
-`compose_is_minus3` compares x-maps, s^+(s^-(x)) against x([3]), and reads
-the sign off the invariant differential: no point law, no square root.
-The chord-tangent law and the four-map composition (shift, degree-3
-quotient, rescale, shift back) are the test suite's oracles.  The level-2
-and level-3 modular polynomials ship as an integer coefficient table and
-are re-validated by exact identities in the test suite.
+`compose_is_minus3` compares x-maps, s^+(s^-(x)) against x([3]), as
+projective pairs in curves' inline int loop with no inversion, and reads
+the sign off the invariant differential: no point law, no square root.  The
+chord-tangent law, the four-map composition (shift, degree-3 quotient,
+rescale, shift back) and the affine x-maps are the test suite's oracles.
+The level-2 and level-3 modular polynomials ship as an integer coefficient
+table; the resultant identity reads Phi_3, and the test suite checks the
+identities that no command reports.
 """
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from importlib import resources
 
 from . import intpoly
 from .classno import hilbert_poly
-from .curves import LegendreCurve, _poly_divmod, _poly_mul, triple_x_coefficients
+from .curves import LegendreCurve, _poly_divmod, _poly_mul, composite_x_is_triple
 from .family import is_admissible, lambda_eps, lambda_pair
 from .fields import fp2_horner, fp2_inv, fp2_mul, smallest_nonresidue
 
@@ -135,14 +136,6 @@ class IsogenyMap:
             reduced.append(quot)
         self._Q, self._S, self._T = reduced
 
-    def x_map(self, x):
-        """s(x) = S(x)/Q(x)^2 for x in F_{p^2}; None (infinity) at x0 and at None."""
-        if x is None or x == self.kernel_x:
-            return None
-        p, n = self.p, self.n
-        r = fp2_inv(fp2_horner(self._Q, x, p, n), p, n)
-        return fp2_mul(fp2_horner(self._S, x, p, n), fp2_mul(r, r, p, n), p, n)
-
     def multiplier(self):
         """c with psi^*(dx/y) = c dx/y, or None if no constant c exists.
 
@@ -179,34 +172,48 @@ class IsogenyMap:
         return img
 
 
+@lru_cache(maxsize=1)
+def isogeny_pair(lam: int, p: int) -> tuple[IsogenyMap, IsogenyMap]:
+    """(psi^-, psi^+) at (lam, p), built once for the anchors and the trials."""
+    sqrt_delta = lambda_pair(lam, p)[1]
+    return IsogenyMap(lam, -1, sqrt_delta, p), IsogenyMap(lam, +1, sqrt_delta, p)
+
+
+def _x_map_form(m: IsogenyMap, p: int, n: int):
+    """(r, c) with s(x) = c(x)/(x - r)^2: Q = q1 (x - r) and c = S/q1^2.
+
+    None if S is not a cubic prime to Q, so that m is not of degree 3.
+    """
+    (q0, q1), S = m._Q, m._S
+    r = fp2_mul(q0, fp2_inv(q1, p, n), p, n)
+    r = -r[0] % p, -r[1] % p
+    if len(S) != 4 or fp2_horner(S, r, p, n) == (0, 0):
+        return None
+    k = fp2_inv(fp2_mul(q1, q1, p, n), p, n)
+    return r, [fp2_mul(c, k, p, n) for c in S]
+
+
 def compose_is_minus3(lam: int, p: int, trials: int = 50, seed: int = 0) -> bool:
     """Check psi^+ o psi^- = [-3] = psi^- o psi^+ on x-coordinates.
 
     An endomorphism is fixed up to sign by its x-map (Silverman, AEC, III.5
     and Ex. 3.7).  The sign: the composite pulls dx/y back to c^+ c^- dx/y,
     which must be -3 (+[3] gives 3).  The x-map: each trial draws one x in
-    F_{p^2} per direction, psi^- first, and requires s_second(s_first(x))
-    den3(x) = num3(x), x([3]) = num3/den3; infinity must meet den3(x) = 0.
+    F_{p^2} per direction, psi^- first, and compares s^+(s^-(x)), then
+    s^-(s^+(x)), with x([3]) as projective pairs, infinity included, in
+    `curves.composite_x_is_triple`'s inline loop: 48 F_{p^2} products a
+    trial and no inversion.
     """
-    sqrt_delta = lambda_pair(lam, p)[1]
-    psi_minus = IsogenyMap(lam, -1, sqrt_delta, p)
-    psi_plus = IsogenyMap(lam, +1, sqrt_delta, p)
+    psi_minus, psi_plus = isogeny_pair(lam, p)
     n = psi_minus.n
     c_minus, c_plus = psi_minus.multiplier(), psi_plus.multiplier()
     if c_minus is None or c_plus is None or fp2_mul(c_minus, c_plus, p, n) != (p - 3, 0):
         return False
-    directions = [(first, second, triple_x_coefficients(first.source_lambda, p))
-                  for first, second in ((psi_minus, psi_plus), (psi_plus, psi_minus))]
-    rng = random.Random(seed)
-    for _ in range(trials):
-        for first, second, (num3, den3) in directions:
-            x = rng.randrange(p), rng.randrange(p)
-            s = second.x_map(first.x_map(x))
-            den = fp2_horner(den3, x, p, n)
-            ok = den == (0, 0) if s is None else fp2_mul(s, den, p, n) == fp2_horner(num3, x, p, n)
-            if not ok:
-                return False
-    return True
+    minus, plus = _x_map_form(psi_minus, p, n), _x_map_form(psi_plus, p, n)
+    if minus is None or plus is None:
+        return False
+    directions = (psi_minus.source_lambda, minus, plus), (psi_plus.source_lambda, plus, minus)
+    return composite_x_is_triple(directions, p, n, trials, seed)
 
 
 def verify_transcription(lam: int, p: int) -> None:
@@ -215,9 +222,7 @@ def verify_transcription(lam: int, p: int) -> None:
     s(0,0) = 0 and s(1,0) = 1 (the 2-torsion points (0,0) and (1,0) are
     fixed), and the 2-torsion point (L^eps, 0) maps to (L^-eps, 0).
     """
-    s = lambda_pair(lam, p)[1]
-    for eps in (-1, 1):
-        m = IsogenyMap(lam, eps, s, p)
+    for m in isogeny_pair(lam, p):
         for T in (((0, 0), (0, 0)), ((1, 0), (0, 0))):
             if m.image(T) != T:
                 raise AssertionError("2-torsion anchors failed")
@@ -226,7 +231,7 @@ def verify_transcription(lam: int, p: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# modular polynomials of level 2 and 3
+# the modular polynomials and the resultant identity
 
 
 @lru_cache(maxsize=None)
@@ -248,42 +253,6 @@ def phi_coefficients(level: int) -> dict[tuple[int, int], int]:
         if int(lvl) == level:
             table[(int(i), int(j))] = table[(int(j), int(i))] = int(c)
     return table
-
-
-def modular_poly_eval(level: int, x, y, p: int) -> tuple[int, int]:
-    """Phi_level(x, y) at two (a, b) pairs of F_{p^2}."""
-    table = phi_coefficients(level)
-    n = smallest_nonresidue(p)
-    deg = max(i for i, _ in table)
-    xp, yp = [(1, 0)], [(1, 0)]
-    for _ in range(deg):
-        xp.append(fp2_mul(xp[-1], x, p, n))
-        yp.append(fp2_mul(yp[-1], y, p, n))
-    acc_a, acc_b = 0, 0
-    for (i, j), c in table.items():
-        ua, ub = fp2_mul(xp[i], yp[j], p, n)
-        acc_a, acc_b = (acc_a + c * ua) % p, (acc_b + c * ub) % p
-    return acc_a, acc_b
-
-
-def phi_substitute_int(level: int, y0: int) -> list[int]:
-    """Phi_level(X, y0) as an exact integer polynomial in X (ascending)."""
-    table = phi_coefficients(level)
-    deg = max(i for i, _ in table)
-    out = [0] * (deg + 1)
-    for (i, j), c in table.items():
-        out[i] += c * y0**j
-    return intpoly.trim(out)
-
-
-def phi_diagonal_int(level: int) -> list[int]:
-    """Phi_level(X, X) over the integers (ascending)."""
-    table = phi_coefficients(level)
-    deg = 2 * max(i for i, _ in table)
-    out = [0] * (deg + 1)
-    for (i, j), c in table.items():
-        out[i + j] += c
-    return intpoly.trim(out)
 
 
 def _phi3_bivariate() -> tuple[list[list[int]], list[list[int]]]:

@@ -49,8 +49,8 @@ MAX_N_BUDGET = 10_000_000
 # the scan cost above which a worker pool pays: break-even near F(3300) = 4.1e7
 # on a 2-vCPU host; above F(3000) = 3.1e7, every perfbench workload is serial
 SCAN_POOL_THRESHOLD = 40_000_000
-# isogeny --trials: 60 F_{p^2} products and 4 inversions a trial (check_isogeny),
-# 0.04-0.09 ms from p = 10^3 to 2^31 (2-vCPU host)
+# isogeny --trials: 48 F_{p^2} products and no inversion a trial (check_isogeny),
+# 0.010-0.024 ms from p = 10^3 to 2^31 (2-vCPU host)
 MAX_TRIALS_BUDGET = 100_000
 # average --check-bruteforce runs the double loop over (lambda, p)
 BRUTEFORCE_X_CAP = 200
@@ -101,10 +101,11 @@ def check_scan_range(lo: int, hi: int, top: int) -> None:
 def check_isogeny(p: int, trials: int) -> None:
     """Refuse an isogeny run over the modulus cap or the trials budget.
 
-    A compose_is_minus3 trial draws two x-coordinates and sends each
-    through both x-maps and through the x-map of [3]: 60 F_{p^2}
-    multiplications (a Horner step counts as one) and 4 inversions,
-    counted at p = 1009, and no square root.
+    A compose_is_minus3 trial draws two x-coordinates and compares, for
+    each, both x-maps in turn with the x-map of [3] as projective pairs:
+    48 F_{p^2} multiplications (24 a direction: 9 by a constant, 8 of two
+    values, 7 squares), written out as 226 int products, counted at
+    p = 1009, and no inversion and no square root.
     """
     if p >= MAX_MODULUS:
         raise LimitError(f"p={p} is at or above MAX_MODULUS = 2^31 = {MAX_MODULUS}")
@@ -113,8 +114,8 @@ def check_isogeny(p: int, trials: int) -> None:
     if trials > MAX_TRIALS_BUDGET:
         raise LimitError(
             f"trials={trials} exceeds the desk budget (trials <= {MAX_TRIALS_BUDGET}); "
-            f"estimated cost ~{60 * trials:.1e} F_{{p^2}} multiplications "
-            f"and ~{4 * trials:.1e} inversions"
+            f"estimated cost ~{48 * trials:.1e} F_{{p^2}} multiplications "
+            f"and ~{0:.1e} inversions"
         )
 
 

@@ -1,19 +1,27 @@
-"""Test-side oracles: F_{p^2} objects, the object group law, the composed 3-isogeny.
+"""Test-side oracles: F_{p^2} objects, the object group law, the composed
+3-isogeny, the affine x-maps, naive point counts.
 
 `F` is a minimal F_{p^2} operator class with its own product formula, so
 the int-pair functions of `s3genus2.fields` are checked against code that
 does not call them.  Points are (x, y) tuples of `F`, None for infinity.
 On top of that sit the chord-tangent group law with its sampler, the
 oracle of `isogenies.compose_is_minus3` (the package checks x-maps and
-has no point law), and the four-map composition route of psi^eps (shift
-to the normal form, descend by 3, rescale, shift back), the oracle of
-`IsogenyMap.image`.
+has no point law), the four-map composition route of psi^eps (shift to
+the normal form, descend by 3, rescale, shift back), the oracle of
+`IsogenyMap.image`, and the affine x-maps s = S/Q^2 of an IsogenyMap and
+x([3]) = num/den from the division polynomials, the oracle of the
+projective trial loop of `compose_is_minus3`.  The naive point counts
+over F_p and F_{p^2} are the oracle of the Deuring-polynomial test.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from s3genus2.curves import _poly_mul, _sqrt_table
 from s3genus2.family import is_admissible
-from s3genus2.fields import fp2_sqrt, smallest_nonresidue
+from s3genus2.fields import fp2_horner, fp2_inv, fp2_mul, fp2_sqrt, smallest_nonresidue
+from s3genus2.limits import POINT_COUNT_BOUND_DEG1, POINT_COUNT_BOUND_DEG2, LimitError
 
 
 class F:
@@ -247,3 +255,115 @@ def eval_composed(m, P):
     xi, nu = descend_by_3(nf.A, nf.B, (x - kernel_x, y))
     r = (2 * lam - 2 * eps * s - 1) / 9
     return to_pairs((r * r * xi + (lam + 1 - 2 * eps * s) / 3, r**3 * nu))
+
+
+# ---------------------------------------------------------------------------
+# affine x-maps: psi^eps and [3], on (a, b) int pairs
+
+
+def x_map(m, x):
+    """s(x) = S(x)/Q(x)^2 of an IsogenyMap m for x in F_{p^2}; None
+    (infinity) at the kernel abscissa and at None."""
+    if x is None or x == m.kernel_x:
+        return None
+    p, n = m.p, m.n
+    r = fp2_inv(fp2_horner(m._Q, x, p, n), p, n)
+    return fp2_mul(fp2_horner(m._S, x, p, n), fp2_mul(r, r, p, n), p, n)
+
+
+def psi3_coefficients(lam: tuple[int, int], p: int) -> list[tuple[int, int]]:
+    """Ascending (a, b) coefficients of 3x^4 - 4(1+L)x^3 + 6Lx^2 - L^2, L = lam."""
+    la, lb = lam
+    sa, sb = fp2_mul(lam, lam, p, smallest_nonresidue(p))
+    return [(-sa % p, -sb % p), (0, 0), (6 * la % p, 6 * lb % p),
+            (-4 * (1 + la) % p, -4 * lb % p), (3, 0)]
+
+
+def triple_x_coefficients(lam: tuple[int, int], p: int) -> tuple[list, list]:
+    """(num, den) with x([3]P) = num(x)/den(x) on E_lam, as ascending (a, b) pairs.
+
+    den = psi3^2 and num = x psi3^2 - 4 f W, with f = x(x - 1)(x - L) and
+    W = psi4/psi2 = 2x^6 - 4(1+L)x^5 + 10Lx^4 - 10L^2x^2 + 4(1+L)L^2x - 2L^3,
+    L = lam (Silverman, AEC, Ex. 3.7, at a2 = -(1+L), a4 = L, a6 = 0).
+    """
+    n = smallest_nonresidue(p)
+    lam = lam[0] % p, lam[1] % p
+    one, one_l = (1, 0), ((1 + lam[0]) % p, lam[1])
+    l2 = fp2_mul(lam, lam, p, n)
+    terms = ((-2, fp2_mul(l2, lam, p, n)), (4, fp2_mul(one_l, l2, p, n)), (-10, l2),
+             (0, one), (10, lam), (-4, one_l), (2, one))
+    w = [(c * a % p, c * b % p) for c, (a, b) in terms]
+    f = [(0, 0), lam, (-one_l[0] % p, -one_l[1] % p), one]
+    psi3 = psi3_coefficients(lam, p)
+    den = _poly_mul(psi3, psi3, p, n)
+    fw = _poly_mul(f, w, p, n)
+    num = [((a - 4 * c) % p, (b - 4 * d) % p) for (a, b), (c, d) in zip([(0, 0)] + den, fw)]
+    return num, den
+
+
+def affine_check(first, second):
+    """The affine check of one trial direction as a predicate of x:
+    s2(s1(x)) den(x) = num(x), with infinity on the left meeting den(x) = 0."""
+    p, n = first.p, first.n
+    num, den = triple_x_coefficients(first.source_lambda, p)
+
+    def holds(x) -> bool:
+        s = x_map(second, x_map(first, x))
+        d = fp2_horner(den, x, p, n)
+        return d == (0, 0) if s is None else fp2_mul(s, d, p, n) == fp2_horner(num, x, p, n)
+
+    return holds
+
+
+# ---------------------------------------------------------------------------
+# point counting by exhaustive enumeration, on a curves.LegendreCurve
+
+
+def count_points(c, extension_degree: int = 1) -> int:
+    """Exact number of points over F_p or F_{p^2}, including infinity.
+
+    Enumerates x and tests quadratic residuosity of the cubic value, so it
+    is also usable as an oracle against the Deuring-polynomial test.
+    """
+    p = c.p
+    if extension_degree == 1:
+        if p > POINT_COUNT_BOUND_DEG1:
+            raise LimitError(f"p={p} above enumeration bound {POINT_COUNT_BOUND_DEG1}")
+        if c.t[1]:
+            raise ValueError("degree-1 count needs t in F_p")
+        return _count_fp(c.t[0], p)
+    if extension_degree == 2:
+        if p > POINT_COUNT_BOUND_DEG2:
+            raise LimitError(f"p={p} above enumeration bound {POINT_COUNT_BOUND_DEG2}")
+        return _count_fp2(*c.t, p)
+    raise ValueError("extension_degree must be 1 or 2")
+
+
+def _count_fp(t: int, p: int) -> int:
+    x = np.arange(p, dtype=np.int64)
+    f = (x * ((x * (x - (1 + t))) % p + t)) % p
+    is_sq = _sqrt_table(p) >= 0
+    zero = int(np.count_nonzero(f == 0))
+    on = int(np.count_nonzero(is_sq[f] & (f != 0)))
+    return 1 + zero + 2 * on
+
+
+def _count_fp2(ta: int, tb: int, p: int) -> int:
+    n = smallest_nonresidue(p)
+    a = np.repeat(np.arange(p, dtype=np.int64), p)
+    b = np.tile(np.arange(p, dtype=np.int64), p)
+    # f = x * (x - 1) * (x - t)
+    f = fp2_mul((a, b), ((a - 1) % p, b), p, n)
+    fa, fb = fp2_mul(f, ((a - ta) % p, (b - tb) % p), p, n)
+    norm = (fa * fa - n * ((fb * fb) % p)) % p
+    is_sq = _sqrt_table(p) >= 0
+    zero = int(np.count_nonzero((fa == 0) & (fb == 0)))
+    on = int(np.count_nonzero(is_sq[norm])) - zero
+    return 1 + zero + 2 * on
+
+
+def count_points_weil(c) -> int:
+    """#E(F_{p^2}) from the degree-1 count: (p+1)^2 - a^2, a = p+1-#E(F_p)."""
+    p = c.p
+    a = p + 1 - count_points(c, 1)
+    return (p + 1) ** 2 - a * a

@@ -13,7 +13,7 @@ import random
 
 import fp2_oracle as oracle
 import numpy as np
-from fp2_oracle import F, normal_form
+from fp2_oracle import F, count_points, count_points_weil, normal_form, psi3_coefficients
 
 from s3genus2 import intpoly
 from s3genus2.average import (
@@ -25,11 +25,8 @@ from s3genus2.average import (
 from s3genus2.classno import class_number, gross_zagier_ordp, hilbert_poly
 from s3genus2.curves import (
     LegendreCurve,
-    count_points,
-    count_points_weil,
     deuring_coefficients,
     is_supersingular,
-    psi3_coefficients,
 )
 from s3genus2.family import (
     fgh_eval,

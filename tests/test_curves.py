@@ -1,24 +1,20 @@
-"""Tests for Legendre curves: j-invariants, counting, Deuring test, x([3])."""
+"""Tests for Legendre curves: j-invariants, counting, Deuring test, the oracle x([3])."""
 
 import random
 
 import fp2_oracle as oracle
 import numpy as np
 import pytest
-from fp2_oracle import F
+from fp2_oracle import F, count_points, count_points_weil, psi3_coefficients, triple_x_coefficients
 
 from s3genus2.curves import (
     LegendreCurve,
     _power_table,
     _poly_divmod,
     _poly_mul,
-    count_points,
-    count_points_weil,
     deuring_coefficients,
     is_supersingular,
     j_invariant,
-    psi3_coefficients,
-    triple_x_coefficients,
 )
 from s3genus2.family import lambda_pair
 from s3genus2.fields import fp2_horner, is_prime, primitive_root, smallest_nonresidue

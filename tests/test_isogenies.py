@@ -6,27 +6,34 @@ import json
 import random
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import fp2_oracle as oracle
 import numpy as np
 import pytest
-from fp2_oracle import F, descend_by_3, descend_by_3_pure_cube, eval_composed, normal_form
+from fp2_oracle import (
+    F,
+    affine_check,
+    descend_by_3,
+    descend_by_3_pure_cube,
+    eval_composed,
+    normal_form,
+    x_map,
+)
 
 from s3genus2 import cli, curves, family, fields, intpoly, isogenies
 from s3genus2.classno import hilbert_poly
 from s3genus2.curves import CubicCurve, LegendreCurve, _sqrt_table, j_invariant
 from s3genus2.family import lambda_eps, lambda_eps_pairs, lambda_pair
-from s3genus2.fields import fp2_sqrt, is_prime, smallest_nonresidue
+from s3genus2.fields import fp2_mul, fp2_sqrt, is_prime, smallest_nonresidue
 from s3genus2.isogenies import (
     S_NUM,
     T_NUM,
     IsogenyMap,
     _eval_lambda_poly,
     compose_is_minus3,
+    phi_coefficients,
     resultant_factorization_check,
-    modular_poly_eval,
-    phi_diagonal_int,
-    phi_substitute_int,
     verify_transcription,
 )
 
@@ -106,6 +113,51 @@ def _admissible(p):
 def _maps(lam, p):
     s = lambda_pair(lam, p)[1]
     return IsogenyMap(lam, -1, s, p), IsogenyMap(lam, 1, s, p)
+
+
+@pytest.fixture
+def fresh_pair():
+    """Tests that change how maps are built must not meet, or leave, a
+    cached pair of `isogenies.isogeny_pair`."""
+    isogenies.isogeny_pair.cache_clear()
+    yield
+    isogenies.isogeny_pair.cache_clear()
+
+
+class _Replay:
+    """Stands in for random.Random in `curves`: hands out fixed draws."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+        self.used = 0
+
+    def randrange(self, p):
+        self.used += 1
+        return next(self._values)
+
+
+def _replaying(monkeypatch, values) -> list:
+    """Make compose_is_minus3 draw `values`; the list receives its generator."""
+    made = []
+
+    def make(seed):
+        made.append(_Replay(values))
+        return made[-1]
+
+    monkeypatch.setattr(curves, "random", SimpleNamespace(Random=make))
+    return made
+
+
+def _with_pair(monkeypatch, pair):
+    monkeypatch.setattr(isogenies, "isogeny_pair", lambda lam, p: pair)
+
+
+def _fixed_multiplier(m):
+    """Keep m's multiplier at its true value, so only the trial loop can catch
+    a change made to m afterwards."""
+    c = m.multiplier()
+    m.multiplier = lambda: c
+    return m
 
 
 def _neg(u, p):
@@ -485,8 +537,9 @@ def test_isogeny_stdout_matches_the_golden_pool_lines(capsys):
         assert capsys.readouterr().out == "".join(ln + "\n" for ln in lines[(p, lam, seed)])
 
 
-def test_compose_trial_loop_builds_no_field_objects(monkeypatch):
-    # a trial takes no square root: only lambda_pair's, once per call, remain
+def test_compose_trial_loop_builds_no_field_objects(monkeypatch, fresh_pair):
+    # a trial takes no square root: only lambda_pair's, once per pair of
+    # maps built, remain
     roots = 0
 
     def counting_sqrt(*args):
@@ -498,6 +551,7 @@ def test_compose_trial_loop_builds_no_field_objects(monkeypatch):
     counts = []
     for trials in (1, 40):
         roots = 0
+        isogenies.isogeny_pair.cache_clear()
         assert compose_is_minus3(40, 1009, trials=trials, seed=5)
         counts.append(roots)
     assert counts[0] == counts[1] == 1
@@ -516,26 +570,89 @@ def test_x_only_check_passes_on_every_admissible_lambda_and_the_pool():
 
 def test_infinity_on_the_left_must_meet_a_zero_of_psi3(monkeypatch):
     # at p = 5..13 the seeded draws reach every x, kernel abscissas included:
-    # each pole of the composite x-map is a root of psi3, and a pole put at
-    # x = 0, where psi3 = -L^2 != 0, fails the check
+    # each pole of the composite x-map is a root of psi3, and the loop passes
+    # on them; the draws are replayed here, in the order that
+    # test_compose_draws_four_residues_a_trial pins
     poles = 0
-    x_map = IsogenyMap.x_map
-
-    def counting(self, x):
-        nonlocal poles
-        s = x_map(self, x)
-        poles += x is not None and s is None
-        return s
-
-    monkeypatch.setattr(IsogenyMap, "x_map", counting)
     for p in (5, 7, 11, 13):
         for lam in _admissible(p):
             assert compose_is_minus3(lam, p, trials=1000, seed=p), (p, lam)
+            rng = random.Random(p)
+            m_minus, m_plus = _maps(lam, p)
+            for _ in range(1000):
+                for first, second in ((m_minus, m_plus), (m_plus, m_minus)):
+                    x = rng.randrange(p), rng.randrange(p)
+                    poles += x_map(second, x_map(first, x)) is None
     assert poles > 0
-    monkeypatch.setattr(IsogenyMap, "x_map", lambda m, x: None if x == (0, 0) else x_map(m, x))
+    # a pole planted at a fixed 2-torsion abscissa, where psi3 != 0, fails.
+    # Every S vanishes at x = 0 (s fixes (0, 0)), so a pole put there through
+    # Q reads (0 : 0) and is refused before the trials; at x = 1, S(1) = Q(1)^2
+    # != 0 and the trial itself must fail, psi3(1) = -(L - 1)^2 != 0
     for p in (5, 7, 11, 13):
         for lam in _admissible(p):
-            assert not compose_is_minus3(lam, p, trials=1000, seed=p), (p, lam)
+            for root, caught in (((0, 0), False), ((1, 0), True)):
+                planted = [_fixed_multiplier(m) for m in _maps(lam, p)]
+                _with_pair(monkeypatch, tuple(planted))
+                _replaying(monkeypatch, [root[0], root[1]] * 4)
+                assert compose_is_minus3(lam, p, trials=2, seed=p), (p, lam, root)
+                for m in planted:
+                    m._Q = [(-3 * root[0] % p, 0), (3, 0)]
+                made = _replaying(monkeypatch, [root[0], root[1]] * 4)
+                assert not compose_is_minus3(lam, p, trials=2, seed=p), (p, lam, root)
+                assert sum(r.used for r in made) == 2 * caught, (p, lam, root)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_trial_loop_agrees_with_the_affine_oracle_on_every_x(p, monkeypatch):
+    # every x in F_{p^2}, every admissible lambda, both directions: kernel
+    # abscissas, x = 0, the 2- and the 3-torsion.  The loop passes on all of
+    # them where the affine x-maps do; with S_1 of psi^- off by the first d
+    # that leaves S prime to Q (a common root reads (0 : 0) and is refused
+    # before the trials), the verdict of each x, both directions fed the
+    # same x, is the oracle's
+    xs = [(a, b) for a in range(p) for b in range(p)]
+    for lam in _admissible(p):
+        maps = _maps(lam, p)
+        checks = [affine_check(*maps), affine_check(*maps[::-1])]
+        assert all(check(x) for x in xs for check in checks), lam
+        _with_pair(monkeypatch, maps)
+        _replaying(monkeypatch, [c for x in xs for c in x + x])
+        assert compose_is_minus3(lam, p, trials=len(xs), seed=0), lam
+        bumped = _maps(lam, p)
+        S = _fixed_multiplier(bumped[0])._S
+        for d in range(1, p):
+            bumped[0]._S = [S[0], ((S[1][0] + d) % p, S[1][1]), *S[2:]]
+            if isogenies._x_map_form(bumped[0], p, bumped[0].n) is not None:
+                break
+        checks = [affine_check(*bumped), affine_check(*bumped[::-1])]
+        _with_pair(monkeypatch, bumped)
+        verdicts = set()
+        for x in xs:
+            _replaying(monkeypatch, x + x)
+            got = compose_is_minus3(lam, p, trials=1, seed=0)
+            assert got == (checks[0](x) and checks[1](x)), (lam, x)
+            verdicts.add(got)
+        assert False in verdicts, lam
+
+
+def test_compose_draws_four_residues_a_trial(monkeypatch):
+    # --seed means the same x's: a passing call leaves its generator where
+    # 4 trials calls of randrange(p) leave random.Random(seed)
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(curves, "random", SimpleNamespace(Random=Recording))
+    for lam, p, trials, seed in ((3, 13, 200, 1), (5, 1009, 37, 11), (1234, 19997, 50, 3)):
+        made.clear()
+        assert compose_is_minus3(lam, p, trials=trials, seed=seed)
+        want = random.Random(seed)
+        for _ in range(4 * trials):
+            want.randrange(p)
+        assert len(made) == 1 and made[0].getstate() == want.getstate(), (p, lam)
 
 
 @pytest.mark.parametrize("p", [17, 19, 23])
@@ -573,7 +690,7 @@ def test_tables_divide_exactly_and_pull_back_dx_over_y(p):
 
 
 @pytest.mark.parametrize("table", ["S_NUM", "T_NUM"])
-def test_a_wrong_table_coefficient_fails_the_check(table, monkeypatch):
+def test_a_wrong_table_coefficient_fails_the_check(table, monkeypatch, fresh_pair):
     # adding 1 to any one coefficient either breaks the exact division or
     # fails the check
     p, lam = 1009, 5
@@ -584,6 +701,7 @@ def test_a_wrong_table_coefficient_fails_the_check(table, monkeypatch):
                 bumped = [list(pair[0]), list(pair[1])]
                 bumped[part][i] += 1
                 monkeypatch.setitem(terms, key, (tuple(bumped[0]), tuple(bumped[1])))
+                isogenies.isogeny_pair.cache_clear()
                 try:
                     assert not compose_is_minus3(lam, p, trials=5, seed=1), (key, part, i)
                 except ArithmeticError:
@@ -591,10 +709,12 @@ def test_a_wrong_table_coefficient_fails_the_check(table, monkeypatch):
         monkeypatch.setitem(terms, key, pair)
 
 
-@pytest.mark.parametrize("attr, k", [("_S", 0), ("_S", 3), ("_T", 0), ("_T", 2), ("_T", None)])
-def test_a_wrong_reduced_coefficient_fails_without_raising(attr, k, monkeypatch):
+@pytest.mark.parametrize("attr, k", [("_S", k) for k in range(4)] + [("_Q", k) for k in range(2)]
+                         + [("_T", k) for k in range(4)] + [("_T", None)])
+def test_a_wrong_reduced_coefficient_fails_without_raising(attr, k, monkeypatch, fresh_pair):
     # past the division, the x-map comparison and the constant multiplier
-    # must catch a wrong S or T; k = None zeroes the leading coefficient of T
+    # must catch a wrong S, Q or T; k = None zeroes the leading coefficient
+    # of T
     class Bumped(IsogenyMap):
         def __init__(self, *args):
             super().__init__(*args)
@@ -616,7 +736,42 @@ def test_degenerate_lambda_rejected():
 
 
 # ---------------------------------------------------------------------------
-# modular polynomials
+# modular polynomials: the level-2 and level-3 identities that no command
+# reports are checked on the package's coefficient table by these helpers
+
+
+def modular_poly_eval(level: int, x, y, p: int) -> tuple[int, int]:
+    """Phi_level(x, y) at two (a, b) pairs of F_{p^2}."""
+    table = phi_coefficients(level)
+    n = smallest_nonresidue(p)
+    deg = max(i for i, _ in table)
+    xp, yp = [(1, 0)], [(1, 0)]
+    for _ in range(deg):
+        xp.append(fp2_mul(xp[-1], x, p, n))
+        yp.append(fp2_mul(yp[-1], y, p, n))
+    acc_a, acc_b = 0, 0
+    for (i, j), c in table.items():
+        ua, ub = fp2_mul(xp[i], yp[j], p, n)
+        acc_a, acc_b = (acc_a + c * ua) % p, (acc_b + c * ub) % p
+    return acc_a, acc_b
+
+
+def phi_substitute_int(level: int, y0: int) -> list[int]:
+    """Phi_level(X, y0) as an exact integer polynomial in X (ascending)."""
+    table = phi_coefficients(level)
+    out = [0] * (max(i for i, _ in table) + 1)
+    for (i, j), c in table.items():
+        out[i] += c * y0**j
+    return intpoly.trim(out)
+
+
+def phi_diagonal_int(level: int) -> list[int]:
+    """Phi_level(X, X) over the integers (ascending)."""
+    table = phi_coefficients(level)
+    out = [0] * (2 * max(i for i, _ in table) + 1)
+    for (i, j), c in table.items():
+        out[i + j] += c
+    return intpoly.trim(out)
 
 
 def test_phi3_vanishes_on_isogenous_pair():
@@ -663,8 +818,6 @@ def test_phi_symmetry_random():
 def test_phi_kronecker_congruences():
     # Phi_2(X, Y) = (X - Y^2)(X^2 - Y) mod 2, Phi_3(X, Y) = (X - Y^3)(X^3 - Y) mod 3
     for level, p in ((2, 2), (3, 3)):
-        from s3genus2.isogenies import phi_coefficients
-
         full = phi_coefficients(level)
         assert all(full[(j, i)] == c for (i, j), c in full.items())
         want = {

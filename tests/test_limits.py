@@ -1,11 +1,13 @@
 """The resource model: the scan and trial cost estimates and the leaf-module rule."""
 
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,9 +23,11 @@ from s3genus2.limits import (
     scan_cost,
 )
 
-# the per-trial figures of check_isogeny's docstring and refusal message
-TRIAL_MULS, TRIAL_INVS = 60, 4
-
+# the per-trial figures of check_isogeny's docstring and refusal message: a
+# trial direction does 9 F_{p^2} products by a constant, 8 of two values and
+# 7 squares, 24 in all, and no inversion
+BY_CONSTANT, OF_TWO_VALUES, SQUARES = 9, 8, 7
+TRIAL_MULS, TRIAL_INVS = 2 * (BY_CONSTANT + OF_TWO_VALUES + SQUARES), 0
 
 def _scan_multiply_adds(p: int) -> int:
     """2 reps k g: the two (reps x k) @ (k x g) block products of the scan.
@@ -65,22 +69,52 @@ def test_limits_imports_nothing_from_the_package():
 
 
 def _count_field_calls(monkeypatch) -> Counter:
-    """Count the F_{p^2} products, inversions and square roots of the
-    isogeny code; a Horner pass over k + 1 coefficients is k products."""
+    """Count the F_{p^2} helper calls of the isogeny code (products,
+    inversions, square roots), and the int products of its trial loop.
+
+    The loop's x's come as `Residue` ints, whose arithmetic keeps the type,
+    so every int product that involves a trial value is counted: "values"
+    when both factors are, "constant" when one is a set-up constant, n or
+    a literal.
+    """
     counts = Counter()
 
-    def counted(key, func, weight=lambda *args: 1):
+    def counted(key, func):
         def wrapper(*args):
-            counts[key] += weight(*args)
+            counts[key] += 1
             return func(*args)
         return wrapper
 
+    class Residue(int):
+        def __mul__(self, other):
+            counts["values" if isinstance(other, Residue) else "constant"] += 1
+            return Residue(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Residue(int(self) + int(other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return Residue(int(self) - int(other))
+
+        def __rsub__(self, other):
+            return Residue(int(other) - int(self))
+
+        def __mod__(self, other):
+            return Residue(int(self) % int(other))
+
+    class Draws(random.Random):
+        def randrange(self, p):
+            return Residue(super().randrange(p))
+
     for module in (curves, isogenies):
-        monkeypatch.setattr(module, "fp2_mul", counted("mul", fields.fp2_mul))
-        monkeypatch.setattr(module, "fp2_horner", counted(
-            "mul", fields.fp2_horner, lambda coeffs, *rest: len(coeffs) - 1))
-        monkeypatch.setattr(module, "fp2_inv", counted("inv", fields.fp2_inv))
+        for name in ("fp2_mul", "fp2_horner", "fp2_inv"):
+            monkeypatch.setattr(module, name, counted(name, getattr(fields, name)))
     monkeypatch.setattr(family, "fp2_sqrt", counted("sqrt", fields.fp2_sqrt))
+    monkeypatch.setattr(curves, "random", SimpleNamespace(Random=Draws))
     return counts
 
 
@@ -89,18 +123,26 @@ def test_isogeny_trial_cost_matches_the_stated_figures(monkeypatch):
 
     def run(trials):
         counts.clear()
+        isogenies.isogeny_pair.cache_clear()
         assert compose_is_minus3(5, 1009, trials=trials, seed=1)
         return Counter(counts)
 
     # one seed draws the same first x's, so the difference holds trials
     # 11..410 alone, without the two maps' set-up; the square roots are
-    # lambda_pair's, one a call, and do not grow with the trials
+    # lambda_pair's, one a pair of maps, and do not grow with the trials.
+    # A product of two values is 4 int products and one by n, a square 3
+    # and two (by n and by 2), a product by a constant 4 (its n w-part comes
+    # precomputed), and psi3 takes 3 x^2 (two more)
     trials = 400
     short, long = run(10), run(10 + trials)
-    muls, invs, sqrts = (long[k] - short[k] for k in ("mul", "inv", "sqrt"))
-    assert invs == TRIAL_INVS * trials
-    assert muls == TRIAL_MULS * trials
-    assert sqrts == 0 and short["sqrt"] == 1
+    diff = {k: long[k] - short[k] for k in ("fp2_mul", "fp2_horner", "fp2_inv", "sqrt")}
+    assert diff == {"fp2_mul": 0, "fp2_horner": 0, "fp2_inv": TRIAL_INVS, "sqrt": 0}
+    assert short["sqrt"] == 1
+    per_direction = {"values": 4 * OF_TWO_VALUES + 3 * SQUARES,
+                     "constant": 4 * BY_CONSTANT + OF_TWO_VALUES + 2 * SQUARES + 2}
+    for key, count in per_direction.items():
+        assert long[key] - short[key] == 2 * count * trials, key
+    assert short["values"] == 2 * per_direction["values"] * 10
 
     over = MAX_TRIALS_BUDGET + 1
     with pytest.raises(LimitError) as refusal:
