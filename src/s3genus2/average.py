@@ -4,10 +4,10 @@ phi(lambda, X) counts the primes p < X at which the member indexed by the
 rational lambda is superspecial.  The window sums swap the order of
 summation: for each prime, the admissible window members congruent to a
 superspecial residue are counted exactly (integer windows by a floor count
-per residue, rational-height windows by a Moebius/floor-sum lattice count),
-and the totals are compared against the closed-form constants
-(6 + 4 sqrt(3)) pi / 9 and 4 (3 + 2 sqrt(3)) / (3 pi), both times
-sqrt(X)/log X.
+per residue, rational-height windows by a Moebius-weighted lattice count
+from a key histogram), and the totals are compared against the closed-form
+constants (6 + 4 sqrt(3)) pi / 9 and 4 (3 + 2 sqrt(3)) / (3 pi), both
+times sqrt(X)/log X.
 
 The CLI's predicted/ratio columns report that leading term.  It is only the
 leading-order expansion of the main term, the prime sum
@@ -17,18 +17,20 @@ factor of 1.24 at X = 10^3, 1.28 at 10^4 and still 1.21 at 10^6.  The prime
 sum is the finite-X reference for judging a window average.
 
 The rational count is one vectorised pass over a whole table of windows
-(window_sums; window_sum is its one-window case): per prime, the block
-heights with a nonzero Moebius weight in some window are paired with the
-superspecial residues s <= 1/s (mod p), and the two floor sums of every
-pair go through the int64 numpy kernel _floor_sum_vec (the AtCoder Library
-floor_sum reduction, masked across lanes), a slice of that prime's
-heights at a time, FLOOR_SUM_CHUNK lanes at most unless one height's
-residues need more.  A height shared by several windows is counted once
-and weighted by each window; the extra memory is linear in the windows'
-Moebius blocks.  The lines of s and 1/s hold equally many points, so a
-residue pair is counted once with weight 2 (see _rational_window_totals).
-The tests keep the scalar per-residue floor-sum loop, over every residue,
-as its oracle, beside window_sum_bruteforce.
+(window_sums; window_sum is its one-window case).  For a height
+M = q p + r (0 <= r < p) the lattice points on the line of a residue s
+number 2 q^2 (p - 1) + 4 q r + C_s(r), where C_s(r) counts the a <= r
+whose keys max(a, +-s a mod p) are at most r (_height_counts).  So per
+prime one np.bincount of the keys of the superspecial residues
+s <= 1/s (mod p), a slice of KEY_CHUNK p keys at a time, and one cumsum
+give the count at every block height with a nonzero Moebius weight in
+some window, by lookup.  A height shared by several windows is counted
+once and weighted by each window; the extra memory is linear in the
+windows' Moebius blocks, plus one p-sized histogram.  The lines of s and
+1/s hold equally many points, so a residue pair is counted once with
+weight 2 (see _rational_window_totals).  The tests keep the scalar
+per-residue floor-sum loop, over every residue, as its oracle, beside
+window_sum_bruteforce.
 
 Skip conventions: bad reduction (p divides the denominator) and degenerate
 residues (lambda = 0, 1 mod p or delta = 0 mod p) are skipped, not counted.
@@ -51,9 +53,11 @@ from .limits import check_budget
 INTEGER_WINDOW_CONSTANT = (6 + 4 * math.sqrt(3)) * math.pi / 9
 RATIONAL_HEIGHT_CONSTANT = 4 * (3 + 2 * math.sqrt(3)) / (3 * math.pi)
 
-# floor-sum lanes per pass of the rational window count (two per pair); it
-# bounds the kernel's working set to a few 16 KB int64 buffers at any N
-FLOOR_SUM_CHUNK = 1 << 11
+# histogram keys per pass of the rational window count (two per residue and
+# a), per bin of the prime's p-sized histogram: a pass's bincount then costs a
+# small share of the pass, and its working set stays a few times the
+# histogram's: 40 KB int64 buffers at p < 610, 3 MB ones at p < 50,000
+KEY_CHUNK = 8
 
 SKIP_CONVENTIONS = (
     "skipped: p | denominator (bad reduction); lambda = 0, 1 (mod p); "
@@ -157,48 +161,6 @@ def _mertens_table(N: int) -> np.ndarray:
     return np.cumsum(mu, out=mu)
 
 
-def _floor_sum_vec(n, a, b, m) -> np.ndarray:
-    """sum_{i=0}^{n-1} floor((a*i + b) / m) per lane, exactly, as int64.
-
-    The Euclid-like reduction of the AtCoder Library floor_sum, run on all
-    lanes at once.  numpy's divmod floors, so its first b // m already
-    shifts a negative b up to b mod m and adds n * floor(b/m).  A lane that
-    finishes has n = 0 from then on, so it adds nothing while the others
-    run on; its m is reset to 1 so that it divides safely (lanes are masked,
-    not compacted).  The inputs are copied, not written.
-
-    int64 bound: the window count calls this with n <= MAX_N_BUDGET,
-    m = p < MAX_X_BUDGET (both in `limits`), 0 <= a < m and |b| < 2m.  Then
-    y = a*n + b stays below m*(n + 2) < 2^39, and each lane's sum is at most
-    n(n + 1)/2 < 2^46; the shift term n*floor(b/m), the partial sums and the
-    reduced n, a, b, m of later rounds are no larger, so every intermediate
-    is far below 2^63.
-    """
-    n, a, b, m = (np.array(x, dtype=np.int64) for x in (n, a, b, m))
-    total = np.zeros_like(n)
-    t = np.empty_like(n)
-    y = np.empty_like(n)
-    done = np.empty(n.shape, dtype=bool)
-    while True:
-        np.divmod(a, m, out=(t, a))
-        np.subtract(n, 1, out=y)
-        y *= n
-        y >>= 1
-        y *= t
-        total += y
-        np.divmod(b, m, out=(t, b))
-        t *= n
-        total += t
-        np.multiply(a, n, out=y)
-        y += b
-        np.less(y, m, out=done)
-        if done.all():
-            return total
-        np.divmod(y, m, out=(n, b))
-        a, m = m, a
-        np.putmask(m, done, 1)
-
-
 def _mertens_coprime(x: np.ndarray, p: int, table: np.ndarray) -> np.ndarray:
     """sum of mu(d) over d <= x with p not dividing d, for ascending x."""
     total = table[x]
@@ -209,27 +171,55 @@ def _mertens_coprime(x: np.ndarray, p: int, table: np.ndarray) -> np.ndarray:
     return total
 
 
-def _count_pairs(M: np.ndarray, s: np.ndarray, p: int) -> np.ndarray:
-    """Lattice counts of (M, s) lanes at the prime p, as int64.
+def _height_counts(M: np.ndarray, residues: np.ndarray, p: int) -> np.ndarray:
+    """Per height in M, the weighted lattice counts of the residues at the
+    prime p, as int64: the sum over s of w_s #{(a, b) : 1 <= a <= M,
+    p !| a, |b| <= M, b = s a (mod p)}, with w_s = 2 and w_{p-1} = 1 (the
+    residues ascend, so s = p - 1 comes last).
 
-    Per lane, the points (a, b) with 1 <= a <= M, p !| a, |b| <= M and
-    b = s*a (mod p): 2 (M - q) q - q in whole periods, q = M // p, plus
-    F(M, s, s + r, p) - F(M, s, s - r - 1, p) for the remainder r = M mod p,
-    F the floor sum.  Both floor sums of every lane go through one
-    `_floor_sum_vec` pass.  A count is at most M (2M + 1) < 2^48, and so is
-    the sum of a height's counts over distinct residues: their lines share
-    no point with p !| a, so together they hold at most the M (2M + 1)
-    points of the box.
+    Write M = q p + r with 0 <= r < p.  For p !| a let t = s a mod p; the
+    b in [-M, M] with b = t (mod p) number 2q + [t <= r] + [p - t <= r].
+    The a <= M prime to p fill q whole periods, in each of which t takes
+    every value 1..p-1 once and the brackets add 2r, and then a = 1..r
+    (shifted by q p).  So the 2q of all q (p - 1) + r such a, the periods'
+    2r each and the brackets of a = 1..r give
+
+        2 q^2 (p - 1) + 4 q r + C_s(r),
+        C_s(r) = #{1 <= a <= r : max(a, t) <= r} + #{1 <= a <= r : max(a, p - t) <= r}.
+
+    Every r is at most L = min(p - 1, max M), so C_s is read off the
+    histogram of the 2L keys max(a, t), max(a, p - t) for a = 1..L: its
+    cumsum at r.  One weighted histogram over all the residues, built a
+    slice of a at a time with at most KEY_CHUNK p keys per pass (k
+    residues, 2k < p, take 2k keys per a), gives every height's count by
+    one lookup.  The memory
+    is the p-sized histogram and one pass's keys.
+
+    int64 bound: s a <= (p - 1)^2 < 2^32 for p < MAX_X_BUDGET (`limits`).
+    The lines of distinct residues share no point with p !| a, so a
+    height's weighted sum (each pair {s, 1/s} holds twice the points of
+    one line) is at most the 2 (q (p - 1) + r)^2 points of its box off
+    b = 0 mod p, below 2 M^2 < 2^48 for M <= MAX_N_BUDGET; the whole
+    periods' term is no larger, and a cumsum no larger than the sum.
     """
+    k = residues.size
+    pairs = k - int(residues[-1] == p - 1)
+    L = min(p - 1, int(M.max()))
+    hist = np.zeros(p, dtype=np.int64)
+    step = KEY_CHUNK * p // (2 * k)
+    for lo in range(1, L + 1, step):
+        a = np.arange(lo, min(lo + step, L + 1), dtype=np.int64)
+        t = np.multiply.outer(residues, a)
+        t -= t // p * p  # numpy divides by a scalar faster than it takes t % p
+        keys = np.empty((k, 2, a.size), dtype=np.int64)
+        np.maximum(t, a, out=keys[:, 0])
+        np.subtract(p, t, out=t)
+        np.maximum(t, a, out=keys[:, 1])
+        hist += 2 * np.bincount(keys[:pairs].ravel(), minlength=p)
+        if pairs < k:
+            hist += np.bincount(keys[pairs:].ravel(), minlength=p)
     q, r = np.divmod(M, p)
-    floors = _floor_sum_vec(
-        np.concatenate((M, M)),
-        np.concatenate((s, s)),
-        np.concatenate((s + r, s - r - 1)),
-        np.full(2 * M.size, p, dtype=np.int64),
-    )
-    h = M.size
-    return floors[:h] - floors[h:] + (2 * (M - q) - 1) * q
+    return (k + pairs) * (2 * q * q * (p - 1) + 4 * q * r) + np.cumsum(hist)[r]
 
 
 def _rational_window_totals(windows) -> list[int]:
@@ -244,16 +234,15 @@ def _rational_window_totals(windows) -> list[int]:
     Those counts do not depend on the window, so one pass serves every
     window: the union of the windows' block heights is listed once, and at
     each prime the heights with a nonzero weight in some window whose X
-    exceeds p are marked.  Each (marked height, residue) lane is counted
-    once, the counts are summed per height, and every window adds its
-    weights times those sums before the next prime.  The marked heights go
-    to the kernel in slices of whole heights, FLOOR_SUM_CHUNK // 2 lanes at
-    most, or one height when its k residues alone exceed that, so a kernel
-    call carries at most max(FLOOR_SUM_CHUNK, 2k) floor-sum lanes at any N
-    and any number of windows.  Beside the Mertens table of the largest N,
-    the memory is the union of heights and each window's positions in it,
-    linear in the windows' blocks (at most 2 sqrt(N) each), plus, for the
-    current prime, one sum per height and the windows' nonzero weights.
+    exceeds p are marked.  The marked heights' counts, summed over the
+    residues, come from one key histogram of the prime (_height_counts):
+    on the line of s the count at M = q p + r is 2 q^2 (p - 1) + 4 q r +
+    C_s(r), and the histogram's cumsum at r holds C_s(r).  Every window
+    adds its weights times those sums before the next prime.  Beside the Mertens table of the largest N, the memory is the
+    union of heights and each window's positions in it, linear in the
+    windows' blocks (at most 2 sqrt(N) each), plus, for the current prime,
+    one sum per height, the windows' nonzero weights and the histogram's
+    p-sized int64 arrays and one pass of at most KEY_CHUNK p keys.
 
     Only the residues s <= 1/s (mod p) are counted, with weight 2 unless
     s = 1/s.  On the box 1 <= a <= M, 1 <= |b| <= M the bijection
@@ -266,8 +255,8 @@ def _rational_window_totals(windows) -> list[int]:
     admissible).
 
     int64 bound: a height's sum over the residues, pairs weighted 2, counts
-    each point of its box at most once, so it is at most M (2M + 1) < 2^48
-    (_count_pairs).  A weight is at most its block's length, so a window's
+    each point of its box at most once, so it is below 2 M^2 < 2^48
+    (_height_counts).  A weight is at most its block's length, so a window's
     sum at one prime is at most sum_{d <= N} (N/d)(2N/d + 1)
     < 3.3 N^2 + N (ln N + 1), below 2^49 for N <= MAX_N_BUDGET.
     """
@@ -287,10 +276,9 @@ def _rational_window_totals(windows) -> list[int]:
         inverse = {s: pow(s, -1, p) for s in lambdas}
         if not inverse.keys() >= set(inverse.values()):
             raise ArithmeticError(f"superspecial set mod {p} is not closed under 1/s")
-        residues = np.array([s for s in lambdas if s <= inverse[s]], dtype=np.int64)
+        residues = np.array(sorted(s for s in lambdas if s <= inverse[s]), dtype=np.int64)
         if not residues.size:
             continue
-        pair = np.where(residues == p - 1, 1, 2)
         marked = np.zeros(heights.size, dtype=bool)
         nonzero = []
         for i, (X, ends, at) in enumerate(rows):
@@ -299,14 +287,8 @@ def _rational_window_totals(windows) -> list[int]:
                 keep = weight != 0
                 marked[at[keep]] = True
                 nonzero.append((i, at[keep], weight[keep]))
-        marked_at = np.flatnonzero(marked)
-        k = residues.size
-        step = max(1, FLOOR_SUM_CHUNK // 2 // k)
         sums = np.zeros(heights.size, dtype=np.int64)
-        for lo in range(0, marked_at.size, step):
-            at = marked_at[lo : lo + step]
-            counts = _count_pairs(np.repeat(heights[at], k), np.tile(residues, at.size), p)
-            sums[at] = counts.reshape(at.size, k) @ pair
+        sums[marked] = _height_counts(heights[marked], residues, p)
         for i, at, weight in nonzero:
             totals[i] += int(weight @ sums[at])
     return totals

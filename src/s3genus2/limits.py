@@ -42,8 +42,9 @@ HILBERT_CLASS_BOUND = 8
 # naive point counts over F_p and F_{p^2}
 POINT_COUNT_BOUND_DEG1 = 2_000_000
 POINT_COUNT_BOUND_DEG2 = 2_000
-# desk budgets of `average` (prime bound X, window N); the floor-sum
-# kernel's int64 proof assumes them
+# desk budgets of `average` (prime bound X, window N); the window count's
+# int64 proof assumes them: s a <= (p-1)^2 < 2^32 for its keys, and a
+# height's count below 2 N^2 < 2^48 (average._height_counts)
 MAX_X_BUDGET = 50_000
 MAX_N_BUDGET = 10_000_000
 # the scan cost above which a worker pool pays: break-even near F(3300) = 4.1e7
@@ -124,17 +125,20 @@ def _window_cost(X: int, N: int, mode: str) -> str:
 
     The scans cost F(X) and find about sum_p psi_p = 0.8 X^1.5/ln X
     superspecial residues below X (0.78-0.81 measured at X = 300..3000).
-    The rational count runs two floor-sum lanes per (residue pair {s, 1/s},
-    Moebius block), with at most 2 sqrt(N) blocks.  A table's rows share
-    the lanes of their common block heights, so for a row of a table this
-    estimate is an upper bound.
+    The rational count bins two keys per (residue s <= 1/s, a) with
+    a <= min(p - 1, N) at each prime, about psi_p min(p - 1, N) keys.  Over
+    p < X, sum_p psi_p p is about 0.6 X sum_p psi_p, so that is about
+    0.8 min(0.6 X, N) X^1.5/ln X keys (0.77-0.81 of min(0.6 X, N) X^1.5/ln X
+    counted at X = 300..3000 for N >= X and for N = X/10; 0.68 at N = X/2,
+    where the min overstates).  A table bins each prime's keys once, for
+    its largest N, so it costs at most the sum of its rows' estimates.
     """
     cost = (f"~{scan_cost(X):.1e} int64 multiply-adds in the per-prime "
             "baby-step/giant-step scans (X^3/(108 ln X))")
     residues = 0.8 * X**1.5 / math.log(max(X, 3))
     if mode == "rational":
-        return cost + (f", then ~{2 * math.sqrt(N) * residues:.1e} floor-sum lanes "
-                       "in the rational window count (1.6 sqrt(N) X^1.5/ln X)")
+        return cost + (f", then ~{min(0.6 * X, N) * residues:.1e} histogram keys "
+                       "in the rational window count (0.8 min(0.6X, N) X^1.5/ln X)")
     return cost + f", then ~{residues:.1e} residue counts (0.8 X^1.5/ln X)"
 
 

@@ -2,6 +2,7 @@
 the scalar floor-sum path, the closed-form constants, and the counting
 helpers."""
 
+import itertools
 import math
 import random
 from dataclasses import asdict
@@ -11,11 +12,10 @@ import pytest
 
 from s3genus2 import average
 from s3genus2.average import (
-    FLOOR_SUM_CHUNK,
     INTEGER_WINDOW_CONSTANT,
     RATIONAL_HEIGHT_CONSTANT,
     AverageRun,
-    _floor_sum_vec,
+    _height_counts,
     _mertens_table,
     default_window,
     phi_lambda,
@@ -140,16 +140,6 @@ def test_phi_lambda_skips_bad_reduction():
     assert phi_lambda(1, 5, 7) == 0
 
 
-def test_floor_sum_against_naive():
-    rng = random.Random(0)
-    lanes = [(rng.randrange(0, 40), rng.randrange(0, 60), rng.randrange(-60, 60),
-              rng.randrange(1, 30)) for _ in range(300)]
-    got = _floor_sum_vec(*(np.array(col) for col in zip(*lanes)))
-    for (n, a, b, m), value in zip(lanes, got.tolist()):
-        want = sum((a * i + b) // m for i in range(n))
-        assert value == want, (n, a, b, m)
-
-
 def test_scalar_floor_sum_against_naive():
     rng = random.Random(1)
     for _ in range(300):
@@ -158,57 +148,54 @@ def test_scalar_floor_sum_against_naive():
         assert _floor_sum(n, a, b, m) == sum((a * i + b) // m for i in range(n))
 
 
-def test_floor_sum_vec_matches_scalar_oracle():
-    rng = random.Random(2)
-    lanes = []
-    for _ in range(2000):
-        m = rng.randrange(1, 5000)
-        lanes.append((rng.randrange(0, 10**6), rng.randrange(0, 3 * m),
-                      rng.randrange(-3 * m, 3 * m), m))
-    # n = 0, a >= m, b < -m
-    lanes += [(0, 7, -20, 3), (0, 0, 0, 1), (5, 9, -40, 4), (1, 0, -1, 1)]
-    # the edges of the window count's domain: n <= MAX_N_BUDGET,
-    # m < MAX_X_BUDGET, 0 <= a < m, |b| < 2m
-    lanes += [(n, a, b, m)
-              for n in (1, MAX_N_BUDGET)
-              for m in (2, 3, MAX_X_BUDGET - 1)
-              for a in (0, 1, m - 1)
-              for b in (-2 * m + 1, -1, 0, m, 2 * m - 1)]
-    got = _floor_sum_vec(*(np.array(col) for col in zip(*lanes)))
-    assert got.tolist() == [_floor_sum(*lane) for lane in lanes]
+def _lattice_counts_by_points(p: int, s: int, top: int) -> list[int]:
+    """#{(a, b) : 1 <= a <= M, p !| a, |b| <= M, b = s a (mod p)} for every
+    M = 0..top, by listing the points of the box of height top."""
+    at_height = [0] * (top + 1)
+    for a in range(1, top + 1):
+        if a % p:
+            for b in range(-top + (s * a + top) % p, top + 1, p):
+                at_height[max(a, abs(b))] += 1
+    return list(itertools.accumulate(at_height))
 
 
-def test_floor_sum_vec_leaves_its_inputs_alone():
-    cols = [np.array([5, 0, 9]), np.array([7, 3, 2]), np.array([-8, 4, 1]), np.array([3, 5, 4])]
-    before = [c.copy() for c in cols]
-    _floor_sum_vec(*cols)
-    assert all((c == b).all() for c, b in zip(cols, before))
+@pytest.mark.parametrize("p", primes_below(100))
+def test_height_counts_match_a_lattice_loop_below_100(p):
+    # every prime 5 <= p < 100, residue 1 <= s < p and height 0 <= M <= 3p;
+    # a residue counts with weight 2 (its pair {s, 1/s}), s = p - 1 with 1
+    heights = np.arange(3 * p + 1, dtype=np.int64)
+    for s in range(1, p):
+        got = _height_counts(heights, np.array([s], dtype=np.int64), p).tolist()
+        weight = 1 if s == p - 1 else 2
+        assert got == [weight * n for n in _lattice_counts_by_points(p, s, 3 * p)], (p, s)
 
 
-def test_floor_sum_bound_keeps_the_count_in_int64():
-    # the window count's lanes: n = M <= MAX_N_BUDGET, m = p < MAX_X_BUDGET,
-    # 0 <= a < m, |b| < 2m
-    n, m = MAX_N_BUDGET, MAX_X_BUDGET
-    assert m * (n + 2) < 2**39  # y = a*n + b
-    assert n * (n + 1) // 2 < 2**46  # one lane's floor sum
-    # a chunk's weighted sum: a pair's count is at most M (2M + 1) and its
-    # weight at most twice (a residue pair {s, 1/s}) the block length
-    # N/(M(M+1)) + 1
-    per_pair = max(2 * (n // (M * (M + 1)) + 1) * M * (2 * M + 1)
-                   for M in (1, 2, 10, math.isqrt(n), n // 2, n))
-    assert per_pair <= 2 * (2 * n + n * (2 * n + 1))
-    assert FLOOR_SUM_CHUNK // 2 * 2 * (2 * n + n * (2 * n + 1)) < 2**59
-    # a window's sum at one prime: a height's sum over the residues is at
-    # most M (2M + 1) and its weight at most its block's length, so the sum
-    # is at most sum_{d <= N} (N/d)(2N/d + 1) <= 2 zeta(2) N^2 + N (ln N + 1)
+def test_height_count_bound_keeps_the_count_in_int64():
+    # _height_counts on python ints at M = MAX_N_BUDGET, at the largest prime
+    # below MAX_X_BUDGET and at p = 5 (the most whole periods): with every
+    # residue 1 <= s < p at weight 1, an upper bound on the weights w_s of
+    # a superspecial set, the periods' term and the keys' cumsum (C_s(r)
+    # summed over s is 2 r^2) add up to the box's points off b = 0 (mod p)
+    M = MAX_N_BUDGET
+    for p in (5, primes_below(MAX_X_BUDGET)[-1]):
+        q, r = divmod(M, p)
+        assert (p - 1) ** 2 < 2**32  # s a
+        periods = (p - 1) * (2 * q * q * (p - 1) + 4 * q * r)
+        assert periods + 2 * r * r == 2 * (q * (p - 1) + r) ** 2 <= 2 * M * M < 2**48
+    # the sum over s of C_s(r) is 2 r^2: each a <= r meets each t <= r once
+    p = 97
+    for r in range(p):
+        keys = [max(a, t) for s in range(1, p) for a in range(1, r + 1)
+                for t in (s * a % p, p - s * a % p)]
+        assert sum(key <= r for key in keys) == 2 * r * r, r
+    # a window's sum at one prime: a height's sum over the residues is
+    # below 2 M^2 and its weight at most its block's length, so the sum is
+    # at most sum_{d <= N} (N/d)(2N/d + 1) <= 2 zeta(2) N^2 + N (ln N + 1)
     N = 10**5
     assert sum((N // d) * (2 * (N // d) + 1) for d in range(1, N + 1)) < (
         3.3 * N * N + N * (math.log(N) + 1))
     assert math.pi**2 / 3 < 3.3
-    assert 3.3 * n * n + n * (math.log(n) + 1) < 2**49
-    # a height's sum over the residues, pairs weighted 2: its lines share no
-    # point, so it is at most the M (2M + 1) points of the box
-    assert n * (2 * n + 1) < 2**48
+    assert 3.3 * M * M + M * (math.log(M) + 1) < 2**49
 
 
 def test_mertens_table_matches_oracle_every_N_to_3000():
@@ -302,14 +289,15 @@ def test_rational_window_raises_on_a_set_not_closed_under_inversion(monkeypatch)
         window_sum(10, 20, "rational")
 
 
-@pytest.mark.parametrize("chunk", [2, 6, 64])
+@pytest.mark.parametrize("chunk", [1, 2, 6, 64])
 def test_rational_window_is_independent_of_the_chunk(monkeypatch, chunk):
-    # a prime's heights split across kernel calls, and at chunks 2 and 6
-    # a height whose k residues alone exceed the chunk
+    # passes of chunk * p keys: at chunk 1 fewer than one residue's 2L =
+    # 2(p - 1), so every row splits; at 2 and 6 the rows of a prime with
+    # more than 1 or 3 residues split; at 64 a prime takes one pass
     want = rational_window_scalar(60, 150)
     table = [(30, 80), (45, 150), (60, 100)]
     want_table = [rational_window_scalar(X, N) for X, N in table]
-    monkeypatch.setattr(average, "FLOOR_SUM_CHUNK", chunk)
+    monkeypatch.setattr(average, "KEY_CHUNK", chunk)
     assert window_sum(60, 150, "rational").total == want
     assert [run.total for run in window_sums(table, "rational")] == want_table
 
@@ -333,15 +321,24 @@ def test_window_table_matches_scalar_oracle_row_by_row(table):
     assert runs == [window_sum(X, N, "rational") for X, N in table]
 
 
-def test_a_table_counts_each_lane_once(monkeypatch):
-    # the eight-row table of the benchmark's seed 1: a lane is one
-    # (height M, residue s <= 1/s, prime p) with a nonzero weight in some
-    # row whose X exceeds p, and it sends two floor sums to the kernel
-    xs = (244, 310, 350, 402, 444, 494, 540, 596)
-    table = [(X, default_window(X)) for X in xs]
+def _counting_bincount(monkeypatch, record):
+    """Patch np.bincount to pass the length of each array it bins to record."""
+    bincount = np.bincount
+
+    def counted(x, *args, **kwargs):
+        record(len(x))
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+
+
+def _keys_of_table(table) -> int:
+    """The keys a table bins, counted apart from the production code: a prime
+    p bins two per (residue s <= 1/s, a <= L), L = min(p - 1, its largest
+    height with a nonzero weight in some row whose X exceeds p)."""
     mertens = mertens_table_oracle(max(N for _, N in table)).tolist()
-    lanes = 0
-    for p in primes_below(max(xs)):
+    keys = 0
+    for p in primes_below(max(X for X, _ in table)):
         heights = set()
         for X, N in table:
             if p >= X:
@@ -353,19 +350,31 @@ def test_a_table_counts_each_lane_once(monkeypatch):
                     heights.add(N // d)
                 d = d_hi + 1
         residues = [s for s in superspecial_lambdas(p) if s <= pow(s, -1, p)]
-        lanes += len(heights) * len(residues)
-    assert 2 * lanes == 176_220  # 382,214 when each row counts its own lanes
+        keys += 2 * len(residues) * min(p - 1, max(heights))
+    return keys
 
-    sent = []
-    kernel = average._floor_sum_vec
 
-    def counted(n, a, b, m):
-        sent.append(len(n))
-        return kernel(n, a, b, m)
-
-    monkeypatch.setattr(average, "_floor_sum_vec", counted)
+def _binned_keys(monkeypatch, table) -> int:
+    binned = []
+    _counting_bincount(monkeypatch, binned.append)
     window_sums(table, "rational")
-    assert sum(sent) == 2 * lanes
+    return sum(binned)
+
+
+def test_a_table_counts_each_lane_once(monkeypatch):
+    # the eight-row table of the benchmark's seed 1 bins each key once
+    # (176,220 floor-sum lanes before, 382,214 when each row counted its own)
+    table = [(X, default_window(X)) for X in (244, 310, 350, 402, 444, 494, 540, 596)]
+    assert _keys_of_table(table) == 587_408
+    assert _binned_keys(monkeypatch, table) == 587_408
+
+
+def test_a_prime_bins_keys_up_to_its_largest_height(monkeypatch):
+    # above p = 250 only the first row counts, and its heights stay below
+    # p - 1, so L = 100 there
+    table = [(600, 100), (300, 250)]
+    assert _keys_of_table(table) == 237_972
+    assert _binned_keys(monkeypatch, table) == 237_972
 
 
 @pytest.mark.parametrize("table", [
@@ -373,23 +382,23 @@ def test_a_table_counts_each_lane_once(monkeypatch):
     _forty_rows(),
 ])
 def test_each_kernel_call_counts_one_prime(monkeypatch, table):
-    # a call holds the lanes of one prime, at most FLOOR_SUM_CHUNK of them
-    # unless one height's k residues (2k floor sums) need more
+    # one key histogram per prime with a residue, in passes of at most
+    # KEY_CHUNK p keys
     calls = []
-    kernel = average._floor_sum_vec
+    counts = average._height_counts
 
-    def recorded(n, a, b, m):
-        calls.append((np.unique(m).tolist(), len(m)))
-        return kernel(n, a, b, m)
+    def recorded(M, residues, p):
+        calls.append((p, residues.size, []))
+        return counts(M, residues, p)
 
-    monkeypatch.setattr(average, "_floor_sum_vec", recorded)
+    monkeypatch.setattr(average, "_height_counts", recorded)
+    monkeypatch.setattr(average, "KEY_CHUNK", 1)
+    _counting_bincount(monkeypatch, lambda size: calls[-1][2].append(size))
     window_sums(table, "rational")
-    assert calls
-    for primes, lanes in calls:
-        assert len(primes) == 1
-        p = primes[0]
-        k = sum(s <= pow(s, -1, p) for s in superspecial_lambdas(p))
-        assert lanes <= max(FLOOR_SUM_CHUNK, 2 * k), (p, lanes)
+    primes = primes_below(max(X for X, _ in table))
+    assert [p for p, _, _ in calls] == [p for p in primes if superspecial_lambdas(p)]
+    for p, k, passes in calls:
+        assert passes and max(passes) <= p, (p, k, passes)
 
 
 def test_window_monotone_in_X_and_N():
@@ -406,7 +415,7 @@ def test_budget_errors():
         window_sum(10**6, 100, "integer")
     with pytest.raises(LimitError, match="residue counts"):
         window_sum(100, 10**8, "integer")
-    with pytest.raises(LimitError, match="floor-sum lanes"):
+    with pytest.raises(LimitError, match="histogram keys"):
         window_sum(10**6, 100, "rational")
     with pytest.raises(ValueError):
         window_sum(10, 10, "diagonal")
