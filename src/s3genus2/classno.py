@@ -36,32 +36,33 @@ def _check_discriminant(D: int) -> None:
         raise ValueError(f"-{D} is not a negative quadratic discriminant")
 
 
-def reduced_forms(D: int) -> list[tuple[int, int, int]]:
-    """All reduced primitive forms (a, b, c) with b^2 - 4ac = -D."""
+def _forms(D: int) -> list[tuple[int, int, int]]:
+    """The reduced primitive forms (a, b, c) with b^2 - 4ac = -D, by b."""
     _check_discriminant(D)
     if D > CLASS_NUMBER_BOUND:
         raise LimitError(f"D={D} above enumeration bound {CLASS_NUMBER_BOUND}")
     forms = []
-    b = D % 2
-    while 3 * b * b <= D:
+    for b in range(D % 2, math.isqrt(D // 3) + 1, 2):
         m = (b * b + D) // 4
-        a = max(b, 1)
-        while a * a <= m:
+        for a in range(max(b, 1), math.isqrt(m) + 1):
             if m % a == 0:
                 c = m // a
-                if math.gcd(math.gcd(a, b), c) == 1:
+                if math.gcd(a, b, c) == 1:
                     forms.append((a, b, c))
                     if 0 < b < a < c:
                         forms.append((a, -b, c))
-            a += 1
-        b += 2
-    return sorted(forms, key=lambda f: (f[0], abs(f[1]), -f[1]))
+    return forms
+
+
+def reduced_forms(D: int) -> list[tuple[int, int, int]]:
+    """All reduced primitive forms (a, b, c) with b^2 - 4ac = -D, sorted."""
+    return sorted(_forms(D), key=lambda f: (f[0], abs(f[1]), -f[1]))
 
 
 @lru_cache(maxsize=4096)
 def class_number(D: int) -> int:
     """h(-D): the number of reduced primitive forms of discriminant -D."""
-    return len(reduced_forms(D))
+    return len(_forms(D))
 
 
 def kronecker(a: int, n: int) -> int:

@@ -5,9 +5,20 @@ roots of lambda^2 - lambda + 1 (those parameters are singular).  The member
 is superspecial exactly when the associated Legendre curve with parameter
 Lambda^-(lambda) = (1-lambda)(lambda - sqrt(delta))^2 is supersingular; the
 partner Lambda^+ then is too.  The scan classifies one representative per
-S3-orbit and stamps the rest.  Supersingularity depends only on the
-j-invariant, so the scan maps every representative's Lambda^- to
-j(E_{Lambda^-}) and evaluates the supersingular polynomial ss_p(j) there.
+S3-orbit and stamps the rest.
+
+A sieve first drops the representatives whose E = E_{Lambda^-} the 2-power
+torsion proves ordinary (Knapp, "Elliptic Curves", Thm 4.2: a point halves
+exactly when its differences x - e_i are squares).  With delta = lambda^2 -
+lambda + 1 and L = Lambda^-, E is ordinary when A: p = 1 mod 4, delta a
+square; B: p = 3 mod 8, delta and 1 - L squares; C: p = 7 mod 8, delta a
+square, 1 - L and L not; D: p = 3 mod 4, delta not a square.  A-C read
+#E(F_p) = p + 1 against the rational 2-torsion, D the p^2-Frobenius
+through psi^+ o Frob_p; `_orbit_scan` gives the proofs.
+
+Supersingularity depends only on the j-invariant, so the scan maps every
+kept representative's Lambda^- to j(E_{Lambda^-}) and evaluates the
+supersingular polynomial ss_p(j) there.
 ss_p has degree about p/12, against (p-1)/2 for the Deuring polynomial
 H_p in Lambda; its coefficients come from the truncated hypergeometric
 series of Kaneko-Zagier (1998), with the parameters (1/12, 5/12) for
@@ -240,21 +251,23 @@ def legendre_j(
     With D = t^2 - t this is 256 D (1 + 1/D)^3.  1/D goes through the norm
     D_a^2 - n D_b^2, inverted by a read of the F_p inverse table `inv`
     (curves._inverse_table); n is a non-residue, so the norm vanishes only
-    at D = 0, that is t in {0, 1}, which raises.
+    at D = 0, that is t in {0, 1}, which raises.  D and u^2 are each one
+    F_{p^2} squaring, (a + b w)^2 = (a^2 + n b^2) + 2ab w.
     Below VECTOR_MODULUS_BOUND = 2^25 every intermediate is at most two
-    products of residues (or a residue times n < p), below 2^51, so int64
-    holds it.
+    products of residues (or a residue times n < p) and one residue,
+    below 2^51, so int64 holds it.
     """
     if p >= VECTOR_MODULUS_BOUND:
         raise LimitError(f"p={p} above the vector kernel bound")
-    sa, sb = fp2_mul((ta, tb), (ta, tb), p, n)
-    da, db = (sa - ta) % p, (sb - tb) % p
+    da = (ta * ta + tb * tb % p * n - ta) % p
+    db = tb * (2 * ta - 1) % p
     norm = (da * da % p - db * db % p * n) % p
     if not norm.all():
         raise ValueError(f"singular Legendre parameter t in {{0, 1}} mod {p}")
     ninv = inv[norm]
-    u = ((da * ninv + 1) % p, (p - db) * ninv % p)
-    ja, jb = fp2_mul(fp2_mul(fp2_mul(u, u, p, n), u, p, n), (da, db), p, n)
+    ua, ub = (da * ninv + 1) % p, (p - db) * ninv % p
+    u2 = (ua * ua + ub * ub % p * n) % p, 2 * ua * ub % p
+    ja, jb = fp2_mul(fp2_mul(u2, (ua, ub), p, n), (da, db), p, n)
     return 256 * ja % p, 256 * jb % p
 
 
@@ -263,35 +276,76 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
 
     A supersingular partner forces the other, so Lambda^- alone decides;
     the tests check the Lambda^+ branch against this on every lambda.  The
-    set-up reads the inverse table (curves._inverse_table), and each
-    lambda's representative is the running minimum of its six S3 images,
-    so the representatives are the lambda equal to their own and come out
-    sorted.
-    ss_p is evaluated at j(E_{Lambda^-}) of every representative by the
-    baby-step/giant-step `_bsgs_eval`, with no filter: the result is
-    exact.  A representative whose Lambda^- is 0 or 1 raises (in
-    `legendre_j`).  The supersingular representatives are marked, and
-    every lambda whose representative is marked is stamped.
+    representatives are the lambda equal to their own and come out sorted.
+    A Lambda^- in {0, 1} raises before the sieve.
+
+    The sieve drops a representative whose E = E_L, L = Lambda^-, is
+    ordinary by one of lemmas A-D.  For p >= 5, E/F_p is supersingular
+    exactly when #E(F_p) = p + 1, and (x0, y0) on y^2 = (x-e1)(x-e2)(x-e3)
+    lies in 2E(K) exactly when every x0 - e_i is a square in K, 0 included
+    (Knapp, "Elliptic Curves", 1992, Thm 4.2).  delta = lam^2 - lam + 1
+    is a square exactly when L lies in F_p; squares are read from
+    `_sqrt_table(p)`.
+    A. p = 1 mod 4, delta a square: E[2] is rational, so 4 | #E(F_p), but
+       p + 1 = 2 mod 4.
+    B. p = 3 mod 8, delta and 1 - L squares: a supersingular E(F_p) =
+       Z/n1 x Z/n2 with E[2] rational has 2 | n1 | gcd(p-1, p+1) = 2 (Weil
+       pairing), so it is Z/2 x Z/((p+1)/2), (p+1)/2 = 2 mod 4, with no
+       point of order 4; yet (1, 0), with differences 1, 0, 1 - L, halves.
+    C. p = 7 mod 8, delta a square, 1 - L and L non-squares: as in B, a
+       supersingular E(F_p) has 2-part Z/2 x Z/2^m, now with m >= 2,
+       where exactly one 2-torsion point halves.  (0, 0) does not (-1 is
+       a non-square), (1, 0) halves iff 1 - L is a square, and (L, 0),
+       with differences L, L - 1, 0, iff L is and 1 - L is not.
+    D. p = 3 mod 4, delta a non-square: sqrt(delta)^p = -sqrt(delta), so
+       Frob_p maps E to E_{L^p} = E_{Lambda^+} and Frob_p o psi^+ =
+       psi^- o Frob_p, psi^- being psi^+ with sqrt(delta) negated.  So
+       beta = psi^+ o Frob_p is in End(E) with beta^2 = psi^+ o psi^- o pi
+       = [-3] o pi, pi the p^2-Frobenius (isogenies.compose_is_minus3 checks
+       psi^+ o psi^- = [-3]).  j(E) is not 1728 (L would be -1, 2 or 1/2,
+       in F_p), nor, for p > 5, 0: L and L^p the roots of x^2 - x + 1 give
+       L L^p = (1-lam)^4 = 1 and L + L^p = 2(1-lam)(2lam^2 - lam + 1) = 1,
+       so lam = 2 and p | 15.  So Aut(E) = {+-1}, and a supersingular E
+       would have pi = [+-p]; beta^2 = [3p] is impossible in a definite
+       quaternion algebra, so pi = [p], and E(F_{p^2}) = E[p-1] has no
+       point of order 4.  Yet (0, 0) halves over F_{p^2}, where -1 and
+       -L = -(1-lam)(lam - sqrt(delta))^2 are squares.
+    The sieve keeps 1/2 of the representatives at p = 1 mod 4, 1/4 at
+    p = 3 mod 8 and 3/8 at p = 7 mod 8.  ss_p is evaluated at j(E) of each
+    kept one by `_bsgs_eval`, exactly.  The supersingular representatives
+    are marked, and every lambda whose representative is marked is stamped.
     """
     check_modulus(p)
     if p >= VECTOR_MODULUS_BOUND:
         raise LimitError(f"p={p} above the vector kernel bound")
     lam = np.arange(2, p, dtype=np.int64)
-    delta = (lam * lam - lam + 1) % p
-    lam = lam[delta != 0]
+    lam = lam[(lam * lam - lam + 1) % p != 0]
     if lam.size == 0:
         return ()
     inv = _inverse_table(p)
-    inv_lam = inv[lam]
-    one_m = p + 1 - lam
-    rep = np.minimum(lam, inv_lam)
-    np.minimum(rep, one_m, out=rep)
-    np.minimum(rep, inv[one_m], out=rep)
-    np.minimum(rep, lam * inv[lam - 1] % p, out=rep)
-    np.minimum(rep, (lam - 1) * inv_lam % p, out=rep)
+    # each lam's representative is the least of its six S3 images, from two
+    # inverse reads: lam/(lam-1) = 1 - 1/(1-lam) and (lam-1)/lam = 1 - 1/lam,
+    # and every image lies in [2, p-1], so 1 - v is p + 1 - v
+    rep = np.minimum(lam, p + 1 - lam)
+    for image in (inv[lam], inv[p + 1 - lam]):
+        np.minimum(rep, image, out=rep)
+        np.minimum(rep, p + 1 - image, out=rep)
     reps = lam[rep == lam]
     n = smallest_nonresidue(p)
-    la, lb = lambda_eps_pairs(reps, -1, p, n, _sqrt_table(p))
+    table = _sqrt_table(p)
+    la, lb = lambda_eps_pairs(reps, -1, p, n, table)
+    # the sieve: lemmas A-D, after the singular check has seen every row
+    rational = lb == 0
+    if not (la[rational] >= 2).all():
+        raise ValueError(f"singular Legendre parameter Lambda^- in {{0, 1}} mod {p}")
+    if p % 4 == 1:
+        keep = lb != 0  # A
+    elif p % 8 == 3:
+        keep = rational & (table[(1 - la) % p] == -1)  # B, D
+    else:
+        keep = rational & ((table[(1 - la) % p] >= 0) | (table[la] >= 0))  # C, D
+    del image, table  # p-sized; the kernel below holds the peak
+    reps, la, lb = reps[keep], la[keep], lb[keep]
     ja, jb = legendre_j(la, lb, p, n, inv)
     acc_a, acc_b = _bsgs_eval(ja, jb, n, p, _supersingular_array(p))
     mark = np.zeros(p, dtype=bool)
@@ -310,8 +364,9 @@ def _bsgs_eval(
     f(x) = sum_j P_j(x) G^j, where P_j carries c_{jk} .. c_{jk+k-1} and
     G = x^k.  The block values P_j(x) for all x are one int64 matrix
     product per F_{p^2} component (the coefficients lie in F_p); the giant
-    steps are g - 1 Horner passes in G.  Entries of the products stay below
-    k (p-1)^2, which VECTOR_MODULUS_BOUND keeps under 2^63.  The points go
+    steps are g - 1 Horner passes in G, each adding its block value
+    unreduced.  A giant step stays below (k + 2)(p-1)^2, which
+    VECTOR_MODULUS_BOUND keeps under 2^63.  The points go
     through in row chunks, so the (rows, k) and (rows, g) matrices hold at
     most BSGS_CHUNK_ELEMENTS entries each.
     """
@@ -336,9 +391,10 @@ def _bsgs_rows(
     """sum_j P_j(L) G^j for the rows' points L, with P_j(L) = sum_i c[i, j] L^i.
 
     lb*n and G_b*n are reduced once per chunk, so every F_{p^2} product
-    below takes two reductions, one per component.  Each reduced
-    expression sums two products of residues and at most one residue,
-    below 2(p-1)^2 + p < 2^51 for p < VECTOR_MODULUS_BOUND.
+    below takes two reductions, one per component.  A baby step sums two
+    products of residues, below 2(p-1)^2 < 2^51 for p < VECTOR_MODULUS_BOUND.
+    The block values stay unreduced, below k (p-1)^2, until a giant step
+    adds one to its two products of residues, below (k + 2)(p-1)^2 < 2^63.
     """
     k, g = c.shape
     lbn = lb * n % p
@@ -353,9 +409,9 @@ def _bsgs_rows(
     ua, ub = pow_a[:, k - 1], pow_b[:, k - 1]
     ga, gb = (ua * la + ub * lbn) % p, (ua * lb + ub * la) % p
     gbn = gb * n % p
-    block_a = pow_a @ c % p
-    block_b = pow_b @ c % p
-    acc_a, acc_b = block_a[:, g - 1], block_b[:, g - 1]
+    block_a = pow_a @ c
+    block_b = pow_b @ c
+    acc_a, acc_b = block_a[:, g - 1] % p, block_b[:, g - 1] % p
     for j in range(g - 2, -1, -1):
         acc_a, acc_b = (
             (acc_a * ga + acc_b * gbn + block_a[:, j]) % p,

@@ -10,13 +10,16 @@ the library, an argument outside a function's domain (a non-prime
 modulus, an inadmissible lambda) stays a plain ValueError.
 
 The cost of a run is dominated by the per-prime scans (family._orbit_scan):
-about p/6 orbit representatives go through two (p/6 x k) @ (k x g) int64
-products with k g ~ p/12, the coefficients of ss_p, so a prime costs about
-p^2/36 multiply-adds and all primes below X about
+of the p/6 orbit representatives, the 2-power torsion sieve keeps 1/2 at
+p = 1 mod 4, 1/4 at p = 3 mod 8 and 3/8 at p = 7 mod 8, 13/32 of them on
+average over the classes mod 8.  The kept rows go through two
+(rows x k) @ (k x g) int64 products with k g ~ p/12, the coefficients of
+ss_p, so a prime costs about (13/32) p^2/36 = 13 p^2/1152 multiply-adds
+and all primes below X about
 
-    F(X) = X^3 / (108 ln X),
+    F(X) = 13 X^3 / (3456 ln X),
 
-the prime number theorem's value of sum_{p < X} p^2/36 (`scan_cost`).
+the prime number theorem's value of sum_{p < X} 13 p^2/1152 (`scan_cost`).
 F(MAX_X_BUDGET) is the scan work of the largest `average` run admitted;
 `psi` and `structure` admit a prime range whose scans cost no more, and
 family.scan_primes puts scans costing more than SCAN_POOL_THRESHOLD on a pool.
@@ -31,8 +34,8 @@ import math
 
 # F_p arithmetic: products of two residues stay in native double-width ints
 MAX_MODULUS = 1 << 31
-# the int64 scan kernels need k (p-1)^2 < 2^63 for up to (p+1)/2
-# coefficients, k = isqrt((p+1)/2): below 2^25 that is at most 2^12 * 2^50
+# the int64 scan kernels need (k + 2)(p-1)^2 < 2^63 for up to (p+1)/2
+# coefficients, k = isqrt((p+1)/2): below 2^25 that is at most (2^12 + 2) 2^50
 VECTOR_MODULUS_BOUND = 1 << 25
 # reduced-form enumeration of class numbers h(-D)
 CLASS_NUMBER_BOUND = 10**7
@@ -47,9 +50,10 @@ POINT_COUNT_BOUND_DEG2 = 2_000
 # height's count below 2 N^2 < 2^48 (average._height_counts)
 MAX_X_BUDGET = 50_000
 MAX_N_BUDGET = 10_000_000
-# the scan cost above which a worker pool pays: break-even near F(3300) = 4.1e7
-# on a 2-vCPU host; above F(3000) = 3.1e7, every perfbench workload is serial
-SCAN_POOL_THRESHOLD = 40_000_000
+# the scan cost above which a worker pool pays: break-even near F(3300) = 1.7e7
+# on a 2-vCPU host, where serial and two-worker structure tie; above F(3000) =
+# 1.3e7, every perfbench workload (F <= 4.7e6) is serial
+SCAN_POOL_THRESHOLD = 16_000_000
 # isogeny --trials: 48 F_{p^2} products and no inversion a trial (check_isogeny),
 # 0.010-0.024 ms from p = 10^3 to 2^31 (2-vCPU host)
 MAX_TRIALS_BUDGET = 100_000
@@ -63,9 +67,9 @@ class LimitError(ValueError):
 
 
 def scan_cost(X: float) -> float:
-    """F(X) = X^3/(108 ln X), the int64 multiply-adds of the scans of the
-    primes below X (sum_{p < X} p^2/36)."""
-    return X**3 / (108 * math.log(max(X, 3)))
+    """F(X) = 13 X^3/(3456 ln X), the int64 multiply-adds of the scans of
+    the primes below X (sum_{p < X} 13 p^2/1152)."""
+    return 13 * X**3 / (3456 * math.log(max(X, 3)))
 
 
 def check_scan_range(lo: int, hi: int, top: int) -> None:
@@ -95,7 +99,7 @@ def check_scan_range(lo: int, hi: int, top: int) -> None:
             f"primes {lo}..{top} exceed the desk budget of ~{budget:.1e} int64 "
             f"multiply-adds, the scans of average --X {MAX_X_BUDGET}; estimated cost "
             f"~{cost:.1e} in the per-prime baby-step/giant-step scans "
-            "(F(top) - F(from), F(X) = X^3/(108 ln X))"
+            "(F(top) - F(from), F(X) = 13 X^3/(3456 ln X))"
         )
 
 
@@ -134,7 +138,7 @@ def _window_cost(X: int, N: int, mode: str) -> str:
     its largest N, so it costs at most the sum of its rows' estimates.
     """
     cost = (f"~{scan_cost(X):.1e} int64 multiply-adds in the per-prime "
-            "baby-step/giant-step scans (X^3/(108 ln X))")
+            "baby-step/giant-step scans (13 X^3/(3456 ln X))")
     residues = 0.8 * X**1.5 / math.log(max(X, 3))
     if mode == "rational":
         return cost + (f", then ~{min(0.6 * X, N) * residues:.1e} histogram keys "

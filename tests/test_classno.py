@@ -55,6 +55,27 @@ def test_class_number_matches_oracle():
             assert class_number(D) == class_number_oracle(D), D
 
 
+def test_reduced_forms_list_the_oracle_forms_in_order():
+    # hilbert_poly multiplies the roots out in this order; class_number
+    # counts the same enumeration without listing it
+    for D in range(3, 500):
+        if (-D) % 4 not in (0, 1):
+            continue
+        want = [
+            (a, b, (b * b + D) // (4 * a))
+            for a in range(1, math.isqrt(D // 3) + 1)
+            for b in range(a, -a - 1, -1)
+            if (b * b + D) % (4 * a) == 0
+        ]
+        want = [
+            (a, b, c) for a, b, c in want
+            if c >= a and math.gcd(a, b, c) == 1 and not (b < 0 and (-b == a or a == c))
+        ]
+        want.sort(key=lambda f: (f[0], abs(f[1]), -f[1]))
+        assert reduced_forms(D) == want, D
+        assert class_number(D) == len(want), D
+
+
 def test_reduced_form_invariants():
     for D in (15, 23, 39, 120, 163):
         if (-D) % 4 not in (0, 1):

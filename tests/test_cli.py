@@ -119,7 +119,7 @@ def test_prime_above_the_class_number_bound_is_refused_before_any_scan(
 def test_range_over_the_scan_budget_is_refused_before_listing_primes(
     capsys, monkeypatch, command
 ):
-    # the scans of 5..832987 cost F(832987) - F(5) = 3.9e14 multiply-adds,
+    # the scans of 5..832987 cost F(832987) - F(5) = 1.6e14 multiply-adds,
     # 3,670 times F(MAX_X_BUDGET), the scans of the largest average run
     from s3genus2 import cli
 
@@ -135,10 +135,10 @@ def test_range_over_the_scan_budget_is_refused_before_listing_primes(
     assert code == 2
     assert out == ""
     assert err == (
-        "error: primes 5..832987 exceed the desk budget of ~1.1e+11 int64 "
-        "multiply-adds, the scans of average --X 50000; estimated cost ~3.9e+14 "
+        "error: primes 5..832987 exceed the desk budget of ~4.3e+10 int64 "
+        "multiply-adds, the scans of average --X 50000; estimated cost ~1.6e+14 "
         "in the per-prime baby-step/giant-step scans "
-        "(F(top) - F(from), F(X) = X^3/(108 ln X))\n"
+        "(F(top) - F(from), F(X) = 13 X^3/(3456 ln X))\n"
     )
     # only the step down from --to to the largest prime ran
     assert calls == list(range(833000, 832987 - 1, -1))

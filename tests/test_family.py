@@ -3,10 +3,11 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from fp2_oracle import F, normal_form
+from fp2_oracle import F, count_points, normal_form
 
 from s3genus2 import family
 from s3genus2.cli import PSI_COLUMNS, _line
@@ -25,6 +26,7 @@ from s3genus2.family import (
     is_admissible,
     lambda_eps_pairs,
     lambda_from_torsion,
+    lambda_pair,
     legendre_j,
     lambda_record,
     orbit,
@@ -34,7 +36,7 @@ from s3genus2.family import (
     psi_closed_form,
     torsion_from_lambda,
 )
-from s3genus2.fields import fp2_mul, fp2_sqrt, is_prime, smallest_nonresidue
+from s3genus2.fields import fp2_mul, fp2_sqrt, is_prime, legendre_int, smallest_nonresidue
 from s3genus2.limits import VECTOR_MODULUS_BOUND
 
 PRIMES_1MOD4 = [5, 13, 17, 29, 37, 41, 53, 61]
@@ -294,7 +296,8 @@ def test_legendre_j_inverse_table_matches_exponentiation():
 
 
 def test_orbit_scan_raises_on_a_singular_representative(monkeypatch):
-    # a representative whose Lambda^- reads 1 has norm N(L(L-1)) = 0
+    # a representative whose Lambda^- reads 1 is singular; the check sees it
+    # before the sieve, which would drop it at p = 1, 3 and 5 mod 8
     real = family.lambda_eps_pairs
 
     def with_one(*args):
@@ -303,8 +306,9 @@ def test_orbit_scan_raises_on_a_singular_representative(monkeypatch):
         return la, lb
 
     monkeypatch.setattr(family, "lambda_eps_pairs", with_one)
-    with pytest.raises(ValueError, match="singular Legendre parameter"):
-        family._orbit_scan(1009)
+    for p in (1009, 1019, 1013, 1031):  # 1, 3, 5 and 7 mod 8
+        with pytest.raises(ValueError, match="singular Legendre parameter"):
+            family._orbit_scan(p)
 
 
 SQUARE_BLOCKS = (7, 17, 31, 71, 97, 199)  # m+1 = (p+1)/2 = k^2
@@ -335,19 +339,61 @@ def test_deuring_eval_matches_horner_on_random_points(p, monkeypatch):
     assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
 
 
-def test_orbit_scan_evaluates_each_orbit_once(monkeypatch):
-    for p in primes_in(5, 200):
-        sizes = []
+def sieve_lemma(lam, p):
+    """The lemma of `family._orbit_scan` that drops lam's orbit, or None.
 
-        def counting_eval(xa, xb, n, q, coeffs):
-            sizes.append(xa.size)
+    Read from lam alone: Lambda^- by `lambda_pair` and squares by
+    `legendre_int`, 0 counting as a square.
+    """
+    delta, _, (la, lb), _ = lambda_pair(lam, p)
+    if legendre_int(delta, p) < 0:
+        return None if p % 4 == 1 else "D"
+    assert lb == 0
+    if p % 4 == 1:
+        return "A"
+    one_minus_square = legendre_int(1 - la, p) >= 0
+    if p % 8 == 3:
+        return "B" if one_minus_square else None
+    return None if one_minus_square or legendre_int(la, p) >= 0 else "C"
+
+
+def orbit_representatives(p):
+    return sorted({min(orbit(lam, p)) for lam in range(2, p) if is_admissible(lam, p)})
+
+
+def test_orbit_scan_evaluates_each_orbit_once(monkeypatch):
+    # _bsgs_eval gets j(E_{Lambda^-}) of exactly the kept representatives,
+    # in ascending order, in one call
+    for p in primes_in(5, 300):
+        calls = []
+
+        def recording_eval(xa, xb, n, q, coeffs):
+            calls.append(list(zip(xa.tolist(), xb.tolist())))
             return horner_eval(xa, xb, n, q, coeffs)
 
-        reps = {min(orbit(lam, p)) for lam in range(2, p) if is_admissible(lam, p)}
+        kept = [lam for lam in orbit_representatives(p) if sieve_lemma(lam, p) is None]
+        want = [j_invariant(LegendreCurve(lambda_pair(lam, p)[2], p)) for lam in kept]
         with monkeypatch.context() as m:
-            m.setattr(family, "_bsgs_eval", counting_eval)
+            m.setattr(family, "_bsgs_eval", recording_eval)
             family._orbit_scan(p)
-        assert sizes == ([len(reps)] if reps else []), p
+        assert calls == [want], p
+
+
+def test_sieve_drops_only_ordinary_curves_below_500():
+    # no H_p and no ss_p: a curve over F_p that lemmas A-C drop has
+    # #E(F_p) != p + 1; one that lemma D drops has a trace prime to p over
+    # F_{p^2} (checked below 200, where counting F_{p^2} stays small)
+    dropped = Counter()
+    for p in primes_in(5, 500):
+        for lam in orbit_representatives(p):
+            lemma = sieve_lemma(lam, p)
+            curve = LegendreCurve(lambda_pair(lam, p)[2], p)
+            if lemma in ("A", "B", "C"):
+                assert count_points(curve, 1) != p + 1, (p, lam, lemma)
+            elif lemma == "D" and p < 200:
+                assert (p * p + 1 - count_points(curve, 2)) % p, (p, lam)
+            dropped[lemma] += 1
+    assert all(dropped[lemma] for lemma in "ABCD")
 
 
 def test_bsgs_rows_at_the_largest_prime_below_the_bound():
@@ -369,11 +415,13 @@ def test_bsgs_rows_at_the_largest_prime_below_the_bound():
 
 
 def test_vector_bound_keeps_block_sums_in_int64():
-    # a block value sums k products of two residues; the largest p allowed
-    # has the largest k and the largest products
+    # a block value sums k products of two residues, and a giant step adds
+    # one unreduced to two more; the largest p allowed has the largest k and
+    # the largest products
     p = VECTOR_MODULUS_BOUND - 1
     k = math.isqrt((p - 1) // 2 + 1)
     assert k * (p - 1) ** 2 <= 2**62 < 2**63
+    assert (k + 2) * (p - 1) ** 2 < 2**63
 
 
 def test_orbit_scan_rejects_prime_above_bound_before_allocating():

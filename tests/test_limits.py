@@ -29,31 +29,48 @@ from s3genus2.limits import (
 BY_CONSTANT, OF_TWO_VALUES, SQUARES = 9, 8, 7
 TRIAL_MULS, TRIAL_INVS = 2 * (BY_CONSTANT + OF_TWO_VALUES + SQUARES), 0
 
-def _scan_multiply_adds(p: int) -> int:
-    """2 reps k g: the two (reps x k) @ (k x g) block products of the scan.
+# the share of the orbit representatives the scan's 2-power torsion sieve
+# keeps, by p mod 8 (family._orbit_scan)
+KEPT = {1: 1 / 2, 5: 1 / 2, 3: 1 / 4, 7: 3 / 8}
 
-    k and g are `_bsgs_eval`'s split of the ss_p coefficients; reps is the
-    number of S3 orbits of admissible lambda, all of size 6 but {-1, 2, 1/2}.
+
+def _scan_multiply_adds(p: int, monkeypatch) -> int:
+    """2 rows k g: the two (rows x k) @ (k x g) block products of the scan.
+
+    k and g are `_bsgs_eval`'s split of the ss_p coefficients; rows is the
+    number of representatives the scan keeps, recorded from its one call.
     """
+    rows = []
+    real = family._bsgs_eval
+
+    def recording_eval(xa, xb, n, q, coeffs):
+        rows.append(xa.size)
+        return real(xa, xb, n, q, coeffs)
+
+    monkeypatch.setattr(family, "_bsgs_eval", recording_eval)
+    family._orbit_scan(p)
     size = _supersingular_array(p).size
     k = isqrt(size)
     g = -(-size // k)
-    admissible = p - 2 - (2 if p % 3 == 1 else 0)
-    reps = (admissible - 3) // 6 + 1
-    return 2 * reps * k * g
+    (kept,) = rows
+    return 2 * kept * k * g
 
 
 # At p = 1009 the split holds k g = 90 slots for 85 coefficients, so the
-# scan does 6.9% more than p^2/36; the excess k g - size < k is a relative
-# 1/sqrt(p/12) that falls below 5% from p ~ 4800 on.
+# scan does 6.9% more than the model; the excess k g - size < k is a
+# relative 1/sqrt(p/12) that falls below 5% from p ~ 4800 on.  The sieve
+# keeps exactly half the representatives at p = 1 mod 4 (84 of 168 at
+# 1009); 619 of 1668 at 10007 and 6247 of 16665 at 99991, both 7 mod 8.
 @pytest.mark.parametrize("p, rel", [(1009, 0.07), (10007, 0.05), (99991, 0.05)])
-def test_scan_cost_model_matches_the_scan_shape(p, rel):
-    assert _scan_multiply_adds(p) == pytest.approx(p * p / 36, rel=rel)
+def test_scan_cost_model_matches_the_scan_shape(p, rel, monkeypatch):
+    want = KEPT[p % 8] * p * p / 36
+    assert _scan_multiply_adds(p, monkeypatch) == pytest.approx(want, rel=rel)
 
 
 def test_scan_cost_is_the_prime_sum_of_the_per_prime_cost():
-    # F(X) = X^3/(108 ln X) is the prime number theorem's sum_{p < X} p^2/36
-    exact = sum(p * p for p in primes_below(MAX_X_BUDGET)) / 36
+    # F(X) = 13 X^3/(3456 ln X) is the prime number theorem's
+    # sum_{p < X} 13 p^2/1152, and 13/32 the mean of KEPT over the classes
+    exact = sum(KEPT[p % 8] * p * p for p in primes_below(MAX_X_BUDGET)) / 36
     assert scan_cost(MAX_X_BUDGET) == pytest.approx(exact, rel=0.05)
 
 
