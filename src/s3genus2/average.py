@@ -11,10 +11,12 @@ times sqrt(X)/log X.
 
 The CLI's predicted/ratio columns report that leading term.  It is only the
 leading-order expansion of the main term, the prime sum
-constant * sum_{5 <= p < X} 1/(2 sqrt(p)) (prime_sum_prediction), whose next
-order is a factor 1 + 2/log X: the prime sum exceeds the leading term by a
-factor of 1.24 at X = 10^3, 1.28 at 10^4 and still 1.21 at 10^6.  The prime
-sum is the finite-X reference for judging a window average.
+constant * sum_{5 <= p < X} 1/(2 sqrt(p)), whose next order is a factor
+1 + 2/log X: the prime sum exceeds the leading term by a factor of 1.24 at
+X = 10^3, 1.28 at 10^4 and still 1.21 at 10^6.  The prime sum is the finite-X
+reference for judging a window average; no command reports it, so it lives
+in the tests (prime_sum_prediction in tests/paper_oracle.py), where
+acceptance criterion 14(b) reads it.
 
 The rational count is one vectorised pass over a whole table of windows
 (window_sums; window_sum is its one-window case).  For a height
@@ -83,12 +85,6 @@ def primes_below(X: int) -> tuple[int, ...]:
         if sieve[n]:
             sieve[n * n :: n] = b"\x00" * len(range(n * n, X, n))
     return tuple(n for n in range(5, X) if sieve[n])
-
-
-def prime_sum_prediction(X: int, mode: str = "integer") -> float:
-    """The main term constant * sum_{5 <= p < X} 1/(2 sqrt(p)) of the
-    normalized window total; constant * sqrt(X)/log X is its leading term."""
-    return _mode_constant(mode) * math.fsum(1 / (2 * math.sqrt(p)) for p in primes_below(X))
 
 
 def phi_lambda(numerator: int, denominator: int, X: int) -> int:

@@ -1,12 +1,12 @@
-"""Class numbers, small Hilbert class polynomials, and the singular-moduli
-p-adic valuation formula.
+"""Class numbers and small Hilbert class polynomials.
 
 Class numbers come from enumerating reduced primitive binary quadratic
 forms.  Hilbert class polynomials are built analytically: one j-value per
 reduced form via the q-expansion, multiplied out in fixed-point arithmetic
 on python ints and rounded to exact integers (rounding failures raise,
-never pass silently).  The valuation formula is evaluated by trial-division
-factorization of the quadratic-form values.
+never pass silently).  The singular-moduli p-adic valuation formula
+(Gross-Zagier) and the Dirichlet-series crosscheck of h(-D), which no
+command reports, live in the tests (tests/paper_oracle.py).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import intpoly
-from .fields import factorize
 from .limits import (
     CLASS_NUMBER_BOUND,
     HILBERT_CLASS_BOUND,
@@ -63,55 +62,6 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
 def class_number(D: int) -> int:
     """h(-D): the number of reduced primitive forms of discriminant -D."""
     return len(_forms(D))
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n) for arbitrary integers."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t:
-        if a % 2 == 0:
-            return 0
-        if t % 2 == 1 and a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
-def dirichlet_crosscheck(D: int, terms: int) -> float:
-    """sqrt(D)/pi times the partial sum of L(1, chi_{-D}); approximates h(-D)."""
-    _check_discriminant(D)
-    if terms < 10**3:
-        raise ValueError("need at least 10^3 terms")
-    total = 0.0
-    for n in range(1, terms + 1):
-        chi = kronecker(-D, n)
-        if chi:
-            total += chi / n
-    return math.sqrt(D) / math.pi * total
-
-
-def dirichlet_tail_bound(D: int, terms: int) -> float:
-    """Polya/Abel tail bound for the crosscheck, in class-number units."""
-    return 3.0 * D * math.log(D) / (math.pi * terms)
 
 
 # ---------------------------------------------------------------------------
@@ -345,69 +295,3 @@ def hilbert_poly(D: int) -> HilbertPoly:
             shift = math.sqrt((vr * vr + vi * vi) / denom)
             raise PrecisionError(f"P_{D}: rounded poly moved a root by {shift:.3g}")
     return HilbertPoly(D, tuple(coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Gross-Zagier valuation
-
-
-def _is_fundamental(D: int) -> bool:
-    """True iff -D is a fundamental discriminant."""
-    if (-D) % 4 == 1:
-        return _squarefree(D)
-    if (-D) % 4 == 0:
-        q = D // 4
-        return q % 4 in (1, 2) and _squarefree(q)
-    return False
-
-
-def _squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorize(n).values())
-
-
-def _ordp_f(m: int, D1: int, D2: int, p: int) -> int:
-    """ord_p F(m) per the multiplicative rule; 0 when m has the wrong shape."""
-
-    def eps(ell: int) -> int:
-        if D1 % ell:
-            return kronecker(-D1, ell)
-        return kronecker(-D2, ell)
-
-    factors = factorize(m)
-    e_p = factors.pop(p, 0)
-    if e_p % 2 == 0 or eps(p) != -1:
-        return 0
-    value = (e_p - 1) // 2 + 1  # (a + 1) with m containing p^(2a+1)
-    for ell, e in factors.items():
-        s = eps(ell)
-        if s == 1:
-            value *= e + 1
-        elif s == -1:
-            if e % 2:
-                return 0
-        else:  # ell divides both discriminants; excluded by coprimality
-            raise ArithmeticError("epsilon undefined")
-    return value
-
-
-def gross_zagier_ordp(D1: int, D2: int, p: int) -> int:
-    """ord_p of J(-D1, -D2)^2 via the explicit quadratic-form sum.
-
-    Requires -D1, -D2 fundamental and coprime; x runs over all integers
-    with x^2 < D1 D2 and x^2 = D1 D2 mod 4.
-    """
-    for D in (D1, D2):
-        _check_discriminant(D)
-        if not _is_fundamental(D):
-            raise ValueError(f"-{D} is not fundamental")
-    if math.gcd(D1, D2) != 1:
-        raise ValueError("discriminants must be coprime")
-    prod = D1 * D2
-    total = 0
-    x = 0
-    while x * x < prod:
-        if (prod - x * x) % 4 == 0:
-            term = _ordp_f((prod - x * x) // 4, D1, D2, p)
-            total += term if x == 0 else 2 * term
-        x += 1
-    return total

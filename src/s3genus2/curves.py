@@ -2,12 +2,13 @@
 
 E_t : y^2 = x(x-1)(x-t) with t in the quadratic extension.  Coefficients,
 parameters and points are the (a, b) int pairs of `fields`.  Provides the
-j-invariant, the on-curve test, the square-root table mod p, the
-Deuring-polynomial supersingularity test, the x-only check of a composite
-of two x-maps against [3], and dense polynomial products and division
-over F_{p^2}.  There is no point law: the isogeny check compares x-maps,
-and the test suite keeps the chord-tangent law, the naive point counts
-and the division-polynomial x-map of [3] as its oracles.
+on-curve test, the square-root table mod p, the Deuring-polynomial
+supersingularity test, the x-only check of a composite of two x-maps
+against [3], and dense polynomial products and division over F_{p^2}.
+There is no point law: the isogeny check compares x-maps, and the test
+suite keeps the chord-tangent law, the naive point counts, the
+division-polynomial x-map of [3] and the per-curve j-invariant (the
+oracle of `family.legendre_j`) as its oracles.
 """
 
 from __future__ import annotations
@@ -64,17 +65,6 @@ class LegendreCurve(CubicCurve):
 
     def __repr__(self):
         return f"LegendreCurve(t={self.t}, p={self.p})"
-
-
-def j_invariant(c: LegendreCurve) -> tuple[int, int]:
-    """j(E_t) = 2^8 (t^2 - t + 1)^3 / (t^2 (t - 1)^2)."""
-    p, n, (ta, tb) = c.p, c.n, c.t
-    sa, sb = fp2_mul(c.t, c.t, p, n)
-    d = (sa - ta, sb - tb)
-    u = (d[0] + 1, d[1])
-    num = fp2_mul(fp2_mul(u, u, p, n), u, p, n)
-    ja, jb = fp2_mul(num, fp2_inv(fp2_mul(d, d, p, n), p, n), p, n)
-    return 256 * ja % p, 256 * jb % p
 
 
 # ---------------------------------------------------------------------------

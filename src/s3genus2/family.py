@@ -5,7 +5,9 @@ roots of lambda^2 - lambda + 1 (those parameters are singular).  The member
 is superspecial exactly when the associated Legendre curve with parameter
 Lambda^-(lambda) = (1-lambda)(lambda - sqrt(delta))^2 is supersingular; the
 partner Lambda^+ then is too.  The scan classifies one representative per
-S3-orbit and stamps the rest.
+S3-orbit and stamps the rest.  The per-lambda S3-orbit walk and the f/g/h
+correspondence with the 3-torsion of the paired curves (p = 11 mod 12),
+which no command runs, live in the tests (tests/paper_oracle.py).
 
 A sieve first drops the representatives whose E = E_{Lambda^-} the 2-power
 torsion proves ordinary (Knapp, "Elliptic Curves", Thm 4.2: a point halves
@@ -37,7 +39,6 @@ which also inverts the norms in the j computation, from its reversal
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -74,41 +75,6 @@ def is_admissible(lam: int, p: int) -> bool:
     return lam not in (0, 1) and delta_of(lam, p) != 0
 
 
-def orbit(lam: int, p: int) -> frozenset[int]:
-    """The S3-orbit {lam, 1/lam, 1-lam, 1/(1-lam), lam/(lam-1), (lam-1)/lam}."""
-    lam %= p
-    if lam in (0, 1):
-        raise ValueError(f"lambda={lam} is singular")
-    inv = pow(lam, -1, p)
-    inv1m = pow(1 - lam, -1, p)
-    return frozenset(
-        (
-            lam,
-            inv,
-            (1 - lam) % p,
-            inv1m % p,
-            lam * pow(lam - 1, -1, p) % p,
-            (lam - 1) * inv % p,
-        )
-    )
-
-
-@dataclass(frozen=True)
-class LambdaRecord:
-    """One family member: lambda, its discriminant data and the Lambda pair.
-
-    sqrt_delta, lambda_minus and lambda_plus are (a, b) pairs over F_{p^2}.
-    """
-
-    lam: int
-    p: int
-    delta: int
-    sqrt_delta: tuple[int, int]
-    lambda_minus: tuple[int, int]
-    lambda_plus: tuple[int, int]
-    superspecial: bool
-
-
 def lambda_pair(lam: int, p: int) -> tuple[int, tuple, tuple, tuple]:
     """(delta, sqrt(delta), Lambda^-, Lambda^+) of an admissible lambda, as pairs.
 
@@ -136,13 +102,6 @@ def lambda_eps(lam, root, eps, p: int):
     base = (2 * lam * lam - lam + 1) % p
     cross = eps * 2 * lam % p
     return one_m * ((base + cross * sa) % p) % p, one_m * (cross * sb % p) % p
-
-
-def lambda_record(lam: int, p: int) -> LambdaRecord:
-    """Build the record; the supersingularity test runs on E_{Lambda^-} only."""
-    delta, s, minus, plus = lambda_pair(lam, p)
-    ss = is_supersingular(LegendreCurve(minus, p))
-    return LambdaRecord(lam % p, p, delta, s, minus, plus, ss)
 
 
 def lambda_eps_pairs(
@@ -426,7 +385,7 @@ def psi_p_bruteforce(p: int) -> tuple[int, ...]:
     for lam in range(2, p):
         if delta_of(lam, p) == 0:
             continue
-        if lambda_record(lam, p).superspecial:
+        if is_supersingular(LegendreCurve(lambda_pair(lam, p)[2], p)):
             out.append(lam)
     return tuple(out)
 
@@ -460,63 +419,3 @@ def psi_p(p: int) -> dict:
     return {"p": p, "class": congruence_class(p), "psi": psi, "h_p": h_p,
             "h_3p": h_3p, "ok": ok, "lambdas": lambdas}
 
-
-# ---------------------------------------------------------------------------
-# the 3-torsion correspondence polynomials of the p = 11 mod 12 branch
-
-_HALVES = {
-    "f": (
-        # coefficients of f(a, b^2): (a-power, b2-power, numerator, denominator)
-        (9, 0, -3, 1), (8, 0, 14, 1), (7, 0, -34, 1), (6, 0, 50, 1),
-        (5, 0, -42, 1), (4, 1, 21, 1), (4, 0, 18, 1), (3, 1, -32, 1),
-        (3, 0, -3, 1), (2, 1, 11, 1), (1, 1, 2, 1), (0, 1, -1, 1),
-    ),
-    "g": (
-        (8, 0, 1, 1), (7, 0, -4, 1), (6, 0, 2, 1), (5, 0, 8, 1),
-        (4, 0, -12, 1), (3, 1, 20, 1), (3, 0, 6, 1), (2, 1, -30, 1),
-        (2, 0, -1, 1), (1, 1, 14, 1), (0, 1, -2, 1),
-    ),
-    "h": (
-        (9, 0, -3, 1), (8, 0, 27, 2), (7, 0, -22, 1), (6, 0, 14, 1),
-        (5, 0, 1, 1), (4, 1, -39, 2), (4, 0, -6, 1), (3, 1, 39, 1),
-        (3, 0, 3, 1), (2, 1, -61, 2), (2, 0, -1, 2), (1, 1, 11, 1),
-        (0, 1, -3, 2),
-    ),
-}
-
-
-def fgh_eval(a: int, b2: int, p: int) -> tuple[int, int, int]:
-    """The three correspondence polynomials evaluated at (a, b^2) in F_p."""
-    a %= p
-    b2 %= p
-    out = []
-    for name in ("f", "g", "h"):
-        acc = 0
-        for pa, pb, num, den in _HALVES[name]:
-            term = num * pow(a, pa, p) % p * pow(b2, pb, p) % p
-            if den != 1:
-                term = term * pow(den, -1, p) % p
-            acc = (acc + term) % p
-        out.append(acc)
-    return tuple(out)
-
-
-def lambda_from_torsion(t: int, a: int, p: int) -> int:
-    """lambda = f/g for a 3-torsion abscissa a of E_t; g = 0 cannot happen."""
-    a %= p
-    t %= p
-    quartic = (3 * pow(a, 4, p) - 4 * (1 + t) * pow(a, 3, p) + 6 * t * a * a - t * t) % p
-    if quartic:
-        raise ValueError("a is not a 3-torsion abscissa of E_t")
-    b2 = a * (a - 1) % p * (a - t) % p
-    f, g, _ = fgh_eval(a, b2, p)
-    if g == 0:
-        raise ArithmeticError(
-            "g(a, b^2) = 0: would force a^2 - a + 1/3 = 0, impossible for a in F_p"
-        )
-    return f * pow(g, -1, p) % p
-
-
-def torsion_from_lambda(lam: int, eps: int, sqrt_delta: int, p: int) -> int:
-    """The inverse map: a = (1 + lam + 2 eps sqrt(delta)) / 3, in F_p."""
-    return (1 + lam + 2 * eps * sqrt_delta) * pow(3, -1, p) % p

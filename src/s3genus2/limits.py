@@ -42,9 +42,6 @@ CLASS_NUMBER_BOUND = 10**7
 # analytic Hilbert class polynomials: discriminant and class number
 HILBERT_D_BOUND = 200
 HILBERT_CLASS_BOUND = 8
-# naive point counts over F_p and F_{p^2}
-POINT_COUNT_BOUND_DEG1 = 2_000_000
-POINT_COUNT_BOUND_DEG2 = 2_000
 # desk budgets of `average` (prime bound X, window N); the window count's
 # int64 proof assumes them: s a <= (p-1)^2 < 2^32 for its keys, and a
 # height's count below 2 N^2 < 2^48 (average._height_counts)

@@ -18,8 +18,9 @@ prime: Lambda^-, Lambda^+ and j(E_Lambda) of every lambda are int64 (a, b)
 arrays over F_p[w]/(w^2 - n), n the smallest non-residue, and a j is
 handled by its code a*p + b, so sorting, deduplication and the Frobenius
 lookup (a, -b) are array operations.  The tests keep the per-lambda
-int-pair computation (lambda_pair, curves.j_invariant) and the S3 orbit
-walk (family.orbit) as the exact oracles.
+int-pair computation (family.lambda_pair, and j_invariant in
+tests/fp2_oracle.py) and the S3 orbit walk (orbit in tests/paper_oracle.py)
+as the exact oracles.
 """
 
 from __future__ import annotations

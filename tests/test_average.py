@@ -9,6 +9,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from paper_oracle import prime_sum_prediction
 
 from s3genus2 import average
 from s3genus2.average import (
@@ -19,7 +20,6 @@ from s3genus2.average import (
     _mertens_table,
     default_window,
     phi_lambda,
-    prime_sum_prediction,
     primes_below,
     window_sum,
     window_sum_bruteforce,

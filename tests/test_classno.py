@@ -3,17 +3,14 @@
 import math
 
 import pytest
+from paper_oracle import dirichlet_crosscheck, dirichlet_tail_bound, gross_zagier_ordp, kronecker
 
 from s3genus2 import classno, intpoly
 from s3genus2.classno import (
     PrecisionError,
     class_number,
-    dirichlet_crosscheck,
-    dirichlet_tail_bound,
-    gross_zagier_ordp,
     hilbert_poly,
     j_q_coefficients,
-    kronecker,
     reduced_forms,
     working_digits,
 )

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from test_isogenies import _load_workloads
 
-from s3genus2 import cli, family
+from s3genus2 import average, classno, cli, family, isogenies, structure
 from s3genus2.cli import build_parser, main
 from s3genus2.limits import (
     CLASS_NUMBER_BOUND,
@@ -463,14 +463,23 @@ def test_row_command_stdout_matches_the_golden_rows(capsys, workload, command, h
     assert out == _load_workloads().expected_output({"workload": workload, "range": [5, hi]})
 
 
-def test_the_benchmark_harness_imports_only_names_the_package_has():
-    # a name the harness imports from s3genus2 and the package lost would
-    # make the benchmark's oracle step exit 1
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def harness_imports():
+    """The (module, name) pairs that perfbench/*.py imports from s3genus2."""
     imported = set()
-    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "s3genus2":
                 imported |= {(node.module, alias.name) for alias in node.names}
+    return imported
+
+
+def test_the_benchmark_harness_imports_only_names_the_package_has():
+    # a name the harness imports from s3genus2 and the package lost would
+    # make the benchmark's oracle step exit 1
+    imported = harness_imports()
     assert imported == {
         ("s3genus2", "cli"),
         ("s3genus2.family", "psi_p_bruteforce"),
@@ -482,6 +491,73 @@ def test_the_benchmark_harness_imports_only_names_the_package_has():
     }
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), (module, name)
+    # the shapes the harness reads from their results at run time: a traced
+    # run counts distinct j's and graph edges (layertrace.py) and tests the
+    # scan cache for membership, the oracle step reads the window total
+    # (worker.py) and the identity step the Hilbert coefficients and the
+    # resultant verdict (workloads.py)
+    assert len(structure.root_profile(13).distinct_js) > 0
+    assert len(structure.build_graph(23).edges) > 0
+    assert isinstance(average.window_sum(50, 50, "rational").total, int)
+    assert classno.hilbert_poly(3).coefficients == (0, 1)
+    holds, constant = isogenies.resultant_factorization_check()
+    assert isinstance(holds, bool) and isinstance(constant, int)
+    assert isinstance(family._SCAN_CACHE, dict)
+
+
+def test_every_package_definition_is_reached_by_a_command_or_the_harness():
+    # src/ holds what a command or the benchmark runs; paper identities and
+    # oracles that neither reaches live in the tests.  A reached definition
+    # reaches every top-level name it loads, directly or as module.name; a
+    # reached class reaches its methods.  Module dunders are exempt.
+    defined, bound = {}, {}
+    for path in sorted((ROOT / "src" / "s3genus2").glob("*.py")):
+        module, tree = path.stem, ast.parse(path.read_text(encoding="utf-8"))
+        defined[module] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[module][node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defined[module][name.id] = node
+        # `from .m import x` binds x to (m, x), `from . import m` binds m to (m, None)
+        bound[module] = {
+            alias.asname or alias.name: (node.module, alias.name) if node.module
+            else (alias.name, None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+    # the roots: cli.main and the names the harness imports, by module stem
+    todo = [("cli", "main")] + [(m.rpartition(".")[2], n) for m, n in harness_imports()]
+    reached = set()
+    while todo:
+        module, name = todo.pop()
+        if name not in defined.get(module, {}):
+            target = bound.get(module, {}).get(name)
+            if target and target[1] is not None:
+                todo.append(target)
+            continue
+        if (module, name) in reached:
+            continue
+        reached.add((module, name))
+        for node in ast.walk(defined[module][name]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                todo.append((module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                target = bound[module].get(node.value.id)
+                if target and target[1] is None:
+                    todo.append((target[0], node.attr))
+    unreached = sorted(
+        (module, name)
+        for module, names in defined.items()
+        for name in names
+        if (module, name) not in reached and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert not unreached, f"defined in src/ but reached by no command: {unreached}"
 
 
 def test_structure_dot_output(capsys, tmp_path):

@@ -5,7 +5,14 @@ import random
 import fp2_oracle as oracle
 import numpy as np
 import pytest
-from fp2_oracle import F, count_points, count_points_weil, psi3_coefficients, triple_x_coefficients
+from fp2_oracle import (
+    F,
+    count_points,
+    count_points_weil,
+    j_invariant,
+    psi3_coefficients,
+    triple_x_coefficients,
+)
 
 from s3genus2.curves import (
     LegendreCurve,
@@ -14,7 +21,6 @@ from s3genus2.curves import (
     _poly_mul,
     deuring_coefficients,
     is_supersingular,
-    j_invariant,
 )
 from s3genus2.family import lambda_pair
 from s3genus2.fields import fp2_horner, is_prime, primitive_root, smallest_nonresidue

@@ -7,7 +7,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from fp2_oracle import F, count_points, normal_form
+from fp2_oracle import F, count_points, j_invariant, normal_form
+from genus2_oracle import cartier_manin_zero_lambdas
+from paper_oracle import fgh_eval, lambda_from_torsion, orbit, torsion_from_lambda
 
 from s3genus2 import family
 from s3genus2.cli import PSI_COLUMNS, _line
@@ -17,24 +19,18 @@ from s3genus2.curves import (
     _inverse_table,
     _sqrt_table,
     is_supersingular,
-    j_invariant,
 )
 from s3genus2.family import (
     _bsgs_eval,
     _supersingular_array,
-    fgh_eval,
     is_admissible,
     lambda_eps_pairs,
-    lambda_from_torsion,
     lambda_pair,
     legendre_j,
-    lambda_record,
-    orbit,
     psi_p,
     psi_p_bruteforce,
     superspecial_lambdas,
     psi_closed_form,
-    torsion_from_lambda,
 )
 from s3genus2.fields import fp2_mul, fp2_sqrt, is_prime, legendre_int, smallest_nonresidue
 from s3genus2.limits import VECTOR_MODULUS_BOUND
@@ -50,18 +46,18 @@ def primes_in(lo, hi):
 def test_lambda_record_pair_identity_lambda_2():
     # {Lambda^-(2), Lambda^+(2)} = {-7 + 4 sqrt(3), -7 - 4 sqrt(3)}
     for p in (13, 29, 101, 103):
-        rec = lambda_record(2, p)
+        _, _, minus, plus = lambda_pair(2, p)
         s3 = F(*fp2_sqrt((3, 0), p, smallest_nonresidue(p)), p)
-        assert {rec.lambda_minus, rec.lambda_plus} == {(-7 + 4 * s3).pair, (-7 - 4 * s3).pair}
+        assert {minus, plus} == {(-7 + 4 * s3).pair, (-7 - 4 * s3).pair}
 
 
 def test_lambda_record_pair_identity_half():
     # Lambda^{+-}(1/2) = (2 +- sqrt(3)) / 4
     for p in (13, 29, 101):
         half = pow(2, -1, p)
-        rec = lambda_record(half, p)
+        _, _, minus, plus = lambda_pair(half, p)
         s3 = F(*fp2_sqrt((3, 0), p, smallest_nonresidue(p)), p)
-        assert {rec.lambda_minus, rec.lambda_plus} == {((2 + s3) / 4).pair, ((2 - s3) / 4).pair}
+        assert {minus, plus} == {((2 + s3) / 4).pair, ((2 - s3) / 4).pair}
 
 
 def test_lambda_record_product_is_fourth_power():
@@ -69,20 +65,20 @@ def test_lambda_record_product_is_fourth_power():
         for lam in range(2, 20):
             if not is_admissible(lam, p):
                 continue
-            rec = lambda_record(lam, p)
-            product = fp2_mul(rec.lambda_minus, rec.lambda_plus, p, smallest_nonresidue(p))
+            _, _, minus, plus = lambda_pair(lam, p)
+            product = fp2_mul(minus, plus, p, smallest_nonresidue(p))
             assert product == (pow(lam - 1, 4, p), 0)
-            assert rec.lambda_minus not in ((0, 0), (1, 0))
-            assert rec.lambda_plus not in ((0, 0), (1, 0))
+            assert minus not in ((0, 0), (1, 0))
+            assert plus not in ((0, 0), (1, 0))
 
 
 def test_lambda_record_rejects_singular():
     with pytest.raises(ValueError):
-        lambda_record(0, 13)
+        lambda_pair(0, 13)
     with pytest.raises(ValueError):
-        lambda_record(1, 13)
+        lambda_pair(1, 13)
     with pytest.raises(ValueError):
-        lambda_record(4, 13)  # delta(4) = 13 = 0
+        lambda_pair(4, 13)  # delta(4) = 13 = 0
 
 
 def test_orbit_of_two_has_size_three():
@@ -163,9 +159,10 @@ def test_pair_supersingularity_agreement():
         for lam in range(2, p):
             if not is_admissible(lam, p):
                 continue
-            rec = lambda_record(lam, p)
-            ss_plus = is_supersingular(LegendreCurve(rec.lambda_plus, p))
-            assert rec.superspecial == ss_plus, (p, lam)
+            _, _, minus, plus = lambda_pair(lam, p)
+            ss_minus = is_supersingular(LegendreCurve(minus, p))
+            ss_plus = is_supersingular(LegendreCurve(plus, p))
+            assert ss_minus == ss_plus, (p, lam)
 
 
 def test_both_branches_classify_identically_to_500():
@@ -440,11 +437,19 @@ def test_orbit_scan_rejects_prime_above_bound_before_allocating():
 def test_sqrt_delta_rationality_by_congruence():
     for p in primes_in(5, 200):
         for lam in superspecial_lambdas(p):
-            rec = lambda_record(lam, p)
+            _, sqrt_delta, _, _ = lambda_pair(lam, p)
             if p % 4 == 1:
-                assert rec.sqrt_delta[1] != 0, (p, lam)
+                assert sqrt_delta[1] != 0, (p, lam)
             else:
-                assert rec.sqrt_delta[1] == 0, (p, lam)
+                assert sqrt_delta[1] == 0, (p, lam)
+
+
+def test_cartier_manin_matrix_vanishes_exactly_on_the_scan_below_1000():
+    # the reduction from the genus-2 side: C_lambda is superspecial exactly
+    # when its Cartier-Manin matrix is zero, at every admissible lambda of
+    # every prime from 5 to 997
+    for p in primes_in(5, 999):
+        assert cartier_manin_zero_lambdas(p) == superspecial_lambdas(p), p
 
 
 def test_closed_form_verdict_small_range():
@@ -519,16 +524,16 @@ def test_round_trip_psi_after_phi():
         if p == 11:
             continue
         for lam in superspecial_lambdas(p):
-            rec = lambda_record(lam, p)
-            assert rec.sqrt_delta[1] == 0
+            _, sqrt_delta, minus, plus = lambda_pair(lam, p)
+            assert sqrt_delta[1] == 0
             for eps in (-1, 1):
-                a = torsion_from_lambda(lam, eps, rec.sqrt_delta[0], p)
-                t, t_b = rec.lambda_minus if eps == -1 else rec.lambda_plus
+                a = torsion_from_lambda(lam, eps, sqrt_delta[0], p)
+                t, t_b = minus if eps == -1 else plus
                 assert t_b == 0
                 got = lambda_from_torsion(t, a, p)
                 assert got == lam, (p, lam, eps)
                 # b_lambda^2 agrees with the normal-form A B^2
-                nf = normal_form(lam, eps, F(*rec.sqrt_delta, p))
+                nf = normal_form(lam, eps, F(*sqrt_delta, p))
                 b2 = a * (a - 1) * (a - t)
                 assert nf.A * nf.B * nf.B == b2
 

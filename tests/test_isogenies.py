@@ -17,13 +17,14 @@ from fp2_oracle import (
     descend_by_3,
     descend_by_3_pure_cube,
     eval_composed,
+    j_invariant,
     normal_form,
     x_map,
 )
 
 from s3genus2 import cli, curves, family, fields, intpoly, isogenies
 from s3genus2.classno import hilbert_poly
-from s3genus2.curves import CubicCurve, LegendreCurve, _sqrt_table, j_invariant
+from s3genus2.curves import CubicCurve, LegendreCurve, _sqrt_table
 from s3genus2.family import lambda_eps, lambda_eps_pairs, lambda_pair
 from s3genus2.fields import fp2_mul, fp2_sqrt, is_prime, smallest_nonresidue
 from s3genus2.isogenies import (
