@@ -158,10 +158,10 @@ def _mertens_table(N: int) -> np.ndarray:
 
 
 def _mertens_coprime(x: np.ndarray, p: int, table: np.ndarray) -> np.ndarray:
-    """sum of mu(d) over d <= x with p not dividing d, for ascending x."""
+    """sum of mu(d) over d <= x with p not dividing d, for each x >= 0."""
     total = table[x]
     x = x // p
-    while x[-1]:
+    while x.max():
         total += table[x]
         x //= p
     return total
@@ -228,17 +228,18 @@ def _rational_window_totals(windows) -> list[int]:
     prime below its X and per block with a nonzero weight, the lattice
     points of height at most M on the line of every superspecial residue.
     Those counts do not depend on the window, so one pass serves every
-    window: the union of the windows' block heights is listed once, and at
-    each prime the heights with a nonzero weight in some window whose X
-    exceeds p are marked.  The marked heights' counts, summed over the
-    residues, come from one key histogram of the prime (_height_counts):
-    on the line of s the count at M = q p + r is 2 q^2 (p - 1) + 4 q r +
-    C_s(r), and the histogram's cumsum at r holds C_s(r).  Every window
-    adds its weights times those sums before the next prime.  Beside the Mertens table of the largest N, the memory is the
-    union of heights and each window's positions in it, linear in the
-    windows' blocks (at most 2 sqrt(N) each), plus, for the current prime,
-    one sum per height, the windows' nonzero weights and the histogram's
-    p-sized int64 arrays and one pass of at most KEY_CHUNK p keys.
+    window: the windows' block ends are concatenated by descending X, and
+    at each prime one Mertens pass over the ends of the windows whose X
+    exceeds p (a prefix) gives every block's weight, the differences across
+    a window boundary dropped.  The heights with a nonzero weight are
+    marked, and their counts, summed over the residues, come from one key
+    histogram of the prime (_height_counts): on the line of s the count at
+    M = q p + r is 2 q^2 (p - 1) + 4 q r + C_s(r), and the histogram's
+    cumsum at r holds C_s(r).  One np.add.reduceat of the weights times
+    those counts gives every window's total at p.  Beside the Mertens table
+    of the largest N, the memory is linear in the windows' blocks (at most
+    2 sqrt(N) each), plus the histogram's p-sized int64 arrays and one pass
+    of at most KEY_CHUNK p keys.
 
     Only the residues s <= 1/s (mod p) are counted, with weight 2 unless
     s = 1/s.  On the box 1 <= a <= M, 1 <= |b| <= M the bijection
@@ -257,17 +258,22 @@ def _rational_window_totals(windows) -> list[int]:
     < 3.3 N^2 + N (ln N + 1), below 2^49 for N <= MAX_N_BUDGET.
     """
     table = _mertens_table(max(N for _, N in windows))
-    index = {}  # every window's block heights, each at its position in the union
-    rows = []
-    for X, N in windows:
-        ends = [0]  # ends[i] is the last d of block i, ends[0] = 0
+    # by descending X, each window's block ends from a 0 and its blocks' places among
+    # the heights; cuts holds its X and the lengths of both lists up to its end
+    order = sorted(range(len(windows)), key=lambda i: -windows[i][0])
+    index, ends, at, cuts = {}, [], [], []
+    for i in order:
+        X, N = windows[i]
+        ends.append(0)
         while ends[-1] < N:
             ends.append(N // (N // (ends[-1] + 1)))
-        at = [index.setdefault(N // d, len(index)) for d in ends[1:]]
-        rows.append((X, np.array(ends, dtype=np.int64), np.array(at, dtype=np.intp)))
+            at.append(index.setdefault(N // ends[-1], len(index)))
+        cuts.append((X, len(ends), len(at)))
+    ends, at = np.array(ends, dtype=np.int64), np.array(at, dtype=np.intp)
+    starts = np.array([0] + [b for _, _, b in cuts[:-1]], dtype=np.intp)
     heights = np.array(list(index), dtype=np.int64)
     totals = [0] * len(windows)
-    for p in primes_below(max(X for X, _ in windows)):
+    for p in primes_below(cuts[0][0]):
         lambdas = superspecial_lambdas(p)
         inverse = {s: pow(s, -1, p) for s in lambdas}
         if not inverse.keys() >= set(inverse.values()):
@@ -275,18 +281,16 @@ def _rational_window_totals(windows) -> list[int]:
         residues = np.array(sorted(s for s in lambdas if s <= inverse[s]), dtype=np.int64)
         if not residues.size:
             continue
+        live = sum(X > p for X, _, _ in cuts)
+        _, e, b = cuts[live - 1]
+        weight = np.diff(_mertens_coprime(ends[:e], p, table))[ends[1:e] != 0]
         marked = np.zeros(heights.size, dtype=bool)
-        nonzero = []
-        for i, (X, ends, at) in enumerate(rows):
-            if p < X:
-                weight = np.diff(_mertens_coprime(ends, p, table))
-                keep = weight != 0
-                marked[at[keep]] = True
-                nonzero.append((i, at[keep], weight[keep]))
+        marked[at[:b][weight != 0]] = True
         sums = np.zeros(heights.size, dtype=np.int64)
         sums[marked] = _height_counts(heights[marked], residues, p)
-        for i, at, weight in nonzero:
-            totals[i] += int(weight @ sums[at])
+        window_totals = np.add.reduceat(weight * sums[at[:b]], starts[:live])
+        for i, total in zip(order, window_totals.tolist()):
+            totals[i] += total
     return totals
 
 

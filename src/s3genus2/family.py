@@ -10,13 +10,9 @@ correspondence with the 3-torsion of the paired curves (p = 11 mod 12),
 which no command runs, live in the tests (tests/paper_oracle.py).
 
 A sieve first drops the representatives whose E = E_{Lambda^-} the 2-power
-torsion proves ordinary (Knapp, "Elliptic Curves", Thm 4.2: a point halves
-exactly when its differences x - e_i are squares).  With delta = lambda^2 -
-lambda + 1 and L = Lambda^-, E is ordinary when A: p = 1 mod 4, delta a
-square; B: p = 3 mod 8, delta and 1 - L squares; C: p = 7 mod 8, delta a
-square, 1 - L and L not; D: p = 3 mod 4, delta not a square.  A-C read
-#E(F_p) = p + 1 against the rational 2-torsion, D the p^2-Frobenius
-through psi^+ o Frob_p; `_orbit_scan` gives the proofs.
+torsion proves ordinary (lemmas A-D, proved in `_orbit_scan`).  At p = 3
+mod 4 it keeps only the lambda whose delta = lambda^2 - lambda + 1 is a
+square, and their Lambda^- lies in F_p.
 
 Supersingularity depends only on the j-invariant, so the scan maps every
 kept representative's Lambda^- to j(E_{Lambda^-}) and evaluates the
@@ -26,14 +22,13 @@ H_p in Lambda; its coefficients come from the truncated hypergeometric
 series of Kaneko-Zagier (1998), with the parameters (1/12, 5/12) for
 p = 1 mod 4 and (7/12, 11/12) for p = 3 mod 4 (`_supersingular_array`).
 The evaluation is an exact baby-step/giant-step (Paterson-Stockmeyer)
-split: about sqrt(p/12) vector operations and two int64 matrix products
-per prime.  The tests hold H_p at every lambda's Lambda^- (the same kernel
-fed the Deuring coefficients), numpy Horner and the pure-python per-lambda
-scan `psi_p_bruteforce` as oracles for it.  The per-prime set-up reads one
-table of generator powers g^0 .. g^(p-2) (curves._power_table): the
-coefficients come from its discrete logarithms and the inverse table,
-which also inverts the norms in the j computation, from its reversal
-(curves._inverse_table), so no p-sized exponentiation runs.
+split: about sqrt(p/12) vector operations and one int64 matrix product
+per lane, two lanes in F_{p^2} or one in F_p at p = 3 mod 4.  The tests
+hold H_p at every lambda's Lambda^- (the same kernel fed the Deuring
+coefficients), numpy Horner and the pure-python per-lambda scan
+`psi_p_bruteforce` as oracles for it.  The coefficients and the inverses
+of the j computation come from one table of generator powers, its logs
+and its reversal (curves), so no p-sized exponentiation runs.
 """
 
 from __future__ import annotations
@@ -93,20 +88,20 @@ def lambda_pair(lam: int, p: int) -> tuple[int, tuple, tuple, tuple]:
 def lambda_eps(lam, root, eps, p: int):
     """Lambda^eps = (1-lam)((lam^2 + delta) + 2*eps*lam*sqrt(delta)), as (a, b).
 
-    root = (a, b) is sqrt(delta) in F_p[w]/(w^2 - n); Lambda^eps is linear
-    in it, so n is not needed.  lam, root and eps may be ints or int64
-    arrays: every intermediate is reduced while it is below 2p^2.
+    root = (a, b) is sqrt(delta) in F_p[w]/(w^2 - n), or (a, None) in F_p,
+    which leaves the b-lane out; Lambda^eps is linear in it, so n is not
+    needed.  lam, root and eps may be ints or int64 arrays: every
+    intermediate is reduced while it is below 2p^2.
     """
     sa, sb = root
     one_m = (1 - lam) % p
     base = (2 * lam * lam - lam + 1) % p
     cross = eps * 2 * lam % p
-    return one_m * ((base + cross * sa) % p) % p, one_m * (cross * sb % p) % p
+    la = one_m * ((base + cross * sa) % p) % p
+    return la, None if sb is None else one_m * (cross * sb % p) % p
 
 
-def lambda_eps_pairs(
-    lam: np.ndarray, eps, p: int, n: int, table: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def lambda_eps_pairs(lam: np.ndarray, eps, p: int, n: int, table: np.ndarray) -> tuple:
     """Lambda^eps(lam) for each admissible lam, as int64 (a, b) over F_p[w]/(w^2 - n).
 
     `lambda_eps` on the arrays, with sqrt(delta) the canonical root of
@@ -202,13 +197,12 @@ def superspecial_lambdas(p: int) -> tuple[int, ...]:
     return result
 
 
-def legendre_j(
-    ta: np.ndarray, tb: np.ndarray, p: int, n: int, inv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def legendre_j(ta, tb, p: int, n: int, inv: np.ndarray) -> tuple:
     """j(E_t) = 256 (t^2 - t + 1)^3 / (t(t - 1))^2 for each t = ta + tb*w.
 
+    tb None leaves the b-lanes out: t = ta and j lie in F_p, and jb is None.
     With D = t^2 - t this is 256 D (1 + 1/D)^3.  1/D goes through the norm
-    D_a^2 - n D_b^2, inverted by a read of the F_p inverse table `inv`
+    D_a^2 - n D_b^2 (D in F_p), inverted by a read of the inverse table `inv`
     (curves._inverse_table); n is a non-residue, so the norm vanishes only
     at D = 0, that is t in {0, 1}, which raises.  D and u^2 are each one
     F_{p^2} squaring, (a + b w)^2 = (a^2 + n b^2) + 2ab w.
@@ -218,12 +212,15 @@ def legendre_j(
     """
     if p >= VECTOR_MODULUS_BOUND:
         raise LimitError(f"p={p} above the vector kernel bound")
-    da = (ta * ta + tb * tb % p * n - ta) % p
-    db = tb * (2 * ta - 1) % p
-    norm = (da * da % p - db * db % p * n) % p
+    da = (ta * ta - ta) % p if tb is None else (ta * ta + tb * tb % p * n - ta) % p
+    db = None if tb is None else tb * (2 * ta - 1) % p
+    norm = da if tb is None else (da * da % p - db * db % p * n) % p
     if not norm.all():
         raise ValueError(f"singular Legendre parameter t in {{0, 1}} mod {p}")
     ninv = inv[norm]
+    if tb is None:
+        u = ninv + 1
+        return 256 * (u * u % p * u % p) % p * da % p, None
     ua, ub = (da * ninv + 1) % p, (p - db) * ninv % p
     u2 = (ua * ua + ub * ub % p * n) % p, 2 * ua * ub % p
     ja, jb = fp2_mul(fp2_mul(u2, (ua, ub), p, n), (da, db), p, n)
@@ -271,7 +268,10 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
        -L = -(1-lam)(lam - sqrt(delta))^2 are squares.
     The sieve keeps 1/2 of the representatives at p = 1 mod 4, 1/4 at
     p = 3 mod 8 and 3/8 at p = 7 mod 8.  ss_p is evaluated at j(E) of each
-    kept one by `_bsgs_eval`, exactly.  The supersingular representatives
+    kept one by `_bsgs_eval`, exactly.  At p = 3 mod 4, D keeps only rows
+    with delta a square, so L, j(E) and, ss_p having F_p coefficients,
+    ss_p(j) lie in F_p: their b-lanes would be 0 throughout, and leaving
+    them out changes no value.  The supersingular representatives
     are marked, and every lambda whose representative is marked is stamped.
     """
     check_modulus(p)
@@ -292,91 +292,87 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
     reps = lam[rep == lam]
     n = smallest_nonresidue(p)
     table = _sqrt_table(p)
-    la, lb = lambda_eps_pairs(reps, -1, p, n, table)
-    # the sieve: lemmas A-D, after the singular check has seen every row
-    rational = lb == 0
-    if not (la[rational] >= 2).all():
-        raise ValueError(f"singular Legendre parameter Lambda^- in {{0, 1}} mod {p}")
+    # the sieve: lemmas A-D; no row in F_p is dropped before the singular check
     if p % 4 == 1:
+        la, lb = lambda_eps_pairs(reps, -1, p, n, table)
         keep = lb != 0  # A
-    elif p % 8 == 3:
-        keep = rational & (table[(1 - la) % p] == -1)  # B, D
-    else:
-        keep = rational & ((table[(1 - la) % p] >= 0) | (table[la] >= 0))  # C, D
+    else:  # D leaves the rows with delta a square, whose Lambda^- lies in F_p
+        root = table[(reps * reps - reps + 1) % p]
+        reps = reps[root >= 0]
+        la, lb = lambda_eps(reps, (root[root >= 0], None), -1, p)
+        one_m = table[(1 - la) % p]
+        keep = one_m == -1 if p % 8 == 3 else (one_m >= 0) | (table[la] >= 0)  # B, C
+    if not ((la if lb is None else la[lb == 0]) >= 2).all():
+        raise ValueError(f"singular Legendre parameter Lambda^- in {{0, 1}} mod {p}")
     del image, table  # p-sized; the kernel below holds the peak
-    reps, la, lb = reps[keep], la[keep], lb[keep]
-    ja, jb = legendre_j(la, lb, p, n, inv)
-    acc_a, acc_b = _bsgs_eval(ja, jb, n, p, _supersingular_array(p))
+    reps, la, lb = reps[keep], la[keep], lb if lb is None else lb[keep]
+    acc = _bsgs_eval(*legendre_j(la, lb, p, n, inv), n, p, _supersingular_array(p))
     mark = np.zeros(p, dtype=bool)
-    mark[reps[(acc_a == 0) & (acc_b == 0)]] = True
+    mark[reps[(acc[0] == 0) & (acc[-1] == 0)]] = True
     return tuple(lam[mark[rep]].tolist())
 
 
-def _bsgs_eval(
-    xa: np.ndarray, xb: np.ndarray, n: int, p: int, coeffs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """f(x) for each x = xa + xb*w in F_{p^2} = F_p[w]/(w^2 - n), exactly.
+def _bsgs_eval(xa, xb, n: int, p: int, coeffs: np.ndarray) -> np.ndarray:
+    """f(x) for each x = xa + xb*w in F_{p^2} = F_p[w]/(w^2 - n), exactly, as
+    the stacked lanes (a, b), or (a,) for x = xa in F_p when xb is None.
 
     f has the ascending F_p coefficients `coeffs`, at most (p+1)/2 of them
     (ss_p in the scan, H_p in the tests).  Paterson-Stockmeyer: with the
     coefficients split into g blocks of k = isqrt(coeffs.size),
     f(x) = sum_j P_j(x) G^j, where P_j carries c_{jk} .. c_{jk+k-1} and
-    G = x^k.  The block values P_j(x) for all x are one int64 matrix
-    product per F_{p^2} component (the coefficients lie in F_p); the giant
-    steps are g - 1 Horner passes in G, each adding its block value
-    unreduced.  A giant step stays below (k + 2)(p-1)^2, which
-    VECTOR_MODULUS_BOUND keeps under 2^63.  The points go
-    through in row chunks, so the (rows, k) and (rows, g) matrices hold at
-    most BSGS_CHUNK_ELEMENTS entries each.
+    G = x^k: one int64 matrix product per lane (the coefficients lie in
+    F_p) gives the block values P_j(x), and g - 1 Horner passes in G follow.
     """
     k = isqrt(coeffs.size)
     g = -(-coeffs.size // k)
     # C[i, j] = c_{jk+i}, zero past the top coefficient
     c = np.zeros(g * k, dtype=np.int64)
     c[: coeffs.size] = coeffs
-    c = c.reshape(g, k).T
-    acc_a = np.empty_like(xa)
-    acc_b = np.empty_like(xb)
-    step = max(1, BSGS_CHUNK_ELEMENTS // g)
-    for lo in range(0, xa.size, step):
-        rows = slice(lo, lo + step)
-        acc_a[rows], acc_b[rows] = _bsgs_rows(xa[rows], xb[rows], n, p, c)
-    return acc_a, acc_b
+    return _bsgs_rows(xa, xb, n, p, c.reshape(g, k).T)
 
 
-def _bsgs_rows(
-    la: np.ndarray, lb: np.ndarray, n: int, p: int, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _bsgs_rows(la, lb, n: int, p: int, c: np.ndarray) -> np.ndarray:
     """sum_j P_j(L) G^j for the rows' points L, with P_j(L) = sum_i c[i, j] L^i.
 
-    lb*n and G_b*n are reduced once per chunk, so every F_{p^2} product
-    below takes two reductions, one per component.  A baby step sums two
-    products of residues, below 2(p-1)^2 < 2^51 for p < VECTOR_MODULUS_BOUND.
-    The block values stay unreduced, below k (p-1)^2, until a giant step
-    adds one to its two products of residues, below (k + 2)(p-1)^2 < 2^63.
+    L = la + lb*w, or L = la in F_p when lb is None.  The rows go through in
+    chunks of at most BSGS_CHUNK_ELEMENTS entries per (rows, k) or (rows, g)
+    matrix.  lb*n and G_b*n are reduced once per chunk, so a product takes
+    one reduction per lane.  A baby step sums at most two products of
+    residues, below 2^51 for p < VECTOR_MODULUS_BOUND; the block values stay
+    unreduced, below k (p-1)^2, until a giant step (the first from 0) adds
+    one to its products, below (k + 2)(p-1)^2 < 2^63.
     """
     k, g = c.shape
-    lbn = lb * n % p
-    # baby steps: column i holds L^i
-    pow_a = np.empty((la.size, k), dtype=np.int64)
-    pow_b = np.empty_like(pow_a)
-    pow_a[:, 0], pow_b[:, 0] = 1, 0
-    for i in range(1, k):
-        ua, ub = pow_a[:, i - 1], pow_b[:, i - 1]
-        pow_a[:, i] = (ua * la + ub * lbn) % p
-        pow_b[:, i] = (ua * lb + ub * la) % p
-    ua, ub = pow_a[:, k - 1], pow_b[:, k - 1]
-    ga, gb = (ua * la + ub * lbn) % p, (ua * lb + ub * la) % p
-    gbn = gb * n % p
-    block_a = pow_a @ c
-    block_b = pow_b @ c
-    acc_a, acc_b = block_a[:, g - 1] % p, block_b[:, g - 1] % p
-    for j in range(g - 2, -1, -1):
-        acc_a, acc_b = (
-            (acc_a * ga + acc_b * gbn + block_a[:, j]) % p,
-            (acc_a * gb + acc_b * ga + block_b[:, j]) % p,
-        )
-    return acc_a, acc_b
+    step = max(1, BSGS_CHUNK_ELEMENTS // g)
+    if la.size > step:
+        rows = [slice(lo, lo + step) for lo in range(0, la.size, step)]
+        return np.hstack([_bsgs_rows(la[r], lb if lb is None else lb[r], n, p, c) for r in rows])
+    pair = lb is not None
+    # baby steps: column i holds L^i, and column k the giant step G = L^k
+    pow_a = np.empty((la.size, k + 1), dtype=np.int64)
+    pow_a[:, 0] = 1
+    if pair:
+        lbn = lb * n % p
+        pow_b = np.empty_like(pow_a)
+        pow_b[:, 0] = 0
+    for i in range(1, k + 1):
+        ua = pow_a[:, i - 1]
+        prod = ua * la
+        if pair:
+            prod += pow_b[:, i - 1] * lbn
+            pow_b[:, i] = (ua * lb + pow_b[:, i - 1] * la) % p
+        pow_a[:, i] = prod % p
+    ga, block_a, acc_a = pow_a[:, k], pow_a[:, :k] @ c, 0
+    if pair:
+        gb, gbn = pow_b[:, k], pow_b[:, k] * n % p
+        block_b, acc_b = pow_b[:, :k] @ c, 0
+    for j in range(g - 1, -1, -1):
+        prod = acc_a * ga + block_a[:, j]
+        if pair:
+            prod += acc_b * gbn
+            acc_b = (acc_a * gb + acc_b * ga + block_b[:, j]) % p
+        acc_a = prod % p
+    return np.array((acc_a, acc_b) if pair else (acc_a,))
 
 
 def psi_p_bruteforce(p: int) -> tuple[int, ...]:

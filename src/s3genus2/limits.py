@@ -11,15 +11,15 @@ modulus, an inadmissible lambda) stays a plain ValueError.
 
 The cost of a run is dominated by the per-prime scans (family._orbit_scan):
 of the p/6 orbit representatives, the 2-power torsion sieve keeps 1/2 at
-p = 1 mod 4, 1/4 at p = 3 mod 8 and 3/8 at p = 7 mod 8, 13/32 of them on
-average over the classes mod 8.  The kept rows go through two
-(rows x k) @ (k x g) int64 products with k g ~ p/12, the coefficients of
-ss_p, so a prime costs about (13/32) p^2/36 = 13 p^2/1152 multiply-adds
-and all primes below X about
+p = 1 mod 4, for two (rows x k) @ (k x g) int64 products with k g ~ p/12
+(the coefficients of ss_p), one per F_{p^2} lane, and 1/4 at p = 3 mod 8
+and 3/8 at p = 7 mod 8 for one product: lemma D leaves F_p rows alone there.
+So a prime costs about p^2/72, p^2/288 or p^2/192 multiply-adds, 7 p^2/768
+on average over the classes mod 8, and all primes below X about
 
-    F(X) = 13 X^3 / (3456 ln X),
+    F(X) = 7 X^3 / (2304 ln X),
 
-the prime number theorem's value of sum_{p < X} 13 p^2/1152 (`scan_cost`).
+the prime number theorem's value of sum_{p < X} 7 p^2/768 (`scan_cost`).
 F(MAX_X_BUDGET) is the scan work of the largest `average` run admitted;
 `psi` and `structure` admit a prime range whose scans cost no more, and
 family.scan_primes puts scans costing more than SCAN_POOL_THRESHOLD on a pool.
@@ -47,10 +47,10 @@ HILBERT_CLASS_BOUND = 8
 # height's count below 2 N^2 < 2^48 (average._height_counts)
 MAX_X_BUDGET = 50_000
 MAX_N_BUDGET = 10_000_000
-# the scan cost above which a worker pool pays: break-even near F(3300) = 1.7e7
-# on a 2-vCPU host, where serial and two-worker structure tie; above F(3000) =
-# 1.3e7, every perfbench workload (F <= 4.7e6) is serial
-SCAN_POOL_THRESHOLD = 16_000_000
+# the scan cost above which a worker pool pays: break-even near X = 3300 on a
+# 2-vCPU host, where serial and two-worker structure tie, F(3300) = 1.35e7;
+# above F(3000) = 1.0e7, every perfbench workload (F <= 3.8e6) is serial
+SCAN_POOL_THRESHOLD = 13_500_000
 # isogeny --trials: 48 F_{p^2} products and no inversion a trial (check_isogeny),
 # 0.010-0.024 ms from p = 10^3 to 2^31 (2-vCPU host)
 MAX_TRIALS_BUDGET = 100_000
@@ -64,9 +64,9 @@ class LimitError(ValueError):
 
 
 def scan_cost(X: float) -> float:
-    """F(X) = 13 X^3/(3456 ln X), the int64 multiply-adds of the scans of
-    the primes below X (sum_{p < X} 13 p^2/1152)."""
-    return 13 * X**3 / (3456 * math.log(max(X, 3)))
+    """F(X) = 7 X^3/(2304 ln X), the int64 multiply-adds of the scans of
+    the primes below X (sum_{p < X} 7 p^2/768)."""
+    return 7 * X**3 / (2304 * math.log(max(X, 3)))
 
 
 def check_scan_range(lo: int, hi: int, top: int) -> None:
@@ -96,7 +96,7 @@ def check_scan_range(lo: int, hi: int, top: int) -> None:
             f"primes {lo}..{top} exceed the desk budget of ~{budget:.1e} int64 "
             f"multiply-adds, the scans of average --X {MAX_X_BUDGET}; estimated cost "
             f"~{cost:.1e} in the per-prime baby-step/giant-step scans "
-            "(F(top) - F(from), F(X) = 13 X^3/(3456 ln X))"
+            "(F(top) - F(from), F(X) = 7 X^3/(2304 ln X))"
         )
 
 
@@ -135,7 +135,7 @@ def _window_cost(X: int, N: int, mode: str) -> str:
     its largest N, so it costs at most the sum of its rows' estimates.
     """
     cost = (f"~{scan_cost(X):.1e} int64 multiply-adds in the per-prime "
-            "baby-step/giant-step scans (13 X^3/(3456 ln X))")
+            "baby-step/giant-step scans (7 X^3/(2304 ln X))")
     residues = 0.8 * X**1.5 / math.log(max(X, 3))
     if mode == "rational":
         return cost + (f", then ~{min(0.6 * X, N) * residues:.1e} histogram keys "

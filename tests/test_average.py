@@ -211,6 +211,15 @@ def test_mertens_table_matches_oracle_large(N):
     assert np.array_equal(_mertens_table(N), mertens_table_oracle(N))
 
 
+def test_mertens_coprime_reads_ends_in_any_order():
+    # the concatenated block ends of a table start each window from 0, so
+    # the largest end is not the last; 7^3 = 343 divides 686
+    table = _mertens_table(700)
+    x = np.array([0, 700, 1, 686, 0, 49, 343, 6], dtype=np.int64)
+    want = [_mertens_coprime(v, 7, table.tolist()) for v in x.tolist()]
+    assert average._mertens_coprime(x, 7, table).tolist() == want
+
+
 def test_primes_below():
     assert primes_below(20) == (5, 7, 11, 13, 17, 19)
     assert primes_below(5) == ()
@@ -319,6 +328,19 @@ def test_window_table_matches_scalar_oracle_row_by_row(table):
     assert [(run.X, run.N) for run in runs] == table
     assert [run.total for run in runs] == [rational_window_scalar(X, N) for X, N in table]
     assert runs == [window_sum(X, N, "rational") for X, N in table]
+
+
+def test_window_sums_of_a_shuffled_table_match_each_window_alone():
+    # one Moebius pass per prime over every window's blocks: X in no order,
+    # a repeated N, a repeated X and a repeated row, each row counted as
+    # window_sum counts it alone
+    table = [(45, 90), (80, 40), (30, 90), (80, 150), (12, 7), (45, 90), (60, 40), (7, 3)]
+    random.Random(29).shuffle(table)
+    assert [X for X, _ in table] != sorted(X for X, _ in table)
+    runs = window_sums(table, "rational")
+    assert [(run.X, run.N) for run in runs] == table
+    assert runs == [window_sum(X, N, "rational") for X, N in table]
+    assert [run.total for run in runs] == [rational_window_scalar(X, N) for X, N in table]
 
 
 def _counting_bincount(monkeypatch, record):

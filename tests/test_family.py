@@ -241,7 +241,13 @@ def test_orbit_scan_matches_deuring_at_every_lambda_below_5000():
 
 
 def horner_eval(xa, xb, n, p, coeffs):
-    """Oracle for `_bsgs_eval`: numpy Horner, one pass per coefficient."""
+    """Oracle for `_bsgs_eval`: numpy Horner, one pass per coefficient.
+
+    Like `_bsgs_eval`, it returns the a and b lanes, or the a lane alone
+    for F_p points (xb None), which it evaluates as points with b = 0.
+    """
+    lanes = 1 if xb is None else 2
+    xb = np.zeros_like(xa) if xb is None else xb
     acc_a = np.zeros_like(xa)
     acc_b = np.zeros_like(xb)
     for k in range(len(coeffs) - 1, -1, -1):
@@ -249,7 +255,7 @@ def horner_eval(xa, xb, n, p, coeffs):
             (acc_a * xa % p + acc_b * xb % p * n + int(coeffs[k])) % p,
             (acc_a * xb + acc_b * xa) % p,
         )
-    return acc_a, acc_b
+    return np.array([acc_a, acc_b][:lanes])
 
 
 def test_orbit_scan_matches_horner_oracle_below_1000(monkeypatch):
@@ -294,15 +300,19 @@ def test_legendre_j_inverse_table_matches_exponentiation():
 
 def test_orbit_scan_raises_on_a_singular_representative(monkeypatch):
     # a representative whose Lambda^- reads 1 is singular; the check sees it
-    # before the sieve, which would drop it at p = 1, 3 and 5 mod 8
-    real = family.lambda_eps_pairs
+    # before the sieve, which would drop it at p = 1, 3 and 5 mod 8.  Both
+    # lanes compute Lambda^- with lambda_eps, the F_p lane (p = 3 mod 4)
+    # without a b-part
+    real = family.lambda_eps
 
     def with_one(*args):
         la, lb = real(*args)
-        la[0], lb[0] = 1, 0
+        la[0] = 1
+        if lb is not None:
+            lb[0] = 0
         return la, lb
 
-    monkeypatch.setattr(family, "lambda_eps_pairs", with_one)
+    monkeypatch.setattr(family, "lambda_eps", with_one)
     for p in (1009, 1019, 1013, 1031):  # 1, 3, 5 and 7 mod 8
         with pytest.raises(ValueError, match="singular Legendre parameter"):
             family._orbit_scan(p)
@@ -360,11 +370,14 @@ def orbit_representatives(p):
 
 def test_orbit_scan_evaluates_each_orbit_once(monkeypatch):
     # _bsgs_eval gets j(E_{Lambda^-}) of exactly the kept representatives,
-    # in ascending order, in one call
+    # in ascending order, in one call; at p = 3 mod 4 they are F_p values,
+    # passed without a b-lane
     for p in primes_in(5, 300):
         calls = []
 
         def recording_eval(xa, xb, n, q, coeffs):
+            assert (xb is None) == (q % 4 == 3)
+            xb = np.zeros_like(xa) if xb is None else xb
             calls.append(list(zip(xa.tolist(), xb.tolist())))
             return horner_eval(xa, xb, n, q, coeffs)
 
@@ -409,6 +422,75 @@ def test_bsgs_rows_at_the_largest_prime_below_the_bound():
         for _ in range(c.size):
             acc_a, acc_b = (acc_a * xa + acc_b * xb * n + p - 1) % p, (acc_a * xb + acc_b * xa) % p
         assert (ga, gb) == (acc_a, acc_b), (xa, xb)
+
+
+def test_fp_lane_at_the_largest_prime_below_the_bound():
+    # the F_p lane's giant step adds a block value, below k (p-1)^2, to one
+    # product of residues; all coefficients p-1 and k = isqrt((p+1)/2), the
+    # largest k the kernel meets, as in the pair test above
+    p = next(q for q in range(VECTOR_MODULUS_BOUND - 1, 0, -1) if is_prime(q))
+    k = math.isqrt((p + 1) // 2)
+    assert (k + 1) * (p - 1) ** 2 < 2**63
+    c = np.full((k, 3), p - 1, dtype=np.int64)
+    la = np.array([p - 1, p - 2, 1, 0], dtype=np.int64)
+    (got,) = family._bsgs_rows(la, None, smallest_nonresidue(p), p, c)
+    for x, value in zip(la.tolist(), got.tolist()):
+        acc = 0
+        for _ in range(c.size):
+            acc = (acc * x + p - 1) % p
+        assert value == acc, x
+
+
+def scanned_lane(p, monkeypatch, chunk):
+    """The one `_bsgs_eval` call of `_orbit_scan(p)` with the given chunk size:
+    its points, the modulus's non-residue, the coefficients and the values."""
+    calls = []
+    real = family._bsgs_eval
+
+    def recording_eval(xa, xb, n, q, coeffs):
+        acc = real(xa, xb, n, q, coeffs)
+        calls.append((xa, xb, n, coeffs, acc))
+        return acc
+
+    with monkeypatch.context() as m:
+        m.setattr(family, "_bsgs_eval", recording_eval)
+        m.setattr(family, "BSGS_CHUNK_ELEMENTS", chunk)
+        family._orbit_scan(p)
+    (call,) = calls
+    return call
+
+
+@pytest.mark.parametrize("chunk", [family.BSGS_CHUNK_ELEMENTS, 60])
+def test_fp_lane_matches_the_pair_kernel_at_every_row_below_5000(chunk, monkeypatch):
+    # at p = 3 mod 4 the scan evaluates ss_p on the F_p lane alone; at every
+    # kept row of every such prime below 5000 that lane equals the pair
+    # kernel at (j, 0), whose b-part is 0.  A chunk of 60 entries sends the
+    # rows through in chunks of 60 // g rows
+    primes = [p for p in primes_in(7, 4999) if p % 4 == 3]
+    chunked = 0
+    for p in primes:
+        xa, xb, n, coeffs, acc = scanned_lane(p, monkeypatch, chunk)
+        assert xb is None and acc.shape == (1, xa.size), p
+        pair = _bsgs_eval(xa, np.zeros_like(xa), n, p, coeffs)
+        assert np.array_equal(acc[0], pair[0]) and not pair[1].any(), p
+        g = -(-coeffs.size // math.isqrt(coeffs.size))
+        chunked += xa.size > chunk // g
+    # one chunk per prime at the scan's size, and 312 of the 338 primes split
+    assert chunked == 0 if chunk > 60 else chunked > 300
+
+
+def test_legendre_j_fp_lane_matches_j_invariant():
+    # tb None: j of F_p parameters, one inverse-table read of D = t^2 - t
+    for p in (5, 7, 13, 1019, 10007):
+        inv = _inverse_table(p)
+        ta = np.random.default_rng(p).integers(2, p, 300, dtype=np.int64)
+        ja, jb = legendre_j(ta, None, p, smallest_nonresidue(p), inv)
+        assert jb is None
+        for a, x in zip(ta.tolist(), ja.tolist()):
+            assert (x, 0) == j_invariant(LegendreCurve((a, 0), p)), (p, a)
+    for t in (0, 1):
+        with pytest.raises(ValueError, match="singular Legendre parameter"):
+            legendre_j(np.array([5, t], dtype=np.int64), None, 13, 2, _inverse_table(13))
 
 
 def test_vector_bound_keeps_block_sums_in_int64():

@@ -30,47 +30,56 @@ BY_CONSTANT, OF_TWO_VALUES, SQUARES = 9, 8, 7
 TRIAL_MULS, TRIAL_INVS = 2 * (BY_CONSTANT + OF_TWO_VALUES + SQUARES), 0
 
 # the share of the orbit representatives the scan's 2-power torsion sieve
-# keeps, by p mod 8 (family._orbit_scan)
+# keeps, and the block products a kept row takes (one per lane: two in
+# F_{p^2}, one on the F_p lane that lemma D leaves at p = 3 mod 4), by p mod 8
+# (family._orbit_scan)
 KEPT = {1: 1 / 2, 5: 1 / 2, 3: 1 / 4, 7: 3 / 8}
+PRODUCTS = {1: 2, 5: 2, 3: 1, 7: 1}
 
 
 def _scan_multiply_adds(p: int, monkeypatch) -> int:
-    """2 rows k g: the two (rows x k) @ (k x g) block products of the scan.
+    """lanes rows k g: the (rows x k) @ (k x g) block products the scan runs.
 
     k and g are `_bsgs_eval`'s split of the ss_p coefficients; rows is the
-    number of representatives the scan keeps, recorded from its one call.
+    number of representatives the scan keeps and lanes the number of lanes
+    `_bsgs_eval` evaluates them on, one product each, both recorded from
+    its one call.
     """
-    rows = []
+    calls = []
     real = family._bsgs_eval
 
     def recording_eval(xa, xb, n, q, coeffs):
-        rows.append(xa.size)
-        return real(xa, xb, n, q, coeffs)
+        acc = real(xa, xb, n, q, coeffs)
+        calls.append((len(acc), xa.size))
+        return acc
 
     monkeypatch.setattr(family, "_bsgs_eval", recording_eval)
     family._orbit_scan(p)
     size = _supersingular_array(p).size
     k = isqrt(size)
     g = -(-size // k)
-    (kept,) = rows
-    return 2 * kept * k * g
+    ((lanes, kept),) = calls
+    assert lanes == PRODUCTS[p % 8]
+    return lanes * kept * k * g
 
 
 # At p = 1009 the split holds k g = 90 slots for 85 coefficients, so the
 # scan does 6.9% more than the model; the excess k g - size < k is a
 # relative 1/sqrt(p/12) that falls below 5% from p ~ 4800 on.  The sieve
 # keeps exactly half the representatives at p = 1 mod 4 (84 of 168 at
-# 1009); 619 of 1668 at 10007 and 6247 of 16665 at 99991, both 7 mod 8.
+# 1009); 619 of 1668 at 10007 and 6247 of 16665 at 99991, both 7 mod 8,
+# where each kept row takes one product.
 @pytest.mark.parametrize("p, rel", [(1009, 0.07), (10007, 0.05), (99991, 0.05)])
 def test_scan_cost_model_matches_the_scan_shape(p, rel, monkeypatch):
-    want = KEPT[p % 8] * p * p / 36
+    want = KEPT[p % 8] * PRODUCTS[p % 8] * p * p / 72
     assert _scan_multiply_adds(p, monkeypatch) == pytest.approx(want, rel=rel)
 
 
 def test_scan_cost_is_the_prime_sum_of_the_per_prime_cost():
-    # F(X) = 13 X^3/(3456 ln X) is the prime number theorem's
-    # sum_{p < X} 13 p^2/1152, and 13/32 the mean of KEPT over the classes
-    exact = sum(KEPT[p % 8] * p * p for p in primes_below(MAX_X_BUDGET)) / 36
+    # F(X) = 7 X^3/(2304 ln X) is the prime number theorem's
+    # sum_{p < X} 7 p^2/768, and 7/768 the mean of KEPT * PRODUCTS / 72
+    # over the classes
+    exact = sum(KEPT[p % 8] * PRODUCTS[p % 8] * p * p for p in primes_below(MAX_X_BUDGET)) / 72
     assert scan_cost(MAX_X_BUDGET) == pytest.approx(exact, rel=0.05)
 
 
