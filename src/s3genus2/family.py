@@ -10,9 +10,9 @@ correspondence with the 3-torsion of the paired curves (p = 11 mod 12),
 which no command runs, live in the tests (tests/paper_oracle.py).
 
 A sieve first drops the representatives whose E = E_{Lambda^-} the 2-power
-torsion proves ordinary (lemmas A-D, proved in `_orbit_scan`).  At p = 3
-mod 4 it keeps only the lambda whose delta = lambda^2 - lambda + 1 is a
-square, and their Lambda^- lies in F_p.
+torsion proves ordinary (lemmas A-D, proved in `_orbit_scan`).  Its rows
+and every superspecial lambda obey `class_root`'s rule, which `structure`
+reads too: sqrt(delta) lies outside F_p at p = 1 mod 4 and in it at 3 mod 4.
 
 Supersingularity depends only on the j-invariant, so the scan maps every
 kept representative's Lambda^- to j(E_{Lambda^-}) and evaluates the
@@ -88,10 +88,10 @@ def lambda_pair(lam: int, p: int) -> tuple[int, tuple, tuple, tuple]:
 def lambda_eps(lam, root, eps, p: int):
     """Lambda^eps = (1-lam)((lam^2 + delta) + 2*eps*lam*sqrt(delta)), as (a, b).
 
-    root = (a, b) is sqrt(delta) in F_p[w]/(w^2 - n), or (a, None) in F_p,
-    which leaves the b-lane out; Lambda^eps is linear in it, so n is not
-    needed.  lam, root and eps may be ints or int64 arrays: every
-    intermediate is reduced while it is below 2p^2.
+    root = (a, b) is sqrt(delta) in F_p[w]/(w^2 - n), such as `class_root`'s
+    (0, c), or (a, None) in F_p, which leaves the b-lane out; Lambda^eps is
+    linear in it, so n is not needed.  lam, root and eps may be ints or
+    int64 arrays: every intermediate is reduced while it is below 2p^2.
     """
     sa, sb = root
     one_m = (1 - lam) % p
@@ -101,21 +101,21 @@ def lambda_eps(lam, root, eps, p: int):
     return la, None if sb is None else one_m * (cross * sb % p) % p
 
 
-def lambda_eps_pairs(lam: np.ndarray, eps, p: int, n: int, table: np.ndarray) -> tuple:
-    """Lambda^eps(lam) for each admissible lam, as int64 (a, b) over F_p[w]/(w^2 - n).
-
-    `lambda_eps` on the arrays, with sqrt(delta) the canonical root of
-    `lambda_pair`: the smaller root table[delta] for residues, and c*w with
-    c the smaller root of delta/n otherwise.  So the sqrt part stays
-    rational for residues and carries the w-component for non-residues.
-    `table` is `_sqrt_table(p)`, whose -1 entries mark the non-residues;
-    eps is -1, +1 or an array of them.
+def class_root(lam: np.ndarray, p: int, n: int, table: np.ndarray) -> tuple:
+    """The class rule: lemmas A and D keep only the lam whose sqrt(delta) is
+    c*w, c = table[delta/n], at p = 1 mod 4 and table[delta] in F_p at
+    p = 3 mod 4, delta = lam^2 - lam + 1.  Returns root = table[delta] of
+    every lam (-1 marks the non-squares of `_sqrt_table`), the mask `keep`
+    of the lam that obey the rule, and their sqrt(delta), `lambda_pair`'s,
+    as `lambda_eps` takes it: (0, c) at p = 1 mod 4, else (root[keep], None).
     """
     delta = (lam * lam - lam + 1) % p
     root = table[delta]
-    residue = root >= 0
-    root = np.where(residue, root, table[delta * pow(n, -1, p) % p])
-    return lambda_eps(lam, (np.where(residue, root, 0), np.where(residue, 0, root)), eps, p)
+    if p % 4 == 3:
+        keep = root >= 0
+        return root, keep, (root[keep], None)
+    keep = root == -1
+    return root, keep, (0, table[delta[keep] * pow(n, -1, p) % p])
 
 
 # numerators over 12 of the hypergeometric parameters (a, b), by p mod 4
@@ -267,12 +267,12 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
        point of order 4.  Yet (0, 0) halves over F_{p^2}, where -1 and
        -L = -(1-lam)(lam - sqrt(delta))^2 are squares.
     The sieve keeps 1/2 of the representatives at p = 1 mod 4, 1/4 at
-    p = 3 mod 8 and 3/8 at p = 7 mod 8.  ss_p is evaluated at j(E) of each
-    kept one by `_bsgs_eval`, exactly.  At p = 3 mod 4, D keeps only rows
-    with delta a square, so L, j(E) and, ss_p having F_p coefficients,
-    ss_p(j) lie in F_p: their b-lanes would be 0 throughout, and leaving
-    them out changes no value.  The supersingular representatives
-    are marked, and every lambda whose representative is marked is stamped.
+    p = 3 mod 8 and 3/8 at p = 7 mod 8, after the singular check of every
+    row with delta a square.  ss_p is evaluated exactly by `_bsgs_eval` at
+    j(E) of each kept row: on F_{p^2} pair lanes at p = 1 mod 4, and on the
+    F_p lane at p = 3 mod 4, where L, j(E) and ss_p(j) lie (`class_root`).
+    The supersingular representatives are marked, and every lambda whose
+    representative is marked is stamped.
     """
     check_modulus(p)
     if p >= VECTOR_MODULUS_BOUND:
@@ -292,20 +292,19 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
     reps = lam[rep == lam]
     n = smallest_nonresidue(p)
     table = _sqrt_table(p)
-    # the sieve: lemmas A-D; no row in F_p is dropped before the singular check
+    root, keep, sqrt = class_root(reps, p, n, table)
+    # the square rows' Lambda^- lies in F_p; none is dropped before the check
+    la, lb = lambda_eps(reps[root >= 0], (root[root >= 0], None), -1, p)
+    if not (la >= 2).all():
+        raise ValueError(f"singular Legendre parameter Lambda^- in {{0, 1}} mod {p}")
+    reps = reps[keep]  # A, D
     if p % 4 == 1:
-        la, lb = lambda_eps_pairs(reps, -1, p, n, table)
-        keep = lb != 0  # A
-    else:  # D leaves the rows with delta a square, whose Lambda^- lies in F_p
-        root = table[(reps * reps - reps + 1) % p]
-        reps = reps[root >= 0]
-        la, lb = lambda_eps(reps, (root[root >= 0], None), -1, p)
+        la, lb = lambda_eps(reps, sqrt, -1, p)
+    else:
         one_m = table[(1 - la) % p]
         keep = one_m == -1 if p % 8 == 3 else (one_m >= 0) | (table[la] >= 0)  # B, C
-    if not ((la if lb is None else la[lb == 0]) >= 2).all():
-        raise ValueError(f"singular Legendre parameter Lambda^- in {{0, 1}} mod {p}")
+        reps, la = reps[keep], la[keep]
     del image, table  # p-sized; the kernel below holds the peak
-    reps, la, lb = reps[keep], la[keep], lb if lb is None else lb[keep]
     acc = _bsgs_eval(*legendre_j(la, lb, p, n, inv), n, p, _supersingular_array(p))
     mark = np.zeros(p, dtype=bool)
     mark[reps[(acc[0] == 0) & (acc[-1] == 0)]] = True

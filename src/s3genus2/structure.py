@@ -14,10 +14,10 @@ and graph checks return one note per failed clause, and a `structure` row
 carries those notes.  The DOT and JSON spellings of a graph are `cli`'s.
 
 The j-invariants come from the scan's lambda set in one numpy pass per
-prime: Lambda^-, Lambda^+ and j(E_Lambda) of every lambda are int64 (a, b)
-arrays over F_p[w]/(w^2 - n), n the smallest non-residue, and a j is
-handled by its code a*p + b, so sorting, deduplication and the Frobenius
-lookup (a, -b) are array operations.  The tests keep the per-lambda
+prime, on the lanes of family.class_root's rule: F_p at p = 3 mod 4, and
+at p = 1 mod 4 one F_{p^2} pair lane for j(E_{Lambda^-}), whose conjugate
+is j(E_{Lambda^+}).  A j is handled by its code a*p + b, so sorting and
+deduplication are array operations.  The tests keep the per-lambda
 int-pair computation (family.lambda_pair, and j_invariant in
 tests/fp2_oracle.py) and the S3 orbit walk (orbit in tests/paper_oracle.py)
 as the exact oracles.
@@ -32,7 +32,7 @@ import numpy as np
 
 from .classno import class_number, hilbert_poly
 from .curves import _inverse_table, _poly_mul, _sqrt_table
-from .family import lambda_eps_pairs, legendre_j, psi_p, superspecial_lambdas
+from .family import class_root, lambda_eps, legendre_j, psi_p, superspecial_lambdas
 from .fields import smallest_nonresidue
 
 GRAPH_MIN_PRIME = 11  # the degree/weight pattern needs p > 11
@@ -48,16 +48,25 @@ class RootProfile:
 
 
 def _paired_js(lam: np.ndarray, p: int) -> np.ndarray:
-    """Rows j(E_{Lambda^-}) and j(E_{Lambda^+}) of each lambda, as codes a*p + b."""
-    n = smallest_nonresidue(p)
-    eps = np.repeat([-1, 1], lam.size)
-    t = lambda_eps_pairs(np.tile(lam, 2), eps, p, n, _sqrt_table(p))
-    ja, jb = legendre_j(*t, p, n, _inverse_table(p))
-    return (ja * p + jb).reshape(2, lam.size)
+    """Rows j(E_{Lambda^-}) and j(E_{Lambda^+}) of each lambda, as codes a*p + b.
+
+    A lambda off family.class_root's rule raises, so the codes come in
+    conjugate pairs at p = 1 mod 4 and are rational at p = 3 mod 4.
+    """
+    n, inv = smallest_nonresidue(p), _inverse_table(p)
+    _, keep, (sa, sb) = class_root(lam, p, n, _sqrt_table(p))
+    if not keep.all():
+        raise ArithmeticError(f"off the class rule at p={p}, lambda={int(lam[~keep].min())}")
+    if sb is None:  # both signs on one F_p lane
+        t = np.concatenate([lambda_eps(lam, (sa, None), eps, p)[0] for eps in (-1, 1)])
+        return legendre_j(t, None, p, n, inv)[0].reshape(2, lam.size) * p
+    # sqrt(delta) = c*w: Lambda^+ = Frob(Lambda^-), so j(E_{Lambda^+}) is (a, -b)
+    ja, jb = legendre_j(*lambda_eps(lam, (sa, sb), -1, p), p, n, inv)
+    return np.array((ja * p + jb, ja * p + (p - jb) % p))
 
 
 def root_profile(p: int) -> RootProfile:
-    """Collect j(E_{Lambda^+-}) over all superspecial lambda; check Frobenius."""
+    """Collect j(E_{Lambda^+-}) over all superspecial lambda."""
     lam = np.array(superspecial_lambdas(p), dtype=np.int64)
     # codes a*p + b sort in (a, b) order; a sorted code is new iff it
     # differs from its predecessor
@@ -66,10 +75,6 @@ def root_profile(p: int) -> RootProfile:
     np.not_equal(codes[1:], codes[:-1], out=new[1:])
     distinct = codes[new]
     a, b = np.divmod(distinct, p)
-    # (a, b) -> (a, -b) is injective, so the set is Frobenius-stable iff the
-    # conjugate codes, sorted, are the codes themselves
-    if not np.array_equal(np.sort(a * p + (-b) % p), distinct):
-        raise ArithmeticError(f"profile not Frobenius-stable at p={p}")
     return RootProfile(p, tuple(zip(a.tolist(), b.tolist())))
 
 
@@ -125,12 +130,7 @@ def build_graph(p: int) -> GraphGp:
     if p % 12 != 11:
         raise ValueError("the graph is defined for p = 11 mod 12")
     lam = np.array(superspecial_lambdas(p), dtype=np.int64)
-    j1, j2 = _paired_js(lam, p)
-    u, b1 = np.divmod(np.minimum(j1, j2), p)
-    v, b2 = np.divmod(np.maximum(j1, j2), p)
-    irrational = (b1 != 0) | (b2 != 0)
-    if irrational.any():
-        raise ArithmeticError(f"irrational j at p={p}, lambda={int(lam[irrational].min())}")
+    u, v = np.sort(_paired_js(lam, p) // p, axis=0)
     weights = Counter(zip(u.tolist(), v.tolist()))
     edges = sorted((x, y, w) for (x, y), w in weights.items())
     return GraphGp(p, tuple(sorted({x for e in weights for x in e})), tuple(edges))

@@ -13,6 +13,8 @@ x([3]) = num/den from the division polynomials, the oracle of the
 projective trial loop of `compose_is_minus3`.  The naive point counts
 over F_p and F_{p^2} are the oracle of the Deuring-polynomial test, and
 the per-curve j-invariant on int pairs that of `family.legendre_j`.
+`lambda_eps_pairs`, Lambda^eps of every lambda on mixed residue and
+non-residue lanes, is the oracle of the scan's class rule.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from s3genus2.curves import _poly_mul, _sqrt_table
-from s3genus2.family import is_admissible
+from s3genus2.family import is_admissible, lambda_eps
 from s3genus2.fields import fp2_horner, fp2_inv, fp2_mul, fp2_sqrt, smallest_nonresidue
 from s3genus2.limits import LimitError
 
@@ -113,6 +115,24 @@ def to_pairs(P):
 
 def to_obj(P, p: int):
     return None if P is None else (lift(P[0], p), lift(P[1], p))
+
+
+def lambda_eps_pairs(lam: np.ndarray, eps, p: int, n: int, table: np.ndarray) -> tuple:
+    """Lambda^eps(lam) for each admissible lam, as int64 (a, b) over F_p[w]/(w^2 - n).
+
+    The mixed-lane oracle of the class rule (`family.class_root`): it takes
+    no side of p mod 4.  `family.lambda_eps` on the arrays, with sqrt(delta)
+    the canonical root of `lambda_pair`: the smaller root table[delta] for
+    residues, and c*w with c the smaller root of delta/n otherwise.  So the
+    sqrt part stays rational for residues and carries the w-component for
+    non-residues.  `table` is `_sqrt_table(p)`, whose -1 entries mark the
+    non-residues; eps is -1, +1 or an array of them.
+    """
+    delta = (lam * lam - lam + 1) % p
+    root = table[delta]
+    residue = root >= 0
+    root = np.where(residue, root, table[delta * pow(n, -1, p) % p])
+    return lambda_eps(lam, (np.where(residue, root, 0), np.where(residue, 0, root)), eps, p)
 
 
 # ---------------------------------------------------------------------------

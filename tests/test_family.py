@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from fp2_oracle import F, count_points, j_invariant, normal_form
+from fp2_oracle import F, count_points, j_invariant, lambda_eps_pairs, normal_form
 from genus2_oracle import cartier_manin_zero_lambdas
 from paper_oracle import fgh_eval, lambda_from_torsion, orbit, torsion_from_lambda
 
@@ -24,7 +24,6 @@ from s3genus2.family import (
     _bsgs_eval,
     _supersingular_array,
     is_admissible,
-    lambda_eps_pairs,
     lambda_pair,
     legendre_j,
     psi_p,
@@ -300,9 +299,9 @@ def test_legendre_j_inverse_table_matches_exponentiation():
 
 def test_orbit_scan_raises_on_a_singular_representative(monkeypatch):
     # a representative whose Lambda^- reads 1 is singular; the check sees it
-    # before the sieve, which would drop it at p = 1, 3 and 5 mod 8.  Both
-    # lanes compute Lambda^- with lambda_eps, the F_p lane (p = 3 mod 4)
-    # without a b-part
+    # before the sieve, which would drop it at p = 1, 3 and 5 mod 8.  In both
+    # classes the F_p lane of the rows with delta a square computes Lambda^-
+    # with lambda_eps, without a b-part
     real = family.lambda_eps
 
     def with_one(*args):

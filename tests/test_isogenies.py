@@ -18,6 +18,7 @@ from fp2_oracle import (
     descend_by_3_pure_cube,
     eval_composed,
     j_invariant,
+    lambda_eps_pairs,
     normal_form,
     x_map,
 )
@@ -25,7 +26,7 @@ from fp2_oracle import (
 from s3genus2 import cli, curves, family, fields, intpoly, isogenies
 from s3genus2.classno import hilbert_poly
 from s3genus2.curves import CubicCurve, LegendreCurve, _sqrt_table
-from s3genus2.family import lambda_eps, lambda_eps_pairs, lambda_pair
+from s3genus2.family import lambda_eps, lambda_pair
 from s3genus2.fields import fp2_mul, fp2_sqrt, is_prime, smallest_nonresidue
 from s3genus2.isogenies import (
     S_NUM,
@@ -182,7 +183,7 @@ def _affine_points(c):
 
 @pytest.mark.parametrize("p", [13, 1009, 65537])
 def test_lambda_params_agree_with_lambda_pair(p):
-    # one Lambda^+- formula: lambda_pair and the scan's vector form both read
+    # one Lambda^+- formula: lambda_pair and the vector oracle both read
     # family.lambda_eps, from different square roots; below 10^4 the maps'
     # Lambda parameters and the object power form (1-lam)(lam + eps*sqrt(delta))^2
     # check the sign

@@ -24,6 +24,7 @@ from s3genus2.limits import VECTOR_MODULUS_BOUND
 from s3genus2.structure import (
     GraphGp,
     RootProfile,
+    _paired_js,
     build_graph,
     check_graph_structure,
     legendre_j,
@@ -101,13 +102,57 @@ def test_build_graph_matches_oracle_every_prime_below_3000():
 
 def test_build_graph_rejects_an_irrational_j(monkeypatch):
     # lambda = 3 at p = 23 has a non-residue delta = 7 and is not
-    # superspecial: its paired j-invariants are conjugate, not rational
+    # superspecial: its sqrt(delta) lies outside F_p, off the class rule at
+    # p = 3 mod 4, and its paired j-invariants are conjugate, not rational
     from s3genus2 import structure
 
     assert 3 not in superspecial_lambdas(23)
     monkeypatch.setattr(structure, "superspecial_lambdas", lambda p: tuple(orbit(3, p)))
-    with pytest.raises(ArithmeticError, match="irrational j at p=23, lambda=3"):
+    with pytest.raises(ArithmeticError, match="off the class rule at p=23, lambda=3"):
         build_graph(23)
+
+
+def test_root_profile_rejects_a_square_delta_at_1_mod_4(monkeypatch):
+    # lambda = 2 at p = 13 has delta = 3 = 4^2, a square: lemma A makes it
+    # ordinary, and its sqrt(delta) lies in F_p, off the class rule at
+    # p = 1 mod 4, where Lambda^+ is no longer the conjugate of Lambda^-
+    from s3genus2 import structure
+
+    assert 2 not in superspecial_lambdas(13)
+    monkeypatch.setattr(structure, "superspecial_lambdas", lambda p: tuple(orbit(2, p)))
+    with pytest.raises(ArithmeticError, match="off the class rule at p=13, lambda=2"):
+        root_profile(13)
+
+
+def test_paired_js_matches_j_invariant_at_every_superspecial_lambda_below_3000():
+    # row for row: row 0 is j(E_{Lambda^-}) and row 1 j(E_{Lambda^+}) of the
+    # same lambda, with lambda_pair's sqrt(delta), as codes a*p + b
+    for p in primes_in(5, 2999):
+        lams = superspecial_lambdas(p)
+        got = _paired_js(np.array(lams, dtype=np.int64), p)
+        assert got.shape == (2, len(lams)), p
+        for row, k in ((0, 2), (1, 3)):
+            js = (j_invariant(LegendreCurve(lambda_pair(lam, p)[k], p)) for lam in lams)
+            assert got[row].tolist() == [a * p + b for a, b in js], (p, row)
+
+
+def test_paired_js_runs_one_lane_per_lambda(monkeypatch):
+    # one j evaluation of |lambda| F_{p^2} points at p = 1 mod 4, the
+    # conjugates giving the Lambda^+ row; F_p points alone at p = 3 mod 4
+    from s3genus2 import structure
+
+    for p in (1009, 1013, 1019, 1031):
+        calls = []
+
+        def recording_j(ta, tb, q, n, inv):
+            calls.append((ta.size, tb is None))
+            return legendre_j(ta, tb, q, n, inv)
+
+        lam = np.array(superspecial_lambdas(p), dtype=np.int64)
+        with monkeypatch.context() as m:
+            m.setattr(structure, "legendre_j", recording_j)
+            _paired_js(lam, p)
+        assert calls == ([(lam.size, False)] if p % 4 == 1 else [(2 * lam.size, True)]), p
 
 
 class _PowInverses:
