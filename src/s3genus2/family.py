@@ -10,7 +10,9 @@ correspondence with the 3-torsion of the paired curves (p = 11 mod 12),
 which no command runs, live in the tests (tests/paper_oracle.py).
 
 A sieve first drops the representatives whose E = E_{Lambda^-} the 2-power
-torsion proves ordinary (lemmas A-D, proved in `_orbit_scan`).  Its rows
+torsion (lemmas A-D) or the Frobenius action on the kernel of psi^-
+(lemma E) proves ordinary; the proofs are in `_orbit_scan`.  At
+p = 7 mod 12 it leaves no row, and the scan builds no table.  Its rows
 and every superspecial lambda obey `class_root`'s rule, which `structure`
 reads too: sqrt(delta) lies outside F_p at p = 1 mod 4 and in it at 3 mod 4.
 
@@ -233,10 +235,9 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
     A supersingular partner forces the other, so Lambda^- alone decides;
     the tests check the Lambda^+ branch against this on every lambda.  The
     representatives are the lambda equal to their own and come out sorted.
-    A Lambda^- in {0, 1} raises before the sieve.
 
     The sieve drops a representative whose E = E_L, L = Lambda^-, is
-    ordinary by one of lemmas A-D.  For p >= 5, E/F_p is supersingular
+    ordinary by one of lemmas A-E.  For p >= 5, E/F_p is supersingular
     exactly when #E(F_p) = p + 1, and (x0, y0) on y^2 = (x-e1)(x-e2)(x-e3)
     lies in 2E(K) exactly when every x0 - e_i is a square in K, 0 included
     (Knapp, "Elliptic Curves", 1992, Thm 4.2).  delta = lam^2 - lam + 1
@@ -266,21 +267,34 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
        quaternion algebra, so pi = [p], and E(F_{p^2}) = E[p-1] has no
        point of order 4.  Yet (0, 0) halves over F_{p^2}, where -1 and
        -L = -(1-lam)(lam - sqrt(delta))^2 are squares.
-    The sieve keeps 1/2 of the representatives at p = 1 mod 4, 1/4 at
-    p = 3 mod 8 and 3/8 at p = 7 mod 8, after the singular check of every
-    row with delta a square.  ss_p is evaluated exactly by `_bsgs_eval` at
-    j(E) of each kept row: on F_{p^2} pair lanes at p = 1 mod 4, and on the
-    F_p lane at p = 3 mod 4, where L, j(E) and ss_p(j) lie (`class_root`).
-    The supersingular representatives are marked, and every lambda whose
-    representative is marked is stamped.
+    E. p = 7 mod 12, delta a square: lam and sqrt(delta) lie in F_p, so
+       the kernel {O, (x0, +-y0)} of psi^-, x0 = (lam + 1 - 2 sqrt(delta))/3,
+       is stable under the p-Frobenius pi, which acts on it as c = +-1.  A
+       supersingular E/F_p (trace 0) has pi^2 = [-p], so on the kernel
+       c^2 = 1 = -p mod 3, which needs p = 2 mod 3.  With D, no row is
+       left: the scan returns () before any table is built.
+    Lambda^- is never 0 or 1: Lambda^- Lambda^+ = (1 - lam)^4 and
+    (Lambda^- - 1)(Lambda^+ - 1) = lam^4.  A row with Lambda^- in {0, 1}
+    is a fault, which raises: on the F_p lane before lemmas B and C, and on
+    the pair lanes in `legendre_j`'s norm check.  The two singular lam,
+    the roots of delta, form one S3 orbit, and they need no filter: at
+    p = 1 mod 12 delta = 0 reads as a square (table[0] = 0) and A drops
+    them, E leaves nothing at p = 7 mod 12, and at p = 2 mod 3 they do not
+    lie in F_p.
+    The sieve keeps 1/2 of the representatives at p = 1 mod 4, none at
+    p = 7 mod 12, 1/4 at p = 11 mod 24 and 3/8 at p = 23 mod 24.  Lambda^-
+    is computed once, on the rows A or D keep.  ss_p is evaluated exactly
+    by `_bsgs_eval` at j(E) of each kept row: on F_{p^2} pair lanes at
+    p = 1 mod 4, and on the F_p lane at p = 3 mod 4, where L, j(E) and
+    ss_p(j) lie (`class_root`).  The supersingular representatives are
+    marked, and every lambda whose representative is marked is stamped.
     """
     check_modulus(p)
     if p >= VECTOR_MODULUS_BOUND:
         raise LimitError(f"p={p} above the vector kernel bound")
+    if p % 12 == 7:
+        return ()  # D, E
     lam = np.arange(2, p, dtype=np.int64)
-    lam = lam[(lam * lam - lam + 1) % p != 0]
-    if lam.size == 0:
-        return ()
     inv = _inverse_table(p)
     # each lam's representative is the least of its six S3 images, from two
     # inverse reads: lam/(lam-1) = 1 - 1/(1-lam) and (lam-1)/lam = 1 - 1/lam,
@@ -292,15 +306,12 @@ def _orbit_scan(p: int) -> tuple[int, ...]:
     reps = lam[rep == lam]
     n = smallest_nonresidue(p)
     table = _sqrt_table(p)
-    root, keep, sqrt = class_root(reps, p, n, table)
-    # the square rows' Lambda^- lies in F_p; none is dropped before the check
-    la, lb = lambda_eps(reps[root >= 0], (root[root >= 0], None), -1, p)
-    if not (la >= 2).all():
-        raise ValueError(f"singular Legendre parameter Lambda^- in {{0, 1}} mod {p}")
+    _, keep, sqrt = class_root(reps, p, n, table)
     reps = reps[keep]  # A, D
-    if p % 4 == 1:
-        la, lb = lambda_eps(reps, sqrt, -1, p)
-    else:
+    la, lb = lambda_eps(reps, sqrt, -1, p)
+    if p % 4 == 3:
+        if not (la >= 2).all():
+            raise ValueError(f"singular Legendre parameter Lambda^- in {{0, 1}} mod {p}")
         one_m = table[(1 - la) % p]
         keep = one_m == -1 if p % 8 == 3 else (one_m >= 0) | (table[la] >= 0)  # B, C
         reps, la = reps[keep], la[keep]

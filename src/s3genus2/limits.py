@@ -20,6 +20,9 @@ on average over the classes mod 8, and all primes below X about
     F(X) = 7 X^3 / (2304 ln X),
 
 the prime number theorem's value of sum_{p < X} 7 p^2/768 (`scan_cost`).
+The model still prices p = 7 mod 12 so, though lemma E leaves no row there
+and the scan stops before its tables; F is therefore an upper bound, about
+13.5% above the scans' mean cost (21/32 against 37/64 of p^2/72).
 F(MAX_X_BUDGET) is the scan work of the largest `average` run admitted;
 `psi` and `structure` admit a prime range whose scans cost no more, and
 family.scan_primes puts scans costing more than SCAN_POOL_THRESHOLD on a pool.

@@ -298,10 +298,11 @@ def test_legendre_j_inverse_table_matches_exponentiation():
 
 
 def test_orbit_scan_raises_on_a_singular_representative(monkeypatch):
-    # a representative whose Lambda^- reads 1 is singular; the check sees it
-    # before the sieve, which would drop it at p = 1, 3 and 5 mod 8.  In both
-    # classes the F_p lane of the rows with delta a square computes Lambda^-
-    # with lambda_eps, without a b-part
+    # a kept representative whose Lambda^- reads 1 is singular.  lambda_eps
+    # computes Lambda^- once, on the rows lemma A or D keeps; at p = 3 mod 4
+    # the F_p lane's check raises before lemma B, which would drop the row
+    # at p = 3 mod 8, and at p = 1 mod 4 legendre_j's norm check raises on
+    # the pair lanes
     real = family.lambda_eps
 
     def with_one(*args):
@@ -357,6 +358,8 @@ def sieve_lemma(lam, p):
     assert lb == 0
     if p % 4 == 1:
         return "A"
+    if p % 12 == 7:
+        return "E"
     one_minus_square = legendre_int(1 - la, p) >= 0
     if p % 8 == 3:
         return "B" if one_minus_square else None
@@ -370,7 +373,8 @@ def orbit_representatives(p):
 def test_orbit_scan_evaluates_each_orbit_once(monkeypatch):
     # _bsgs_eval gets j(E_{Lambda^-}) of exactly the kept representatives,
     # in ascending order, in one call; at p = 3 mod 4 they are F_p values,
-    # passed without a b-lane
+    # passed without a b-lane.  At p = 7 mod 12 lemmas D and E keep none,
+    # and the scan makes no call
     for p in primes_in(5, 300):
         calls = []
 
@@ -385,11 +389,11 @@ def test_orbit_scan_evaluates_each_orbit_once(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(family, "_bsgs_eval", recording_eval)
             family._orbit_scan(p)
-        assert calls == [want], p
+        assert calls == ([] if p % 12 == 7 else [want]), p
 
 
 def test_sieve_drops_only_ordinary_curves_below_500():
-    # no H_p and no ss_p: a curve over F_p that lemmas A-C drop has
+    # no H_p and no ss_p: a curve over F_p that lemmas A-C or E drop has
     # #E(F_p) != p + 1; one that lemma D drops has a trace prime to p over
     # F_{p^2} (checked below 200, where counting F_{p^2} stays small)
     dropped = Counter()
@@ -397,12 +401,12 @@ def test_sieve_drops_only_ordinary_curves_below_500():
         for lam in orbit_representatives(p):
             lemma = sieve_lemma(lam, p)
             curve = LegendreCurve(lambda_pair(lam, p)[2], p)
-            if lemma in ("A", "B", "C"):
+            if lemma in ("A", "B", "C", "E"):
                 assert count_points(curve, 1) != p + 1, (p, lam, lemma)
             elif lemma == "D" and p < 200:
                 assert (p * p + 1 - count_points(curve, 2)) % p, (p, lam)
             dropped[lemma] += 1
-    assert all(dropped[lemma] for lemma in "ABCD")
+    assert all(dropped[lemma] for lemma in "ABCDE")
 
 
 def test_bsgs_rows_at_the_largest_prime_below_the_bound():
@@ -464,8 +468,10 @@ def test_fp_lane_matches_the_pair_kernel_at_every_row_below_5000(chunk, monkeypa
     # at p = 3 mod 4 the scan evaluates ss_p on the F_p lane alone; at every
     # kept row of every such prime below 5000 that lane equals the pair
     # kernel at (j, 0), whose b-part is 0.  A chunk of 60 entries sends the
-    # rows through in chunks of 60 // g rows
-    primes = [p for p in primes_in(7, 4999) if p % 4 == 3]
+    # rows through in chunks of 60 // g rows.  At p = 7 mod 12 the scan
+    # keeps no row and makes no call (lemma E; the exact-kernel test below
+    # runs both lanes there), so the primes are those = 11 mod 12
+    primes = [p for p in primes_in(7, 4999) if p % 12 == 11]
     chunked = 0
     for p in primes:
         xa, xb, n, coeffs, acc = scanned_lane(p, monkeypatch, chunk)
@@ -474,8 +480,45 @@ def test_fp_lane_matches_the_pair_kernel_at_every_row_below_5000(chunk, monkeypa
         assert np.array_equal(acc[0], pair[0]) and not pair[1].any(), p
         g = -(-coeffs.size // math.isqrt(coeffs.size))
         chunked += xa.size > chunk // g
-    # one chunk per prime at the scan's size, and 312 of the 338 primes split
-    assert chunked == 0 if chunk > 60 else chunked > 300
+    # one chunk per prime at the scan's size, and 155 of the 167 primes
+    # split: the 12 below 230 keep too few rows
+    assert chunked == 0 if chunk > 60 else chunked == 155
+
+
+def test_lemma_e_by_the_exact_kernel_below_20000():
+    # at p = 7 mod 12 the scan returns () with no kernel call; ss_p read by
+    # the exact kernel at j(Lambda^-) of every row lemma D keeps (every
+    # representative with delta a square, found as the least of its six S3
+    # images) has no zero, on the F_p lane and on the pair lane at (j, 0)
+    # alike, so lemma E drops only ordinary curves
+    for p in (q for q in primes_in(7, 19999) if q % 12 == 7):
+        assert family._orbit_scan(p) == (), p
+        n, inv, table = smallest_nonresidue(p), _inverse_table(p), _sqrt_table(p)
+        lam = np.arange(2, p, dtype=np.int64)
+        lam = lam[(lam * lam - lam + 1) % p != 0]
+        images = (lam, inv[lam], inv[p + 1 - lam])
+        rep = np.minimum.reduce([v for image in images for v in (image, p + 1 - image)])
+        reps = lam[rep == lam]
+        root = table[(reps * reps - reps + 1) % p]
+        la, _ = family.lambda_eps(reps[root >= 0], (root[root >= 0], None), -1, p)
+        ja, _ = legendre_j(la, None, p, n, inv)
+        coeffs = _supersingular_array(p)
+        (fp,) = _bsgs_eval(ja, None, n, p, coeffs)
+        pair = _bsgs_eval(ja, np.zeros_like(ja), n, p, coeffs)
+        assert fp.all() and np.array_equal(fp, pair[0]) and not pair[1].any(), p
+
+
+def test_lambda_eps_identities_keep_every_row_nonsingular_below_500():
+    # Lambda^- Lambda^+ = (1 - lam)^4 and (Lambda^- - 1)(Lambda^+ - 1) =
+    # lam^4, both nonzero at an admissible lam, so neither Lambda is 0 or 1
+    for p in primes_in(5, 500):
+        n = smallest_nonresidue(p)
+        for lam in range(2, p):
+            if not is_admissible(lam, p):
+                continue
+            _, _, (ma, mb), (pa, pb) = lambda_pair(lam, p)
+            assert fp2_mul((ma, mb), (pa, pb), p, n) == (pow(1 - lam, 4, p), 0), (p, lam)
+            assert fp2_mul((ma - 1, mb), (pa - 1, pb), p, n) == (pow(lam, 4, p), 0), (p, lam)
 
 
 def test_legendre_j_fp_lane_matches_j_invariant():
